@@ -11,11 +11,15 @@
 //! * [`admit`](BatchEngine::admit) starts one candidate on one free lane —
 //!   with its *own* seed text, sampling options and RNG stream, so candidates
 //!   from different requests (different temperatures, different length
-//!   budgets) share one batch;
+//!   budgets) share one batch. The lane is
+//!   [`prime`](clgen_neural::StreamBatch::prime)d with the seed text — an
+//!   LSTM batch runs it through the model once and reloads the result for
+//!   every later candidate — so it generates from its first round;
 //! * [`step_into`](BatchEngine::step_into) advances every occupied lane by
-//!   one character through a single batched
-//!   [`feed_many`](clgen_neural::StreamBatch::feed_many), returning finished
-//!   candidates as their lanes free up;
+//!   one generated character through a single batched
+//!   [`feed_many`](clgen_neural::StreamBatch::feed_many) over exactly those
+//!   lanes — an LSTM batch steps at the width they fill, not the width it
+//!   has — returning finished candidates as their lanes free up;
 //! * [`abort`](BatchEngine::abort) abandons a lane mid-candidate (a request
 //!   was satisfied early or its client went away).
 //!
@@ -39,15 +43,15 @@ use clgen_corpus::Vocabulary;
 use clgen_neural::{sample_distribution_with, StreamBatch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::rc::Rc;
 
-/// An encoded seed prefix, shared between lanes running candidates with the
-/// same seed text (the common case: every candidate of a run or request
-/// starts from one seed).
+/// A seed text as every lane starting from it needs it (the common case:
+/// every candidate of a run or request starts from one seed): encoded for
+/// the model, and run through the prefix validator and the brace counter.
 struct SeedPrefix {
     text: String,
     ids: Vec<u32>,
-    chars: Vec<char>,
+    validator: PrefixValidator,
+    depth: i32,
 }
 
 /// One candidate mid-flight on a lane.
@@ -57,9 +61,6 @@ struct LaneRun {
     text: String,
     depth: i32,
     generated: usize,
-    seed: Rc<SeedPrefix>,
-    /// Characters of the seed prefix still to be fed to the model.
-    seed_cursor: usize,
     options: SampleOptions,
     rng: StdRng,
     /// Incremental prefix validator fed every character of the candidate
@@ -78,9 +79,9 @@ pub struct BatchEngine<'a> {
     pairs: Vec<(usize, u32)>,
     probs: Vec<f32>,
     weights: Vec<f64>,
-    /// Most recently encoded seed prefix, reused across admissions so the
-    /// steady state (every candidate sharing one seed text) encodes it once.
-    seed_memo: Option<Rc<SeedPrefix>>,
+    /// Most recently admitted seed text, reused across admissions so the
+    /// steady state (every candidate sharing one seed text) prepares it once.
+    seed_memo: Option<SeedPrefix>,
 }
 
 impl std::fmt::Debug for BatchEngine<'_> {
@@ -135,10 +136,11 @@ impl<'a> BatchEngine<'a> {
         self.lanes[lane].as_ref().map(|run| run.ticket)
     }
 
-    /// Start a candidate on a free lane: the lane's model state is reset, the
-    /// seed prefix is scheduled to be fed one character per
-    /// [`step_into`](BatchEngine::step_into) round, and generated characters
-    /// are drawn from `StdRng::seed_from_u64(rng_seed)`.
+    /// Start a candidate on a free lane: the lane's model state is
+    /// [`prime`](StreamBatch::prime)d with the seed text, its validator and
+    /// brace depth start where the seed leaves them, and generated characters
+    /// are drawn from `StdRng::seed_from_u64(rng_seed)` from the next
+    /// [`step_into`](BatchEngine::step_into) round on.
     ///
     /// A candidate with a zero character budget completes immediately (its
     /// text is the seed alone, as in serial sampling, where the fed seed
@@ -164,33 +166,34 @@ impl<'a> BatchEngine<'a> {
                 generated_chars: 0,
             });
         }
-        self.streams.reset_stream(lane);
-        let seed = match &self.seed_memo {
-            Some(memo) if memo.text == seed_text => memo.clone(),
-            _ => {
-                let chars: Vec<char> = seed_text.chars().collect();
-                let ids: Vec<u32> = chars.iter().map(|&c| self.vocab.encode_char(c)).collect();
-                let prefix = Rc::new(SeedPrefix {
-                    text: seed_text.to_string(),
-                    ids,
-                    chars,
-                });
-                self.seed_memo = Some(prefix.clone());
-                prefix
-            }
-        };
+        if !matches!(&self.seed_memo, Some(memo) if memo.text == seed_text) {
+            // As the serial sampler treats its seed: every character goes to
+            // the model, the validator and the brace counter.
+            let mut validator = PrefixValidator::new();
+            seed_text.chars().for_each(|c| validator.feed(c));
+            let braces = |b: char| seed_text.matches(b).count() as i32;
+            self.seed_memo = Some(SeedPrefix {
+                text: seed_text.to_string(),
+                ids: seed_text
+                    .chars()
+                    .map(|c| self.vocab.encode_char(c))
+                    .collect(),
+                validator,
+                depth: braces('{') - braces('}'),
+            });
+        }
+        let seed = self.seed_memo.as_ref().expect("set above");
+        self.streams.prime(lane, &seed.ids);
         let mut text = String::with_capacity(seed_text.len() + options.max_chars);
         text.push_str(seed_text);
         self.lanes[lane] = Some(LaneRun {
             ticket,
             text,
-            depth: 0,
+            depth: seed.depth,
             generated: 0,
-            seed,
-            seed_cursor: 0,
             options,
             rng: StdRng::seed_from_u64(rng_seed),
-            validator: PrefixValidator::new(),
+            validator: seed.validator.clone(),
         });
         self.occupied += 1;
         None
@@ -205,10 +208,9 @@ impl<'a> BatchEngine<'a> {
         Some(run.ticket)
     }
 
-    /// Advance every occupied lane by one character — seed-prefix characters
-    /// are fed as-is, generated characters are drawn from the lane's current
-    /// distribution — through a single batched feed. Candidates that reach
-    /// their closing brace or length budget this round are appended to
+    /// Advance every occupied lane by one character, drawn from the lane's
+    /// current distribution, through a single batched feed. Candidates that
+    /// reach their closing brace or length budget this round are appended to
     /// `completed` as `(ticket, candidate)` and their lanes freed.
     ///
     /// As in serial sampling, a candidate's final character is never fed back
@@ -246,22 +248,6 @@ impl<'a> BatchEngine<'a> {
             let Some(run) = self.lanes[lane].as_mut() else {
                 continue;
             };
-            // Seed phase: feed the prefix one character per round, tracking
-            // its brace depth.
-            if run.seed_cursor < run.seed.ids.len() {
-                let id = run.seed.ids[run.seed_cursor];
-                let c = run.seed.chars[run.seed_cursor];
-                run.validator.feed(c);
-                match c {
-                    '{' => run.depth += 1,
-                    '}' => run.depth -= 1,
-                    _ => {}
-                }
-                run.seed_cursor += 1;
-                self.pairs.push((lane, id));
-                continue;
-            }
-            // Generate phase: draw from the lane's current distribution.
             self.streams.probs_into(lane, &mut self.probs);
             let id = sample_distribution_with(
                 &self.probs,

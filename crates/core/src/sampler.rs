@@ -129,11 +129,13 @@ pub fn sample_kernel(
 /// Candidate `i` draws its characters from
 /// `StdRng::seed_from_u64(stream_seeds[i])`. There may be more candidates
 /// than streams: each stream is a *lane*, and as soon as a lane's candidate
-/// finishes, the lane is reset and refilled with the next pending candidate
+/// finishes, the lane is refilled with the next pending candidate
 /// (continuous batching, via [`BatchEngine`]), so the batch stays at full
-/// width — and the GEMM at full lane count — until the work runs out. A
-/// refilled lane feeds its seed prefix in the same batched rounds in which
-/// other lanes generate.
+/// width until the work runs out, and steps at the width the live lanes
+/// fill while it drains. A refilled lane does not feed its seed prefix
+/// again: the engine [`prime`](StreamBatch::prime)s it, so the model runs
+/// `seed` once per `streams` and every candidate starts generating from
+/// the remembered post-seed state in its first round.
 ///
 /// Determinism guarantee: the result is **byte-identical** to
 /// `stream_seeds.len()` serial [`sample_kernel`] calls over the same model,

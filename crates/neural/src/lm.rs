@@ -6,6 +6,7 @@
 //! implement this trait, so the synthesizer is generic over the model class.
 
 use crate::lstm::{BatchState, LstmModel, LstmState, Workspace};
+use crate::tensor::tile_width;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -121,17 +122,32 @@ pub trait StreamBatch {
     /// Write stream `stream`'s distribution over the next character into
     /// `out` (replacing its contents).
     fn probs_into(&self, stream: usize, out: &mut Vec<f32>);
+
+    /// Put `stream` in the state a fresh stream reaches after being fed
+    /// `ids` in order, leaving the others untouched. The default does just
+    /// that, so it is complete for every implementor; a batch that can get
+    /// there cheaper (every candidate of a run shares one seed) overrides it.
+    fn prime(&mut self, stream: usize, ids: &[u32]) {
+        self.reset_stream(stream);
+        for &id in ids {
+            self.feed_many(&[(stream, id)]);
+        }
+    }
 }
 
 /// Multi-stream sampling over a shared [`LstmModel`]: every
-/// [`feed_many`](StreamBatch::feed_many) advances all listed streams as one
-/// batched matrix product per layer ([`LstmModel::predict_batch_sel`]), so
-/// weights are read once per batch instead of once per stream, and the
-/// per-lane arithmetic is bitwise identical to serial sampling.
+/// [`feed_many`](StreamBatch::feed_many) advances the listed streams as one
+/// batched matrix product per layer, so weights are read once per batch
+/// instead of once per stream, and the per-lane arithmetic is bitwise
+/// identical to serial sampling. A step costs what the streams it feeds
+/// cost, not what the batch is wide: a feed of all `n` streams steps the
+/// resident state in place, a feed of fewer gathers just those lanes into a
+/// narrower scratch batch ([`LstmModel::predict_batch_gathered`]).
 #[derive(Debug)]
 pub struct LstmStreams<'a> {
     model: &'a LstmModel,
-    /// Lane-interleaved recurrent state, resident across steps.
+    /// Lane-interleaved recurrent state, resident across steps; lanes past
+    /// the stream count are tile padding.
     bs: BatchState,
     ws: Workspace,
     /// For each stream, its position in the most recent softmax set
@@ -141,14 +157,9 @@ pub struct LstmStreams<'a> {
     fed: Vec<bool>,
     sel: Vec<usize>,
     ids: Vec<u32>,
-    /// Saved state of lanes not fed in the current call (see `feed_many`);
-    /// pooled to avoid per-call allocation.
-    saved_lanes: Vec<(usize, Vec<f32>)>,
-    saved_pool: Vec<Vec<f32>>,
-    /// Which lanes the current `feed_many` call feeds; reused across calls
-    /// because partial feeds are the steady state under serving (idle lanes
-    /// wait for request admission every round).
-    fed_scratch: Vec<bool>,
+    /// The last prefix [`prime`](StreamBatch::prime)d and the state after it
+    /// (valid while the batch lives: `model` is borrowed, weights are fixed).
+    primed: Option<(Vec<u32>, LstmState)>,
 }
 
 impl<'a> LstmStreams<'a> {
@@ -159,15 +170,13 @@ impl<'a> LstmStreams<'a> {
         assert!(n > 0, "need at least one stream");
         LstmStreams {
             model,
-            bs: BatchState::new(&model.config, n),
-            ws: model.workspace(n),
+            bs: BatchState::new(&model.config, tile_width(n)),
+            ws: model.workspace(tile_width(n)),
             probs_pos: vec![None; n],
             fed: vec![false; n],
             sel: Vec::with_capacity(n),
-            ids: vec![0; n],
-            saved_lanes: Vec::new(),
-            saved_pool: Vec::new(),
-            fed_scratch: vec![false; n],
+            ids: Vec::with_capacity(n),
+            primed: None,
         }
     }
 
@@ -185,15 +194,13 @@ impl StreamBatch for LstmStreams<'_> {
     }
 
     fn num_streams(&self) -> usize {
-        self.bs.width()
+        self.fed.len()
     }
 
     fn reset(&mut self) {
-        for lane in 0..self.bs.width() {
-            self.bs.reset_lane(lane);
+        for stream in 0..self.num_streams() {
+            self.reset_stream(stream);
         }
-        self.probs_pos.iter_mut().for_each(|l| *l = None);
-        self.fed.iter_mut().for_each(|f| *f = false);
     }
 
     fn reset_stream(&mut self, stream: usize) {
@@ -202,49 +209,34 @@ impl StreamBatch for LstmStreams<'_> {
         self.fed[stream] = false;
     }
 
+    /// Panics if a stream is out of range or listed twice.
     fn feed_many(&mut self, pairs: &[(usize, u32)]) {
         if pairs.is_empty() {
             return;
         }
-        // The batch advances at full width every step (resident state, no
-        // gathers): lanes not being fed receive a dummy character and have
-        // their state restored afterwards, upholding the trait contract that
-        // unfed streams are untouched. In the hot path (every live lane fed,
-        // as the batched sampler does) no lane needs saving, so this costs
-        // nothing. Softmax runs only for the lanes actually fed.
+        // The probs buffer is about to be rewritten: streams not in this
+        // batch fall back to recomputing from their untouched hidden state.
+        self.probs_pos.fill(None);
         self.sel.clear();
-        self.ids.iter_mut().for_each(|id| *id = 0);
-        for &(stream, id) in pairs {
-            self.sel.push(stream);
-            self.ids[stream] = id;
-        }
-        if self.sel.len() < self.bs.width() {
-            self.fed_scratch.iter_mut().for_each(|f| *f = false);
-            for &stream in &self.sel {
-                self.fed_scratch[stream] = true;
-            }
-            for lane in 0..self.bs.width() {
-                if self.fed_scratch[lane] {
-                    continue;
-                }
-                let mut buf = self.saved_pool.pop().unwrap_or_default();
-                self.bs.snapshot_lane(lane, &mut buf);
-                self.saved_lanes.push((lane, buf));
-            }
-        }
-        self.model
-            .predict_batch_resident(&mut self.bs, &self.ids, &self.sel, &mut self.ws);
-        for (lane, buf) in self.saved_lanes.drain(..) {
-            self.bs.restore_lane(lane, &buf);
-            self.saved_pool.push(buf);
-        }
-        // Positions from earlier calls are stale: the probs buffer was
-        // rewritten. Streams fed earlier but not in this batch fall back to
-        // an exact recomputation from their (restored) hidden state.
-        self.probs_pos.iter_mut().for_each(|l| *l = None);
-        for (pos, &stream) in self.sel.iter().enumerate() {
+        self.ids.clear();
+        for (pos, &(stream, id)) in pairs.iter().enumerate() {
+            assert!(stream < self.fed.len(), "stream {stream} out of range");
+            assert!(
+                self.probs_pos[stream].is_none(),
+                "stream {stream} fed twice in one call"
+            );
             self.probs_pos[stream] = Some(pos);
             self.fed[stream] = true;
+            self.sel.push(stream);
+            self.ids.push(id);
+        }
+        if self.sel.iter().copied().eq(0..self.fed.len()) {
+            // Every stream, in lane order: step the resident state in place.
+            self.model
+                .predict_batch_resident(&mut self.bs, &self.ids, &mut self.ws);
+        } else {
+            self.model
+                .predict_batch_gathered(&mut self.bs, &self.sel, &self.ids, &mut self.ws);
         }
     }
 
@@ -255,6 +247,24 @@ impl StreamBatch for LstmStreams<'_> {
             None if self.fed[stream] => self.model.lane_distribution(&self.bs, stream, out),
             None => out.resize(self.vocab_size(), 1.0 / self.vocab_size() as f32),
         }
+    }
+
+    /// One forward pass over `ids` at width 1 the first time a prefix is
+    /// seen, a [`BatchState::load_lane`] of the remembered state afterwards.
+    fn prime(&mut self, stream: usize, ids: &[u32]) {
+        if !matches!(&self.primed, Some((memo, _)) if memo == ids) {
+            let mut state = self.model.initial_state();
+            for &id in ids {
+                self.model.predict_into(&mut state, id, &mut self.ws);
+            }
+            // The pass went through the shared probs buffer.
+            self.probs_pos.fill(None);
+            self.primed = Some((ids.to_vec(), state));
+        }
+        let (_, state) = self.primed.as_ref().expect("set above");
+        self.bs.load_lane(stream, state);
+        self.probs_pos[stream] = None;
+        self.fed[stream] = !ids.is_empty();
     }
 }
 
@@ -425,6 +435,7 @@ pub fn argmax(probs: &[f32]) -> u32 {
 mod tests {
     use super::*;
     use crate::lstm::LstmConfig;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     #[test]
@@ -483,38 +494,57 @@ mod tests {
         assert!(counts[0] + counts[2] > 400, "{counts:?}");
     }
 
-    /// The `StreamBatch` contract: feeding a subset of streams must leave
-    /// the other streams untouched, and every stream's distribution must
-    /// stay bitwise identical to an independent serial model fed the same
-    /// characters (regression test for the full-width resident advance).
-    #[test]
-    fn lstm_streams_subset_feeds_leave_other_streams_untouched() {
-        use crate::lstm::{LstmConfig, LstmModel};
-
-        let model = LstmModel::new(LstmConfig {
-            vocab_size: 7,
-            hidden_size: 12,
-            num_layers: 2,
-            seed: 21,
-        });
-        let mut streams = LstmStreams::new(&model, 3);
-        let mut serial: Vec<StatefulLstm> =
-            (0..3).map(|_| StatefulLstm::new(model.clone())).collect();
-
-        // Interleaved subset feeds, including re-feeding a stream that sat
-        // out a round and querying a stream long after its last feed.
-        let rounds: Vec<Vec<(usize, u32)>> = vec![
-            vec![(0, 1), (2, 3)],
-            vec![(1, 5)],
-            vec![(0, 2)],
-            vec![(0, 6), (1, 0), (2, 4)],
-        ];
-        let mut probs = Vec::new();
-        for pairs in rounds {
-            for &(stream, id) in &pairs {
-                serial[stream].feed(id);
+    /// Drive a `width`-stream [`LstmStreams`] through `rounds` random
+    /// operations — subset feeds in any order, single-stream and whole-batch
+    /// resets, primes with repeated, alternating and empty prefixes — and
+    /// after each one require every stream's distribution to be bitwise that
+    /// of an independent serial model fed the same characters.
+    fn check_random_schedule(model: &LstmModel, width: usize, rounds: usize, seed: u64) {
+        let vocab = model.config.vocab_size as u32;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut streams = LstmStreams::new(model, width);
+        assert_eq!(streams.num_streams(), width);
+        let mut serial: Vec<StatefulLstm> = (0..width)
+            .map(|_| StatefulLstm::new(model.clone()))
+            .collect();
+        let prefixes: [&[u32]; 3] = [&[1, 4, 2, 0, 3], &[5, 5, 1], &[]];
+        let (mut probs, mut pairs) = (Vec::new(), Vec::new());
+        for round in 0..rounds {
+            match rng.gen_range(0..10u32) {
+                0 => {
+                    streams.reset();
+                    serial.iter_mut().for_each(|s| s.reset());
+                }
+                1 => {
+                    let stream = rng.gen_range(0..width);
+                    streams.reset_stream(stream);
+                    serial[stream].reset();
+                }
+                2..=4 => {
+                    // Mostly the same prefix (memo hits), sometimes another.
+                    let stream = rng.gen_range(0..width);
+                    let ids = prefixes[[0, 0, 0, 1, 2][rng.gen_range(0..5usize)]];
+                    streams.prime(stream, ids);
+                    serial[stream].reset();
+                    ids.iter().for_each(|&id| serial[stream].feed(id));
+                }
+                _ => {
+                    let keep = [0.2, 0.5, 1.0][rng.gen_range(0..3usize)];
+                    pairs.clear();
+                    for stream in 0..width {
+                        if rng.gen_bool(keep) {
+                            pairs.push((stream, rng.gen_range(0..vocab)));
+                        }
+                    }
+                    if rng.gen_bool(0.25) {
+                        pairs.reverse();
+                    }
+                    pairs
+                        .iter()
+                        .for_each(|&(stream, id)| serial[stream].feed(id));
+                    streams.feed_many(&pairs);
+                }
             }
-            streams.feed_many(&pairs);
             for (stream, reference) in serial.iter().enumerate() {
                 streams.probs_into(stream, &mut probs);
                 let expect = reference.predict();
@@ -523,10 +553,58 @@ mod tests {
                     assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
-                        "stream {stream} diverged from serial"
+                        "width {width} seed {seed} round {round}: stream {stream} diverged"
                     );
                 }
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The `StreamBatch` contract at every batch width: whichever subset
+        /// a call feeds, resets or primes, the other streams are untouched
+        /// and every stream stays bitwise identical to serial sampling —
+        /// through the resident, the gathered and the memoised paths, below
+        /// and above the GEMM kernels' row-parallel threshold.
+        #[test]
+        fn lstm_streams_match_serial_under_random_schedules(seed in any::<u64>()) {
+            let small = LstmModel::new(LstmConfig {
+                vocab_size: 7,
+                hidden_size: 12,
+                num_layers: 2,
+                seed: 21,
+            });
+            for width in 1..=16 {
+                check_random_schedule(&small, width, 24, seed ^ width as u64);
+            }
+            // 4H x H x width >= PAR_MIN_WORK from two lanes up: one width
+            // per tile class, few rounds (a debug-build step is ~10 ms).
+            let large = LstmModel::new(LstmConfig {
+                vocab_size: 7,
+                hidden_size: 512,
+                num_layers: 1,
+                seed: 22,
+            });
+            const { assert!(4 * 512 * 512 * 2 >= crate::tensor::PAR_MIN_WORK) };
+            let width = [2, 5, 8, 11, 16][(seed % 5) as usize];
+            check_random_schedule(&large, width, 6, seed);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fed twice")]
+    fn lstm_streams_reject_a_stream_fed_twice_in_one_call() {
+        let model = LstmModel::new(LstmConfig::small(7));
+        LstmStreams::new(&model, 3).feed_many(&[(1, 0), (2, 3), (1, 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn lstm_streams_reject_an_out_of_range_stream() {
+        let model = LstmModel::new(LstmConfig::small(7));
+        // Seven streams are resident at eight lanes: lane 7 is padding.
+        LstmStreams::new(&model, 7).feed_many(&[(7, 0)]);
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::tensor::{
     fast_tanh, lstm_cell_cached, lstm_cell_cached_batch, lstm_cell_fused_batch, sigmoid,
-    softmax_in_place, Matrix, PackedMatrix,
+    softmax_in_place, tile_width, Matrix, PackedMatrix,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -778,54 +778,72 @@ impl BatchState {
         }
     }
 
-    /// Append one lane's hidden and cell values to `buf` (for
-    /// [`BatchState::restore_lane`]).
-    pub fn snapshot_lane(&self, lane: usize, buf: &mut Vec<f32>) {
-        assert!(lane < self.width, "lane out of range");
-        buf.clear();
-        for src in self.h.iter().chain(self.c.iter()) {
-            buf.extend(src[lane..].iter().step_by(self.width));
+    /// Re-shape to `width` zeroed lanes, keeping the allocation.
+    pub(crate) fn reset_to_width(&mut self, width: usize) {
+        let hidden = self.h[0].len() / self.width;
+        for buf in self.h.iter_mut().chain(self.c.iter_mut()) {
+            buf.clear();
+            buf.resize(hidden * width, 0.0);
         }
+        self.width = width;
     }
 
-    /// Restore a lane from a [`BatchState::snapshot_lane`] buffer.
-    pub fn restore_lane(&mut self, lane: usize, buf: &[f32]) {
-        assert!(lane < self.width, "lane out of range");
-        let mut values = buf.iter();
-        for dst in self.h.iter_mut().chain(self.c.iter_mut()) {
-            for v in dst[lane..].iter_mut().step_by(self.width) {
-                *v = *values.next().expect("snapshot buffer too short");
-            }
-        }
-        assert!(values.next().is_none(), "snapshot buffer too long");
+    /// Compact lanes `lanes` of `from` (a state of any width over the same
+    /// model shape) into lanes `0..lanes.len()`.
+    pub(crate) fn gather(&mut self, from: &BatchState, lanes: &[usize]) {
+        assert!(lanes.len() <= self.width, "more lanes than width");
+        let map = lanes.iter().copied().enumerate();
+        copy_lanes(&mut self.h, self.width, &from.h, from.width, map.clone());
+        copy_lanes(&mut self.c, self.width, &from.c, from.width, map);
+    }
+
+    /// The inverse of [`gather`](BatchState::gather): write lanes
+    /// `0..lanes.len()` back over lanes `lanes` of `into`, leaving its other
+    /// lanes untouched.
+    pub(crate) fn scatter(&self, into: &mut BatchState, lanes: &[usize]) {
+        assert!(lanes.len() <= self.width, "more lanes than width");
+        let map = lanes.iter().enumerate().map(|(pos, &lane)| (lane, pos));
+        copy_lanes(&mut into.h, into.width, &self.h, self.width, map.clone());
+        copy_lanes(&mut into.c, into.width, &self.c, self.width, map);
     }
 
     /// Copy a per-stream [`LstmState`] into one lane.
     pub fn load_lane(&mut self, lane: usize, state: &LstmState) {
-        assert!(lane < self.width, "lane out of range");
-        for (dst, src) in self.h.iter_mut().zip(state.h.iter()) {
-            for (j, &v) in src.iter().enumerate() {
-                dst[j * self.width + lane] = v;
-            }
-        }
-        for (dst, src) in self.c.iter_mut().zip(state.c.iter()) {
-            for (j, &v) in src.iter().enumerate() {
-                dst[j * self.width + lane] = v;
-            }
-        }
+        let map = std::iter::once((lane, 0));
+        copy_lanes(&mut self.h, self.width, &state.h, 1, map.clone());
+        copy_lanes(&mut self.c, self.width, &state.c, 1, map);
     }
 
     /// Copy one lane out into a per-stream [`LstmState`].
     pub fn store_lane(&self, lane: usize, state: &mut LstmState) {
-        assert!(lane < self.width, "lane out of range");
-        for (src, dst) in self.h.iter().zip(state.h.iter_mut()) {
-            for (j, v) in dst.iter_mut().enumerate() {
-                *v = src[j * self.width + lane];
-            }
-        }
-        for (src, dst) in self.c.iter().zip(state.c.iter_mut()) {
-            for (j, v) in dst.iter_mut().enumerate() {
-                *v = src[j * self.width + lane];
+        let map = std::iter::once((0, lane));
+        copy_lanes(&mut state.h, 1, &self.h, self.width, map.clone());
+        copy_lanes(&mut state.c, 1, &self.c, self.width, map);
+    }
+}
+
+/// The crate's one compaction routine: for every `(dst_lane, src_lane)` of
+/// `map`, copy that lane of the per-layer lane-interleaved buffers `src`
+/// (`src_width` lanes; an [`LstmState`] is the one-lane case) over that lane
+/// of `dst`. Rows are the outer loop, so both sides are walked front to back
+/// whatever the lanes: a lane-at-a-time copy would touch one cache line per
+/// element of a resident state the weight stream has since evicted.
+///
+/// # Panics
+///
+/// Panics if a lane is out of range.
+fn copy_lanes(
+    dst: &mut [Vec<f32>],
+    dst_width: usize,
+    src: &[Vec<f32>],
+    src_width: usize,
+    map: impl Iterator<Item = (usize, usize)> + Clone,
+) {
+    for (dst, src) in dst.iter_mut().zip(src) {
+        let rows = dst.chunks_exact_mut(dst_width);
+        for (dst_row, src_row) in rows.zip(src.chunks_exact(src_width)) {
+            for (d, s) in map.clone() {
+                dst_row[d] = src_row[s];
             }
         }
     }
@@ -857,8 +875,6 @@ pub struct Workspace {
     /// Per-stream softmax outputs, batch-major: lane `b` occupies
     /// `probs[b*V..(b+1)*V]`.
     probs: Vec<f32>,
-    /// One-hot column indices for the current batch.
-    cols: Vec<usize>,
     /// Transposed layer-0 input weights (`V x 4H`), so the one-hot embedding
     /// add reads a contiguous row per lane instead of a strided column.
     /// Built from the model by [`LstmModel::workspace`]; empty until then.
@@ -874,8 +890,9 @@ pub struct Workspace {
     /// Whether the forward pass consumes packed weights (`true` by default;
     /// benchmark baselines disable it to measure the unpacked kernels).
     packing: bool,
-    /// Scratch batch state for the gather/scatter compatibility wrapper
-    /// [`LstmModel::predict_batch_sel`].
+    /// Scratch batch state the gathering entry points
+    /// ([`LstmModel::predict_batch_sel`],
+    /// [`LstmModel::predict_batch_gathered`]) step in.
     batch_scratch: Option<BatchState>,
     /// Reusable per-timestep activation caches for truncated BPTT.
     pub(crate) caches: Vec<StepCache>,
@@ -896,7 +913,6 @@ impl Workspace {
             hbuf: Vec::new(),
             logits: Vec::new(),
             probs: Vec::new(),
-            cols: Vec::new(),
             embed_t: Vec::new(),
             packs: None,
             packing: true,
@@ -962,6 +978,18 @@ impl Workspace {
         self.logits.resize(self.config.vocab_size * width, 0.0);
         self.probs.resize(self.config.vocab_size * width, 0.0);
         self.capacity = width;
+    }
+
+    /// The scratch batch state as `width` zeroed lanes (zeroed so that tile
+    /// padding never inherits a stale state to decay into denormals); the
+    /// caller puts it back into `batch_scratch` when done.
+    fn take_scratch(&mut self, width: usize) -> BatchState {
+        let mut scratch = self
+            .batch_scratch
+            .take()
+            .unwrap_or_else(|| BatchState::new(&self.config, width));
+        scratch.reset_to_width(width);
+        scratch
     }
 
     /// Grow the BPTT cache pool to at least `steps` timesteps.
@@ -1220,45 +1248,56 @@ impl LstmModel {
         if width == 0 {
             return;
         }
-        // Gather the selected states into the scratch batch, advance it
-        // resident, and scatter back.
-        let mut bs = match ws.batch_scratch.take() {
-            Some(bs) if bs.width() == width => bs,
-            _ => BatchState::new(&self.config, width),
-        };
+        let mut scratch = ws.take_scratch(tile_width(width));
         for (lane, &s) in sel.iter().enumerate() {
-            bs.load_lane(lane, &states[s]);
+            scratch.load_lane(lane, &states[s]);
         }
-        let mut softmax_lanes = std::mem::take(&mut ws.cols);
-        softmax_lanes.clear();
-        softmax_lanes.extend(0..width);
-        self.predict_batch_resident(&mut bs, inputs, &softmax_lanes, ws);
-        ws.cols = softmax_lanes;
+        self.predict_batch_resident(&mut scratch, inputs, ws);
         for (lane, &s) in sel.iter().enumerate() {
-            bs.store_lane(lane, &mut states[s]);
+            scratch.store_lane(lane, &mut states[s]);
         }
-        ws.batch_scratch = Some(bs);
+        ws.batch_scratch = Some(scratch);
     }
 
-    /// The resident batched forward step: advance every lane of `bs` by one
-    /// character (`inputs[lane]`) as one GEMM per weight matrix, with no
-    /// gather or scatter of the recurrent state. Softmax distributions are
-    /// produced only for the lanes listed in `softmax_lanes`; lane
-    /// `softmax_lanes[i]`'s distribution lands in `ws.probs_lane(i)`.
+    /// Advance only lanes `sel` of the resident state `bs` — lane `sel[i]`
+    /// with `inputs[i]`, its distribution landing in `ws.probs_lane(i)` —
+    /// leaving every other lane untouched: the selected lanes are gathered
+    /// into a scratch state of [`tile_width`]`(sel.len())` lanes, stepped
+    /// there and scattered back, so the step costs what the live lanes cost
+    /// rather than what `bs` is wide. Lane count and lane position are
+    /// bitwise invisible to the kernels (see
+    /// [`predict_batch_sel`](LstmModel::predict_batch_sel)), so each lane
+    /// ends exactly where a full-width step would have left it.
+    ///
+    /// The caller guarantees `sel` names each lane at most once.
+    pub fn predict_batch_gathered(
+        &self,
+        bs: &mut BatchState,
+        sel: &[usize],
+        inputs: &[u32],
+        ws: &mut Workspace,
+    ) {
+        let mut scratch = ws.take_scratch(tile_width(sel.len()));
+        scratch.gather(bs, sel);
+        self.predict_batch_resident(&mut scratch, inputs, ws);
+        scratch.scatter(bs, sel);
+        ws.batch_scratch = Some(scratch);
+    }
+
+    /// The resident batched forward step: advance lane `i` of `bs` by the
+    /// character `inputs[i]` as one GEMM per weight matrix, with no gather
+    /// or scatter of the recurrent state; lane `i`'s softmax distribution
+    /// lands in `ws.probs_lane(i)`. `bs` may be wider than `inputs`: the
+    /// lanes past `inputs.len()` are padding up to a [`tile_width`] — they
+    /// advance on the bias alone and their contents mean nothing.
     ///
     /// Per lane this is bitwise identical to [`LstmModel::predict`]; see
     /// [`predict_batch_sel`](LstmModel::predict_batch_sel).
-    pub fn predict_batch_resident(
-        &self,
-        bs: &mut BatchState,
-        inputs: &[u32],
-        softmax_lanes: &[usize],
-        ws: &mut Workspace,
-    ) {
+    pub fn predict_batch_resident(&self, bs: &mut BatchState, inputs: &[u32], ws: &mut Workspace) {
         let hs = self.config.hidden_size;
         let nv = self.config.vocab_size;
         let width = bs.width();
-        assert_eq!(inputs.len(), width, "one input per lane");
+        assert!(inputs.len() <= width, "more inputs than lanes");
         ws.ensure_lanes(width);
         ws.ensure_embed(self);
         let Workspace {
@@ -1307,7 +1346,7 @@ impl LstmModel {
         }
 
         // Output projection over the resident top hidden state, then softmax
-        // for the requested lanes.
+        // for the fed lanes.
         let logits = &mut logits[..nv * width];
         for (r, &bias) in self.b_out.iter().enumerate() {
             logits[r * width..(r + 1) * width].fill(bias);
@@ -1317,8 +1356,7 @@ impl LstmModel {
             Some(p) => p.w_out.matmul_add_into(top, width, logits),
             None => self.w_out.matmul_add_into(top, width, logits),
         }
-        for (pos, &lane) in softmax_lanes.iter().enumerate() {
-            let dst = &mut probs[pos * nv..(pos + 1) * nv];
+        for (lane, dst) in probs.chunks_exact_mut(nv).take(inputs.len()).enumerate() {
             for (r, p) in dst.iter_mut().enumerate() {
                 *p = logits[r * width + lane];
             }

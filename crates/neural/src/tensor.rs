@@ -1241,6 +1241,20 @@ pub fn lstm_cell_cached_batch(
 /// break the single-accumulator dependency chain that bounds `matvec`.
 pub const GEMM_LANES: usize = 8;
 
+/// The batch width at which stepping `lanes` live lanes is cheapest. The
+/// GEMM kernels cut a width into `GEMM_LANES`, 4, 2 and 1-lane tiles and
+/// every tile is a full pass over the weight panel, so cost follows the
+/// number of tiles, not the width: seven lanes (4+2+1) cost twice what eight
+/// do. One lane is the matvec path and two are one tile; anything wider
+/// rounds up to whole `GEMM_LANES` tiles, the extra columns being padding.
+pub fn tile_width(lanes: usize) -> usize {
+    if lanes <= 2 {
+        lanes
+    } else {
+        lanes.next_multiple_of(GEMM_LANES)
+    }
+}
+
 /// Number of matrix rows processed per pass by [`Matrix::matvec_into`] /
 /// [`Matrix::matvec_add`]: four independent accumulators overlap their FMA
 /// dependency chains and reuse each load of `x` four times.

@@ -731,6 +731,11 @@ fn render_stats(shared: &Shared) -> String {
     let kernels = metrics.kernels.get();
     let attempts = metrics.attempts.get();
     let generated_chars = metrics.generated_chars.get();
+    // Lane utilisation over the server's life, not the instantaneous
+    // `lanes_busy`: the occupancy histogram observes the occupied lanes once
+    // per sampling round, so its sum is lane-steps and its count is rounds.
+    let lane_steps = metrics.lane_occupancy.sum();
+    let rounds = metrics.lane_occupancy.count();
     // `/stats` and `/metrics` render from the same atomics (see
     // `ServeMetrics`): they are two views of one state and cannot disagree.
     let mut rejected_json = String::from("{");
@@ -758,6 +763,8 @@ fn render_stats(shared: &Shared) -> String {
             "{{\"backend\":{backend},\"uptime_seconds\":{uptime:.3},",
             "\"health\":{{\"status\":{health},\"restarts\":{restarts},\"recent_restarts\":{recent}}},",
             "\"lanes\":{lanes},\"lanes_busy\":{lanes_busy},",
+            "\"lane_utilisation\":{{\"occupied_lane_steps\":{lane_steps},\"rounds\":{rounds},",
+            "\"ratio\":{utilisation:.4}}},",
             "\"queue_depth\":{queue_depth},\"queue_cap\":{queue_cap},",
             "\"active_requests\":{active},",
             "\"requests\":{{\"received\":{received},\"completed\":{completed},\"rejected_503\":{rejected},",
@@ -776,6 +783,9 @@ fn render_stats(shared: &Shared) -> String {
         recent = shared.supervisor.recent_restarts(),
         lanes = shared.config.lanes,
         lanes_busy = metrics.lanes_busy.get() as u64,
+        lane_steps = lane_steps,
+        rounds = rounds,
+        utilisation = lane_steps as f64 / (rounds * shared.config.lanes as u64).max(1) as f64,
         queue_depth = queue_depth,
         queue_cap = shared.config.queue_cap,
         active = metrics.active_requests.get() as u64,

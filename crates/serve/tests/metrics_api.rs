@@ -167,6 +167,26 @@ fn metrics_exposition_parses_and_agrees_with_stats() {
         );
     }
 
+    // Lane utilisation is the occupancy histogram's sum over its count times
+    // the lane count — the same atomics `/metrics` renders.
+    let utilisation = stats
+        .split("\"lane_utilisation\":")
+        .nth(1)
+        .expect("stats has a lane_utilisation object");
+    let lane_steps = sample_value(&body, "clgen_lane_occupancy_sum ").expect("sum") as u64;
+    let rounds = sample_value(&body, "clgen_lane_occupancy_count ").expect("count") as u64;
+    assert!(rounds > 0 && lane_steps >= rounds, "sampling rounds ran");
+    assert_eq!(
+        json::extract_u64(utilisation, "occupied_lane_steps"),
+        Some(lane_steps)
+    );
+    assert_eq!(json::extract_u64(utilisation, "rounds"), Some(rounds));
+    let ratio = lane_steps as f64 / (rounds * test_config().lanes as u64) as f64;
+    assert!(
+        utilisation.contains(&format!("\"ratio\":{ratio:.4}}}")),
+        "{stats}"
+    );
+
     // The candidate-outcome family is complete (all four outcomes present,
     // pre-registered at zero), mutually exclusive, and sums to the absorbed
     // attempts; each labeled sample agrees with the `candidates` object in
