@@ -163,15 +163,16 @@ impl CorpusStage {
 
     /// [`train_backend`](CorpusStage::train_backend) with a per-epoch
     /// progress callback: each LSTM [`EpochReport`] (loss, learning rate,
-    /// characters, wall-clock seconds and chars/sec throughput) is delivered
-    /// as it is produced, so long paper-scale runs can log or checkpoint as
-    /// they go. The n-gram backend trains in one shot and reports nothing.
+    /// characters, wall-clock seconds, chars/sec throughput, mean gradient
+    /// norm and clip rate) is delivered as it is produced, so long
+    /// paper-scale runs can log or checkpoint as they go. The n-gram backend
+    /// trains in one shot and reports nothing.
     ///
     /// Every epoch also reports into the process-global metric registry
     /// ([`clgen_obs::global`]): the `clgen_training_epochs_total` counter
-    /// plus loss / throughput / learning-rate gauges — so a `clgen-serve`
-    /// process that trains in-process surfaces training progress on
-    /// `GET /metrics`.
+    /// plus loss / throughput / learning-rate / gradient-norm / clip-rate
+    /// gauges — so a `clgen-serve` process that trains in-process surfaces
+    /// training progress on `GET /metrics`.
     ///
     /// An invalid [`clgen_neural::TrainConfig`] (zero epochs, unroll, decay
     /// interval or batch size) or a corpus too short for the requested
@@ -221,27 +222,35 @@ impl CorpusStage {
                             "Training epochs completed",
                         )
                         .inc();
-                    registry
-                        .gauge(
+                    for (name, help, value) in [
+                        (
                             "clgen_training_loss_per_char",
-                            &[],
                             "Last epoch loss per character",
-                        )
-                        .set(f64::from(report.loss_per_char));
-                    registry
-                        .gauge(
+                            f64::from(report.loss_per_char),
+                        ),
+                        (
                             "clgen_training_chars_per_sec",
-                            &[],
                             "Last epoch training throughput",
-                        )
-                        .set(report.chars_per_sec);
-                    registry
-                        .gauge(
+                            report.chars_per_sec,
+                        ),
+                        (
                             "clgen_training_learning_rate",
-                            &[],
                             "Last epoch learning rate",
-                        )
-                        .set(f64::from(report.learning_rate));
+                            f64::from(report.learning_rate),
+                        ),
+                        (
+                            "clgen_training_grad_norm",
+                            "Last epoch mean gradient norm before clipping",
+                            f64::from(report.mean_grad_norm),
+                        ),
+                        (
+                            "clgen_training_clip_rate",
+                            "Last epoch fraction of chunks whose gradient was clipped",
+                            f64::from(report.clip_rate),
+                        ),
+                    ] {
+                        registry.gauge(name, &[], help).set(value);
+                    }
                     if let Some(cb) = caller.as_deref_mut() {
                         cb(report);
                     }
@@ -462,6 +471,11 @@ mod tests {
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(|r| r.chars_per_sec > 0.0));
         assert!(reports.iter().all(|r| r.characters > 0));
+        assert!(reports.iter().all(|r| r.mean_grad_norm > 0.0));
+        let exposition = clgen_obs::global().render_prometheus();
+        for gauge in ["clgen_training_grad_norm", "clgen_training_clip_rate"] {
+            assert!(exposition.contains(gauge), "{gauge} is not exported");
+        }
     }
 
     #[test]

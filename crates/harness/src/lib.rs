@@ -426,8 +426,8 @@ impl Harness {
 
     /// Serial reference implementation: identical results to
     /// [`Harness::drive_source`], but units run one after another on the
-    /// calling thread. This is the baseline the `record_driving` bench
-    /// recorder compares the batched pool against.
+    /// calling thread. This is the baseline the ledger's
+    /// `harness.pool_speedup` compares the batched pool against.
     ///
     /// # Errors
     ///

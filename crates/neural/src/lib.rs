@@ -42,6 +42,5 @@ pub use lm::{
 pub use lstm::{BatchState, BatchStepCache, LstmConfig, LstmModel, TrainBatch, Workspace};
 pub use ngram::{NgramConfig, NgramModel};
 pub use train::{
-    evaluate, train, train_chunk_batch, train_minibatch, train_range, EpochReport, TrainConfig,
-    TrainSnapshot,
+    evaluate, train, train_chunk_batch, train_range, EpochReport, TrainConfig, TrainSnapshot,
 };

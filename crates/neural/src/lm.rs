@@ -55,13 +55,6 @@ impl StatefulLstm {
         &self.model
     }
 
-    /// Enable or disable the packed forward weights (enabled by default).
-    /// Packed and unpacked kernels are bitwise identical; the benchmark
-    /// recorders use this to measure the unpacked baseline.
-    pub fn set_packing(&mut self, packing: bool) {
-        self.ws.set_packing(packing);
-    }
-
     /// Unwrap into the underlying model.
     pub fn into_model(self) -> LstmModel {
         self.model
@@ -178,13 +171,6 @@ impl<'a> LstmStreams<'a> {
             ids: Vec::with_capacity(n),
             primed: None,
         }
-    }
-
-    /// Enable or disable the packed forward weights (enabled by default).
-    /// Packed and unpacked kernels are bitwise identical; the benchmark
-    /// recorders use this to measure the unpacked baseline.
-    pub fn set_packing(&mut self, packing: bool) {
-        self.ws.set_packing(packing);
     }
 }
 

@@ -7,8 +7,8 @@
 //! forward pass doubles as the sampling engine used by the synthesizer.
 
 use crate::tensor::{
-    fast_tanh, lstm_cell_cached, lstm_cell_cached_batch, lstm_cell_fused_batch, sigmoid,
-    softmax_in_place, tile_width, Matrix, PackedMatrix,
+    fast_tanh, lstm_cell_cached_batch, lstm_cell_fused_batch, sigmoid, softmax_in_place,
+    tile_width, Matrix, PackedMatrix,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -142,7 +142,8 @@ pub struct LstmState {
     pub c: Vec<Vec<f32>>,
 }
 
-/// Per-timestep, per-layer activations cached for backpropagation.
+/// Per-timestep, per-layer activations cached for backpropagation by the
+/// reference step ([`LstmModel::step`] → [`LstmModel::backward`]).
 #[derive(Debug, Clone)]
 pub struct StepCache {
     /// Layer inputs (`x_t` for layer 0 is the one-hot index, stored separately).
@@ -167,58 +168,6 @@ pub struct StepCache {
     pub h: Vec<Vec<f32>>,
     /// Input character id at this step.
     pub input_id: u32,
-}
-
-impl StepCache {
-    /// An empty cache; [`StepCache::ensure_shape`] sizes it for a model.
-    pub fn empty() -> StepCache {
-        StepCache {
-            inputs: Vec::new(),
-            i: Vec::new(),
-            f: Vec::new(),
-            g: Vec::new(),
-            o: Vec::new(),
-            c: Vec::new(),
-            tanh_c: Vec::new(),
-            h_prev: Vec::new(),
-            c_prev: Vec::new(),
-            h: Vec::new(),
-            input_id: 0,
-        }
-    }
-
-    /// Resize every buffer for `config` (idempotent), so the cache can be
-    /// reused across timesteps without reallocating.
-    pub fn ensure_shape(&mut self, config: &LstmConfig) {
-        let hs = config.hidden_size;
-        let layers = config.num_layers;
-        let fit = |bufs: &mut Vec<Vec<f32>>| {
-            bufs.resize_with(layers, Vec::new);
-            for buf in bufs.iter_mut() {
-                buf.resize(hs, 0.0);
-            }
-        };
-        // Layer 0 reads the one-hot character directly, so its input slot
-        // stays empty; higher layers read the hidden vector below.
-        self.inputs.resize_with(layers, Vec::new);
-        self.inputs[0].clear();
-        for buf in self.inputs.iter_mut().skip(1) {
-            buf.resize(hs, 0.0);
-        }
-        for bufs in [
-            &mut self.i,
-            &mut self.f,
-            &mut self.g,
-            &mut self.o,
-            &mut self.c,
-            &mut self.tanh_c,
-            &mut self.h_prev,
-            &mut self.c_prev,
-            &mut self.h,
-        ] {
-            fit(bufs);
-        }
-    }
 }
 
 /// Gradients with the same shape as the model parameters.
@@ -269,37 +218,6 @@ impl LstmGradients {
     }
 }
 
-/// Backpropagation scratch buffers (one set per [`Workspace`]).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BpttScratch {
-    /// Per-layer gradient flowing into the next-older hidden state.
-    dh_next: Vec<Vec<f32>>,
-    /// Per-layer gradient flowing into the next-older cell state.
-    dc_next: Vec<Vec<f32>>,
-    dlogits: Vec<f32>,
-    dh_above: Vec<f32>,
-    dh: Vec<f32>,
-    dz: Vec<f32>,
-    dc_prev: Vec<f32>,
-}
-
-impl BpttScratch {
-    fn ensure_shape(&mut self, config: &LstmConfig) {
-        let hs = config.hidden_size;
-        for bufs in [&mut self.dh_next, &mut self.dc_next] {
-            bufs.resize_with(config.num_layers, Vec::new);
-            for buf in bufs.iter_mut() {
-                buf.resize(hs, 0.0);
-            }
-        }
-        self.dlogits.resize(config.vocab_size, 0.0);
-        self.dh_above.resize(hs, 0.0);
-        self.dh.resize(hs, 0.0);
-        self.dz.resize(4 * hs, 0.0);
-        self.dc_prev.resize(hs, 0.0);
-    }
-}
-
 /// Per-timestep activations of a whole training minibatch, cached for the
 /// batched backward pass. The batch-wide analogue of [`StepCache`].
 ///
@@ -309,9 +227,9 @@ impl BpttScratch {
 /// scatter. Buffers consumed as the right-hand side of batched outer
 /// products (previous hidden states, layer inputs, the top hidden state)
 /// are cached **lane-major** — each lane's vector contiguous — because that
-/// is the layout [`Matrix::add_outer_batch`] turns into a reduction-free
-/// vectorised AXPY; the forward pass pays one cheap transposing copy per
-/// buffer per step for it.
+/// is the layout [`Matrix::add_outer_batch_spans`] turns into a
+/// reduction-free vectorised AXPY; the forward pass pays one cheap
+/// transposing copy per buffer per step for it.
 #[derive(Debug, Clone)]
 pub struct BatchStepCache {
     /// Layer inputs for layers above 0 (`H` per lane, lane-major). Layer 0
@@ -406,20 +324,15 @@ fn interleaved_to_lanes(src: &[f32], width: usize, dst: &mut [f32]) {
     }
 }
 
-/// Per-model packed weights for the forward hot paths: every weight matrix a
-/// forward step multiplies by, repacked once into the cache-friendly
+/// Per-model packed weights for the forward pass: every weight matrix a
+/// forward step multiplies by, repacked into the cache-friendly
 /// [`PackedMatrix`] row-panel layout. Layer 0's input weights are consumed
-/// through the transposed embedding cache instead (one row add per one-hot
-/// input), so only layers above 0 pack `w_x`.
-///
-/// Packing is a bit-exact permutation and the packed kernels share the
-/// unified per-element fold with the unpacked ones, so a forward pass
-/// through the packs is bitwise identical to one through the raw matrices —
-/// only faster (see `crate::tensor`'s module docs).
-#[derive(Debug, Clone)]
+/// through the transposed embedding instead (one row add per one-hot
+/// input), so `wx[0]` stays empty.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ForwardPacks {
-    /// `w_x` per layer (`None` for layer 0).
-    pub(crate) wx: Vec<Option<PackedMatrix>>,
+    /// `w_x` per layer (empty for layer 0).
+    pub(crate) wx: Vec<PackedMatrix>,
     /// `w_h` per layer.
     pub(crate) wh: Vec<PackedMatrix>,
     /// The output projection.
@@ -427,35 +340,17 @@ pub(crate) struct ForwardPacks {
 }
 
 impl ForwardPacks {
-    /// Pack every forward weight of `model`.
-    pub(crate) fn build(model: &LstmModel) -> ForwardPacks {
-        ForwardPacks {
-            wx: model
-                .layers
-                .iter()
-                .enumerate()
-                .map(|(l, layer)| (l > 0).then(|| PackedMatrix::pack(&layer.w_x)))
-                .collect(),
-            wh: model
-                .layers
-                .iter()
-                .map(|layer| PackedMatrix::pack(&layer.w_h))
-                .collect(),
-            w_out: PackedMatrix::pack(&model.w_out),
-        }
-    }
-
-    /// Re-pack from `model`'s current weights, reusing the buffers (the
+    /// (Re-)pack from `model`'s current weights, reusing the buffers (the
     /// training loop re-packs every chunk).
     pub(crate) fn rebuild(&mut self, model: &LstmModel) {
-        for ((l, layer), slot) in model.layers.iter().enumerate().zip(self.wx.iter_mut()) {
+        let layers = model.layers.len();
+        self.wx.resize_with(layers, PackedMatrix::default);
+        self.wh.resize_with(layers, PackedMatrix::default);
+        for (l, layer) in model.layers.iter().enumerate() {
             if l > 0 {
-                slot.get_or_insert_with(PackedMatrix::default)
-                    .repack(&layer.w_x);
+                self.wx[l].repack(&layer.w_x);
             }
-        }
-        for (layer, pack) in model.layers.iter().zip(self.wh.iter_mut()) {
-            pack.repack(&layer.w_h);
+            self.wh[l].repack(&layer.w_h);
         }
         self.w_out.repack(&model.w_out);
     }
@@ -463,14 +358,13 @@ impl ForwardPacks {
 
 /// Transposed packed weights for the batched backward pass: each weight
 /// matrix `W` is packed as `W^T`, so the backward products `y += W^T x`
-/// (gradient flowing into hidden states) run through the same packed forward
-/// GEMM kernel — bitwise identical to the unpacked transposed kernels, which
-/// share the per-element fold (rows ascending).
-#[derive(Debug, Clone)]
+/// (gradient flowing into hidden states) run through the same packed GEMM
+/// kernel as the forward ones.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct BackwardPacks {
-    /// `w_x^T` per layer (`None` for layer 0, whose input gradient is never
+    /// `w_x^T` per layer (empty for layer 0, whose input gradient is never
     /// propagated — there is nothing below it).
-    pub(crate) wx_t: Vec<Option<PackedMatrix>>,
+    pub(crate) wx_t: Vec<PackedMatrix>,
     /// `w_h^T` per layer.
     pub(crate) wh_t: Vec<PackedMatrix>,
     /// The output projection, transposed.
@@ -478,91 +372,73 @@ pub(crate) struct BackwardPacks {
 }
 
 impl BackwardPacks {
-    /// Pack the transpose of every backward weight of `model`.
-    pub(crate) fn build(model: &LstmModel) -> BackwardPacks {
-        BackwardPacks {
-            wx_t: model
-                .layers
-                .iter()
-                .enumerate()
-                .map(|(l, layer)| (l > 0).then(|| PackedMatrix::pack_transpose(&layer.w_x)))
-                .collect(),
-            wh_t: model
-                .layers
-                .iter()
-                .map(|layer| PackedMatrix::pack_transpose(&layer.w_h))
-                .collect(),
-            w_out_t: PackedMatrix::pack_transpose(&model.w_out),
-        }
-    }
-
-    /// Re-pack from `model`'s current weights, reusing the buffers.
+    /// (Re-)pack from `model`'s current weights, reusing the buffers.
     pub(crate) fn rebuild(&mut self, model: &LstmModel) {
-        for ((l, layer), slot) in model.layers.iter().enumerate().zip(self.wx_t.iter_mut()) {
+        let layers = model.layers.len();
+        self.wx_t.resize_with(layers, PackedMatrix::default);
+        self.wh_t.resize_with(layers, PackedMatrix::default);
+        for (l, layer) in model.layers.iter().enumerate() {
             if l > 0 {
-                slot.get_or_insert_with(PackedMatrix::default)
-                    .repack_transpose(&layer.w_x);
+                self.wx_t[l].repack_transpose(&layer.w_x);
             }
-        }
-        for (layer, pack) in model.layers.iter().zip(self.wh_t.iter_mut()) {
-            pack.repack_transpose(&layer.w_h);
+            self.wh_t[l].repack_transpose(&layer.w_h);
         }
         self.w_out_t.repack_transpose(&model.w_out);
     }
 }
 
+/// Write the transpose of the layer-0 input weights (`4H x V`) into `out`
+/// (`V x 4H`), so the one-hot embedding add reads one contiguous row per
+/// character instead of a strided column.
+fn transpose_embedding(w_x: &Matrix, out: &mut Vec<f32>) {
+    let (hs4, nv) = (w_x.rows(), w_x.cols());
+    out.resize(nv * hs4, 0.0);
+    for r in 0..hs4 {
+        for (col, &w) in w_x.row(r).iter().enumerate() {
+            out[col * hs4 + r] = w;
+        }
+    }
+}
+
 /// Backpropagation scratch for a whole minibatch (one set per
-/// [`TrainBatch`]); every buffer is the lane-interleaved widening of its
-/// [`BpttScratch`] counterpart.
+/// [`TrainBatch`]), lane-interleaved.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct BatchBpttScratch {
+pub(crate) struct BackwardScratch {
     /// Per-layer gradient flowing into the next-older hidden state.
     dh_next: Vec<Vec<f32>>,
     /// Per-layer gradient flowing into the next-older cell state.
     dc_next: Vec<Vec<f32>>,
-    dlogits: Vec<f32>,
     dh_above: Vec<f32>,
     dh: Vec<f32>,
-    dz: Vec<f32>,
     dc_prev: Vec<f32>,
     /// Per-timestep softmax gradients (`V x width` each), retained across
     /// the backward sweep so the output-projection gradient can be
-    /// accumulated in deferred t-blocks (see
-    /// [`Matrix::add_outer_batch_spans`]). Sized only on the deferred path.
+    /// accumulated in t-blocks (see [`Matrix::add_outer_batch_spans`]).
     dlogits_steps: Vec<Vec<f32>>,
     /// Per-timestep gate gradients (`num_layers * 4H * width` each,
-    /// layer-major), retained for the same deferred accumulation.
+    /// layer-major), retained for the same blocked accumulation.
     dz_steps: Vec<Vec<f32>>,
 }
 
-impl BatchBpttScratch {
-    fn ensure_shape(&mut self, config: &LstmConfig, width: usize) {
-        let len = config.hidden_size * width;
+impl BackwardScratch {
+    /// Size every buffer for `steps` timesteps at `width` lanes (idempotent).
+    fn ensure_shape(&mut self, config: &LstmConfig, width: usize, steps: usize) {
+        let hw = config.hidden_size * width;
         for bufs in [&mut self.dh_next, &mut self.dc_next] {
             bufs.resize_with(config.num_layers, Vec::new);
             for buf in bufs.iter_mut() {
-                buf.resize(len, 0.0);
+                buf.resize(hw, 0.0);
             }
         }
-        self.dlogits.resize(config.vocab_size * width, 0.0);
-        self.dh_above.resize(len, 0.0);
-        self.dh.resize(len, 0.0);
-        self.dz.resize(4 * len, 0.0);
-        self.dc_prev.resize(len, 0.0);
-    }
-
-    /// Size the per-timestep gradient retention buffers for `steps`
-    /// timesteps (deferred-accumulation path only).
-    fn ensure_steps(&mut self, config: &LstmConfig, width: usize, steps: usize) {
-        let hw = config.hidden_size * width;
+        self.dh_above.resize(hw, 0.0);
+        self.dh.resize(hw, 0.0);
+        self.dc_prev.resize(hw, 0.0);
         if self.dlogits_steps.len() < steps {
             self.dlogits_steps.resize_with(steps, Vec::new);
+            self.dz_steps.resize_with(steps, Vec::new);
         }
         for buf in self.dlogits_steps.iter_mut().take(steps) {
             buf.resize(config.vocab_size * width, 0.0);
-        }
-        if self.dz_steps.len() < steps {
-            self.dz_steps.resize_with(steps, Vec::new);
         }
         for buf in self.dz_steps.iter_mut().take(steps) {
             buf.resize(config.num_layers * 4 * hw, 0.0);
@@ -593,22 +469,17 @@ pub struct TrainBatch {
     /// each chunk start — the rebuild is amortised over `unroll * width`
     /// steps.
     pub(crate) embed_t: Vec<f32>,
-    /// Packed forward weights, re-packed every chunk alongside `embed_t`
-    /// (`None` while packing is disabled).
-    pub(crate) fwd: Option<ForwardPacks>,
+    /// Packed forward weights, re-packed every chunk alongside `embed_t`.
+    pub(crate) fwd: ForwardPacks,
     /// Transposed packed weights for the backward hidden-gradient products.
-    pub(crate) bwd: Option<BackwardPacks>,
-    /// Whether the chunk driver re-packs weights each chunk (`true` by
-    /// default; the training recorder disables it to measure the unpacked
-    /// baseline — results are bitwise identical either way).
-    packing: bool,
+    pub(crate) bwd: BackwardPacks,
     /// Reusable per-timestep activation caches.
     pub(crate) caches: Vec<BatchStepCache>,
     /// Per-timestep softmax outputs, batch-major: lane `b` of step `t` at
     /// `step_probs[t][b*V..(b+1)*V]`.
     pub(crate) step_probs: Vec<Vec<f32>>,
     /// Batched backpropagation scratch.
-    pub(crate) bptt: BatchBpttScratch,
+    pub(crate) bptt: BackwardScratch,
 }
 
 impl TrainBatch {
@@ -621,12 +492,11 @@ impl TrainBatch {
             z: vec![0.0; 4 * config.hidden_size * width],
             logits: vec![0.0; config.vocab_size * width],
             embed_t: Vec::new(),
-            fwd: None,
-            bwd: None,
-            packing: true,
+            fwd: ForwardPacks::default(),
+            bwd: BackwardPacks::default(),
             caches: Vec::new(),
             step_probs: Vec::new(),
-            bptt: BatchBpttScratch::default(),
+            bptt: BackwardScratch::default(),
         }
     }
 
@@ -635,46 +505,16 @@ impl TrainBatch {
         self.width
     }
 
-    /// Enable or disable per-chunk weight packing (enabled by default). The
-    /// packed and unpacked kernels are bitwise identical, so this only
-    /// changes speed; the training recorder uses it to measure the unpacked
-    /// baseline.
-    pub fn set_packing(&mut self, packing: bool) {
-        self.packing = packing;
-        if !packing {
-            self.fwd = None;
-            self.bwd = None;
-        }
-    }
-
     /// Refresh every weight-derived cache from `model`'s current weights:
     /// the transposed layer-0 embedding, the packed forward weights and the
     /// transposed backward packs. Call after every weight update (the chunk
     /// driver does); all caches are exact bit copies or bit-exact
-    /// permutations, so the chunk's arithmetic is bitwise identical to
-    /// reading the raw matrices directly. The rebuild is amortised over
+    /// permutations of the weights. The rebuild is amortised over
     /// `unroll * width` timesteps.
     pub(crate) fn rebuild_weight_caches(&mut self, model: &LstmModel) {
-        let hs4 = 4 * self.config.hidden_size;
-        let nv = self.config.vocab_size;
-        self.embed_t.resize(nv * hs4, 0.0);
-        let w_x = &model.layers[0].w_x;
-        for r in 0..hs4 {
-            let row = w_x.row(r);
-            for (col, &w) in row.iter().enumerate() {
-                self.embed_t[col * hs4 + r] = w;
-            }
-        }
-        if self.packing {
-            match &mut self.fwd {
-                Some(fwd) => fwd.rebuild(model),
-                None => self.fwd = Some(ForwardPacks::build(model)),
-            }
-            match &mut self.bwd {
-                Some(bwd) => bwd.rebuild(model),
-                None => self.bwd = Some(BackwardPacks::build(model)),
-            }
-        }
+        transpose_embedding(&model.layers[0].w_x, &mut self.embed_t);
+        self.fwd.rebuild(model);
+        self.bwd.rebuild(model);
     }
 
     /// Grow the per-timestep cache pool to at least `steps` timesteps.
@@ -692,7 +532,7 @@ impl TrainBatch {
         for probs in self.step_probs.iter_mut().take(steps) {
             probs.resize(config.vocab_size * width, 0.0);
         }
-        self.bptt.ensure_shape(&config, width);
+        self.bptt.ensure_shape(&config, width, steps);
     }
 
     /// Disjoint borrows of the forward-pass buffers: cache pool, per-step
@@ -707,7 +547,7 @@ impl TrainBatch {
         &mut [f32],
         &mut [f32],
         &[f32],
-        Option<&ForwardPacks>,
+        &ForwardPacks,
     ) {
         (
             &mut self.caches,
@@ -715,7 +555,7 @@ impl TrainBatch {
             &mut self.z,
             &mut self.logits,
             &self.embed_t,
-            self.fwd.as_ref(),
+            &self.fwd,
         )
     }
 
@@ -727,15 +567,10 @@ impl TrainBatch {
     ) -> (
         &[BatchStepCache],
         &[Vec<f32>],
-        &mut BatchBpttScratch,
-        Option<&BackwardPacks>,
+        &mut BackwardScratch,
+        &BackwardPacks,
     ) {
-        (
-            &self.caches,
-            &self.step_probs,
-            &mut self.bptt,
-            self.bwd.as_ref(),
-        )
+        (&self.caches, &self.step_probs, &mut self.bptt, &self.bwd)
     }
 }
 
@@ -849,16 +684,19 @@ fn copy_lanes(
     }
 }
 
-/// Preallocated per-model scratch buffers for the forward, sampling and
-/// training hot paths.
+/// Preallocated per-model scratch buffers for the sampling forward pass.
 ///
-/// A `Workspace` owns everything the numeric core would otherwise allocate
-/// per character: the gate pre-activation block, gather buffers for batched
-/// inputs/hidden states, the logits/softmax buffers, plus the per-timestep
-/// activation caches and backpropagation scratch used by truncated BPTT.
-/// Create one with [`LstmModel::workspace`] and reuse it across calls; all
-/// batched entry points grow it on demand, so a workspace sized for batch 1
-/// can later serve batch 32.
+/// A `Workspace` owns everything the forward step would otherwise allocate
+/// per character — the gate pre-activation block and the logits/softmax
+/// buffers — plus the weight-derived caches it reads: the transposed
+/// embedding and the packed forward weights. Create one with
+/// [`LstmModel::workspace`] and reuse it across calls; the batched entry
+/// points grow it on demand, so a workspace sized for batch 1 can later
+/// serve batch 32.
+///
+/// The caches are built once, from the model the workspace was created
+/// from: a workspace must not be shared between models or outlive a weight
+/// update (the stream types enforce this by borrowing or owning the model).
 #[derive(Debug, Clone)]
 pub struct Workspace {
     config: LstmConfig,
@@ -866,115 +704,28 @@ pub struct Workspace {
     capacity: usize,
     /// Gate pre-activations, `4H` rows of `capacity` interleaved lanes.
     z: Vec<f32>,
-    /// Gathered layer inputs, `H x capacity`.
-    xbuf: Vec<f32>,
-    /// Gathered hidden states, `H x capacity`.
-    hbuf: Vec<f32>,
     /// Output logits, `V x capacity` (lane-interleaved).
     logits: Vec<f32>,
     /// Per-stream softmax outputs, batch-major: lane `b` occupies
     /// `probs[b*V..(b+1)*V]`.
     probs: Vec<f32>,
-    /// Transposed layer-0 input weights (`V x 4H`), so the one-hot embedding
-    /// add reads a contiguous row per lane instead of a strided column.
-    /// Built from the model by [`LstmModel::workspace`]; empty until then.
-    /// A workspace must not be shared between models, and sampling must not
-    /// run concurrently with weight updates (the stream types enforce this by
-    /// borrowing the model).
+    /// Transposed layer-0 input weights (`V x 4H`).
     embed_t: Vec<f32>,
-    /// Packed forward weights (row-panel layout; see
-    /// [`PackedMatrix`]), built lazily alongside `embed_t` and invalidated
-    /// with it. Bitwise-equivalent to the raw matrices, so dropping them
-    /// (e.g. via [`Workspace::set_packing`]) only changes speed.
-    packs: Option<ForwardPacks>,
-    /// Whether the forward pass consumes packed weights (`true` by default;
-    /// benchmark baselines disable it to measure the unpacked kernels).
-    packing: bool,
+    /// Packed forward weights (row-panel layout; see [`PackedMatrix`]).
+    packs: ForwardPacks,
     /// Scratch batch state the gathering entry points
-    /// ([`LstmModel::predict_batch_sel`],
-    /// [`LstmModel::predict_batch_gathered`]) step in.
+    /// ([`LstmModel::predict_into`], [`LstmModel::predict_batch_gathered`])
+    /// step in.
     batch_scratch: Option<BatchState>,
-    /// Reusable per-timestep activation caches for truncated BPTT.
-    pub(crate) caches: Vec<StepCache>,
-    /// Reusable per-timestep softmax outputs for truncated BPTT.
-    pub(crate) step_probs: Vec<Vec<f32>>,
-    /// Backpropagation scratch.
-    pub(crate) bptt: BpttScratch,
 }
 
 impl Workspace {
-    /// A workspace for `config`, pre-sized for `capacity` parallel lanes.
-    pub fn new(config: &LstmConfig, capacity: usize) -> Workspace {
-        let mut ws = Workspace {
-            config: *config,
-            capacity: 0,
-            z: Vec::new(),
-            xbuf: Vec::new(),
-            hbuf: Vec::new(),
-            logits: Vec::new(),
-            probs: Vec::new(),
-            embed_t: Vec::new(),
-            packs: None,
-            packing: true,
-            batch_scratch: None,
-            caches: Vec::new(),
-            step_probs: Vec::new(),
-            bptt: BpttScratch::default(),
-        };
-        ws.ensure_lanes(capacity.max(1));
-        ws
-    }
-
-    /// Drop the cached weight derivatives — the transposed embedding and the
-    /// packed forward weights — so the next prediction rebuilds them from
-    /// the current weights. Called by the training entry points whenever
-    /// they update the model; callers applying gradients directly must not
-    /// reuse a prediction workspace without doing the same.
-    pub fn invalidate_embed(&mut self) {
-        self.embed_t.clear();
-        self.packs = None;
-    }
-
-    /// Enable or disable the packed forward weights (enabled by default).
-    /// The packed and unpacked kernels are bitwise identical, so this only
-    /// changes speed; the hidden-size sweep recorder uses it to measure the
-    /// unpacked baseline.
-    pub fn set_packing(&mut self, packing: bool) {
-        self.packing = packing;
-        if !packing {
-            self.packs = None;
-        }
-    }
-
-    /// Cache the transposed layer-0 input weights of `model` for the
-    /// embedding fast path, and the packed forward weights (idempotent).
-    fn ensure_embed(&mut self, model: &LstmModel) {
-        if self.packing && self.packs.is_none() {
-            self.packs = Some(ForwardPacks::build(model));
-        }
-        let hs4 = 4 * self.config.hidden_size;
-        let nv = self.config.vocab_size;
-        if self.embed_t.len() == nv * hs4 {
-            return;
-        }
-        self.embed_t.resize(nv * hs4, 0.0);
-        let w_x = &model.layers[0].w_x;
-        for r in 0..hs4 {
-            for col in 0..nv {
-                self.embed_t[col * hs4 + r] = w_x.get(r, col);
-            }
-        }
-    }
-
     /// Grow the interleaved buffers to hold at least `width` lanes.
     fn ensure_lanes(&mut self, width: usize) {
         if width <= self.capacity {
             return;
         }
-        let hs = self.config.hidden_size;
-        self.z.resize(4 * hs * width, 0.0);
-        self.xbuf.resize(hs * width, 0.0);
-        self.hbuf.resize(hs * width, 0.0);
+        self.z.resize(4 * self.config.hidden_size * width, 0.0);
         self.logits.resize(self.config.vocab_size * width, 0.0);
         self.probs.resize(self.config.vocab_size * width, 0.0);
         self.capacity = width;
@@ -992,40 +743,11 @@ impl Workspace {
         scratch
     }
 
-    /// Grow the BPTT cache pool to at least `steps` timesteps.
-    pub(crate) fn ensure_caches(&mut self, steps: usize) {
-        let config = self.config;
-        if self.caches.len() < steps {
-            self.caches.resize_with(steps, StepCache::empty);
-        }
-        for cache in self.caches.iter_mut().take(steps) {
-            cache.ensure_shape(&config);
-        }
-        if self.step_probs.len() < steps {
-            self.step_probs.resize_with(steps, Vec::new);
-        }
-        for probs in self.step_probs.iter_mut().take(steps) {
-            probs.resize(config.vocab_size, 0.0);
-        }
-        self.bptt.ensure_shape(&config);
-    }
-
     /// The softmax output of lane `lane` from the most recent batched
     /// prediction.
     pub fn probs_lane(&self, lane: usize) -> &[f32] {
         let v = self.config.vocab_size;
         &self.probs[lane * v..(lane + 1) * v]
-    }
-
-    /// Disjoint borrows of the forward-pass training buffers: the cache
-    /// pool, the per-timestep softmax outputs, and the gate scratch.
-    pub(crate) fn bptt_buffers(&mut self) -> (&mut [StepCache], &mut [Vec<f32>], &mut [f32]) {
-        (&mut self.caches, &mut self.step_probs, &mut self.z)
-    }
-
-    /// Disjoint borrows of the backward-pass buffers.
-    pub(crate) fn backward_buffers(&mut self) -> (&[StepCache], &[Vec<f32>], &mut BpttScratch) {
-        (&self.caches, &self.step_probs, &mut self.bptt)
     }
 }
 
@@ -1104,9 +826,14 @@ impl LstmModel {
         }
     }
 
-    /// Advance the recurrent state by one character and return the softmax
-    /// distribution over the next character together with the activation
-    /// cache needed for backpropagation.
+    /// The reference forward step: advance the recurrent state by one
+    /// character and return the softmax distribution over the next character
+    /// together with the activation cache [`LstmModel::backward`] needs.
+    ///
+    /// Written for inspection, not speed — it allocates every buffer and
+    /// runs the naive [`Matrix::matvec_add`] — and called by nothing but the
+    /// test suites, which hold every lane of the batched sampling and
+    /// training steps bitwise equal to it.
     pub fn step(&self, state: &mut LstmState, input_id: u32) -> (Vec<f32>, StepCache) {
         let hs = self.config.hidden_size;
         let num_layers = self.config.num_layers;
@@ -1174,89 +901,48 @@ impl LstmModel {
         (logits, cache)
     }
 
-    /// Forward-only step for sampling (discards the cache).
+    /// Forward-only reference step (discards the cache).
     pub fn predict(&self, state: &mut LstmState, input_id: u32) -> Vec<f32> {
         self.step(state, input_id).0
     }
 
     /// A scratch workspace sized for `capacity` parallel sample streams,
-    /// with this model's embedding cache pre-built.
+    /// holding this model's transposed embedding and packed weights.
     pub fn workspace(&self, capacity: usize) -> Workspace {
-        let mut ws = Workspace::new(&self.config, capacity);
-        ws.ensure_embed(self);
+        let mut ws = Workspace {
+            config: self.config,
+            capacity: 0,
+            z: Vec::new(),
+            logits: Vec::new(),
+            probs: Vec::new(),
+            embed_t: Vec::new(),
+            packs: ForwardPacks::default(),
+            batch_scratch: None,
+        };
+        ws.ensure_lanes(capacity.max(1));
+        transpose_embedding(&self.layers[0].w_x, &mut ws.embed_t);
+        ws.packs.rebuild(self);
         ws
     }
 
-    /// Allocation-free forward step for sampling: advances `state` by one
-    /// character and returns the softmax distribution from the workspace.
+    /// Allocation-free forward step for serial sampling: advances `state` by
+    /// one character and returns the softmax distribution from the
+    /// workspace. This is [`predict_batch_resident`] at one lane — bitwise
+    /// identical to [`LstmModel::predict`].
     ///
-    /// Numerically this is the single-lane case of [`predict_batch`]
-    /// (bitwise identical to [`LstmModel::predict`]), without the per-step
-    /// gate/cache allocations of [`LstmModel::step`].
-    ///
-    /// [`predict_batch`]: LstmModel::predict_batch
+    /// [`predict_batch_resident`]: LstmModel::predict_batch_resident
     pub fn predict_into<'w>(
         &self,
         state: &mut LstmState,
         input_id: u32,
         ws: &'w mut Workspace,
     ) -> &'w [f32] {
-        self.predict_batch_sel(std::slice::from_mut(state), &[0], &[input_id], ws);
-        ws.probs_lane(0)
-    }
-
-    /// Advance `states.len()` independent sample streams by one character
-    /// each, as one matrix-matrix product per layer against the shared
-    /// weights. `inputs[i]` is fed to `states[i]`; stream `i`'s softmax
-    /// output is afterwards available as `ws.probs_lane(i)`.
-    pub fn predict_batch(&self, states: &mut [LstmState], inputs: &[u32], ws: &mut Workspace) {
-        let sel: Vec<usize> = (0..states.len()).collect();
-        self.predict_batch_sel(states, &sel, inputs, ws);
-    }
-
-    /// [`predict_batch`](LstmModel::predict_batch) over a subset of streams:
-    /// lane `b` of the batch advances `states[sel[b]]` with `inputs[b]`.
-    ///
-    /// Because the batched GEMM accumulates every output element in the same
-    /// order as the serial matrix-vector product (see
-    /// [`Matrix::matmul_add_into`]) and the fused cell update is element-wise,
-    /// every lane's new state and distribution are bitwise identical to a
-    /// serial [`LstmModel::predict`] on that stream — the foundation of the
-    /// batched sampler's determinism guarantee.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sel.len() != inputs.len()`, an index is out of bounds, or
-    /// `sel` names the same stream twice.
-    pub fn predict_batch_sel(
-        &self,
-        states: &mut [LstmState],
-        sel: &[usize],
-        inputs: &[u32],
-        ws: &mut Workspace,
-    ) {
-        let width = sel.len();
-        assert_eq!(inputs.len(), width, "one input per selected stream");
-        assert!(
-            {
-                let mut seen = sel.to_vec();
-                seen.sort_unstable();
-                seen.windows(2).all(|w| w[0] != w[1])
-            },
-            "sel must not repeat streams"
-        );
-        if width == 0 {
-            return;
-        }
-        let mut scratch = ws.take_scratch(tile_width(width));
-        for (lane, &s) in sel.iter().enumerate() {
-            scratch.load_lane(lane, &states[s]);
-        }
-        self.predict_batch_resident(&mut scratch, inputs, ws);
-        for (lane, &s) in sel.iter().enumerate() {
-            scratch.store_lane(lane, &mut states[s]);
-        }
+        let mut scratch = ws.take_scratch(1);
+        scratch.load_lane(0, state);
+        self.predict_batch_resident(&mut scratch, &[input_id], ws);
+        scratch.store_lane(0, state);
         ws.batch_scratch = Some(scratch);
+        ws.probs_lane(0)
     }
 
     /// Advance only lanes `sel` of the resident state `bs` — lane `sel[i]`
@@ -1265,9 +951,8 @@ impl LstmModel {
     /// into a scratch state of [`tile_width`]`(sel.len())` lanes, stepped
     /// there and scattered back, so the step costs what the live lanes cost
     /// rather than what `bs` is wide. Lane count and lane position are
-    /// bitwise invisible to the kernels (see
-    /// [`predict_batch_sel`](LstmModel::predict_batch_sel)), so each lane
-    /// ends exactly where a full-width step would have left it.
+    /// bitwise invisible to the kernels, so each lane ends exactly where a
+    /// full-width step would have left it.
     ///
     /// The caller guarantees `sel` names each lane at most once.
     pub fn predict_batch_gathered(
@@ -1284,22 +969,24 @@ impl LstmModel {
         ws.batch_scratch = Some(scratch);
     }
 
-    /// The resident batched forward step: advance lane `i` of `bs` by the
+    /// The batched sampling forward step: advance lane `i` of `bs` by the
     /// character `inputs[i]` as one GEMM per weight matrix, with no gather
     /// or scatter of the recurrent state; lane `i`'s softmax distribution
     /// lands in `ws.probs_lane(i)`. `bs` may be wider than `inputs`: the
     /// lanes past `inputs.len()` are padding up to a [`tile_width`] — they
     /// advance on the bias alone and their contents mean nothing.
     ///
-    /// Per lane this is bitwise identical to [`LstmModel::predict`]; see
-    /// [`predict_batch_sel`](LstmModel::predict_batch_sel).
+    /// The packed GEMM accumulates every output element in the order of the
+    /// reference [`Matrix::matvec_add`] and the fused cell update is
+    /// element-wise, so every lane's new state and distribution are bitwise
+    /// identical to [`LstmModel::predict`] on that stream — the foundation
+    /// of the batched sampler's determinism guarantee.
     pub fn predict_batch_resident(&self, bs: &mut BatchState, inputs: &[u32], ws: &mut Workspace) {
         let hs = self.config.hidden_size;
         let nv = self.config.vocab_size;
         let width = bs.width();
         assert!(inputs.len() <= width, "more inputs than lanes");
         ws.ensure_lanes(width);
-        ws.ensure_embed(self);
         let Workspace {
             z,
             logits,
@@ -1308,7 +995,6 @@ impl LstmModel {
             packs,
             ..
         } = ws;
-        let packs = packs.as_ref();
         let z = &mut z[..4 * hs * width];
         let hs4 = 4 * hs;
 
@@ -1319,9 +1005,7 @@ impl LstmModel {
             }
             // z += W_x * x: layer 0 adds the embedding row of each lane's
             // character (contiguous thanks to the transposed cache), higher
-            // layers run a GEMM over the freshly-updated hidden state below
-            // — through the packed panels when available (bitwise identical
-            // either way; see `crate::tensor`).
+            // layers run a GEMM over the freshly-updated hidden state below.
             if l == 0 {
                 for (lane, &id) in inputs.iter().enumerate() {
                     let col = id as usize % nv;
@@ -1331,16 +1015,10 @@ impl LstmModel {
                     }
                 }
             } else {
-                match packs.and_then(|p| p.wx[l].as_ref()) {
-                    Some(pack) => pack.matmul_add_into(&bs.h[l - 1], width, z),
-                    None => layer.w_x.matmul_add_into(&bs.h[l - 1], width, z),
-                }
+                packs.wx[l].matmul_add_into(&bs.h[l - 1], width, z);
             }
             // z += W_h * h_prev (this layer's resident state, pre-update).
-            match packs {
-                Some(p) => p.wh[l].matmul_add_into(&bs.h[l], width, z),
-                None => layer.w_h.matmul_add_into(&bs.h[l], width, z),
-            }
+            packs.wh[l].matmul_add_into(&bs.h[l], width, z);
             // Fused gate activation + state update across all lanes.
             lstm_cell_fused_batch(z, width, &mut bs.c[l], &mut bs.h[l]);
         }
@@ -1352,10 +1030,7 @@ impl LstmModel {
             logits[r * width..(r + 1) * width].fill(bias);
         }
         let top = &bs.h[self.config.num_layers - 1];
-        match packs {
-            Some(p) => p.w_out.matmul_add_into(top, width, logits),
-            None => self.w_out.matmul_add_into(top, width, logits),
-        }
+        packs.w_out.matmul_add_into(top, width, logits);
         for (lane, dst) in probs.chunks_exact_mut(nv).take(inputs.len()).enumerate() {
             for (r, p) in dst.iter_mut().enumerate() {
                 *p = logits[r * width + lane];
@@ -1369,7 +1044,7 @@ impl LstmModel {
     /// softmax [`predict_batch_resident`](LstmModel::predict_batch_resident)
     /// produced for that lane at its last step: the logits reduce in the
     /// unified left-fold order (seed the bias, add terms in ascending `k`),
-    /// exactly as the packed and unpacked GEMM kernels do.
+    /// exactly as the packed GEMM does.
     pub fn lane_distribution(&self, bs: &BatchState, lane: usize, out: &mut Vec<f32>) {
         let width = bs.width();
         assert!(lane < width, "lane out of range");
@@ -1389,62 +1064,6 @@ impl LstmModel {
         softmax_in_place(out);
     }
 
-    /// Training forward step writing into reusable buffers: like
-    /// [`LstmModel::step`] but with the activation cache, softmax output and
-    /// gate scratch provided by the caller, so truncated BPTT performs no
-    /// per-timestep allocation. `gate_scratch` must hold at least `4H`
-    /// elements (a [`Workspace`]'s gate buffer qualifies).
-    pub fn step_into(
-        &self,
-        state: &mut LstmState,
-        input_id: u32,
-        cache: &mut StepCache,
-        probs: &mut Vec<f32>,
-        gate_scratch: &mut [f32],
-    ) {
-        let hs = self.config.hidden_size;
-        cache.ensure_shape(&self.config);
-        cache.input_id = input_id;
-        let z = &mut gate_scratch[..4 * hs];
-        for l in 0..self.config.num_layers {
-            cache.h_prev[l].copy_from_slice(&state.h[l]);
-            cache.c_prev[l].copy_from_slice(&state.c[l]);
-        }
-        for (l, layer) in self.layers.iter().enumerate() {
-            z.copy_from_slice(&layer.b);
-            if l == 0 {
-                let col = input_id as usize % self.config.vocab_size;
-                for (r, zv) in z.iter_mut().enumerate() {
-                    *zv += layer.w_x.get(r, col);
-                }
-            } else {
-                // The layer input is the hidden state below, updated this step.
-                let (inputs, h) = (&mut cache.inputs, &cache.h);
-                inputs[l].copy_from_slice(&h[l - 1]);
-                layer.w_x.matvec_add(&cache.inputs[l], z);
-            }
-            layer.w_h.matvec_add(&cache.h_prev[l], z);
-            lstm_cell_cached(
-                z,
-                &cache.c_prev[l],
-                &mut cache.i[l],
-                &mut cache.f[l],
-                &mut cache.g[l],
-                &mut cache.o[l],
-                &mut cache.c[l],
-                &mut cache.tanh_c[l],
-                &mut cache.h[l],
-            );
-            state.c[l].copy_from_slice(&cache.c[l]);
-            state.h[l].copy_from_slice(&cache.h[l]);
-        }
-        probs.clear();
-        probs.extend_from_slice(&self.b_out);
-        self.w_out
-            .matvec_add(&cache.h[self.config.num_layers - 1], probs);
-        softmax_in_place(probs);
-    }
-
     /// A minibatch training scratch sized for `width` parallel streams.
     pub fn train_batch(&self, width: usize) -> TrainBatch {
         TrainBatch::new(&self.config, width)
@@ -1456,47 +1075,18 @@ impl LstmModel {
     /// lane's softmax output into `probs` batch-major (lane `b` at
     /// `probs[b*V..(b+1)*V]`).
     ///
-    /// This is [`LstmModel::step_into`] widened across lanes: bias
-    /// broadcast, one-hot embedding add, GEMMs accumulating in
-    /// [`Matrix::matvec_add`] order ([`Matrix::matmul_add_into`]) and the
-    /// element-wise cached cell update make a single-lane batch bitwise
-    /// identical to the serial training step. `gate_scratch` must hold at
-    /// least `4H * width` elements and `logit_scratch` at least
-    /// `V * width` (a [`TrainBatch`]'s buffers qualify).
+    /// This is [`predict_batch_resident`](LstmModel::predict_batch_resident)
+    /// retaining its activations — same bias broadcast, embedding add, packed
+    /// GEMMs and element-wise cell update — so every lane is bitwise
+    /// identical to the reference [`LstmModel::step`]. `embed_t` (`V x 4H`)
+    /// and `packs` are the [`TrainBatch`]'s weight caches; `gate_scratch`
+    /// must hold at least `4H * width` elements and `logit_scratch` at least
+    /// `V * width`.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len() != bs.width()` or a scratch buffer is too
     /// small.
-    pub fn step_batch_into(
-        &self,
-        bs: &mut BatchState,
-        inputs: &[u32],
-        cache: &mut BatchStepCache,
-        probs: &mut Vec<f32>,
-        gate_scratch: &mut [f32],
-        logit_scratch: &mut [f32],
-    ) {
-        self.step_batch_core(
-            bs,
-            inputs,
-            cache,
-            probs,
-            gate_scratch,
-            logit_scratch,
-            &[],
-            None,
-        );
-    }
-
-    /// [`step_batch_into`](LstmModel::step_batch_into) with an optional
-    /// transposed embedding cache (`embed_t`, `V x 4H`, empty to read the
-    /// weight columns directly) and optional packed forward weights. The
-    /// cached rows are bit copies of the weight columns and the packed
-    /// kernels share the unified fold, so every combination produces
-    /// identical gates; the chunk driver passes its [`TrainBatch`]'s caches
-    /// to turn the layer-0 input into contiguous row reads and the GEMMs
-    /// into packed panel streams.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step_batch_core(
         &self,
@@ -1507,7 +1097,7 @@ impl LstmModel {
         gate_scratch: &mut [f32],
         logit_scratch: &mut [f32],
         embed_t: &[f32],
-        packs: Option<&ForwardPacks>,
+        packs: &ForwardPacks,
     ) {
         let hs = self.config.hidden_size;
         let nv = self.config.vocab_size;
@@ -1528,22 +1118,13 @@ impl LstmModel {
                 z[r * width..(r + 1) * width].fill(bias);
             }
             if l == 0 {
-                // One-hot input: add each lane's embedding column (via the
-                // transposed cache when provided — contiguous row reads).
-                if embed_t.is_empty() {
-                    for (lane, &id) in inputs.iter().enumerate() {
-                        let col = id as usize % nv;
-                        for (r, zr) in z.chunks_exact_mut(width).enumerate() {
-                            zr[lane] += layer.w_x.get(r, col);
-                        }
-                    }
-                } else {
-                    for (lane, &id) in inputs.iter().enumerate() {
-                        let col = id as usize % nv;
-                        let row = &embed_t[col * hs4..(col + 1) * hs4];
-                        for (zr, &w) in z.chunks_exact_mut(width).zip(row.iter()) {
-                            zr[lane] += w;
-                        }
+                // One-hot input: add each lane's row of the transposed
+                // embedding.
+                for (lane, &id) in inputs.iter().enumerate() {
+                    let col = id as usize % nv;
+                    let row = &embed_t[col * hs4..(col + 1) * hs4];
+                    for (zr, &w) in z.chunks_exact_mut(width).zip(row.iter()) {
+                        zr[lane] += w;
                     }
                 }
             } else {
@@ -1551,15 +1132,9 @@ impl LstmModel {
                 // step; its lane-major copy feeds the backward outer
                 // product while the GEMM reads the resident state.
                 interleaved_to_lanes(&bs.h[l - 1], width, &mut cache.input_lanes[l]);
-                match packs.and_then(|p| p.wx[l].as_ref()) {
-                    Some(pack) => pack.matmul_add_into(&bs.h[l - 1], width, z),
-                    None => layer.w_x.matmul_add_into(&bs.h[l - 1], width, z),
-                }
+                packs.wx[l].matmul_add_into(&bs.h[l - 1], width, z);
             }
-            match packs {
-                Some(p) => p.wh[l].matmul_add_into(&bs.h[l], width, z),
-                None => layer.w_h.matmul_add_into(&bs.h[l], width, z),
-            }
+            packs.wh[l].matmul_add_into(&bs.h[l], width, z);
             // The fused cell reads the cached previous state and writes the
             // new state straight into the resident batch — no copy-back.
             lstm_cell_cached_batch(
@@ -1578,16 +1153,12 @@ impl LstmModel {
         let top = &bs.h[self.config.num_layers - 1];
         interleaved_to_lanes(top, width, &mut cache.h_top_lanes);
         // Output projection over every lane, then a per-lane softmax on the
-        // gathered (contiguous) logits — the gathered values are bitwise the
-        // serial logits, so the softmax is too.
+        // gathered (contiguous) logits.
         let logits = &mut logit_scratch[..nv * width];
         for (r, &bias) in self.b_out.iter().enumerate() {
             logits[r * width..(r + 1) * width].fill(bias);
         }
-        match packs {
-            Some(p) => p.w_out.matmul_add_into(top, width, logits),
-            None => self.w_out.matmul_add_into(top, width, logits),
-        }
+        packs.w_out.matmul_add_into(top, width, logits);
         probs.resize(nv * width, 0.0);
         for lane in 0..width {
             let dst = &mut probs[lane * nv..(lane + 1) * nv];
@@ -1601,47 +1172,25 @@ impl LstmModel {
     /// Backpropagate through a sequence of minibatched cached steps,
     /// accumulating gradients summed over every lane.
     ///
-    /// `step_probs[t]` is the batch-major softmax output
-    /// [`LstmModel::step_batch_into`] produced at step `t`, and
-    /// `targets[t * width + lane]` the target character of `lane` at that
-    /// step. Returns the total cross-entropy loss over all steps and lanes.
+    /// `step_probs[t]` is the batch-major softmax output the forward step
+    /// produced at step `t`, and `targets[t * width + lane]` the target
+    /// character of `lane` at that step. Returns the total cross-entropy
+    /// loss over all steps and lanes.
     ///
-    /// Convenience wrapper allocating fresh scratch; hot loops should hold a
-    /// [`TrainBatch`] and call
-    /// [`train_chunk_batch`](crate::train::train_chunk_batch) instead.
-    pub fn backward_batch(
-        &self,
-        caches: &[BatchStepCache],
-        step_probs: &[Vec<f32>],
-        targets: &[u32],
-        width: usize,
-        grads: &mut LstmGradients,
-    ) -> f32 {
-        let mut scratch = BatchBpttScratch::default();
-        self.backward_batch_core(
-            caches,
-            step_probs,
-            targets,
-            width,
-            grads,
-            &mut scratch,
-            None,
-        )
-    }
-
-    /// Batched backpropagation core over caller-provided scratch: the
-    /// lane-widened mirror of [`LstmModel::backward_core`]. Per gradient
-    /// element every accumulation runs in the same order as the serial core
-    /// with lanes innermost, and the transposed GEMM (packed or unpacked —
-    /// bitwise identical) and batched outer product reproduce the serial
-    /// kernels exactly at one lane (see
-    /// [`Matrix::matmul_transpose_add_into`] and
-    /// [`Matrix::add_outer_batch`]), so a single-lane minibatch accumulates
+    /// This is the reference [`LstmModel::backward`] widened across lanes:
+    /// per gradient element every accumulation runs in the reference order
+    /// with lanes innermost, so a one-lane minibatch accumulates
     /// bitwise-identical gradients — and therefore takes bitwise-identical
-    /// SGD steps — to serial truncated BPTT. With `packs`, the hidden-state
-    /// gradient products stream the transposed packed panels (and, above
-    /// the parallel threshold, split output rows across rayon workers —
-    /// still bitwise identical at any thread count).
+    /// SGD steps — to it. The hidden-state gradient products stream the
+    /// transposed packed panels (above the parallel threshold, output rows
+    /// split across rayon workers — bitwise identical at any thread count).
+    ///
+    /// Per-timestep gate/softmax gradients are retained so the big parameter
+    /// gradients can be accumulated in t-blocks after the sweep — each
+    /// gradient element is then loaded and stored once per block instead of
+    /// once per timestep, removing the dominant backward memory traffic. The
+    /// fold order per gradient element (timesteps descending, lanes
+    /// ascending) is exactly the per-timestep sequence.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn backward_batch_core(
         &self,
@@ -1650,8 +1199,8 @@ impl LstmModel {
         targets: &[u32],
         width: usize,
         grads: &mut LstmGradients,
-        scratch: &mut BatchBpttScratch,
-        packs: Option<&BackwardPacks>,
+        scratch: &mut BackwardScratch,
+        packs: &BackwardPacks,
     ) -> f32 {
         assert_eq!(caches.len(), step_probs.len());
         assert_eq!(targets.len(), caches.len() * width);
@@ -1661,25 +1210,12 @@ impl LstmModel {
         let hw = hs * width;
         let steps = caches.len();
         let mut loss = 0.0f32;
-        scratch.ensure_shape(&self.config, width);
-        // With packs (the modern path), per-timestep gate/softmax gradients
-        // are retained so the big parameter gradients can be accumulated in
-        // deferred t-blocks after the sweep — each gradient element is then
-        // loaded and stored once per block instead of once per timestep,
-        // removing the dominant backward memory traffic. The fold order per
-        // gradient element (timesteps descending, lanes ascending) is
-        // exactly the per-timestep sequence, so deferral changes no bits.
-        let deferred = packs.is_some();
-        if deferred {
-            scratch.ensure_steps(&self.config, width, steps);
-        }
-        let BatchBpttScratch {
+        scratch.ensure_shape(&self.config, width, steps);
+        let BackwardScratch {
             dh_next,
             dc_next,
-            dlogits,
             dh_above,
             dh,
-            dz,
             dc_prev,
             dlogits_steps,
             dz_steps,
@@ -1691,13 +1227,8 @@ impl LstmModel {
             let cache = &caches[t];
             let probs = &step_probs[t];
             // Loss and dlogits = probs - one_hot(target), scattered into the
-            // interleaved layout the backward GEMMs read (retained per step
-            // on the deferred path).
-            let dl: &mut [f32] = if deferred {
-                &mut dlogits_steps[t]
-            } else {
-                dlogits
-            };
+            // interleaved layout the backward GEMMs read.
+            let dl = &mut dlogits_steps[t];
             for lane in 0..width {
                 let target = targets[t * width + lane] as usize % nv;
                 let p = &probs[lane * nv..(lane + 1) * nv];
@@ -1707,10 +1238,7 @@ impl LstmModel {
                 }
                 dl[target * width + lane] -= 1.0;
             }
-            // Output layer gradients (the projection matrix is deferred).
-            if !deferred {
-                grads.w_out.add_outer_batch(dl, &cache.h_top_lanes, width);
-            }
+            // Output bias gradient (the projection matrix is deferred).
             for (r, db) in grads.b_out.iter_mut().enumerate() {
                 for &d in &dl[r * width..(r + 1) * width] {
                     *db += d;
@@ -1718,22 +1246,14 @@ impl LstmModel {
             }
             // Gradient flowing into the top layer's hidden state.
             dh_above.iter_mut().for_each(|v| *v = 0.0);
-            match packs {
-                Some(p) => p.w_out_t.matmul_add_into(dl, width, dh_above),
-                None => self.w_out.matmul_transpose_add_into(dl, width, dh_above),
-            }
+            packs.w_out_t.matmul_add_into(dl, width, dh_above);
             for l in (0..num_layers).rev() {
-                let layer = &self.layers[l];
                 let glayer = &mut grads.layers[l];
                 dh.copy_from_slice(dh_above);
                 for (dst, src) in dh.iter_mut().zip(dh_next[l].iter()) {
                     *dst += src;
                 }
-                let dzt: &mut [f32] = if deferred {
-                    &mut dz_steps[t][l * 4 * hw..(l + 1) * 4 * hw]
-                } else {
-                    &mut dz[..4 * hw]
-                };
+                let dzt = &mut dz_steps[t][l * 4 * hw..(l + 1) * 4 * hw];
                 {
                     // Fixed-length subslices let the whole gate-gradient
                     // computation run as one bounds-check-free elementwise
@@ -1781,15 +1301,6 @@ impl LstmModel {
                             glayer.w_x.set(r, col, v);
                         }
                     }
-                } else if !deferred {
-                    glayer
-                        .w_x
-                        .add_outer_batch(dzt, &cache.input_lanes[l], width);
-                }
-                if !deferred {
-                    glayer
-                        .w_h
-                        .add_outer_batch(dzt, &cache.h_prev_lanes[l], width);
                 }
                 for (r, db) in glayer.b.iter_mut().enumerate() {
                     for &d in &dzt[r * width..(r + 1) * width] {
@@ -1799,77 +1310,71 @@ impl LstmModel {
                 // Gradient into the previous hidden state (recurrent path).
                 let dh_prev = &mut dh_next[l];
                 dh_prev.iter_mut().for_each(|v| *v = 0.0);
-                match packs {
-                    Some(p) => p.wh_t[l].matmul_add_into(dzt, width, dh_prev),
-                    None => layer.w_h.matmul_transpose_add_into(dzt, width, dh_prev),
-                }
+                packs.wh_t[l].matmul_add_into(dzt, width, dh_prev);
                 // Gradient into the layer below's hidden output at this step.
                 if l > 0 {
                     dh_above.iter_mut().for_each(|v| *v = 0.0);
-                    match packs.and_then(|p| p.wx_t[l].as_ref()) {
-                        Some(pack) => pack.matmul_add_into(dzt, width, dh_above),
-                        None => layer.w_x.matmul_transpose_add_into(dzt, width, dh_above),
-                    }
+                    packs.wx_t[l].matmul_add_into(dzt, width, dh_above);
                 }
             }
         }
-        if deferred {
-            // Deferred accumulation of the dense parameter gradients, in
-            // t-blocks: per block, each gradient matrix streams through the
-            // cache once while the block's retained dz/dlogits and the
-            // forward caches (a few hundred KiB) stay hot. Blocks walk t
-            // from the top down and spans within a block are t-descending,
-            // so per element the fold is globally (t desc, lane asc) —
-            // bitwise the per-timestep order.
-            const GRAD_T_BLOCK: usize = 16;
-            let mut spans: [(&[f32], &[f32]); GRAD_T_BLOCK] = [(&[][..], &[][..]); GRAD_T_BLOCK];
-            let mut t_hi = steps;
-            while t_hi > 0 {
-                let t_lo = t_hi.saturating_sub(GRAD_T_BLOCK);
-                let block = t_lo..t_hi;
+        // Deferred accumulation of the dense parameter gradients, in
+        // t-blocks: per block, each gradient matrix streams through the cache
+        // once while the block's retained dz/dlogits and the forward caches
+        // (a few hundred KiB) stay hot. Blocks walk t from the top down and
+        // spans within a block are t-descending, so per element the fold is
+        // globally (t desc, lane asc) — bitwise the per-timestep order.
+        const GRAD_T_BLOCK: usize = 16;
+        let mut spans: [(&[f32], &[f32]); GRAD_T_BLOCK] = [(&[][..], &[][..]); GRAD_T_BLOCK];
+        let mut t_hi = steps;
+        while t_hi > 0 {
+            let t_lo = t_hi.saturating_sub(GRAD_T_BLOCK);
+            let block = t_lo..t_hi;
+            let mut n = 0;
+            for t in block.clone().rev() {
+                spans[n] = (&dlogits_steps[t], &caches[t].h_top_lanes);
+                n += 1;
+            }
+            grads.w_out.add_outer_batch_spans(&spans[..n], width);
+            for l in 0..num_layers {
                 let mut n = 0;
                 for t in block.clone().rev() {
-                    spans[n] = (&dlogits_steps[t], &caches[t].h_top_lanes);
+                    spans[n] = (
+                        &dz_steps[t][l * 4 * hw..(l + 1) * 4 * hw],
+                        &caches[t].h_prev_lanes[l],
+                    );
                     n += 1;
                 }
-                grads.w_out.add_outer_batch_spans(&spans[..n], width);
-                for l in 0..num_layers {
+                grads.layers[l]
+                    .w_h
+                    .add_outer_batch_spans(&spans[..n], width);
+                if l > 0 {
                     let mut n = 0;
                     for t in block.clone().rev() {
                         spans[n] = (
                             &dz_steps[t][l * 4 * hw..(l + 1) * 4 * hw],
-                            &caches[t].h_prev_lanes[l],
+                            &caches[t].input_lanes[l],
                         );
                         n += 1;
                     }
                     grads.layers[l]
-                        .w_h
+                        .w_x
                         .add_outer_batch_spans(&spans[..n], width);
-                    if l > 0 {
-                        let mut n = 0;
-                        for t in block.clone().rev() {
-                            spans[n] = (
-                                &dz_steps[t][l * 4 * hw..(l + 1) * 4 * hw],
-                                &caches[t].input_lanes[l],
-                            );
-                            n += 1;
-                        }
-                        grads.layers[l]
-                            .w_x
-                            .add_outer_batch_spans(&spans[..n], width);
-                    }
                 }
-                t_hi = t_lo;
             }
+            t_hi = t_lo;
         }
         loss
     }
 
-    /// Backpropagate through a sequence of cached steps.
+    /// The reference backward pass: backpropagate through a sequence of
+    /// steps cached by [`LstmModel::step`].
     ///
     /// `probs_and_targets` holds, for each timestep, the softmax output of the
     /// forward pass and the target character id. Gradients are accumulated
     /// into `grads`. Returns the total cross-entropy loss over the sequence.
+    /// Like `step` it allocates freely, runs the naive [`Matrix`] loops and
+    /// is called only by the test suites.
     pub fn backward(
         &self,
         caches: &[StepCache],
@@ -1877,67 +1382,35 @@ impl LstmModel {
         grads: &mut LstmGradients,
     ) -> f32 {
         assert_eq!(caches.len(), probs_and_targets.len());
-        let probs: Vec<&[f32]> = probs_and_targets
-            .iter()
-            .map(|(p, _)| p.as_slice())
-            .collect();
-        let targets: Vec<u32> = probs_and_targets.iter().map(|(_, t)| *t).collect();
-        let mut scratch = BpttScratch::default();
-        self.backward_core(caches, &probs, &targets, grads, &mut scratch)
-    }
-
-    /// Backpropagation core over caller-provided scratch buffers: no
-    /// allocation per timestep or per layer. [`LstmModel::backward`] wraps
-    /// this with a fresh scratch; the training loop reuses the scratch in its
-    /// [`Workspace`] across every chunk of every epoch.
-    pub(crate) fn backward_core(
-        &self,
-        caches: &[StepCache],
-        probs: &[&[f32]],
-        targets: &[u32],
-        grads: &mut LstmGradients,
-        scratch: &mut BpttScratch,
-    ) -> f32 {
-        assert_eq!(caches.len(), probs.len());
-        assert_eq!(caches.len(), targets.len());
         let hs = self.config.hidden_size;
         let num_layers = self.config.num_layers;
         let mut loss = 0.0f32;
-        scratch.ensure_shape(&self.config);
-        let BpttScratch {
-            dh_next,
-            dc_next,
-            dlogits,
-            dh_above,
-            dh,
-            dz,
-            dc_prev,
-        } = scratch;
         // Backward-through-time carried gradients start at zero.
-        for buf in dh_next.iter_mut().chain(dc_next.iter_mut()) {
-            buf.iter_mut().for_each(|v| *v = 0.0);
-        }
-        for t in (0..caches.len()).rev() {
-            let cache = &caches[t];
-            let step_probs = probs[t];
-            let target = targets[t] as usize % self.config.vocab_size;
+        let mut dh_next = vec![vec![0.0f32; hs]; num_layers];
+        let mut dc_next = vec![vec![0.0f32; hs]; num_layers];
+        let mut dh_above = vec![0.0f32; hs];
+        let mut dh = vec![0.0f32; hs];
+        let mut dz = vec![0.0f32; 4 * hs];
+        let mut dc_prev = vec![0.0f32; hs];
+        for (cache, (step_probs, target)) in caches.iter().zip(probs_and_targets).rev() {
+            let target = *target as usize % self.config.vocab_size;
             loss -= step_probs[target].max(1e-12).ln();
             // dlogits = probs - one_hot(target)
-            dlogits.copy_from_slice(step_probs);
+            let mut dlogits = step_probs.clone();
             dlogits[target] -= 1.0;
             // Output layer gradients.
             let h_top = &cache.h[num_layers - 1];
-            grads.w_out.add_outer(dlogits, h_top);
+            grads.w_out.add_outer(&dlogits, h_top);
             for (db, dl) in grads.b_out.iter_mut().zip(dlogits.iter()) {
                 *db += dl;
             }
             // Gradient flowing into the top layer's hidden state.
             dh_above.iter_mut().for_each(|v| *v = 0.0);
-            self.w_out.matvec_transpose_add(dlogits, dh_above);
+            self.w_out.matvec_transpose_add(&dlogits, &mut dh_above);
             for l in (0..num_layers).rev() {
                 let layer = &self.layers[l];
                 let glayer = &mut grads.layers[l];
-                dh.copy_from_slice(dh_above);
+                dh.copy_from_slice(&dh_above);
                 for (dst, src) in dh.iter_mut().zip(dh_next[l].iter()) {
                     *dst += src;
                 }
@@ -1959,7 +1432,7 @@ impl LstmModel {
                     dz[2 * hs + j] = dg * (1.0 - g * g);
                     dz[3 * hs + j] = do_ * o * (1.0 - o);
                 }
-                dc_next[l].copy_from_slice(dc_prev);
+                dc_next[l].copy_from_slice(&dc_prev);
                 // Parameter gradients.
                 if l == 0 {
                     let col = cache.input_id as usize % self.config.vocab_size;
@@ -1968,20 +1441,20 @@ impl LstmModel {
                         glayer.w_x.set(r, col, v);
                     }
                 } else {
-                    glayer.w_x.add_outer(dz, &cache.inputs[l]);
+                    glayer.w_x.add_outer(&dz, &cache.inputs[l]);
                 }
-                glayer.w_h.add_outer(dz, &cache.h_prev[l]);
+                glayer.w_h.add_outer(&dz, &cache.h_prev[l]);
                 for (db, d) in glayer.b.iter_mut().zip(dz.iter()) {
                     *db += d;
                 }
                 // Gradient into the previous hidden state (recurrent path).
                 let dh_prev = &mut dh_next[l];
                 dh_prev.iter_mut().for_each(|v| *v = 0.0);
-                layer.w_h.matvec_transpose_add(dz, dh_prev);
+                layer.w_h.matvec_transpose_add(&dz, dh_prev);
                 // Gradient into the layer below's hidden output at this step.
                 if l > 0 {
                     dh_above.iter_mut().for_each(|v| *v = 0.0);
-                    layer.w_x.matvec_transpose_add(dz, dh_above);
+                    layer.w_x.matvec_transpose_add(&dz, &mut dh_above);
                 }
             }
         }
@@ -2152,10 +1625,11 @@ mod tests {
         }
     }
 
-    /// Batched multi-stream prediction equals per-stream serial prediction,
-    /// bitwise, including when only a subset of streams advances.
+    /// Stepping a subset of a resident batch's lanes equals the reference
+    /// `step` on each of those streams, bitwise, and leaves the other lanes
+    /// untouched.
     #[test]
-    fn predict_batch_sel_bitwise_matches_serial() {
+    fn predict_batch_gathered_bitwise_matches_reference_step() {
         let model = LstmModel::new(LstmConfig {
             vocab_size: 11,
             hidden_size: 16,
@@ -2163,71 +1637,31 @@ mod tests {
             seed: 4,
         });
         let n = 5;
-        let mut serial: Vec<LstmState> = (0..n).map(|_| model.initial_state()).collect();
-        let mut batched: Vec<LstmState> = (0..n).map(|_| model.initial_state()).collect();
+        let mut reference: Vec<LstmState> = (0..n).map(|_| model.initial_state()).collect();
+        let mut bs = BatchState::new(&model.config, n);
         let mut ws = model.workspace(n);
-        let mut ws1 = model.workspace(1);
         // Rounds feed different subsets with different characters.
         let rounds: Vec<Vec<(usize, u32)>> = vec![
             (0..n).map(|i| (i, i as u32)).collect(),
-            vec![(0, 1), (2, 9), (4, 10)],
+            vec![(4, 1), (0, 9), (2, 10)],
             vec![(3, 5)],
             (0..n).map(|i| (i, (10 - i) as u32)).collect(),
         ];
         for pairs in rounds {
             let sel: Vec<usize> = pairs.iter().map(|p| p.0).collect();
             let ids: Vec<u32> = pairs.iter().map(|p| p.1).collect();
-            model.predict_batch_sel(&mut batched, &sel, &ids, &mut ws);
+            model.predict_batch_gathered(&mut bs, &sel, &ids, &mut ws);
             for (lane, &(stream, id)) in pairs.iter().enumerate() {
-                let probs_serial = model
-                    .predict_into(&mut serial[stream], id, &mut ws1)
-                    .to_vec();
-                for (a, b) in probs_serial.iter().zip(ws.probs_lane(lane).iter()) {
+                let (probs, _) = model.step(&mut reference[stream], id);
+                for (a, b) in probs.iter().zip(ws.probs_lane(lane).iter()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "stream {stream} probs diverge");
                 }
-                assert_eq!(
-                    serial[stream], batched[stream],
-                    "stream {stream} state diverges"
-                );
             }
-        }
-    }
-
-    /// The buffer-reusing training step must reproduce `step()` exactly:
-    /// same distribution, same state, same cached activations.
-    #[test]
-    fn step_into_matches_step() {
-        let model = LstmModel::new(LstmConfig {
-            vocab_size: 9,
-            hidden_size: 12,
-            num_layers: 2,
-            seed: 2,
-        });
-        let mut state_ref = model.initial_state();
-        let mut state_new = model.initial_state();
-        let mut cache = StepCache::empty();
-        let mut probs = Vec::new();
-        let mut gates = vec![0.0f32; 4 * 12];
-        for id in [1u32, 8, 0, 3, 3] {
-            let (probs_ref, cache_ref) = model.step(&mut state_ref, id);
-            model.step_into(&mut state_new, id, &mut cache, &mut probs, &mut gates);
-            assert_eq!(probs_ref, probs);
-            assert_eq!(state_ref, state_new);
-            for l in 0..2 {
-                assert_eq!(cache_ref.i[l], cache.i[l]);
-                assert_eq!(cache_ref.f[l], cache.f[l]);
-                assert_eq!(cache_ref.g[l], cache.g[l]);
-                assert_eq!(cache_ref.o[l], cache.o[l]);
-                assert_eq!(cache_ref.c[l], cache.c[l]);
-                assert_eq!(cache_ref.tanh_c[l], cache.tanh_c[l]);
-                assert_eq!(cache_ref.h[l], cache.h[l]);
-                assert_eq!(cache_ref.h_prev[l], cache.h_prev[l]);
-                assert_eq!(cache_ref.c_prev[l], cache.c_prev[l]);
-                if l > 0 {
-                    assert_eq!(cache_ref.inputs[l], cache.inputs[l]);
-                }
+            for (stream, expect) in reference.iter().enumerate() {
+                let mut got = model.initial_state();
+                bs.store_lane(stream, &mut got);
+                assert_eq!(expect, &got, "stream {stream} state diverges");
             }
-            assert_eq!(cache_ref.input_id, cache.input_id);
         }
     }
 
@@ -2241,9 +1675,9 @@ mod tests {
             seed: 1,
         });
         let mut ws = model.workspace(1);
-        let mut states: Vec<LstmState> = (0..6).map(|_| model.initial_state()).collect();
+        let mut bs = BatchState::new(&model.config, 6);
         let inputs: Vec<u32> = (0..6).collect();
-        model.predict_batch(&mut states, &inputs, &mut ws);
+        model.predict_batch_resident(&mut bs, &inputs, &mut ws);
         let sum: f32 = ws.probs_lane(5).iter().sum();
         assert!((sum - 1.0).abs() < 1e-4);
     }

@@ -1,26 +1,33 @@
 //! Minimal dense matrix/vector math used by the LSTM language model.
 //!
 //! The paper trains its model in Torch; this crate provides the small subset
-//! of tensor operations an LSTM needs (dense matrix-vector products, AXPY,
+//! of tensor operations an LSTM needs (dense matrix products, AXPY,
 //! element-wise nonlinearities) implemented directly over `Vec<f32>` so the
 //! reproduction has no external numerical dependencies.
 //!
+//! There is one optimised path and one reference. The optimised path is the
+//! packed, k-blocked GEMM ([`PackedMatrix::matmul_add_into`], fed a
+//! [`PackedMatrix::pack_transpose`] for the backward products) and the
+//! span-blocked outer product ([`Matrix::add_outer_batch_spans`]); it is what
+//! sampling and training run at every batch width, one lane included. The
+//! reference is the three two-deep loops [`Matrix::matvec_add`],
+//! [`Matrix::matvec_transpose_add`] and [`Matrix::add_outer`], which nothing
+//! but the test suites calls.
+//!
 //! # The unified accumulation order
 //!
-//! Every hot kernel in this module — serial matvec, the lane-blocked GEMM,
-//! their [`PackedMatrix`] counterparts, the transposed backward GEMM and the
-//! batched outer product — reduces each output element as a **left fold**:
-//! the element's current value (bias, prior partial, accumulated gradient) is
-//! the fold seed, and contribution terms are added one at a time in a fixed
-//! canonical sequence (ascending `k`, ascending lane). A left fold is
-//! invariant to where block boundaries fall — `((y + a) + b) + c` is the same
-//! floating-point computation whether the partial lives in a register or was
-//! spilled to memory between blocks — so cache blocking ([`BlockPlan`]),
-//! row-panel packing, lane blocking and row-parallel splits over disjoint
+//! Every kernel in this module reduces each output element as a **left
+//! fold**: the element's current value (bias, prior partial, accumulated
+//! gradient) is the fold seed, and contribution terms are added one at a time
+//! in a fixed canonical sequence (ascending `k`, ascending lane). A left fold
+//! is invariant to where block boundaries fall — `((y + a) + b) + c` is the
+//! same floating-point computation whether the partial lives in a register or
+//! was spilled to memory between blocks — so cache blocking ([`BlockPlan`]),
+//! row-panel packing, lane tiling and row-parallel splits over disjoint
 //! output rows all preserve bitwise results *by construction*. This is what
-//! lets batched sampling stay bitwise identical to serial sampling and
-//! batch-1 training bitwise identical to the serial BPTT path at any model
-//! scale, block shape or rayon thread count.
+//! keeps every lane of a batched step bitwise identical to the reference
+//! loops, and batched sampling bitwise identical to serial sampling, at any
+//! model scale, block shape or rayon thread count.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -98,81 +105,19 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `y = self * x` (matrix-vector product).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols`.
-    pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.rows];
-        self.matvec_into(x, &mut y);
-        y
-    }
-
-    /// `y = self * x` into a caller-provided buffer (no allocation).
-    ///
-    /// Rows are processed in blocks of [`MATVEC_ROW_BLOCK`] sharing one pass
-    /// over `x` (see [`Matrix::matvec_add`]); each output element reduces in
-    /// the unified left-fold order (seed 0, terms in ascending `k`), bitwise
-    /// identical to the one-row-at-a-time formulation and to
-    /// [`PackedMatrix::matvec_into`].
+    /// `y += self * x`: the reference matrix-vector product. Each output
+    /// element is the unified left fold written out — seed `y[r]`, add
+    /// `self[r][k] * x[k]` for `k` ascending — which every lane of
+    /// [`PackedMatrix::matmul_add_into`] reproduces bitwise.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != cols` or `y.len() != rows`.
-    pub fn matvec_into(&self, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        assert_eq!(y.len(), self.rows, "matvec output mismatch");
-        self.matvec_rows::<false>(x, y);
-    }
-
-    /// `y += self * x` (accumulating matrix-vector product).
-    ///
-    /// The serial-path reference kernel: rows are processed
-    /// [`MATVEC_ROW_BLOCK`] at a time with one independent accumulator per
-    /// row, so a single pass over `x` serves four dot products and the four
-    /// dependency chains overlap in the FMA pipeline. Per output element the
-    /// reduction is the unified left fold — the accumulator is seeded with
-    /// the current `y` value and terms are added in ascending `k` — so this
-    /// kernel, [`Matrix::matmul_add_into`] at any width and the packed
-    /// k-blocked kernels are all bitwise identical per lane.
     pub fn matvec_add(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec output mismatch");
-        self.matvec_rows::<true>(x, y);
-    }
-
-    /// Shared row-blocked matrix-vector kernel: `ADD` selects accumulate
-    /// (`y += A x`, fold seeded with `y`) versus overwrite (`y = A x`, fold
-    /// seeded with zero).
-    fn matvec_rows<const ADD: bool>(&self, x: &[f32], y: &mut [f32]) {
-        let cols = self.cols;
-        let mut rows_iter = self.data.chunks_exact(cols * MATVEC_ROW_BLOCK);
-        let mut y_iter = y.chunks_exact_mut(MATVEC_ROW_BLOCK);
-        for (block, yb) in rows_iter.by_ref().zip(y_iter.by_ref()) {
-            let r0 = &block[..cols];
-            let r1 = &block[cols..2 * cols];
-            let r2 = &block[2 * cols..3 * cols];
-            let r3 = &block[3 * cols..4 * cols];
-            let mut acc = [0.0f32; MATVEC_ROW_BLOCK];
-            if ADD {
-                acc.copy_from_slice(yb);
-            }
-            for k in 0..cols {
-                let xv = x[k];
-                acc[0] += r0[k] * xv;
-                acc[1] += r1[k] * xv;
-                acc[2] += r2[k] * xv;
-                acc[3] += r3[k] * xv;
-            }
-            yb.copy_from_slice(&acc);
-        }
-        for (dst, row) in y_iter
-            .into_remainder()
-            .iter_mut()
-            .zip(rows_iter.remainder().chunks_exact(cols.max(1)))
-        {
-            let mut acc = if ADD { *dst } else { 0.0f32 };
+        for (dst, row) in y.iter_mut().zip(self.data.chunks_exact(self.cols.max(1))) {
+            let mut acc = *dst;
             for (a, b) in row.iter().zip(x.iter()) {
                 acc += a * b;
             }
@@ -180,107 +125,11 @@ impl Matrix {
         }
     }
 
-    /// `y += self * x` over a batch of `width` column vectors (GEMM).
-    ///
-    /// `x` holds a `cols x width` matrix and `y` a `rows x width` matrix,
-    /// both row-major — equivalently, `width` column vectors stored
-    /// interleaved, column `b` of `x` being `x[k * width + b]` for
-    /// `k in 0..cols`. This is the batched hot path of LSTM sampling: each of
-    /// the `width` lanes is an independent sample stream sharing the weights.
-    ///
-    /// The kernel is blocked over [`GEMM_LANES`] columns with one independent
-    /// accumulator per lane, so the compiler can keep the lanes in vector
-    /// registers; crucially, each output element reduces in the unified
-    /// left-fold order (seed `y`, terms in ascending `k`) — exactly the order
-    /// [`Matrix::matvec_add`] and the packed k-blocked kernels use — so a
-    /// batched product is bitwise identical to `width` separate matrix-vector
-    /// products. The multi-stream sampler's determinism guarantee (batched
-    /// sampling == serial sampling) rests on this property; see
-    /// `batched_gemm_bitwise_equals_matvec` in this module's tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols * width` or `y.len() != rows * width`.
-    pub fn matmul_add_into(&self, x: &[f32], width: usize, y: &mut [f32]) {
-        assert_eq!(x.len(), self.cols * width, "matmul input mismatch");
-        assert_eq!(y.len(), self.rows * width, "matmul output mismatch");
-        // One lane is exactly a matrix-vector product (bitwise, per the
-        // accumulation-order guarantee below); take the row-blocked kernel.
-        if width == 1 {
-            return self.matvec_add(x, y);
-        }
-        // Rows are processed in pairs sharing one pass over `x`: two
-        // independent accumulator sets double the in-flight FMA chains
-        // (hiding their latency) and halve the loads of `x`. Per output
-        // element the fold order over `k` is untouched.
-        let mut r = 0;
-        while r + 2 <= self.rows {
-            let row0 = self.row(r);
-            let row1 = self.row(r + 1);
-            let (y0, y1) = y[r * width..(r + 2) * width].split_at_mut(width);
-            let mut b0 = 0;
-            while b0 + GEMM_LANES <= width {
-                gemm_lane_block2::<GEMM_LANES>(row0, row1, x, width, b0, y0, y1);
-                b0 += GEMM_LANES;
-            }
-            // Half-width block so ragged batch tails (width % 8 in 4..8)
-            // still get independent accumulators instead of the scalar path.
-            if b0 + GEMM_LANES / 2 <= width {
-                gemm_lane_block2::<{ GEMM_LANES / 2 }>(row0, row1, x, width, b0, y0, y1);
-                b0 += GEMM_LANES / 2;
-            }
-            for b in b0..width {
-                let mut acc0 = y0[b];
-                let mut acc1 = y1[b];
-                for ((&w0, &w1), xk) in row0.iter().zip(row1.iter()).zip(x.chunks_exact(width)) {
-                    acc0 += w0 * xk[b];
-                    acc1 += w1 * xk[b];
-                }
-                y0[b] = acc0;
-                y1[b] = acc1;
-            }
-            r += 2;
-        }
-        if r < self.rows {
-            let row = self.row(r);
-            let yrow = &mut y[r * width..(r + 1) * width];
-            let mut b0 = 0;
-            while b0 + GEMM_LANES <= width {
-                gemm_lane_block::<GEMM_LANES>(row, x, width, b0, yrow);
-                b0 += GEMM_LANES;
-            }
-            if b0 + GEMM_LANES / 2 <= width {
-                gemm_lane_block::<{ GEMM_LANES / 2 }>(row, x, width, b0, yrow);
-                b0 += GEMM_LANES / 2;
-            }
-            for b in b0..width {
-                let mut acc = yrow[b];
-                for (&w, xk) in row.iter().zip(x.chunks_exact(width)) {
-                    acc += w * xk[b];
-                }
-                yrow[b] = acc;
-            }
-        }
-    }
-
-    /// `self * other` (matrix-matrix product), allocating the result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other.rows() != cols`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(other.rows(), self.cols, "matmul dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols());
-        self.matmul_add_into(other.data(), other.cols(), &mut out.data);
-        out
-    }
-
-    /// `y += self^T * x` (transposed matrix-vector product), used in
+    /// `y += self^T * x`: the reference transposed matrix-vector product of
     /// backpropagation. Per output element `c` the reduction is the unified
-    /// left fold: seed `y[c]`, then `w[r][c] * x[r]` for `r` ascending — the
-    /// same order the lane-blocked transposed GEMM and the packed transposed
-    /// kernels use, so single-lane batched backward passes are bitwise
-    /// identical to this serial one.
+    /// left fold: seed `y[c]`, then `self[r][c] * x[r]` for `r` ascending —
+    /// bitwise what [`PackedMatrix::pack_transpose`] fed to
+    /// [`PackedMatrix::matmul_add_into`] computes per lane.
     pub fn matvec_transpose_add(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.rows, "matvecT dimension mismatch");
         assert_eq!(y.len(), self.cols, "matvecT output mismatch");
@@ -291,118 +140,9 @@ impl Matrix {
         }
     }
 
-    /// `y += self^T * x` over a batch of `width` interleaved column vectors
-    /// (the transposed GEMM of batched backpropagation).
-    ///
-    /// `x` holds a `rows x width` matrix and `y` a `cols x width` matrix,
-    /// both lane-interleaved like [`Matrix::matmul_add_into`]. The kernel is
-    /// blocked over [`GEMM_LANES`] lanes: for every matrix row `r` it
-    /// performs a rank-1 style update `y[c][..] += self[r][c] * x[r][..]`
-    /// over fixed-size lane arrays, so the lane-inner loop is a plain
-    /// vector FMA with no reduction, and `y` (small, `cols x width`) stays
-    /// cache-resident while each weight row streams past once per batch.
-    ///
-    /// Rows fold in index order (four rows' updates fused per pass, still
-    /// applied in ascending row order per element, seeded with the current
-    /// `y` value); `width == 1` delegates to exactly
-    /// [`Matrix::matvec_transpose_add`], so a single-lane batched backward
-    /// pass is bitwise identical to the serial one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != rows * width` or `y.len() != cols * width`.
-    pub fn matmul_transpose_add_into(&self, x: &[f32], width: usize, y: &mut [f32]) {
-        assert_eq!(x.len(), self.rows * width, "matmulT input mismatch");
-        assert_eq!(y.len(), self.cols * width, "matmulT output mismatch");
-        if width == 0 {
-            return;
-        }
-        if width == 1 {
-            return self.matvec_transpose_add(x, y);
-        }
-        let mut b0 = 0;
-        while b0 + GEMM_LANES <= width {
-            self.transpose_lane_block::<GEMM_LANES>(x, width, b0, y);
-            b0 += GEMM_LANES;
-        }
-        if b0 + GEMM_LANES / 2 <= width {
-            self.transpose_lane_block::<{ GEMM_LANES / 2 }>(x, width, b0, y);
-            b0 += GEMM_LANES / 2;
-        }
-        for b in b0..width {
-            for (xr, row) in x
-                .chunks_exact(width)
-                .zip(self.data.chunks_exact(self.cols.max(1)))
-            {
-                let xv = xr[b];
-                for (yc, &w) in y.chunks_exact_mut(width).zip(row.iter()) {
-                    yc[b] += w * xv;
-                }
-            }
-        }
-    }
-
-    /// One `L`-lane block of the transposed GEMM:
-    /// `y[c][b0..b0+L] += self[r][c] * x[r][b0..b0+L]` for every `(r, c)`,
-    /// rows outermost in blocks of four — each pass over `y` applies four
-    /// rows' rank-1 updates (rows in ascending order per element), quartering
-    /// the `y` load/store traffic. Fixed-size lane arrays keep the update in
-    /// vector registers with no per-element bounds checks.
-    #[inline(always)]
-    fn transpose_lane_block<const L: usize>(
-        &self,
-        x: &[f32],
-        width: usize,
-        b0: usize,
-        y: &mut [f32],
-    ) {
-        let cols = self.cols.max(1);
-        let mut rows = self.data.chunks_exact(4 * cols);
-        let mut xrows = x.chunks_exact(4 * width);
-        for (quad, xquad) in rows.by_ref().zip(xrows.by_ref()) {
-            let r0 = &quad[..cols];
-            let r1 = &quad[cols..2 * cols];
-            let r2 = &quad[2 * cols..3 * cols];
-            let r3 = &quad[3 * cols..4 * cols];
-            let x0: &[f32; L] = xquad[b0..b0 + L].try_into().expect("lane block");
-            let x1: &[f32; L] = xquad[width + b0..width + b0 + L]
-                .try_into()
-                .expect("lane block");
-            let x2: &[f32; L] = xquad[2 * width + b0..2 * width + b0 + L]
-                .try_into()
-                .expect("lane block");
-            let x3: &[f32; L] = xquad[3 * width + b0..3 * width + b0 + L]
-                .try_into()
-                .expect("lane block");
-            for (c, yc) in y.chunks_exact_mut(width).enumerate() {
-                let ys: &mut [f32] = &mut yc[b0..b0 + L];
-                let (w0, w1, w2, w3) = (r0[c], r1[c], r2[c], r3[c]);
-                for l in 0..L {
-                    let mut acc = ys[l];
-                    acc += w0 * x0[l];
-                    acc += w1 * x1[l];
-                    acc += w2 * x2[l];
-                    acc += w3 * x3[l];
-                    ys[l] = acc;
-                }
-            }
-        }
-        for (xr, row) in xrows
-            .remainder()
-            .chunks_exact(width)
-            .zip(rows.remainder().chunks_exact(cols))
-        {
-            let xv: &[f32; L] = xr[b0..b0 + L].try_into().expect("lane block in bounds");
-            for (yc, &w) in y.chunks_exact_mut(width).zip(row.iter()) {
-                let ys: &mut [f32] = &mut yc[b0..b0 + L];
-                for l in 0..L {
-                    ys[l] += w * xv[l];
-                }
-            }
-        }
-    }
-
-    /// Accumulate the outer product `self += a * b^T` (gradient accumulation).
+    /// Accumulate the outer product `self += a * b^T`: the reference gradient
+    /// accumulation (one span of one lane of
+    /// [`Matrix::add_outer_batch_spans`]).
     pub fn add_outer(&mut self, a: &[f32], b: &[f32]) {
         assert_eq!(a.len(), self.rows, "outer product row mismatch");
         assert_eq!(b.len(), self.cols, "outer product col mismatch");
@@ -413,8 +153,9 @@ impl Matrix {
         }
     }
 
-    /// Accumulate a batch of outer products:
-    /// `self += Σ_lane a_lane * b_lane^T` (batched gradient accumulation).
+    /// Accumulate a block of batched outer products:
+    /// `self += Σ_span Σ_lane a_span,lane * b_span,lane^T`, where each span
+    /// is one timestep's `(a, b_lanes)` operand pair.
     ///
     /// `a` holds a `rows x width` matrix, lane-interleaved like every other
     /// batched operand; `b_lanes` holds the `width` right-hand vectors
@@ -422,76 +163,17 @@ impl Matrix {
     /// `b_lanes[b*cols..(b+1)*cols]`. The training forward pass caches its
     /// backward operands in this layout (a cheap transposing copy per step),
     /// because it is what lets the hot loop here be a plain vectorisable
-    /// AXPY (`row += a[r][lane] * b_lane`) with no horizontal reduction,
-    /// while each (large) gradient row is loaded once per *batch* instead of
-    /// once per stream — the cache-traffic win batched gradient
-    /// accumulation exists for.
+    /// AXPY (`row += a[r][lane] * b_lane`) with no horizontal reduction.
     ///
-    /// Per gradient element the reduction is the unified left fold — seed
-    /// the current gradient value, add lane contributions in ascending lane
-    /// order — deterministic for a given width and invariant to the tile
-    /// shape and row split; at `width == 1` the two layouts coincide and the
-    /// kernel delegates to exactly [`Matrix::add_outer`], so single-lane
-    /// batched accumulation is bitwise identical to the serial path.
-    ///
-    /// Gradient matrices above the [`BlockPlan`] parallel threshold split
-    /// their rows across rayon workers; each gradient element is written by
-    /// exactly one worker with the same fold, so the result is bitwise
-    /// independent of the thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != rows * width` or `b_lanes.len() != cols * width`.
-    pub fn add_outer_batch(&mut self, a: &[f32], b_lanes: &[f32], width: usize) {
-        assert_eq!(a.len(), self.rows * width, "outer batch row mismatch");
-        assert_eq!(b_lanes.len(), self.cols * width, "outer batch col mismatch");
-        if width == 0 {
-            return;
-        }
-        if width == 1 {
-            return self.add_outer(a, b_lanes);
-        }
-        let cols = self.cols.max(1);
-        let plan = BlockPlan::for_kernel(self.rows, cols, width);
-        let threads = if plan.parallel {
-            rayon::current_num_threads()
-        } else {
-            1
-        };
-        if plan.parallel && threads > 1 && self.rows > 4 {
-            // Quad-aligned row chunks keep every chunk on the fast 4-row
-            // tile path; disjoint rows make the split bitwise-invisible.
-            let quads = self.rows.div_ceil(4);
-            let chunk_rows = quads.div_ceil(threads) * 4;
-            self.data
-                .par_chunks_mut(chunk_rows * cols)
-                .enumerate()
-                .for_each(|(ci, rows_chunk)| {
-                    let a0 = ci * chunk_rows * width;
-                    let nrows = rows_chunk.len() / cols;
-                    outer_rows(rows_chunk, &a[a0..a0 + nrows * width], b_lanes, width, cols);
-                });
-        } else {
-            outer_rows(&mut self.data, a, b_lanes, width, cols);
-        }
-    }
-
-    /// Accumulate a whole block of batched outer products:
-    /// `self += Σ_span Σ_lane a_span,lane * b_span,lane^T`, where each span
-    /// is one timestep's `(a, b_lanes)` operand pair (layouts as in
-    /// [`Matrix::add_outer_batch`]).
-    ///
-    /// This is the k-blocked gradient accumulation of truncated BPTT: a
-    /// chunk's backward pass used to stream every (large) gradient matrix
-    /// through the cache once **per timestep**; handing a block of timesteps
-    /// to this kernel loads and stores each gradient element once per
-    /// *block*, cutting the dominant backward memory traffic by the block
-    /// length. Per gradient element the reduction is the unified left fold
-    /// over spans in the given order, lanes ascending within each span —
-    /// exactly the sequence of per-timestep [`Matrix::add_outer_batch`]
-    /// calls it replaces, so deferring the accumulation changes no bits
-    /// (property-tested). Callers pass spans in timestep-descending order to
-    /// match the serial backward pass.
+    /// This is the k-blocked gradient accumulation of truncated BPTT:
+    /// handing a block of timesteps to one call loads and stores each (large)
+    /// gradient element once per *block* instead of once per timestep, which
+    /// is the dominant backward memory traffic. Per gradient element the
+    /// reduction is the unified left fold over spans in the given order,
+    /// lanes ascending within each span — exactly the sequence of
+    /// [`Matrix::add_outer`] calls it stands for, so neither the block length
+    /// nor the tile shape changes a bit (property-tested). Callers pass spans
+    /// in timestep-descending order, the order of the backward sweep.
     ///
     /// Rows split across rayon workers above the parallel threshold, bitwise
     /// identical at any thread count (disjoint rows).
@@ -663,11 +345,11 @@ impl BlockPlan {
 ///
 /// Packing is bit-exact (`pack` then [`PackedMatrix::unpack`] reproduces the
 /// source matrix bitwise) and the packed kernels fold in the same unified
-/// per-element order as their [`Matrix`] counterparts — the left fold makes
-/// the k-block cuts invisible — so swapping a packed matrix into a hot path
-/// never changes a single output bit, only the speed. Weight matrices are
-/// packed once per model build / checkpoint load (sampling) or once per
-/// BPTT chunk (training, where weights move).
+/// per-element order as the reference loops on [`Matrix`] — the left fold
+/// makes the k-block cuts invisible — so the layout never changes a single
+/// output bit, only the speed. Weight matrices are packed once per model
+/// build / checkpoint load (sampling) or once per BPTT chunk (training,
+/// where weights move).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PackedMatrix {
     rows: usize,
@@ -800,29 +482,15 @@ impl PackedMatrix {
         out
     }
 
-    /// `y = A x`: the packed matvec (fold seeded with zero). Bitwise
-    /// identical to [`Matrix::matvec_into`] on the source matrix.
-    pub fn matvec_into(&self, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        assert_eq!(y.len(), self.rows, "matvec output mismatch");
-        self.matvec_panels::<false>(x, y);
-    }
-
-    /// `y += A x`: the packed matvec (fold seeded with `y`). Bitwise
-    /// identical to [`Matrix::matvec_add`] on the source matrix; one 8-wide
-    /// vector FMA per `k` per panel, streaming the packed weights exactly
-    /// once in layout order.
+    /// `y += A x`: the one-lane case of
+    /// [`matmul_add_into`](PackedMatrix::matmul_add_into) (fold seeded with
+    /// `y`) — one 8-wide vector FMA per `k` per panel, streaming the packed
+    /// weights exactly once in layout order. Bitwise identical to
+    /// [`Matrix::matvec_add`] on the source matrix.
     pub fn matvec_add(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec output mismatch");
-        self.matvec_panels::<true>(x, y);
-    }
-
-    fn matvec_panels<const ADD: bool>(&self, x: &[f32], y: &mut [f32]) {
         if self.rows == 0 || self.cols == 0 {
-            if !ADD {
-                y.iter_mut().for_each(|v| *v = 0.0);
-            }
             return;
         }
         let panels = self.rows.div_ceil(ROW_PANEL).max(1);
@@ -830,8 +498,7 @@ impl PackedMatrix {
         // A contiguous panel range's worth of the matvec: walks the packed
         // data in layout order (k-blocks outer, the range's panels inner).
         // The running fold per row spills to `y` between k-blocks — the
-        // left fold makes the cut invisible. On the overwrite path the
-        // first block seeds zero, later blocks the spilled partial.
+        // left fold makes the cut invisible.
         let run = |p0: usize, yslice: &mut [f32]| {
             let mut kstart = 0;
             let mut boff = 0;
@@ -842,9 +509,7 @@ impl PackedMatrix {
                     let base = boff + (p0 + pi) * blen * ROW_PANEL;
                     let panel = &self.data[base..base + blen * ROW_PANEL];
                     let mut acc = [0.0f32; ROW_PANEL];
-                    if ADD || kstart > 0 {
-                        acc[..yp.len()].copy_from_slice(yp);
-                    }
+                    acc[..yp.len()].copy_from_slice(yp);
                     for (w8, &xv) in panel.chunks_exact(ROW_PANEL).zip(xk.iter()) {
                         for i in 0..ROW_PANEL {
                             acc[i] += w8[i] * xv;
@@ -873,7 +538,13 @@ impl PackedMatrix {
     }
 
     /// `y += A x` over `width` interleaved batch lanes: the packed,
-    /// k-blocked GEMM (layout as in [`Matrix::matmul_add_into`]).
+    /// k-blocked GEMM.
+    ///
+    /// `x` holds a `cols x width` matrix and `y` a `rows x width` matrix,
+    /// both row-major — equivalently, `width` column vectors stored
+    /// interleaved, column `b` of `x` being `x[k * width + b]` for
+    /// `k in 0..cols`. Each lane is an independent stream sharing the
+    /// weights.
     ///
     /// The kernel walks the baked k-blocks outermost — reading the packed
     /// weights exactly sequentially — so the k-slice of `x` it re-streams
@@ -882,8 +553,8 @@ impl PackedMatrix {
     /// ([`BlockPlan`] picks the lane width). Above the parallel threshold,
     /// whole row panels are split across rayon workers. Every variation —
     /// k-block cut, lane width, row split, thread count — preserves the
-    /// unified per-element left fold, so the result is bitwise identical to
-    /// [`Matrix::matmul_add_into`] on the source matrix
+    /// unified per-element left fold, so each lane is bitwise identical to
+    /// [`Matrix::matvec_add`] on the source matrix and that lane's column
     /// (kernel-parity-tested).
     ///
     /// # Panics
@@ -1058,41 +729,20 @@ pub fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + fast_exp(-x))
 }
 
-/// Fused LSTM cell update, in place (the sampling fast path).
+/// Fused LSTM cell update over a whole interleaved batch, in place (the
+/// sampling path: gate activations are not retained).
 ///
 /// `z` holds the four stacked pre-activation gate blocks (input, forget,
-/// cell candidate, output — each `c.len()` wide, the layout produced by
-/// `W_x x + W_h h + b`). The cell state `c` and hidden state `h` are updated
-/// in place; gate activations are not retained, so this variant cannot feed
-/// backpropagation — use [`lstm_cell_cached`] when training.
-///
-/// # Panics
-///
-/// Panics if `z.len() != 4 * c.len()` or `h.len() != c.len()`.
-pub fn lstm_cell_inplace(z: &[f32], c: &mut [f32], h: &mut [f32]) {
-    let hs = c.len();
-    assert_eq!(z.len(), 4 * hs, "gate block mismatch");
-    assert_eq!(h.len(), hs, "hidden/cell size mismatch");
-    for j in 0..hs {
-        let gi = sigmoid(z[j]);
-        let gf = sigmoid(z[hs + j]);
-        let gg = fast_tanh(z[2 * hs + j]);
-        let go = sigmoid(z[3 * hs + j]);
-        let c_new = gf * c[j] + gi * gg;
-        c[j] = c_new;
-        h[j] = go * fast_tanh(c_new);
-    }
-}
-
-/// Fused LSTM cell update over a whole interleaved batch, in place.
-///
+/// cell candidate, output — the layout produced by `W_x x + W_h h + b`).
 /// All buffers are lane-interleaved: gate row `r` of lane `b` lives at
 /// `z[r * width + b]`, and cell/hidden element `j` of lane `b` at
 /// `c[j * width + b]` / `h[j * width + b]`. The lane-inner loop is pure
 /// branchless arithmetic ([`fast_exp`] under the hood), so the compiler can
 /// vectorise across lanes; per element the operations and their order are
-/// exactly those of [`lstm_cell_inplace`], so resident batched updates stay
-/// bitwise identical to serial ones.
+/// exactly those of the reference [`LstmModel::step`], so batched updates
+/// stay bitwise identical to it.
+///
+/// [`LstmModel::step`]: crate::lstm::LstmModel::step
 ///
 /// # Panics
 ///
@@ -1127,61 +777,16 @@ pub fn lstm_cell_fused_batch(z: &[f32], width: usize, c: &mut [f32], h: &mut [f3
     }
 }
 
-/// Fused LSTM cell update retaining gate activations for backpropagation.
+/// Fused LSTM cell update over a whole interleaved batch, retaining gate
+/// activations for backpropagation (the training forward path).
 ///
 /// Writes the input/forget/candidate/output gate activations, the new cell
-/// state, `tanh(c)` and the new hidden state into the caller's buffers (all
-/// `c_prev.len()` wide). Element-wise operations and their order match
-/// [`lstm_cell_inplace`] exactly.
+/// state, `tanh(c)` and the new hidden state into the caller's buffers, all
+/// lane-interleaved like [`lstm_cell_fused_batch`]. Per element the
+/// operations and their order are exactly those of the reference
+/// [`LstmModel::step`]; the loop is branchless so it vectorises.
 ///
-/// # Panics
-///
-/// Panics if any buffer length disagrees with `c_prev.len()`.
-#[allow(clippy::too_many_arguments)]
-pub fn lstm_cell_cached(
-    z: &[f32],
-    c_prev: &[f32],
-    gi: &mut [f32],
-    gf: &mut [f32],
-    gg: &mut [f32],
-    go: &mut [f32],
-    c_new: &mut [f32],
-    tanh_c: &mut [f32],
-    h_new: &mut [f32],
-) {
-    let hs = c_prev.len();
-    assert_eq!(z.len(), 4 * hs, "gate block mismatch");
-    for buf in [
-        &gi[..],
-        &gf[..],
-        &gg[..],
-        &go[..],
-        &c_new[..],
-        &tanh_c[..],
-        &h_new[..],
-    ] {
-        assert_eq!(buf.len(), hs, "cache buffer size mismatch");
-    }
-    for j in 0..hs {
-        gi[j] = sigmoid(z[j]);
-        gf[j] = sigmoid(z[hs + j]);
-        gg[j] = fast_tanh(z[2 * hs + j]);
-        go[j] = sigmoid(z[3 * hs + j]);
-        c_new[j] = gf[j] * c_prev[j] + gi[j] * gg[j];
-        tanh_c[j] = fast_tanh(c_new[j]);
-        h_new[j] = go[j] * tanh_c[j];
-    }
-}
-
-/// Fused LSTM cell update over a whole interleaved batch, retaining gate
-/// activations for backpropagation (the minibatch-training forward path).
-///
-/// All buffers are lane-interleaved like [`lstm_cell_fused_batch`]: gate row
-/// `r` of lane `b` lives at `z[r * width + b]`, and element `j` of lane `b`
-/// of every per-unit buffer at `j * width + b`. Per element the operations
-/// and their order are exactly those of [`lstm_cell_cached`], so a
-/// single-lane batched training step stays bitwise identical to the serial
-/// one; the lane-inner loop is branchless so wider batches vectorise.
+/// [`LstmModel::step`]: crate::lstm::LstmModel::step
 ///
 /// # Panics
 ///
@@ -1236,9 +841,8 @@ pub fn lstm_cell_cached_batch(
     }
 }
 
-/// Number of batch lanes processed together by [`Matrix::matmul_add_into`].
-/// Eight independent f32 accumulators fill a 256-bit vector register and
-/// break the single-accumulator dependency chain that bounds `matvec`.
+/// Widest lane tile of [`PackedMatrix::matmul_add_into`]: eight independent
+/// f32 accumulators fill a 256-bit vector register.
 pub const GEMM_LANES: usize = 8;
 
 /// The batch width at which stepping `lanes` live lanes is cheapest. The
@@ -1255,73 +859,10 @@ pub fn tile_width(lanes: usize) -> usize {
     }
 }
 
-/// Number of matrix rows processed per pass by [`Matrix::matvec_into`] /
-/// [`Matrix::matvec_add`]: four independent accumulators overlap their FMA
-/// dependency chains and reuse each load of `x` four times.
-pub const MATVEC_ROW_BLOCK: usize = 4;
-
-/// Column-tile width of [`Matrix::add_outer_batch`]: sixteen f32 (two
-/// 256-bit registers) accumulated across every lane before one store.
-pub const OUTER_TILE: usize = 16;
-
-/// A 4-row x `T`-column register tile of the batched outer product: four
-/// gradient rows' `c0..c0+T` columns gain every lane's `a * b` contribution
-/// (lanes ascending per element), so each `b` vector load feeds four FMA
-/// rows and the gradient elements are written back once.
-#[inline(always)]
-fn outer_row_tile<const T: usize>(
-    aq: &[f32],
-    b_lanes: &[f32],
-    width: usize,
-    cols: usize,
-    c0: usize,
-    quad: &mut [f32],
-) {
-    let mut acc = [[0.0f32; T]; 4];
-    for (i, acc_row) in acc.iter_mut().enumerate() {
-        acc_row.copy_from_slice(&quad[i * cols + c0..i * cols + c0 + T]);
-    }
-    for lane in 0..width {
-        let a0 = aq[lane];
-        let a1 = aq[width + lane];
-        let a2 = aq[2 * width + lane];
-        let a3 = aq[3 * width + lane];
-        let base = lane * cols + c0;
-        let bl: &[f32; T] = b_lanes[base..base + T].try_into().expect("tile in bounds");
-        for j in 0..T {
-            acc[0][j] += a0 * bl[j];
-            acc[1][j] += a1 * bl[j];
-            acc[2][j] += a2 * bl[j];
-            acc[3][j] += a3 * bl[j];
-        }
-    }
-    for (i, acc_row) in acc.iter().enumerate() {
-        quad[i * cols + c0..i * cols + c0 + T].copy_from_slice(acc_row);
-    }
-}
-
-/// One column tile of the batched outer product: `out` (the gradient row's
-/// `c0..c0+T` columns) gains every lane's `a * b` contribution, lanes in
-/// ascending order, accumulated in a register tile and written back once.
-#[inline(always)]
-fn outer_col_tile<const T: usize>(
-    ar: &[f32],
-    b_lanes: &[f32],
-    cols: usize,
-    c0: usize,
-    out: &mut [f32],
-) {
-    let mut acc = [0.0f32; T];
-    acc.copy_from_slice(out);
-    for (lane, &av) in ar.iter().enumerate() {
-        let base = lane * cols + c0;
-        let bl: &[f32; T] = b_lanes[base..base + T].try_into().expect("tile in bounds");
-        for i in 0..T {
-            acc[i] += av * bl[i];
-        }
-    }
-    out.copy_from_slice(&acc);
-}
+/// Column-tile width of [`Matrix::add_outer_batch_spans`]: sixteen f32 (two
+/// 256-bit registers) accumulated across every span and lane before one
+/// store.
+const SPAN_TILE: usize = 16;
 
 /// Accumulate a block of spans' outer products into a contiguous run of
 /// gradient rows: the row-range core of [`Matrix::add_outer_batch_spans`],
@@ -1341,13 +882,13 @@ fn outer_rows_spans(
         let quad = &mut rows_data[r * cols..(r + 4) * cols];
         let abase = (row0 + r) * width;
         let mut c0 = 0;
-        while c0 + OUTER_TILE <= cols {
-            outer_span_tile::<OUTER_TILE>(spans, abase, width, cols, c0, quad);
-            c0 += OUTER_TILE;
+        while c0 + SPAN_TILE <= cols {
+            outer_span_tile::<SPAN_TILE>(spans, abase, width, cols, c0, quad);
+            c0 += SPAN_TILE;
         }
-        if c0 + OUTER_TILE / 2 <= cols {
-            outer_span_tile::<{ OUTER_TILE / 2 }>(spans, abase, width, cols, c0, quad);
-            c0 += OUTER_TILE / 2;
+        if c0 + SPAN_TILE / 2 <= cols {
+            outer_span_tile::<{ SPAN_TILE / 2 }>(spans, abase, width, cols, c0, quad);
+            c0 += SPAN_TILE / 2;
         }
         for c in c0..cols {
             for (i, out) in quad.chunks_exact_mut(cols).enumerate() {
@@ -1367,13 +908,13 @@ fn outer_rows_spans(
         let row = &mut rows_data[r * cols..(r + 1) * cols];
         let abase = (row0 + r) * width;
         let mut c0 = 0;
-        while c0 + OUTER_TILE <= cols {
-            outer_span_col_tile::<OUTER_TILE>(spans, abase, width, cols, c0, row);
-            c0 += OUTER_TILE;
+        while c0 + SPAN_TILE <= cols {
+            outer_span_col_tile::<SPAN_TILE>(spans, abase, width, cols, c0, row);
+            c0 += SPAN_TILE;
         }
-        if c0 + OUTER_TILE / 2 <= cols {
-            outer_span_col_tile::<{ OUTER_TILE / 2 }>(spans, abase, width, cols, c0, row);
-            c0 += OUTER_TILE / 2;
+        if c0 + SPAN_TILE / 2 <= cols {
+            outer_span_col_tile::<{ SPAN_TILE / 2 }>(spans, abase, width, cols, c0, row);
+            c0 += SPAN_TILE / 2;
         }
         for c in c0..cols {
             let mut acc = row[c];
@@ -1454,124 +995,6 @@ fn outer_span_col_tile<const T: usize>(
     row[c0..c0 + T].copy_from_slice(&acc);
 }
 
-/// Accumulate a batch of outer products into a contiguous block of gradient
-/// rows: the row-range core of [`Matrix::add_outer_batch`], shared by its
-/// serial path and its per-thread row chunks. `rows_data` holds whole rows
-/// (`len` a multiple of `cols`), `a` the matching `rows x width` interleaved
-/// left operand.
-fn outer_rows(rows_data: &mut [f32], a: &[f32], b_lanes: &[f32], width: usize, cols: usize) {
-    // Register tiles of 4 gradient rows x OUTER_TILE columns accumulate
-    // every lane's contribution before one store, so each gradient element
-    // is loaded and stored once per batch and each `b` vector load feeds
-    // four rows.
-    let mut a_quads = a.chunks_exact(4 * width);
-    let mut row_quads = rows_data.chunks_exact_mut(4 * cols);
-    for (aq, quad) in a_quads.by_ref().zip(row_quads.by_ref()) {
-        let mut c0 = 0;
-        while c0 + OUTER_TILE <= cols {
-            outer_row_tile::<OUTER_TILE>(aq, b_lanes, width, cols, c0, quad);
-            c0 += OUTER_TILE;
-        }
-        if c0 + OUTER_TILE / 2 <= cols {
-            outer_row_tile::<{ OUTER_TILE / 2 }>(aq, b_lanes, width, cols, c0, quad);
-            c0 += OUTER_TILE / 2;
-        }
-        for c in c0..cols {
-            for (i, ar) in aq.chunks_exact(width).enumerate() {
-                let mut acc = quad[i * cols + c];
-                for (lane, &av) in ar.iter().enumerate() {
-                    acc += av * b_lanes[lane * cols + c];
-                }
-                quad[i * cols + c] = acc;
-            }
-        }
-    }
-    for (ar, row) in a_quads
-        .remainder()
-        .chunks_exact(width)
-        .zip(row_quads.into_remainder().chunks_exact_mut(cols))
-    {
-        let mut c0 = 0;
-        while c0 + OUTER_TILE <= cols {
-            outer_col_tile::<OUTER_TILE>(ar, b_lanes, cols, c0, &mut row[c0..c0 + OUTER_TILE]);
-            c0 += OUTER_TILE;
-        }
-        if c0 + OUTER_TILE / 2 <= cols {
-            outer_col_tile::<{ OUTER_TILE / 2 }>(
-                ar,
-                b_lanes,
-                cols,
-                c0,
-                &mut row[c0..c0 + OUTER_TILE / 2],
-            );
-            c0 += OUTER_TILE / 2;
-        }
-        for c in c0..cols {
-            let mut acc = row[c];
-            for (lane, &av) in ar.iter().enumerate() {
-                acc += av * b_lanes[lane * cols + c];
-            }
-            row[c] = acc;
-        }
-    }
-}
-
-/// Two-row variant of [`gemm_lane_block`]: one pass over `x` feeds two
-/// independent accumulator sets (`y0` for `row0`, `y1` for `row1`), doubling
-/// the in-flight FMA chains. Each output element folds over `k` in index
-/// order seeded with its current `y` value, bitwise equal to the single-row
-/// block.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn gemm_lane_block2<const L: usize>(
-    row0: &[f32],
-    row1: &[f32],
-    x: &[f32],
-    width: usize,
-    b0: usize,
-    y0: &mut [f32],
-    y1: &mut [f32],
-) {
-    let mut acc0 = [0.0f32; L];
-    let mut acc1 = [0.0f32; L];
-    acc0.copy_from_slice(&y0[b0..b0 + L]);
-    acc1.copy_from_slice(&y1[b0..b0 + L]);
-    for ((&w0, &w1), xk) in row0.iter().zip(row1.iter()).zip(x.chunks_exact(width)) {
-        let xs: &[f32; L] = xk[b0..b0 + L].try_into().expect("lane block in bounds");
-        for l in 0..L {
-            acc0[l] += w0 * xs[l];
-            acc1[l] += w1 * xs[l];
-        }
-    }
-    y0[b0..b0 + L].copy_from_slice(&acc0);
-    y1[b0..b0 + L].copy_from_slice(&acc1);
-}
-
-/// One `L`-lane block of the batched GEMM: `yrow[b0..b0+L] += row · x`,
-/// where lane `b` of `x` is the strided column `x[k * width + b0 + b]`.
-/// Fixed-size array accumulators and per-`k` array views let the compiler
-/// keep the lanes in vector registers with no per-element bounds checks;
-/// each lane folds over `k` in index order seeded with its current `y` value
-/// (bitwise equal to [`Matrix::matvec_add`]).
-#[inline(always)]
-fn gemm_lane_block<const L: usize>(
-    row: &[f32],
-    x: &[f32],
-    width: usize,
-    b0: usize,
-    yrow: &mut [f32],
-) {
-    let mut acc = [0.0f32; L];
-    acc.copy_from_slice(&yrow[b0..b0 + L]);
-    for (&w, xk) in row.iter().zip(x.chunks_exact(width)) {
-        let xs: &[f32; L] = xk[b0..b0 + L].try_into().expect("lane block in bounds");
-        for l in 0..L {
-            acc[l] += w * xs[l];
-        }
-    }
-    yrow[b0..b0 + L].copy_from_slice(&acc);
-}
-
 /// Numerically-stable softmax over a slice, in place.
 ///
 /// Degenerate inputs whose exponential mass underflows to zero (e.g. a
@@ -1620,7 +1043,8 @@ mod tests {
     #[test]
     fn matvec_basic() {
         let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let y = m.matvec(&[1.0, 0.0, -1.0]);
+        let mut y = vec![0.0; 2];
+        m.matvec_add(&[1.0, 0.0, -1.0], &mut y);
         assert_eq!(y, vec![-2.0, -2.0]);
     }
 
@@ -1683,121 +1107,134 @@ mod tests {
         let _ = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]);
     }
 
-    /// Naive three-loop reference GEMM for the equivalence tests.
-    fn matmul_reference(a: &Matrix, x: &[f32], width: usize) -> Vec<f32> {
-        let mut y = vec![0.0f32; a.rows() * width];
+    fn random_vec(rng: &mut StdRng, len: usize, scale: f32) -> Vec<f32> {
+        (0..len).map(|_| rng.gen_range(-scale..scale)).collect()
+    }
+
+    /// Lane `b` of a lane-interleaved buffer of `width` lanes.
+    fn lane(buf: &[f32], width: usize, b: usize) -> Vec<f32> {
+        buf.iter().skip(b).step_by(width).copied().collect()
+    }
+
+    /// Run `packed.matmul_add_into` on random operands at `width` lanes and
+    /// require every lane to be bitwise what `reference(x_lane, y_lane)`
+    /// (one of the naive `Matrix` loops) makes of that lane's column.
+    fn assert_lanes_match_reference(
+        packed: &PackedMatrix,
+        reference: impl Fn(&[f32], &mut [f32]),
+        width: usize,
+        rng: &mut StdRng,
+        context: &str,
+    ) {
+        let x = random_vec(rng, packed.cols() * width, 2.0);
+        let seed = random_vec(rng, packed.rows() * width, 1.0);
+        let mut y = seed.clone();
+        packed.matmul_add_into(&x, width, &mut y);
+        for b in 0..width {
+            let mut want = lane(&seed, width, b);
+            reference(&lane(&x, width, b), &mut want);
+            for (r, (got, want)) in lane(&y, width, b).iter().zip(want.iter()).enumerate() {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{context} width {width}: lane {b} row {r} differs from the reference"
+                );
+            }
+        }
+    }
+
+    /// `y += a * x` per lane in f64, for the tolerance tests.
+    fn matmul_f64(a: &Matrix, x: &[f32], width: usize) -> Vec<f64> {
+        let mut y = vec![0.0f64; a.rows() * width];
         for r in 0..a.rows() {
             for b in 0..width {
-                let mut acc = 0.0f64;
                 for k in 0..a.cols() {
-                    acc += f64::from(a.get(r, k)) * f64::from(x[k * width + b]);
+                    y[r * width + b] += f64::from(a.get(r, k)) * f64::from(x[k * width + b]);
                 }
-                y[r * width + b] = acc as f32;
             }
         }
         y
     }
 
-    #[test]
-    fn matvec_into_matches_matvec() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for (rows, cols) in [(1, 1), (3, 7), (16, 16), (64, 33)] {
-            let m = Matrix::uniform(rows, cols, 1.0, &mut rng);
-            let x: Vec<f32> = (0..cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-            let mut y = vec![f32::NAN; rows];
-            m.matvec_into(&x, &mut y);
-            assert_eq!(y, m.matvec(&x));
+    fn transpose(m: &Matrix) -> Matrix {
+        let mut t = Matrix::zeros(m.cols(), m.rows());
+        for r in 0..m.rows() {
+            for c in 0..m.cols() {
+                t.set(c, r, m.get(r, c));
+            }
         }
+        t
     }
 
     #[test]
     fn blocked_gemm_matches_naive_reference() {
         let mut rng = StdRng::seed_from_u64(12);
-        // Widths straddling the lane block (1, partial, exact, multi-block).
+        // Widths straddling the lane tiles (1, partial, exact, multi-tile).
         for (rows, cols, width) in [(5, 3, 1), (8, 8, 3), (16, 9, 8), (7, 13, 11), (32, 17, 24)] {
             let m = Matrix::uniform(rows, cols, 1.0, &mut rng);
-            let x: Vec<f32> = (0..cols * width)
-                .map(|_| rng.gen_range(-2.0f32..2.0))
-                .collect();
+            let x = random_vec(&mut rng, cols * width, 2.0);
             let mut y = vec![0.0f32; rows * width];
-            m.matmul_add_into(&x, width, &mut y);
-            let reference = matmul_reference(&m, &x, width);
-            for (got, want) in y.iter().zip(reference.iter()) {
-                assert!((got - want).abs() < 1e-5, "gemm mismatch: {got} vs {want}");
+            PackedMatrix::pack(&m).matmul_add_into(&x, width, &mut y);
+            for (got, want) in y.iter().zip(matmul_f64(&m, &x, width)) {
+                assert!(
+                    (f64::from(*got) - want).abs() < 1e-5,
+                    "gemm mismatch: {got} vs {want}"
+                );
             }
         }
     }
 
-    #[test]
-    fn matmul_matches_naive_reference() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let a = Matrix::uniform(9, 5, 1.0, &mut rng);
-        let b = Matrix::uniform(5, 12, 1.0, &mut rng);
-        let c = a.matmul(&b);
-        assert_eq!(c.rows(), 9);
-        assert_eq!(c.cols(), 12);
-        let reference = matmul_reference(&a, b.data(), 12);
-        for (got, want) in c.data().iter().zip(reference.iter()) {
-            assert!((got - want).abs() < 1e-5);
-        }
-    }
-
-    /// The determinism guarantee of batched sampling: every column of a
-    /// batched product is bitwise identical to the serial matrix-vector
-    /// product of that column.
+    /// The determinism guarantee of batched sampling: every lane of the
+    /// packed GEMM is bitwise the reference matrix-vector product of that
+    /// lane's column, at every width through two full tiles and on both
+    /// sides of the row-parallel threshold.
     #[test]
     fn batched_gemm_bitwise_equals_matvec() {
         let mut rng = StdRng::seed_from_u64(14);
-        for width in [1, 2, 7, 8, 9, 16, 19] {
-            let m = Matrix::uniform(24, 31, 1.0, &mut rng);
-            let cols: Vec<Vec<f32>> = (0..width)
-                .map(|_| (0..31).map(|_| rng.gen_range(-3.0f32..3.0)).collect())
-                .collect();
-            // Interleave the columns into the GEMM layout.
-            let mut x = vec![0.0f32; 31 * width];
-            for (b, col) in cols.iter().enumerate() {
-                for (k, &v) in col.iter().enumerate() {
-                    x[k * width + b] = v;
-                }
-            }
-            let mut y = vec![0.0f32; 24 * width];
-            m.matmul_add_into(&x, width, &mut y);
-            for (b, col) in cols.iter().enumerate() {
-                let serial = m.matvec(col);
-                for r in 0..24 {
-                    assert_eq!(
-                        y[r * width + b].to_bits(),
-                        serial[r].to_bits(),
-                        "lane {b} row {r} differs from serial matvec"
-                    );
-                }
-            }
+        let m = Matrix::uniform(24, 31, 1.0, &mut rng);
+        let packed = PackedMatrix::pack(&m);
+        for width in 1..=17 {
+            assert_lanes_match_reference(
+                &packed,
+                |x, y| m.matvec_add(x, y),
+                width,
+                &mut rng,
+                "24x31",
+            );
+        }
+        let (rows, cols) = (520, 640);
+        let m = Matrix::uniform(rows, cols, 0.5, &mut rng);
+        let packed = PackedMatrix::pack(&m);
+        for width in [2usize, 8] {
+            assert_eq!(rows * cols * width >= PAR_MIN_WORK, width == 8);
+            rayon::with_num_threads(3, || {
+                assert_lanes_match_reference(
+                    &packed,
+                    |x, y| m.matvec_add(x, y),
+                    width,
+                    &mut rng,
+                    "520x640",
+                )
+            });
         }
     }
 
     /// The training-path analogue of `batched_gemm_bitwise_equals_matvec`:
-    /// at width 1 the transposed GEMM must reproduce `matvec_transpose_add`
-    /// bitwise — including its zero-row skip, which is why the inputs mix in
-    /// exact zeros and negative-zero accumulator targets.
+    /// at width 1 the transposed pack must reproduce `matvec_transpose_add`
+    /// bitwise, with exact zeros among the inputs and negative-zero
+    /// accumulator targets.
     #[test]
     fn transposed_gemm_width1_bitwise_equals_matvec_transpose() {
         let mut rng = StdRng::seed_from_u64(21);
         for (rows, cols) in [(1, 1), (7, 5), (24, 31), (64, 9)] {
             let m = Matrix::uniform(rows, cols, 1.0, &mut rng);
-            let x: Vec<f32> = (0..rows)
-                .map(|i| {
-                    if i % 3 == 0 {
-                        0.0
-                    } else {
-                        rng.gen_range(-2.0f32..2.0)
-                    }
-                })
-                .collect();
-            let mut y_serial = vec![-0.0f32; cols];
-            let mut y_batched = vec![-0.0f32; cols];
-            m.matvec_transpose_add(&x, &mut y_serial);
-            m.matmul_transpose_add_into(&x, 1, &mut y_batched);
-            for (a, b) in y_serial.iter().zip(y_batched.iter()) {
+            let mut x = random_vec(&mut rng, rows, 2.0);
+            x.iter_mut().step_by(3).for_each(|v| *v = 0.0);
+            let mut y_reference = vec![-0.0f32; cols];
+            let mut y_packed = vec![-0.0f32; cols];
+            m.matvec_transpose_add(&x, &mut y_reference);
+            PackedMatrix::pack_transpose(&m).matmul_add_into(&x, 1, &mut y_packed);
+            for (a, b) in y_reference.iter().zip(y_packed.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "width-1 transposed GEMM differs");
             }
         }
@@ -1808,112 +1245,51 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(22);
         for (rows, cols, width) in [(5, 3, 2), (16, 9, 8), (7, 13, 11)] {
             let m = Matrix::uniform(rows, cols, 1.0, &mut rng);
-            let x: Vec<f32> = (0..rows * width)
-                .map(|_| rng.gen_range(-2.0f32..2.0))
-                .collect();
+            let x = random_vec(&mut rng, rows * width, 2.0);
             let mut y = vec![0.0f32; cols * width];
-            m.matmul_transpose_add_into(&x, width, &mut y);
-            for c in 0..cols {
-                for b in 0..width {
-                    let mut want = 0.0f64;
-                    for r in 0..rows {
-                        want += f64::from(m.get(r, c)) * f64::from(x[r * width + b]);
-                    }
-                    let got = y[c * width + b];
-                    assert!(
-                        (f64::from(got) - want).abs() < 1e-4,
-                        "transposed gemm mismatch at ({c},{b}): {got} vs {want}"
-                    );
-                }
+            PackedMatrix::pack_transpose(&m).matmul_add_into(&x, width, &mut y);
+            for (got, want) in y.iter().zip(matmul_f64(&transpose(&m), &x, width)) {
+                assert!(
+                    (f64::from(*got) - want).abs() < 1e-4,
+                    "transposed gemm mismatch: {got} vs {want}"
+                );
             }
         }
     }
 
-    /// At width 1 the batched outer-product accumulator must reproduce
-    /// `add_outer` bitwise, zero-row skip included.
-    #[test]
-    fn add_outer_batch_width1_bitwise_equals_add_outer() {
-        let mut rng = StdRng::seed_from_u64(23);
-        for (rows, cols) in [(1, 1), (8, 5), (24, 13)] {
-            let mut serial = Matrix::uniform(rows, cols, 0.5, &mut rng);
-            let mut batched = serial.clone();
-            let a: Vec<f32> = (0..rows)
-                .map(|i| {
-                    if i % 4 == 1 {
-                        0.0
-                    } else {
-                        rng.gen_range(-2.0f32..2.0)
-                    }
-                })
-                .collect();
-            let b: Vec<f32> = (0..cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-            serial.add_outer(&a, &b);
-            batched.add_outer_batch(&a, &b, 1);
-            for (x, y) in serial.data().iter().zip(batched.data().iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "width-1 outer batch differs");
+    /// What `add_outer_batch_spans` stands for: one reference `add_outer`
+    /// per span in the given order, lanes ascending within a span.
+    fn add_outer_reference(m: &mut Matrix, spans: &[(&[f32], &[f32])], width: usize) {
+        let cols = m.cols();
+        for (a, b_lanes) in spans {
+            for b in 0..width {
+                m.add_outer(&lane(a, width, b), &b_lanes[b * cols..(b + 1) * cols]);
             }
         }
     }
 
+    fn assert_bitwise_equal(got: &Matrix, want: &Matrix, context: &str) {
+        for (i, (x, y)) in got.data().iter().zip(want.data().iter()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{context}: element {i} differs");
+        }
+    }
+
+    /// One span of the batched outer product is bitwise the lane-ascending
+    /// sum of reference outer products, at every width through two full
+    /// tiles and at shapes straddling the 4-row / 16-column tile edges.
     #[test]
     fn add_outer_batch_matches_lane_sum_reference() {
         let mut rng = StdRng::seed_from_u64(24);
-        for (rows, cols, width) in [(4, 3, 2), (9, 7, 8), (6, 11, 5)] {
-            let mut m = Matrix::zeros(rows, cols);
-            let a: Vec<f32> = (0..rows * width)
-                .map(|_| rng.gen_range(-2.0f32..2.0))
-                .collect();
-            let b: Vec<f32> = (0..cols * width)
-                .map(|_| rng.gen_range(-2.0f32..2.0))
-                .collect();
-            m.add_outer_batch(&a, &b, width);
-            for r in 0..rows {
-                for c in 0..cols {
-                    let mut want = 0.0f64;
-                    for lane in 0..width {
-                        want += f64::from(a[r * width + lane]) * f64::from(b[lane * cols + c]);
-                    }
-                    let got = m.get(r, c);
-                    assert!(
-                        (f64::from(got) - want).abs() < 1e-4,
-                        "outer batch mismatch at ({r},{c}): {got} vs {want}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The row-blocked matvec must agree with a naive one-row-at-a-time
-    /// left-fold reference bitwise for every row count around the block
-    /// size: `matvec_add` folds from the current `y` value, `matvec_into`
-    /// from zero.
-    #[test]
-    fn row_blocked_matvec_bitwise_matches_scalar_rows() {
-        let mut rng = StdRng::seed_from_u64(25);
-        for rows in [1, 2, 3, 4, 5, 7, 8, 9, 15, 64] {
-            let cols = 1 + rows % 13;
-            let m = Matrix::uniform(rows, cols, 1.0, &mut rng);
-            let x: Vec<f32> = (0..cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-            let fold = |seed: f32, row: &[f32]| {
-                let mut acc = seed;
-                for (a, b) in row.iter().zip(x.iter()) {
-                    acc += a * b;
-                }
-                acc
-            };
-            let mut blocked = vec![0.1f32; rows];
-            m.matvec_add(&x, &mut blocked);
-            for (row, b) in m.data().chunks_exact(cols).zip(blocked.iter()) {
-                assert_eq!(
-                    fold(0.1, row).to_bits(),
-                    b.to_bits(),
-                    "rows={rows} matvec_add differs"
-                );
-            }
-            let mut stored = vec![f32::NAN; rows];
-            m.matvec_into(&x, &mut stored);
-            for (row, s) in m.data().chunks_exact(cols).zip(stored.iter()) {
-                assert_eq!(s.to_bits(), fold(0.0, row).to_bits(), "matvec_into differs");
+        for (rows, cols) in [(1, 1), (4, 3), (9, 7), (6, 11), (5, 40), (26, 33)] {
+            for width in 1..=17 {
+                let mut want = Matrix::uniform(rows, cols, 0.5, &mut rng);
+                let mut got = want.clone();
+                let mut a = random_vec(&mut rng, rows * width, 2.0);
+                a.iter_mut().step_by(5).for_each(|v| *v = 0.0);
+                let b = random_vec(&mut rng, cols * width, 2.0);
+                add_outer_reference(&mut want, &[(&a, &b)], width);
+                got.add_outer_batch_spans(&[(&a, &b)], width);
+                assert_bitwise_equal(&got, &want, &format!("{rows}x{cols} width {width}"));
             }
         }
     }
@@ -1922,10 +1298,10 @@ mod tests {
     fn fused_cell_matches_scalar_reference() {
         let mut rng = StdRng::seed_from_u64(15);
         let hs = 13;
-        let z: Vec<f32> = (0..4 * hs).map(|_| rng.gen_range(-3.0f32..3.0)).collect();
-        let c0: Vec<f32> = (0..hs).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let z = random_vec(&mut rng, 4 * hs, 3.0);
+        let c0 = random_vec(&mut rng, hs, 1.0);
 
-        // Scalar reference (the original per-gate formulation).
+        // Scalar reference (the per-gate formulation of `LstmModel::step`).
         let mut c_ref = c0.clone();
         let mut h_ref = vec![0.0f32; hs];
         for j in 0..hs {
@@ -1937,54 +1313,41 @@ mod tests {
             h_ref[j] = go * fast_tanh(c_ref[j]);
         }
 
-        // In-place variant.
-        let mut c = c0.clone();
-        let mut h = vec![0.0f32; hs];
-        lstm_cell_inplace(&z, &mut c, &mut h);
-        assert_eq!(c, c_ref);
-        assert_eq!(h, h_ref);
-
-        // Cached variant agrees and fills consistent gate activations.
-        let (mut gi, mut gf, mut gg, mut go) =
-            (vec![0.0; hs], vec![0.0; hs], vec![0.0; hs], vec![0.0; hs]);
-        let (mut c_new, mut tanh_c, mut h_new) = (vec![0.0; hs], vec![0.0; hs], vec![0.0; hs]);
-        lstm_cell_cached(
-            &z,
-            &c0,
-            &mut gi,
-            &mut gf,
-            &mut gg,
-            &mut go,
-            &mut c_new,
-            &mut tanh_c,
-            &mut h_new,
-        );
-        assert_eq!(c_new, c_ref);
-        assert_eq!(h_new, h_ref);
-        for j in 0..hs {
-            assert!((tanh_c[j] - fast_tanh(c_new[j])).abs() < 1e-6);
-            assert!((h_new[j] - go[j] * tanh_c[j]).abs() < 1e-6);
-        }
-
-        // Batched variant on an interleaved two-stream buffer: lane 1 holds
-        // the reference problem, lane 0 independent garbage; lane 1's result
-        // must match the scalar reference bitwise.
+        // Both batched variants on an interleaved two-stream buffer: lane 1
+        // holds the reference problem, lane 0 independent garbage; lane 1's
+        // result must match the scalar reference bitwise.
         let width = 2;
-        let mut z2 = vec![0.0f32; 4 * hs * width];
-        for (row, &v) in z.iter().enumerate() {
-            z2[row * width + 1] = v;
-            z2[row * width] = rng.gen_range(-3.0f32..3.0);
-        }
-        let mut c_batch = vec![0.0f32; hs * width];
+        let mut z2 = random_vec(&mut rng, 4 * hs * width, 3.0);
+        let mut c2 = random_vec(&mut rng, hs * width, 1.0);
+        z2.iter_mut()
+            .skip(1)
+            .step_by(width)
+            .zip(&z)
+            .for_each(|(d, s)| *d = *s);
+        c2.iter_mut()
+            .skip(1)
+            .step_by(width)
+            .zip(&c0)
+            .for_each(|(d, s)| *d = *s);
+
+        let mut c_batch = c2.clone();
         let mut h_batch = vec![0.0f32; hs * width];
-        for j in 0..hs {
-            c_batch[j * width + 1] = c0[j];
-            c_batch[j * width] = rng.gen_range(-1.0f32..1.0);
-        }
         lstm_cell_fused_batch(&z2, width, &mut c_batch, &mut h_batch);
-        for j in 0..hs {
-            assert_eq!(c_batch[j * width + 1], c_ref[j]);
-            assert_eq!(h_batch[j * width + 1], h_ref[j]);
+        assert_eq!(lane(&c_batch, width, 1), c_ref);
+        assert_eq!(lane(&h_batch, width, 1), h_ref);
+
+        // The cached variant agrees and fills consistent gate activations.
+        let mut bufs = vec![vec![0.0f32; hs * width]; 7];
+        let [gi, gf, gg, go, c_new, tanh_c, h_new] = &mut bufs[..] else {
+            unreachable!()
+        };
+        lstm_cell_cached_batch(&z2, width, &c2, gi, gf, gg, go, c_new, tanh_c, h_new);
+        assert_eq!(c_new, &c_batch);
+        assert_eq!(h_new, &h_batch);
+        for e in 0..hs * width {
+            assert_eq!(tanh_c[e], fast_tanh(c_new[e]));
+            assert_eq!(h_new[e], go[e] * tanh_c[e]);
+            assert_eq!(c_new[e], gf[e] * c2[e] + gi[e] * gg[e]);
         }
     }
 
@@ -2017,18 +1380,26 @@ mod tests {
         }
     }
 
-    /// The packed matvec and GEMM must be bitwise identical to the unpacked
-    /// reference kernels at every width and at odd dims (rows, cols and
-    /// width not multiples of the panel, k-block or lane-block sizes) — the
-    /// kernel-parity guarantee the packed hot paths rest on.
+    /// The packed matvec and GEMM must be bitwise identical, lane by lane, to
+    /// the reference loop over the unpacked matrix at odd dims (rows, cols
+    /// and width not multiples of the panel, k-block or lane-tile sizes, and
+    /// columns past one k-block) — the kernel-parity guarantee the hot
+    /// paths rest on.
     #[test]
     fn packed_kernels_bitwise_match_unpacked_reference() {
         let mut rng = StdRng::seed_from_u64(32);
-        for (rows, cols) in [(1, 1), (5, 3), (8, 16), (13, 9), (31, 29), (67, 131)] {
+        for (rows, cols) in [
+            (1, 1),
+            (5, 3),
+            (8, 16),
+            (13, 9),
+            (31, 29),
+            (67, 131),
+            (9, 300),
+        ] {
             let m = Matrix::uniform(rows, cols, 1.0, &mut rng);
             let packed = PackedMatrix::pack(&m);
-            // Matvec, both seeds.
-            let x: Vec<f32> = (0..cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+            let x = random_vec(&mut rng, cols, 2.0);
             let mut y_ref = vec![0.3f32; rows];
             let mut y_packed = y_ref.clone();
             m.matvec_add(&x, &mut y_ref);
@@ -2036,61 +1407,35 @@ mod tests {
             for (a, b) in y_ref.iter().zip(y_packed.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "packed matvec_add differs");
             }
-            m.matvec_into(&x, &mut y_ref);
-            packed.matvec_into(&x, &mut y_packed);
-            for (a, b) in y_ref.iter().zip(y_packed.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "packed matvec_into differs");
-            }
-            // GEMM across widths straddling the lane blocks.
             for width in [1usize, 2, 3, 5, 8, 11, 16, 19, 32] {
-                let x: Vec<f32> = (0..cols * width)
-                    .map(|_| rng.gen_range(-2.0f32..2.0))
-                    .collect();
-                let seed: Vec<f32> = (0..rows * width)
-                    .map(|_| rng.gen_range(-1.0f32..1.0))
-                    .collect();
-                let mut y_ref = seed.clone();
-                let mut y_packed = seed;
-                m.matmul_add_into(&x, width, &mut y_ref);
-                packed.matmul_add_into(&x, width, &mut y_packed);
-                for (a, b) in y_ref.iter().zip(y_packed.iter()) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "packed gemm differs at {rows}x{cols} width {width}"
-                    );
-                }
+                assert_lanes_match_reference(
+                    &packed,
+                    |x, y| m.matvec_add(x, y),
+                    width,
+                    &mut rng,
+                    &format!("{rows}x{cols}"),
+                );
             }
         }
     }
 
-    /// The transposed pack fed to the forward GEMM computes the transposed
-    /// product bitwise identically to the unpacked transposed kernel — the
-    /// backward pass's parity guarantee.
+    /// The transposed pack fed to the GEMM computes, lane by lane, the
+    /// reference transposed product bitwise — the backward pass's parity
+    /// guarantee.
     #[test]
     fn packed_transpose_bitwise_matches_transposed_kernels() {
         let mut rng = StdRng::seed_from_u64(33);
-        for (rows, cols) in [(1, 1), (7, 5), (24, 31), (65, 9)] {
+        for (rows, cols) in [(1, 1), (7, 5), (24, 31), (65, 9), (300, 9)] {
             let m = Matrix::uniform(rows, cols, 1.0, &mut rng);
             let tpack = PackedMatrix::pack_transpose(&m);
-            for width in [1usize, 2, 7, 8, 12] {
-                let x: Vec<f32> = (0..rows * width)
-                    .map(|_| rng.gen_range(-2.0f32..2.0))
-                    .collect();
-                let seed: Vec<f32> = (0..cols * width)
-                    .map(|_| rng.gen_range(-1.0f32..1.0))
-                    .collect();
-                let mut y_ref = seed.clone();
-                let mut y_packed = seed;
-                m.matmul_transpose_add_into(&x, width, &mut y_ref);
-                tpack.matmul_add_into(&x, width, &mut y_packed);
-                for (a, b) in y_ref.iter().zip(y_packed.iter()) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "transposed pack differs at {rows}x{cols} width {width}"
-                    );
-                }
+            for width in 1..=17 {
+                assert_lanes_match_reference(
+                    &tpack,
+                    |x, y| m.matvec_transpose_add(x, y),
+                    width,
+                    &mut rng,
+                    &format!("transposed {rows}x{cols}"),
+                );
             }
         }
     }
@@ -2136,13 +1481,13 @@ mod tests {
             .collect();
         let reference = rayon::with_num_threads(1, || {
             let mut g = Matrix::zeros(rows, cols);
-            g.add_outer_batch(&a, &b, width);
+            g.add_outer_batch_spans(&[(&a, &b)], width);
             g
         });
         for threads in [3usize, 6] {
             let got = rayon::with_num_threads(threads, || {
                 let mut g = Matrix::zeros(rows, cols);
-                g.add_outer_batch(&a, &b, width);
+                g.add_outer_batch_spans(&[(&a, &b)], width);
                 g
             });
             for (x, y) in reference.data().iter().zip(got.data().iter()) {
@@ -2151,49 +1496,45 @@ mod tests {
         }
     }
 
-    /// Deferring a block of outer products through the span kernel is
-    /// bitwise identical to applying them one timestep at a time — the
-    /// guarantee that lets the backward pass cut its gradient traffic
-    /// without changing a bit. Dims straddle the quad/tile boundaries.
+    /// Handing the span kernel a whole block of timesteps is bitwise
+    /// identical to applying the reference outer products one timestep and
+    /// one lane at a time — the guarantee that lets the backward pass cut
+    /// its gradient traffic without changing a bit. Dims straddle the
+    /// quad/tile boundaries; the last case crosses the row-parallel
+    /// threshold.
     #[test]
     fn packed_deferred_outer_spans_bitwise_match_sequential() {
         let mut rng = StdRng::seed_from_u64(35);
-        for (rows, cols, width, steps) in [(4, 3, 2, 1), (9, 17, 8, 3), (26, 33, 5, 7)] {
+        for (rows, cols, width, steps) in [
+            (4, 3, 2, 1),
+            (9, 17, 8, 3),
+            (26, 33, 5, 7),
+            (520, 640, 4, 2),
+        ] {
             let mut sequential = Matrix::uniform(rows, cols, 0.5, &mut rng);
             let mut deferred = sequential.clone();
             let a_spans: Vec<Vec<f32>> = (0..steps)
-                .map(|_| {
-                    (0..rows * width)
-                        .map(|_| rng.gen_range(-2.0f32..2.0))
-                        .collect()
-                })
+                .map(|_| random_vec(&mut rng, rows * width, 2.0))
                 .collect();
             let b_spans: Vec<Vec<f32>> = (0..steps)
-                .map(|_| {
-                    (0..cols * width)
-                        .map(|_| rng.gen_range(-2.0f32..2.0))
-                        .collect()
-                })
+                .map(|_| random_vec(&mut rng, cols * width, 2.0))
                 .collect();
-            for (a, b) in a_spans.iter().zip(b_spans.iter()) {
-                sequential.add_outer_batch(a, b, width);
-            }
             let spans: Vec<(&[f32], &[f32])> = a_spans
                 .iter()
                 .zip(b_spans.iter())
                 .map(|(a, b)| (a.as_slice(), b.as_slice()))
                 .collect();
-            let chunks: Vec<_> = spans.chunks(2).collect();
-            for block in &chunks {
-                deferred.add_outer_batch_spans(block, width);
-            }
-            for (x, y) in sequential.data().iter().zip(deferred.data().iter()) {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "deferred spans differ at {rows}x{cols} w{width} steps{steps}"
-                );
-            }
+            add_outer_reference(&mut sequential, &spans, width);
+            rayon::with_num_threads(3, || {
+                for block in spans.chunks(2) {
+                    deferred.add_outer_batch_spans(block, width);
+                }
+            });
+            assert_bitwise_equal(
+                &deferred,
+                &sequential,
+                &format!("{rows}x{cols} w{width} steps{steps}"),
+            );
         }
     }
 

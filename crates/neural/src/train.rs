@@ -3,23 +3,21 @@
 //! The paper trains with Stochastic Gradient Descent for 50 epochs with an
 //! initial learning rate of 0.002, decayed by one half every 5 epochs. This
 //! module implements that schedule with truncated back-propagation through
-//! time and global-norm gradient clipping, in two interchangeable drivers:
+//! time and global-norm gradient clipping.
 //!
-//! * the **serial** path — one stream, one [`train_chunk_ws`] per chunk —
-//!   the reference implementation, and
-//! * the **minibatch** path ([`train_minibatch`]) — the corpus is sliced
-//!   into `batch_size` parallel streams advanced in lockstep through the
-//!   lane-blocked GEMM kernels, reading the shared weights once per batch.
-//!   A one-stream minibatch takes bitwise-identical SGD steps to the serial
-//!   path (property-tested), so [`train`] transparently dispatches on
-//!   [`TrainConfig::batch_size`].
+//! There is one driver, [`train`]: the corpus is sliced into
+//! [`TrainConfig::batch_size`] parallel streams (one included) advanced in
+//! lockstep through the packed GEMM kernels, one [`train_chunk_batch`] per
+//! chunk. [`train_chunk`] is the naive single-stream reference the test
+//! suites hold it against: at `batch_size == 1` the two take
+//! bitwise-identical SGD steps.
 //!
 //! Training can be suspended and resumed at epoch boundaries through
 //! [`TrainSnapshot`], which persists the weights plus the schedule position
 //! with the same bit-exact wire codec model checkpoints use.
 
 use crate::checkpoint::{decode_train_snapshot, encode_train_snapshot};
-use crate::lstm::{BatchState, LstmGradients, LstmModel, TrainBatch, Workspace};
+use crate::lstm::{BatchState, LstmGradients, LstmModel, LstmState, TrainBatch};
 use clgen_wire::{Decoder, Encoder, WireError};
 use std::time::Instant;
 
@@ -39,12 +37,10 @@ pub struct TrainConfig {
     pub unroll: usize,
     /// Clip gradients to this global L2 norm.
     pub clip_norm: f32,
-    /// Number of parallel training streams the corpus is sliced into.
-    /// `1` (the default) trains through the serial reference path; larger
-    /// values drive the lane-blocked minibatch kernels. Gradients are summed
-    /// over the streams of a chunk, so larger batches take proportionally
-    /// larger (and fewer) SGD steps per epoch — the standard char-RNN
-    /// trade-off.
+    /// Number of parallel training streams the corpus is sliced into (`1`
+    /// by default). Gradients are summed over the streams of a chunk, so
+    /// larger batches take proportionally larger (and fewer) SGD steps per
+    /// epoch — the standard char-RNN trade-off.
     pub batch_size: usize,
 }
 
@@ -118,28 +114,10 @@ pub struct EpochReport {
     pub seconds: f64,
     /// Training throughput in characters per second.
     pub chars_per_sec: f64,
-}
-
-impl EpochReport {
-    fn new(epoch: usize, lr: f32, total_loss: f64, total_chars: usize, start: Instant) -> Self {
-        let seconds = start.elapsed().as_secs_f64();
-        EpochReport {
-            epoch,
-            loss_per_char: if total_chars == 0 {
-                0.0
-            } else {
-                (total_loss / total_chars as f64) as f32
-            },
-            learning_rate: lr,
-            characters: total_chars,
-            seconds,
-            chars_per_sec: if seconds > 0.0 {
-                total_chars as f64 / seconds
-            } else {
-                0.0
-            },
-        }
-    }
+    /// Mean global L2 norm of the chunk gradients before clipping.
+    pub mean_grad_norm: f32,
+    /// Fraction of the epoch's chunks whose gradient was clipped.
+    pub clip_rate: f32,
 }
 
 /// Train `model` on an encoded character sequence.
@@ -148,9 +126,15 @@ impl EpochReport {
 /// [`EpochReport`] per epoch. An optional callback receives each report as it
 /// is produced (useful for progress logging in long runs).
 ///
-/// With [`TrainConfig::batch_size`] of 1 this runs the serial reference
-/// path; larger batches dispatch to [`train_minibatch`]. Either way the
-/// learning-rate schedule is indexed by absolute epoch, so a run can be
+/// `data` is sliced into `B = config.batch_size` parallel streams advanced
+/// in lockstep: stream `b` covers `data[b*seg ..= (b+1)*seg]` where
+/// `seg = (data.len() - 1) / B` (the classic char-RNN layout; up to `B - 1`
+/// trailing characters are dropped so every stream has equal length). Each
+/// chunk runs `min(unroll, remaining)` timesteps across all streams as one
+/// batched forward/backward, sums the gradients over streams, and takes one
+/// clipped SGD step. Loss is averaged over all streams' characters.
+///
+/// The learning-rate schedule is indexed by absolute epoch, so a run can be
 /// suspended and resumed via [`TrainSnapshot`] + [`train_range`].
 ///
 /// # Panics
@@ -184,123 +168,7 @@ pub fn train_range(
     if let Err(what) = config.validate() {
         panic!("invalid TrainConfig: {what}");
     }
-    if config.batch_size > 1 {
-        return train_minibatch_range(model, data, config, start_epoch, on_epoch);
-    }
-    assert!(
-        data.len() >= 2,
-        "training data must contain at least two characters"
-    );
-    let mut reports = Vec::with_capacity(config.epochs.saturating_sub(start_epoch));
-    // One workspace and one gradient buffer serve the whole run: BPTT
-    // performs no per-timestep (or even per-chunk) allocation.
-    let mut ws = model.workspace(1);
-    let mut grads = model.zero_gradients();
-    for epoch in start_epoch..config.epochs {
-        let start = Instant::now();
-        let lr = config.lr_at_epoch(epoch);
-        let mut total_loss = 0.0f64;
-        let mut total_chars = 0usize;
-        let mut state = model.initial_state();
-        let mut pos = 0usize;
-        while pos + 1 < data.len() {
-            let end = (pos + config.unroll).min(data.len() - 1);
-            let inputs = &data[pos..end];
-            let targets = &data[pos + 1..end + 1];
-            let loss = train_chunk_ws(
-                model,
-                &mut state,
-                inputs,
-                targets,
-                lr,
-                config.clip_norm,
-                &mut ws,
-                &mut grads,
-            );
-            total_loss += loss as f64;
-            total_chars += inputs.len();
-            pos = end;
-        }
-        let report = EpochReport::new(epoch, lr, total_loss, total_chars, start);
-        if let Some(cb) = on_epoch.as_deref_mut() {
-            cb(&report);
-        }
-        reports.push(report);
-    }
-    reports
-}
-
-/// Minibatched truncated-BPTT training: slice `data` into
-/// `config.batch_size` parallel streams and advance them in lockstep through
-/// the lane-blocked GEMM kernels.
-///
-/// Stream `b` covers `data[b*seg ..= (b+1)*seg]` where
-/// `seg = (data.len() - 1) / B` (the classic char-RNN layout; up to `B - 1`
-/// trailing characters are dropped so every stream has equal length). Each
-/// chunk runs `min(unroll, remaining)` timesteps across all streams as one
-/// batched forward/backward, sums the gradients over streams, and takes one
-/// clipped SGD step. Loss is averaged over all streams' characters.
-///
-/// At `batch_size == 1` the slicing, chunking, accumulation order and
-/// floating-point kernels all degenerate to the serial path exactly, so this
-/// function produces bitwise-identical weights to [`train`]'s serial loop —
-/// the minibatch determinism guarantee (property-tested in
-/// `tests/batched_training.rs`).
-///
-/// # Panics
-///
-/// Panics like [`train`] on an invalid config or if
-/// `data.len() < batch_size + 1`.
-pub fn train_minibatch(
-    model: &mut LstmModel,
-    data: &[u32],
-    config: &TrainConfig,
-    on_epoch: Option<&mut dyn FnMut(&EpochReport)>,
-) -> Vec<EpochReport> {
-    train_minibatch_range(model, data, config, 0, on_epoch)
-}
-
-/// [`train_minibatch`] restricted to epochs `start_epoch..config.epochs`
-/// (see [`train_range`] for resume semantics).
-pub fn train_minibatch_range(
-    model: &mut LstmModel,
-    data: &[u32],
-    config: &TrainConfig,
-    start_epoch: usize,
-    on_epoch: Option<&mut dyn FnMut(&EpochReport)>,
-) -> Vec<EpochReport> {
-    train_minibatch_core(model, data, config, start_epoch, on_epoch, true)
-}
-
-/// [`train_minibatch`] through the **unpacked baseline kernels** (per-chunk
-/// weight packing and deferred gradient accumulation disabled). The packed
-/// and unpacked paths are bitwise identical (property-tested), so this
-/// produces the same weights and losses as [`train_minibatch`] — only the
-/// clock differs. It exists for the benchmark recorders' packed-vs-unpacked
-/// comparison; there is no reason to train through it otherwise.
-pub fn train_minibatch_unpacked(
-    model: &mut LstmModel,
-    data: &[u32],
-    config: &TrainConfig,
-    on_epoch: Option<&mut dyn FnMut(&EpochReport)>,
-) -> Vec<EpochReport> {
-    train_minibatch_core(model, data, config, 0, on_epoch, false)
-}
-
-/// The shared minibatch driver: slicing, chunking and reporting for both
-/// the packed (default) and unpacked-baseline kernel paths.
-fn train_minibatch_core(
-    model: &mut LstmModel,
-    data: &[u32],
-    config: &TrainConfig,
-    start_epoch: usize,
-    mut on_epoch: Option<&mut dyn FnMut(&EpochReport)>,
-    packing: bool,
-) -> Vec<EpochReport> {
-    if let Err(what) = config.validate() {
-        panic!("invalid TrainConfig: {what}");
-    }
-    let width = config.batch_size.max(1);
+    let width = config.batch_size;
     assert!(
         data.len() > width,
         "training data must hold at least one transition per stream"
@@ -309,9 +177,10 @@ fn train_minibatch_core(
     // data[b*seg .. b*seg+seg] and targets one character ahead.
     let seg = (data.len() - 1) / width;
     let mut reports = Vec::with_capacity(config.epochs.saturating_sub(start_epoch));
+    // One state, one scratch and one gradient buffer serve the whole run:
+    // steady-state training performs no heap allocation.
     let mut bs = BatchState::new(&model.config, width);
     let mut tb = model.train_batch(width);
-    tb.set_packing(packing);
     let mut grads = model.zero_gradients();
     // Chunk staging buffers, timestep-major and lane-interleaved: the
     // character of stream b at relative step t sits at [t * width + b].
@@ -321,9 +190,9 @@ fn train_minibatch_core(
         let start = Instant::now();
         let lr = config.lr_at_epoch(epoch);
         let mut total_loss = 0.0f64;
-        let mut total_chars = 0usize;
-        // Fresh start-of-sequence state for every stream, like the serial
-        // path starts each epoch from a fresh state.
+        let mut total_norm = 0.0f64;
+        let (mut chunks, mut clipped) = (0usize, 0usize);
+        // Every epoch starts every stream from the start-of-sequence state.
         for lane in 0..width {
             bs.reset_lane(lane);
         }
@@ -337,7 +206,7 @@ fn train_minibatch_core(
                     targets[t * width + lane] = data[at + 1];
                 }
             }
-            let loss = train_chunk_batch(
+            let (loss, grad_norm) = train_chunk_batch(
                 model,
                 &mut bs,
                 &inputs[..steps * width],
@@ -348,10 +217,27 @@ fn train_minibatch_core(
                 &mut grads,
             );
             total_loss += loss as f64;
-            total_chars += steps * width;
+            total_norm += grad_norm as f64;
+            chunks += 1;
+            clipped += usize::from(config.clip_norm > 0.0 && grad_norm > config.clip_norm);
             pos += steps;
         }
-        let report = EpochReport::new(epoch, lr, total_loss, total_chars, start);
+        let characters = seg * width;
+        let seconds = start.elapsed().as_secs_f64();
+        let report = EpochReport {
+            epoch,
+            loss_per_char: (total_loss / characters as f64) as f32,
+            learning_rate: lr,
+            characters,
+            seconds,
+            chars_per_sec: if seconds > 0.0 {
+                characters as f64 / seconds
+            } else {
+                0.0
+            },
+            mean_grad_norm: (total_norm / chunks as f64) as f32,
+            clip_rate: clipped as f32 / chunks as f32,
+        };
         if let Some(cb) = on_epoch.as_deref_mut() {
             cb(&report);
         }
@@ -363,7 +249,8 @@ fn train_minibatch_core(
 /// Run one minibatched truncated-BPTT chunk: forward `steps` characters
 /// across every stream of `bs`, backprop against `targets`, clip the
 /// lane-summed gradients and apply one SGD step. Returns the summed loss
-/// over all steps and streams.
+/// over all steps and streams, and the gradient's global L2 norm before
+/// clipping.
 ///
 /// `inputs` and `targets` are timestep-major and lane-interleaved
 /// (`[t * width + lane]`), `steps * width` elements each. The chunk reuses
@@ -383,7 +270,7 @@ pub fn train_chunk_batch(
     clip_norm: f32,
     tb: &mut TrainBatch,
     grads: &mut LstmGradients,
-) -> f32 {
+) -> (f32, f32) {
     let width = bs.width();
     assert_eq!(inputs.len(), targets.len());
     assert_eq!(inputs.len() % width.max(1), 0, "ragged chunk");
@@ -421,9 +308,9 @@ pub fn train_chunk_batch(
             packs,
         )
     };
-    clip_gradients(grads, clip_norm);
+    let grad_norm = clip_gradients(grads, clip_norm);
     model.apply_gradients(grads, lr);
-    loss
+    (loss, grad_norm)
 }
 
 /// A resumable mid-training snapshot: the model weights plus the training
@@ -487,73 +374,42 @@ impl TrainSnapshot {
     }
 }
 
-/// Run one truncated-BPTT chunk: forward over `inputs`, backprop against
-/// `targets`, clip and apply gradients. Returns the summed loss.
-///
-/// Convenience wrapper allocating fresh scratch; hot loops should hold a
-/// [`Workspace`] and gradient buffer and call [`train_chunk_ws`] instead.
+/// The reference truncated-BPTT chunk over one stream: [`LstmModel::step`]
+/// over `inputs`, [`LstmModel::backward`] against `targets`, clip, apply.
+/// Returns the summed loss. Called only by the test suites, which hold
+/// [`train`] at `batch_size == 1` bitwise equal to a loop of these.
 pub fn train_chunk(
     model: &mut LstmModel,
-    state: &mut crate::lstm::LstmState,
+    state: &mut LstmState,
     inputs: &[u32],
     targets: &[u32],
     lr: f32,
     clip_norm: f32,
-) -> f32 {
-    let mut ws = model.workspace(1);
-    let mut grads = model.zero_gradients();
-    train_chunk_ws(
-        model, state, inputs, targets, lr, clip_norm, &mut ws, &mut grads,
-    )
-}
-
-/// [`train_chunk`] over caller-provided scratch: the workspace's cache pool,
-/// gate buffer and backprop scratch are reused, and `grads` is zeroed in
-/// place, so steady-state training performs no heap allocation at all.
-#[allow(clippy::too_many_arguments)]
-pub fn train_chunk_ws(
-    model: &mut LstmModel,
-    state: &mut crate::lstm::LstmState,
-    inputs: &[u32],
-    targets: &[u32],
-    lr: f32,
-    clip_norm: f32,
-    ws: &mut Workspace,
-    grads: &mut LstmGradients,
 ) -> f32 {
     assert_eq!(inputs.len(), targets.len());
-    let steps = inputs.len();
-    ws.ensure_caches(steps);
-    // Forward pass into the reusable per-timestep caches.
-    {
-        let (caches, step_probs, gates) = ws.bptt_buffers();
-        for (t, &x) in inputs.iter().enumerate() {
-            model.step_into(state, x, &mut caches[t], &mut step_probs[t], gates);
-        }
+    let mut caches = Vec::with_capacity(inputs.len());
+    let mut probs_and_targets = Vec::with_capacity(inputs.len());
+    for (&x, &target) in inputs.iter().zip(targets) {
+        let (probs, cache) = model.step(state, x);
+        caches.push(cache);
+        probs_and_targets.push((probs, target));
     }
-    grads.fill_zero();
-    let loss = {
-        let (caches, step_probs, scratch) = ws.backward_buffers();
-        let probs: Vec<&[f32]> = step_probs[..steps].iter().map(|p| p.as_slice()).collect();
-        model.backward_core(&caches[..steps], &probs, targets, grads, scratch)
-    };
-    clip_gradients(grads, clip_norm);
-    model.apply_gradients(grads, lr);
-    // The layer-0 weights just changed: a cached transposed embedding in
-    // this workspace would silently serve stale values to later predictions.
-    ws.invalidate_embed();
+    let mut grads = model.zero_gradients();
+    let loss = model.backward(&caches, &probs_and_targets, &mut grads);
+    clip_gradients(&mut grads, clip_norm);
+    model.apply_gradients(&grads, lr);
     loss
 }
 
-/// Scale gradients so their global L2 norm does not exceed `max_norm`.
-pub fn clip_gradients(grads: &mut LstmGradients, max_norm: f32) {
-    if max_norm <= 0.0 {
-        return;
-    }
+/// Scale gradients so their global L2 norm does not exceed `max_norm` (a
+/// non-positive `max_norm` disables clipping). Returns the norm before
+/// clipping.
+pub fn clip_gradients(grads: &mut LstmGradients, max_norm: f32) -> f32 {
     let norm = grads.sq_norm().sqrt();
-    if norm > max_norm {
+    if max_norm > 0.0 && norm > max_norm {
         grads.scale(max_norm / norm);
     }
+    norm
 }
 
 /// Average per-character cross entropy of `model` on `data` (validation loss).
@@ -663,8 +519,122 @@ mod tests {
         let model = LstmModel::new(LstmConfig::small(8));
         let mut grads = model.zero_gradients();
         grads.b_out.iter_mut().for_each(|v| *v = 100.0);
-        clip_gradients(&mut grads, 1.0);
+        let norm = 100.0 * (8.0f32).sqrt();
+        // A non-positive bound disables clipping; the norm is still reported.
+        assert!((clip_gradients(&mut grads, 0.0) - norm).abs() < 1e-3);
+        assert!((grads.sq_norm().sqrt() - norm).abs() < 1e-3);
+        // The reported norm is the one before clipping.
+        assert!((clip_gradients(&mut grads, 1.0) - norm).abs() < 1e-3);
         assert!(grads.sq_norm().sqrt() <= 1.0 + 1e-4);
+    }
+
+    #[test]
+    fn epoch_reports_carry_gradient_norm_and_clip_rate() {
+        let data = toy_data(4, 200);
+        let config = LstmConfig {
+            vocab_size: 4,
+            hidden_size: 8,
+            num_layers: 1,
+            seed: 5,
+        };
+        // A tiny clip norm clips every chunk, a huge one none.
+        for (clip_norm, clip_rate) in [(1e-3, 1.0), (1e9, 0.0)] {
+            let tc = TrainConfig {
+                clip_norm,
+                batch_size: 2,
+                ..TrainConfig::quick()
+            };
+            let reports = train(&mut LstmModel::new(config), &data, &tc, None);
+            assert!(reports.iter().all(|r| r.clip_rate == clip_rate));
+            assert!(reports.iter().all(|r| r.mean_grad_norm > 1e-3));
+        }
+    }
+
+    /// The width > 1 oracle: a batched chunk at `lr = 0` gives each lane's
+    /// per-step softmax and final state bitwise equal to the reference
+    /// `step` on that lane's sequence, and a loss and gradients equal to the
+    /// sums of the per-lane reference `backward`s up to rounding (the
+    /// batched fold is lane-inner, so not bitwise). The last shape crosses
+    /// the GEMM kernels' row-parallel threshold.
+    #[test]
+    fn batched_chunk_matches_per_lane_reference() {
+        const { assert!(4 * 512 * 512 * 2 >= crate::tensor::PAR_MIN_WORK) };
+        let cases: [(usize, usize, usize, &[usize]); 2] =
+            [(12, 2, 6, &[2, 3, 8]), (512, 1, 3, &[2])];
+        for (hidden_size, num_layers, steps, widths) in cases {
+            let nv = 7;
+            let model = LstmModel::new(LstmConfig {
+                vocab_size: nv,
+                hidden_size,
+                num_layers,
+                seed: 41,
+            });
+            for &width in widths {
+                let context = format!("{num_layers}x{hidden_size} width {width}");
+                let inputs: Vec<u32> = (0..steps * width)
+                    .map(|i| (i * 3 + i / 4) as u32 % 7)
+                    .collect();
+                let targets: Vec<u32> =
+                    (0..steps * width).map(|i| (i * 5 + 2) as u32 % 7).collect();
+                let mut bs = BatchState::new(&model.config, width);
+                let mut tb = model.train_batch(width);
+                let mut grads = model.zero_gradients();
+                let (loss, _) = train_chunk_batch(
+                    &mut model.clone(),
+                    &mut bs,
+                    &inputs,
+                    &targets,
+                    0.0,
+                    0.0,
+                    &mut tb,
+                    &mut grads,
+                );
+
+                let mut want = model.zero_gradients();
+                let mut want_loss = 0.0f32;
+                for lane in 0..width {
+                    let mut state = model.initial_state();
+                    let (mut caches, mut probs_and_targets) = (Vec::new(), Vec::new());
+                    for t in 0..steps {
+                        let (probs, cache) = model.step(&mut state, inputs[t * width + lane]);
+                        let got = &tb.step_probs[t][lane * nv..(lane + 1) * nv];
+                        for (a, b) in got.iter().zip(probs.iter()) {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{context}: lane {lane} step {t}");
+                        }
+                        caches.push(cache);
+                        probs_and_targets.push((probs, targets[t * width + lane]));
+                    }
+                    let mut got_state = model.initial_state();
+                    bs.store_lane(lane, &mut got_state);
+                    assert_eq!(got_state, state, "{context}: lane {lane} final state");
+                    want_loss += model.backward(&caches, &probs_and_targets, &mut want);
+                }
+
+                assert!(
+                    (loss - want_loss).abs() <= 1e-5 * want_loss,
+                    "{context}: loss {loss} vs {want_loss}"
+                );
+                let tensors = |g: &'_ LstmGradients| -> Vec<Vec<f32>> {
+                    let layers = g
+                        .layers
+                        .iter()
+                        .flat_map(|l| [l.w_x.data().to_vec(), l.w_h.data().to_vec(), l.b.clone()]);
+                    layers
+                        .chain([g.w_out.data().to_vec(), g.b_out.clone()])
+                        .collect()
+                };
+                for (i, (got, want)) in tensors(&grads).iter().zip(tensors(&want)).enumerate() {
+                    let scale = want.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                    assert!(scale > 0.0, "{context}: tensor {i} has no gradient");
+                    for (a, b) in got.iter().zip(want.iter()) {
+                        assert!(
+                            (a - b).abs() <= 1e-4 * scale,
+                            "{context}: tensor {i}: {a} vs {b} (scale {scale})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

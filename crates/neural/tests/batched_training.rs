@@ -2,9 +2,9 @@
 //!
 //! Three guarantees anchor the batched training path:
 //!
-//! 1. **B=1 bitwise identity** — a one-stream minibatch run produces weights
-//!    bitwise identical to the pre-existing serial `train_chunk_ws` loop over
-//!    a multi-chunk, multi-epoch run (the training-side analogue of the
+//! 1. **B=1 bitwise identity** — `train()` at one stream produces weights
+//!    bitwise identical to a loop of reference `train_chunk`s over a
+//!    multi-chunk, multi-epoch run (the training-side analogue of the
 //!    batched sampler's determinism guarantee).
 //! 2. **Gradient correctness at B>1** — the batched backward pass agrees
 //!    with central finite differences of the batched loss, catching
@@ -16,8 +16,7 @@
 
 use clgen_neural::lstm::{BatchState, LstmConfig, LstmModel};
 use clgen_neural::train::{
-    evaluate, train, train_chunk_batch, train_chunk_ws, train_minibatch, train_range, TrainConfig,
-    TrainSnapshot,
+    evaluate, train, train_chunk, train_chunk_batch, train_range, TrainConfig, TrainSnapshot,
 };
 
 /// A corpus-like sequence with enough structure to produce non-trivial
@@ -50,12 +49,12 @@ fn assert_models_bitwise_equal(a: &LstmModel, b: &LstmModel, context: &str) {
     }
 }
 
-/// The minibatch determinism guarantee: a one-stream minibatch run takes
-/// bitwise-identical SGD steps to the serial `train_chunk_ws` path over a
+/// The training determinism guarantee: `train()` at `batch_size == 1` takes
+/// bitwise-identical SGD steps to the reference `train_chunk` over a
 /// multi-chunk, multi-epoch run, across model shapes and data lengths that
-/// exercise ragged final chunks.
+/// exercise ragged final chunks — and reports the same per-epoch loss.
 #[test]
-fn minibatch_width1_bitwise_equals_serial_train_chunk_ws() {
+fn train_at_batch1_bitwise_equals_reference_chunks() {
     for (vocab, hidden, layers, len, unroll, seed) in [
         (7, 12, 2, 257, 24, 11u64),
         (5, 8, 1, 96, 32, 3),
@@ -78,46 +77,38 @@ fn minibatch_width1_bitwise_equals_serial_train_chunk_ws() {
             batch_size: 1,
         };
 
-        // Reference: the pre-existing serial path, driven chunk by chunk
-        // exactly as `train`'s serial loop does.
-        let mut serial = LstmModel::new(config);
-        let mut ws = serial.workspace(1);
-        let mut grads = serial.zero_gradients();
+        // The reference, driven chunk by chunk over one stream.
+        let mut reference = LstmModel::new(config);
+        let mut losses = Vec::new();
         for epoch in 0..tc.epochs {
             let lr = tc.lr_at_epoch(epoch);
-            let mut state = serial.initial_state();
+            let mut state = reference.initial_state();
+            let mut total = 0.0f64;
             let mut pos = 0usize;
             while pos + 1 < data.len() {
                 let end = (pos + tc.unroll).min(data.len() - 1);
-                train_chunk_ws(
-                    &mut serial,
+                total += f64::from(train_chunk(
+                    &mut reference,
                     &mut state,
                     &data[pos..end],
                     &data[pos + 1..end + 1],
                     lr,
                     tc.clip_norm,
-                    &mut ws,
-                    &mut grads,
-                );
+                ));
                 pos = end;
             }
+            losses.push((total / (data.len() - 1) as f64) as f32);
         }
 
-        // The minibatch machinery forced through the batched kernels at
-        // width 1 (train() would dispatch to the serial path here).
-        let mut batched = LstmModel::new(config);
-        let reports = train_minibatch(&mut batched, &data, &tc, None);
-        assert_eq!(reports.len(), tc.epochs);
+        let mut trained = LstmModel::new(config);
+        let reports = train(&mut trained, &data, &tc, None);
         assert_models_bitwise_equal(
-            &serial,
-            &batched,
+            &reference,
+            &trained,
             &format!("vocab={vocab} hidden={hidden} layers={layers} len={len} unroll={unroll}"),
         );
-
-        // And the dispatching entry point at batch_size 1 matches too.
-        let mut dispatched = LstmModel::new(config);
-        train(&mut dispatched, &data, &tc, None);
-        assert_models_bitwise_equal(&serial, &dispatched, "train() dispatch at B=1");
+        let reported: Vec<f32> = reports.iter().map(|r| r.loss_per_char).collect();
+        assert_eq!(losses, reported, "per-epoch loss differs");
     }
 }
 
@@ -146,9 +137,10 @@ fn batched_backward_matches_finite_differences() {
         // lr = 0: train_chunk_batch computes loss + grads without moving the
         // weights, so it doubles as a pure loss evaluation.
         let mut m = m.clone();
-        train_chunk_batch(
+        let (loss, _) = train_chunk_batch(
             &mut m, &mut bs, &inputs, &targets, 0.0, 0.0, &mut tb, &mut grads,
-        )
+        );
+        loss
     };
 
     let mut model = LstmModel::new(config);
@@ -247,7 +239,7 @@ fn batched_backward_matches_finite_differences() {
 
 /// Minibatch training at a real batch width must still learn: on a regular
 /// sequence the final validation loss lands in the same neighbourhood as
-/// serial training's.
+/// one-stream training's.
 #[test]
 fn minibatch_training_reduces_loss_like_serial() {
     let vocab = 6;
@@ -296,8 +288,7 @@ fn minibatch_training_reduces_loss_like_serial() {
 }
 
 /// Stop/reload/continue at an epoch boundary matches an uninterrupted run
-/// bitwise, for both the serial and the minibatched driver, across a
-/// snapshot byte round-trip.
+/// bitwise, at one stream and at four, across a snapshot byte round-trip.
 #[test]
 fn snapshot_resume_matches_uninterrupted_run() {
     let vocab = 8;
@@ -360,8 +351,8 @@ fn snapshot_resume_matches_uninterrupted_run() {
     assert!(TrainSnapshot::from_bytes(&stomped).is_err());
 }
 
-/// `train_range` is the primitive both drivers share: running `0..k` then
-/// `k..n` in place equals `0..n`.
+/// `train_range` is the primitive under `train` and `resume`: running `0..k`
+/// then `k..n` in place equals `0..n`.
 #[test]
 fn train_range_split_equals_whole() {
     let vocab = 5;

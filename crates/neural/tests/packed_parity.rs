@@ -1,23 +1,23 @@
 //! Kernel-parity and determinism guarantees of the packed numeric core, at
 //! paper-adjacent hidden sizes.
 //!
-//! Three claims anchor this suite (all named `packed_*` so CI's kernel-parity
-//! job can select them with `cargo test -p clgen-neural --release -- packed`):
+//! Three claims anchor this suite (CI's kernel-parity job runs it, with the
+//! rest of this crate's tests, in release mode):
 //!
 //! 1. **Sampling parity across scale** — multi-stream batched prediction
 //!    (which consumes the packed, k-blocked, possibly row-parallel kernels)
 //!    is bitwise identical to serial prediction at hidden ∈ {64, 192, 512},
 //!    straddling the sizes where the `BlockPlan` starts k-blocking (kc < H)
 //!    and row-parallelising.
-//! 2. **Training parity across scale** — a one-stream minibatch (packed
-//!    kernels) takes bitwise-identical SGD steps to the serial
-//!    `train_chunk_ws` reference at the same hidden sizes.
+//! 2. **Training parity across scale** — `train()` at one stream takes
+//!    bitwise-identical SGD steps to the naive `train_chunk` reference at
+//!    the same hidden sizes.
 //! 3. **Thread-count independence** — forcing the row-parallel kernels
 //!    through 1 and N rayon workers produces bitwise-identical probabilities
 //!    and weights (disjoint output rows + the unified per-element fold).
 
 use clgen_neural::lstm::{BatchState, LstmConfig, LstmModel};
-use clgen_neural::train::{train_chunk_batch, train_chunk_ws, train_minibatch, TrainConfig};
+use clgen_neural::train::{train, train_chunk, train_chunk_batch, TrainConfig};
 use clgen_neural::{LanguageModel, LstmStreams, StatefulLstm, StreamBatch};
 
 /// Hidden sizes the guarantees are asserted at: the bench config, an
@@ -101,9 +101,9 @@ fn packed_batched_sampling_bitwise_matches_serial_across_hidden_sweep() {
     }
 }
 
-/// A one-stream minibatch run through the packed kernels takes
-/// bitwise-identical SGD steps to the serial `train_chunk_ws` reference at
-/// every sweep size (multi-chunk, so the per-chunk re-pack is exercised).
+/// `train()` at one stream takes bitwise-identical SGD steps to the naive
+/// `train_chunk` reference at every sweep size (multi-chunk, so the
+/// per-chunk re-pack is exercised).
 #[test]
 fn packed_minibatch_width1_bitwise_matches_serial_across_hidden_sweep() {
     for (hidden, layers) in sweep() {
@@ -127,29 +127,25 @@ fn packed_minibatch_width1_bitwise_matches_serial_across_hidden_sweep() {
             batch_size: 1,
         };
 
-        let mut serial = LstmModel::new(config);
-        let mut ws = serial.workspace(1);
-        let mut grads = serial.zero_gradients();
-        let mut state = serial.initial_state();
+        let mut reference = LstmModel::new(config);
+        let mut state = reference.initial_state();
         let mut pos = 0usize;
         while pos + 1 < data.len() {
             let end = (pos + tc.unroll).min(data.len() - 1);
-            train_chunk_ws(
-                &mut serial,
+            train_chunk(
+                &mut reference,
                 &mut state,
                 &data[pos..end],
                 &data[pos + 1..end + 1],
                 tc.lr_at_epoch(0),
                 tc.clip_norm,
-                &mut ws,
-                &mut grads,
             );
             pos = end;
         }
 
-        let mut batched = LstmModel::new(config);
-        train_minibatch(&mut batched, &data, &tc, None);
-        assert_models_bitwise_equal(&serial, &batched, &format!("hidden={hidden}"));
+        let mut trained = LstmModel::new(config);
+        train(&mut trained, &data, &tc, None);
+        assert_models_bitwise_equal(&reference, &trained, &format!("hidden={hidden}"));
     }
 }
 
@@ -168,16 +164,23 @@ fn packed_sampling_is_thread_count_invariant() {
     let inputs = [3u32, 9, 0, 12];
     let run = |threads: usize| {
         rayon::with_num_threads(threads, || {
-            let mut states: Vec<_> = (0..4).map(|_| model.initial_state()).collect();
+            let mut bs = BatchState::new(&model.config, 4);
             let mut ws = model.workspace(4);
             let mut all_probs = Vec::new();
             for step in 0..3 {
                 let ids: Vec<u32> = inputs.iter().map(|&i| (i + step) % vocab as u32).collect();
-                model.predict_batch(&mut states, &ids, &mut ws);
+                model.predict_batch_resident(&mut bs, &ids, &mut ws);
                 for lane in 0..4 {
                     all_probs.extend_from_slice(ws.probs_lane(lane));
                 }
             }
+            let states: Vec<_> = (0..4)
+                .map(|lane| {
+                    let mut state = model.initial_state();
+                    bs.store_lane(lane, &mut state);
+                    state
+                })
+                .collect();
             (states, all_probs)
         })
     };
@@ -217,7 +220,7 @@ fn packed_training_is_thread_count_invariant() {
             let mut bs = BatchState::new(&model.config, width);
             let mut tb = model.train_batch(width);
             let mut grads = model.zero_gradients();
-            let loss = train_chunk_batch(
+            let (loss, _) = train_chunk_batch(
                 &mut model, &mut bs, &inputs, &targets, 0.05, 2.0, &mut tb, &mut grads,
             );
             (model, loss)
@@ -233,36 +236,6 @@ fn packed_training_is_thread_count_invariant() {
         );
         assert_models_bitwise_equal(&model_1, &model_n, &format!("{threads} threads"));
     }
-}
-
-/// Disabling packing (the benchmark baseline toggle) changes nothing but
-/// speed: an unpacked chunk produces bitwise-identical weights to a packed
-/// one.
-#[test]
-fn packed_and_unpacked_training_chunks_are_bitwise_identical() {
-    let vocab = 8;
-    let config = LstmConfig {
-        vocab_size: vocab,
-        hidden_size: 48,
-        num_layers: 2,
-        seed: 31337,
-    };
-    let width = 4;
-    let steps = 6;
-    let inputs: Vec<u32> = (0..steps * width).map(|i| (i as u32 * 5 + 2) % 8).collect();
-    let targets: Vec<u32> = (0..steps * width).map(|i| (i as u32 * 3 + 1) % 8).collect();
-    let run = |packing: bool| {
-        let mut model = LstmModel::new(config);
-        let mut bs = BatchState::new(&model.config, width);
-        let mut tb = model.train_batch(width);
-        tb.set_packing(packing);
-        let mut grads = model.zero_gradients();
-        train_chunk_batch(
-            &mut model, &mut bs, &inputs, &targets, 0.05, 2.0, &mut tb, &mut grads,
-        );
-        model
-    };
-    assert_models_bitwise_equal(&run(true), &run(false), "packed vs unpacked chunk");
 }
 
 /// `LstmConfig::validate` rejects dimensions whose weight tensors would

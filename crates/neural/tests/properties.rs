@@ -46,9 +46,12 @@ proptest! {
         let x: Vec<f32> = (0..cols).map(|i| (i as f32) * 0.5 - 1.0).collect();
         let y: Vec<f32> = (0..cols).map(|i| 2.0 - (i as f32) * 0.25).collect();
         let xy: Vec<f32> = x.iter().zip(&y).map(|(a, b)| a + b).collect();
-        let lhs = m.matvec(&xy);
-        let ax = m.matvec(&x);
-        let ay = m.matvec(&y);
+        let matvec = |v: &[f32]| {
+            let mut out = vec![0.0f32; rows];
+            m.matvec_add(v, &mut out);
+            out
+        };
+        let (lhs, ax, ay) = (matvec(&xy), matvec(&x), matvec(&y));
         for i in 0..rows {
             prop_assert!((lhs[i] - (ax[i] + ay[i])).abs() < 1e-4);
         }

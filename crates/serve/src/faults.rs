@@ -10,8 +10,7 @@
 //!
 //! The hooks are compiled in only under the `faults` cargo feature; without
 //! it [`FaultPlan::fire`] is a `const None` the optimizer deletes, so the
-//! production build pays nothing for the instrumentation (measured in
-//! `BENCH_serving.json`).
+//! production build pays nothing for the instrumentation.
 //!
 //! # Plan grammar
 //!

@@ -1,11 +1,11 @@
 //! Hand-rolled JSON rendering and field extraction.
 //!
 //! The vendored `serde` is a marker-only stand-in, so the service writes its
-//! NDJSON lines by hand (as `record_synthesis` writes its benchmark files)
-//! and the client side pulls individual fields back out with a small
-//! extractor instead of a full parser. Rendering is deterministic — map
-//! fields are emitted in sorted order — because synthesis response bodies
-//! carry a byte-identical reproducibility guarantee.
+//! NDJSON lines by hand and the client side pulls individual fields back
+//! out with a small extractor instead of a full parser. Rendering is
+//! deterministic — map fields are emitted in sorted order — because
+//! synthesis response bodies carry a byte-identical reproducibility
+//! guarantee.
 
 /// Append `s` to `out` as a JSON string literal (with surrounding quotes).
 pub fn escape_into(out: &mut String, s: &str) {

@@ -13,8 +13,8 @@
 //! lanes of one continuously-batched
 //! [`BatchEngine`](clgen::BatchEngine) run, admitting new requests into
 //! free lanes mid-flight. N concurrent clients therefore share one batched
-//! forward pass instead of running N serial ones, so serving throughput
-//! inherits the batched-sampling win measured in `BENCH_synthesis.json`.
+//! forward pass instead of running N serial ones (the ledger's
+//! `serve-narrow` and `serve-wide` workloads measure what that buys).
 //! Rejection filtering fans out over the rayon pool on its own thread,
 //! overlapping the next sampling round exactly like `SynthesisStream`.
 //!
