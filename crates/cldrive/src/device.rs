@@ -10,10 +10,8 @@
 //! overhead, CPUs win on small or transfer-dominated workloads, and branch
 //! divergence / non-coalesced access erodes GPU throughput.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether a device is a CPU or a discrete GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Host CPU (no PCIe transfer required).
     Cpu,
@@ -22,7 +20,7 @@ pub enum DeviceKind {
 }
 
 /// An analytic device model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     /// Human-readable device name (matches Table 4).
     pub name: String,
@@ -53,7 +51,7 @@ pub struct Device {
 
 /// A summary of the dynamic work a kernel launch performs, in device-neutral
 /// units. Produced by the host driver from interpreter counts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WorkloadProfile {
     /// Total work items in the NDRange.
     pub work_items: f64,
@@ -72,7 +70,7 @@ pub struct WorkloadProfile {
 }
 
 /// A single estimated runtime, split into its components (seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RuntimeEstimate {
     /// Host-device transfer time.
     pub transfer: f64,
@@ -200,7 +198,7 @@ impl Device {
 
 /// An experimental CPU-GPU platform pairing, as used throughout the paper's
 /// evaluation ("the AMD system" / "the NVIDIA system").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// The host CPU.
     pub cpu: Device,

@@ -62,13 +62,7 @@ impl ClgenBuilder {
         self
     }
 
-    /// Set the sampling parameters carried into the sampler stage.
-    pub fn sample(mut self, sample: crate::sampler::SampleOptions) -> ClgenBuilder {
-        self.options.sample = sample;
-        self
-    }
-
-    /// Set the run seed (weight initialisation and sampling RNG streams).
+    /// Set the run seed (weight initialisation).
     pub fn seed(mut self, seed: u64) -> ClgenBuilder {
         self.options.seed = seed;
         self

@@ -305,7 +305,7 @@ impl<'a> BatchEngine<'a> {
 mod tests {
     use super::*;
     use clgen_neural::ngram::{NgramConfig, NgramModel};
-    use clgen_neural::{ClonedStreams, LanguageModel};
+    use clgen_neural::{LanguageModel, NgramStreams};
 
     fn tiny_model() -> (NgramModel, Vocabulary) {
         let text = "__kernel void A() { int a = 0; a = a + 1; }\n".repeat(4);
@@ -318,7 +318,7 @@ mod tests {
     #[test]
     fn admission_and_abort_track_occupancy() {
         let (model, vocab) = tiny_model();
-        let mut streams = ClonedStreams::new(&model, 3);
+        let mut streams = NgramStreams::new(&model, 3);
         let mut engine = BatchEngine::new(&mut streams, &vocab);
         assert_eq!(engine.num_lanes(), 3);
         assert_eq!(engine.free_lane(), Some(0));
@@ -342,7 +342,7 @@ mod tests {
     #[test]
     fn zero_budget_candidates_complete_at_admission() {
         let (model, vocab) = tiny_model();
-        let mut streams = ClonedStreams::new(&model, 1);
+        let mut streams = NgramStreams::new(&model, 1);
         let mut engine = BatchEngine::new(&mut streams, &vocab);
         let options = SampleOptions {
             max_chars: 0,
@@ -366,7 +366,7 @@ mod tests {
         let seed_text = "__kernel void A() {";
 
         let run_alone = |rng_seed: u64| {
-            let mut streams = ClonedStreams::new(&model, 1);
+            let mut streams = NgramStreams::new(&model, 1);
             let mut engine = BatchEngine::new(&mut streams, &vocab);
             engine.admit(0, 0, seed_text, options, rng_seed);
             let mut completed = Vec::new();
@@ -376,7 +376,7 @@ mod tests {
             completed.pop().expect("one candidate").1
         };
 
-        let mut streams = ClonedStreams::new(&model, 2);
+        let mut streams = NgramStreams::new(&model, 2);
         let mut engine = BatchEngine::new(&mut streams, &vocab);
         engine.admit(0, 0, seed_text, options, 11);
         let mut completed = Vec::new();
@@ -409,7 +409,7 @@ mod tests {
         let seed_text = "__kernel void A() {";
 
         let run_alone = |rng_seed: u64| {
-            let mut streams = ClonedStreams::new(&model, 1);
+            let mut streams = NgramStreams::new(&model, 1);
             let mut engine = BatchEngine::new(&mut streams, &vocab);
             engine.admit(0, 0, seed_text, options, rng_seed);
             let mut completed = Vec::new();
@@ -419,7 +419,7 @@ mod tests {
             completed.pop().expect("one candidate").1
         };
 
-        let mut streams = ClonedStreams::new(&model, 2);
+        let mut streams = NgramStreams::new(&model, 2);
         let mut engine = BatchEngine::new(&mut streams, &vocab);
         engine.admit(0, 10, seed_text, options, 5);
         engine.admit(1, 20, seed_text, options, 6);

@@ -26,7 +26,7 @@ pub enum ClgenError {
     Io(io::Error),
     /// A checkpoint exists but its contents could not be decoded.
     Checkpoint(WireError),
-    /// A checkpoint names a model class with no registered decoder.
+    /// A checkpoint names a model class this build has no decoder for.
     UnknownBackend {
         /// The backend tag found in the checkpoint.
         kind: String,
@@ -44,7 +44,7 @@ impl fmt::Display for ClgenError {
             ClgenError::Io(e) => write!(f, "checkpoint I/O failed: {e}"),
             ClgenError::Checkpoint(e) => write!(f, "malformed checkpoint: {e}"),
             ClgenError::UnknownBackend { kind } => {
-                write!(f, "checkpoint uses unregistered model backend {kind:?}")
+                write!(f, "checkpoint uses unknown model backend {kind:?}")
             }
         }
     }

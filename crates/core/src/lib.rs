@@ -39,9 +39,6 @@
 //!     assert!(accepted.stats.attempts >= 1);
 //! }
 //! ```
-//!
-//! The original eager facade, [`Clgen`], remains as a thin wrapper over the
-//! stages for one-shot use.
 
 #![warn(missing_docs)]
 
@@ -63,10 +60,9 @@ pub use sampler::{
 };
 pub use spec::{ArgSpec, ArgumentSpec};
 pub use stream::{
-    filter_candidate, stream_seed, KernelStats, Sampler, SamplerConfig, StatsSummary,
+    absorb_candidate, filter_candidate, stream_seed, KernelStats, Sampler, SamplerConfig,
     StreamedKernel, SynthesisStream, PIPELINE_DEPTH,
 };
 pub use synthesizer::{
-    Clgen, ClgenOptions, ModelBackend, SynthesisReport, SynthesisStats, SynthesizedKernel,
-    MAX_SAMPLE_LANES,
+    ClgenOptions, ModelBackend, SynthesisReport, SynthesisStats, SynthesizedKernel,
 };

@@ -22,7 +22,7 @@
 use crate::error::ClgenError;
 use crate::stream::{Sampler, SamplerConfig};
 use clgen_corpus::Vocabulary;
-use clgen_neural::{BackendRegistry, LanguageModel, LanguageModelBackend, StreamBatch};
+use clgen_neural::{LanguageModelBackend, StreamBatch};
 use clgen_wire::{Decoder, Encoder, WireError};
 use std::path::Path;
 
@@ -49,10 +49,8 @@ impl std::fmt::Debug for TrainedModel {
 }
 
 impl TrainedModel {
-    /// Assemble a trained model from a vocabulary and any backend
-    /// implementation. This is the registration point for model classes
-    /// beyond the built-in ones: anything implementing
-    /// [`LanguageModelBackend`] becomes a first-class pipeline artifact.
+    /// Assemble a trained model from a vocabulary and a backend
+    /// implementation.
     pub fn from_parts(
         vocab: Vocabulary,
         backend: Box<dyn LanguageModelBackend>,
@@ -90,11 +88,6 @@ impl TrainedModel {
         self.backend.kind()
     }
 
-    /// The serial (single-stream) sampling interface of the model.
-    pub fn serial_model(&mut self) -> &mut dyn LanguageModel {
-        self.backend.serial()
-    }
-
     /// `n` independent sample streams sharing the model's weights.
     pub fn streams(&self, n: usize) -> Box<dyn StreamBatch + '_> {
         self.backend.streams(n)
@@ -129,12 +122,9 @@ impl TrainedModel {
         enc.into_bytes()
     }
 
-    /// Decode a checkpoint produced by [`TrainedModel::to_bytes`], resolving
-    /// the backend through `registry`.
-    pub fn from_bytes_with(
-        bytes: &[u8],
-        registry: &BackendRegistry,
-    ) -> Result<TrainedModel, ClgenError> {
+    /// Decode a checkpoint produced by [`TrainedModel::to_bytes`]. A backend
+    /// tag this build does not know is [`ClgenError::UnknownBackend`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<TrainedModel, ClgenError> {
         let mut dec = Decoder::new(bytes);
         dec.magic(CHECKPOINT_MAGIC)?;
         let version = dec.u32()?;
@@ -147,17 +137,10 @@ impl TrainedModel {
         }
         let kind = dec.str()?.to_string();
         let vocab = Vocabulary::decode_from(&mut dec)?;
-        let decoder = registry
-            .decoder(&kind)
-            .ok_or(ClgenError::UnknownBackend { kind })?;
-        let backend = decoder(&mut dec)?;
+        let backend = clgen_neural::checkpoint::decode_backend(&kind, &mut dec)
+            .ok_or(ClgenError::UnknownBackend { kind })??;
         dec.finish()?;
         TrainedModel::from_parts(vocab, backend)
-    }
-
-    /// Decode a checkpoint using the built-in backend registry.
-    pub fn from_bytes(bytes: &[u8]) -> Result<TrainedModel, ClgenError> {
-        TrainedModel::from_bytes_with(bytes, &BackendRegistry::builtin())
     }
 
     /// Write the model checkpoint to a file.
@@ -166,22 +149,11 @@ impl TrainedModel {
         Ok(())
     }
 
-    /// Load a model checkpoint from a file using the built-in backend
-    /// registry. The loaded model samples **byte-identically** to the model
-    /// that was saved.
+    /// Load a model checkpoint from a file. The loaded model samples
+    /// **byte-identically** to the model that was saved.
     pub fn load(path: impl AsRef<Path>) -> Result<TrainedModel, ClgenError> {
         let bytes = std::fs::read(path)?;
         TrainedModel::from_bytes(&bytes)
-    }
-
-    /// Load a model checkpoint, resolving the backend through a custom
-    /// registry (for model classes registered outside this crate).
-    pub fn load_with(
-        path: impl AsRef<Path>,
-        registry: &BackendRegistry,
-    ) -> Result<TrainedModel, ClgenError> {
-        let bytes = std::fs::read(path)?;
-        TrainedModel::from_bytes_with(&bytes, registry)
     }
 }
 
@@ -223,9 +195,16 @@ mod tests {
             TrainedModel::from_bytes(&flipped),
             Err(ClgenError::Checkpoint(WireError::BadMagic { .. }))
         ));
+        // The same checkpoint under a tag no decoder knows.
+        let mut enc = Encoder::new();
+        enc.magic(CHECKPOINT_MAGIC);
+        enc.u32(CHECKPOINT_VERSION);
+        enc.str("transformer");
+        model.vocab.encode_into(&mut enc);
+        model.backend.encode_weights(&mut enc);
         assert!(matches!(
-            TrainedModel::from_bytes_with(&bytes, &BackendRegistry::empty()),
-            Err(ClgenError::UnknownBackend { .. })
+            TrainedModel::from_bytes(&enc.into_bytes()),
+            Err(ClgenError::UnknownBackend { kind }) if kind == "transformer"
         ));
     }
 

@@ -196,20 +196,6 @@ pub fn sample_kernels_batched(
         .collect()
 }
 
-/// Sample a batch of candidates, re-seeding each one.
-pub fn sample_batch(
-    model: &mut dyn LanguageModel,
-    vocab: &Vocabulary,
-    seed: &str,
-    options: &SampleOptions,
-    count: usize,
-    rng: &mut StdRng,
-) -> Vec<SampledCandidate> {
-    (0..count)
-        .map(|_| sample_kernel(model, vocab, seed, options, rng))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,27 +312,5 @@ mod tests {
         let out = sample_kernel(&mut model, &vocab, seed, &options, &mut rng);
         assert_eq!(out.stop, StopReason::MaxLength);
         assert_eq!(out.generated_chars, 40);
-    }
-
-    #[test]
-    fn batch_produces_requested_count() {
-        let seed = "__kernel void A() {";
-        let text = format!("{seed} }}");
-        let vocab = Vocabulary::from_text(&text);
-        let mut model = AdvancingScripted {
-            inner: ScriptedModel::new(&vocab, " }"),
-            seed_len: seed.chars().count(),
-            fed: 0,
-        };
-        let mut rng = StdRng::seed_from_u64(0);
-        let batch = sample_batch(
-            &mut model,
-            &vocab,
-            seed,
-            &SampleOptions::default(),
-            5,
-            &mut rng,
-        );
-        assert_eq!(batch.len(), 5);
     }
 }

@@ -7,11 +7,10 @@
 //! into the seed text of Algorithm 1
 //! (e.g. `__kernel void A(__global float* a, __global float* b, const int c) {`).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One argument in an argument specification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgSpec {
     /// A `__global` buffer of the given element type (e.g. `"float"`).
     GlobalBuffer {
@@ -45,7 +44,7 @@ impl ArgSpec {
 }
 
 /// A full argument specification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ArgumentSpec {
     /// Arguments in order.
     pub args: Vec<ArgSpec>,

@@ -6,13 +6,15 @@
 //! candidates advance through the model's multi-stream sampler (continuous
 //! batching keeps the batched GEMM at full width), and each finished round is
 //! handed to a rejection-filter worker thread that fans out over the rayon
-//! pool — so filtering of round `k` overlaps with sampling of round `k + 1`,
-//! exactly like the eager driver it subsumes. The stream stays lazy at the
-//! granularity of rounds: nothing is sampled until the consumer pulls, and at
-//! most [`PIPELINE_DEPTH`] rounds are ever in flight.
+//! pool — so filtering of round `k` overlaps with sampling of round `k + 1`.
+//! The stream stays lazy at the granularity of rounds: nothing is sampled
+//! until the consumer pulls, and at most [`PIPELINE_DEPTH`] rounds are ever
+//! in flight.
 //!
 //! Every accepted kernel carries [`KernelStats`] — what it cost to find it —
-//! and the stream accumulates whole-run [`SynthesisStats`].
+//! and the stream accumulates whole-run [`SynthesisStats`]; both are kept by
+//! [`absorb_candidate`], the one tally this stream and the synthesis
+//! service's scheduler share.
 
 use crate::model::TrainedModel;
 use crate::sampler::{sample_kernels_batched, SampleOptions, SampledCandidate, StopReason};
@@ -200,8 +202,7 @@ pub struct KernelStats {
     /// Characters generated across those candidates.
     pub generated_chars: usize,
     /// 1 if the accepted kernel passed the filter only after deterministic
-    /// repair, 0 otherwise (aggregates to "repaired accepts" in
-    /// [`StatsSummary`]).
+    /// repair, 0 otherwise (aggregates to [`SynthesisStats::repaired`]).
     pub repaired: usize,
     /// Rejections by reason among those candidates (mid-sampling aborts
     /// under [`RejectReason::AbortedMidstream`]).
@@ -212,130 +213,6 @@ pub struct KernelStats {
     pub candidate_index: u64,
 }
 
-/// The aggregate form of [`KernelStats`]: totals over any number of
-/// per-kernel cost windows (and, transitively, over other summaries).
-///
-/// This is the one accumulation implementation shared by every consumer that
-/// folds per-kernel costs into run totals — the synthesis service's `/stats`
-/// endpoint and the serving-bench recorder both merge into a `StatsSummary`
-/// instead of keeping ad-hoc counters.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StatsSummary {
-    /// Accepted kernels folded in (natively-valid plus repaired).
-    pub kernels: usize,
-    /// Candidates sampled across those kernels' windows.
-    pub attempts: usize,
-    /// Characters generated across those candidates.
-    pub generated_chars: usize,
-    /// Of the accepted kernels, how many passed only after deterministic
-    /// repair (always ≤ `kernels`).
-    pub repaired: usize,
-    /// Rejections by reason among those candidates (mid-sampling aborts
-    /// under [`RejectReason::AbortedMidstream`]).
-    pub rejected: HashMap<RejectReason, usize>,
-}
-
-impl StatsSummary {
-    /// Fold one *accepted* kernel's cost window into the totals.
-    pub fn merge(&mut self, stats: &KernelStats) {
-        self.kernels += 1;
-        self.merge_window(stats);
-    }
-
-    /// Fold a cost window that ends without an acceptance (the trailing
-    /// rejections after a run's last accepted kernel): attempts, characters
-    /// and rejections are accounted, the kernel count is not.
-    pub fn merge_window(&mut self, window: &KernelStats) {
-        self.attempts += window.attempts;
-        self.generated_chars += window.generated_chars;
-        self.repaired += window.repaired;
-        for (&reason, &count) in &window.rejected {
-            *self.rejected.entry(reason).or_insert(0) += count;
-        }
-    }
-
-    /// Fold another summary into the totals.
-    pub fn merge_summary(&mut self, other: &StatsSummary) {
-        self.kernels += other.kernels;
-        self.attempts += other.attempts;
-        self.generated_chars += other.generated_chars;
-        self.repaired += other.repaired;
-        for (&reason, &count) in &other.rejected {
-            *self.rejected.entry(reason).or_insert(0) += count;
-        }
-    }
-
-    /// Fraction of sampled candidates that were accepted.
-    pub fn acceptance_rate(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            self.kernels as f64 / self.attempts as f64
-        }
-    }
-
-    /// Candidates aborted mid-sampling by the incremental validator.
-    pub fn aborted_midstream(&self) -> usize {
-        self.rejected
-            .get(&RejectReason::AbortedMidstream)
-            .copied()
-            .unwrap_or(0)
-    }
-}
-
-impl<'a> std::iter::Sum<&'a KernelStats> for StatsSummary {
-    fn sum<I: Iterator<Item = &'a KernelStats>>(iter: I) -> StatsSummary {
-        let mut summary = StatsSummary::default();
-        for stats in iter {
-            summary.merge(stats);
-        }
-        summary
-    }
-}
-
-impl std::iter::Sum<StatsSummary> for StatsSummary {
-    fn sum<I: Iterator<Item = StatsSummary>>(iter: I) -> StatsSummary {
-        let mut summary = StatsSummary::default();
-        for other in iter {
-            summary.merge_summary(&other);
-        }
-        summary
-    }
-}
-
-impl std::fmt::Display for StatsSummary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} kernels from {} attempts ({:.1}% accepted), {} chars generated",
-            self.kernels,
-            self.attempts,
-            self.acceptance_rate() * 100.0,
-            self.generated_chars
-        )?;
-        if self.repaired > 0 {
-            write!(f, "; {} accepted via repair", self.repaired)?;
-        }
-        if !self.rejected.is_empty() {
-            // Sorted for a deterministic rendering.
-            let mut reasons: Vec<(String, usize)> = self
-                .rejected
-                .iter()
-                .map(|(reason, &count)| (reason.to_string(), count))
-                .collect();
-            reasons.sort();
-            f.write_str("; rejections: ")?;
-            for (i, (reason, count)) in reasons.iter().enumerate() {
-                if i > 0 {
-                    f.write_str(", ")?;
-                }
-                write!(f, "{reason} x{count}")?;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// One accepted kernel pulled from a [`SynthesisStream`], with the per-kernel
 /// cost of finding it.
 #[derive(Debug, Clone)]
@@ -344,6 +221,42 @@ pub struct StreamedKernel {
     pub kernel: SynthesizedKernel,
     /// What it cost to find.
     pub stats: KernelStats,
+}
+
+/// Fold one filtered candidate into a run's `totals` and into the cost
+/// `window` open since the previous accepted kernel. An acceptance closes the
+/// window: it is returned with the kernel, stamped with `candidate_index`
+/// (the candidate's position in its run's sample sequence), and a fresh one
+/// starts. Candidates must arrive in sample order.
+pub fn absorb_candidate(
+    totals: &mut SynthesisStats,
+    window: &mut KernelStats,
+    candidate_index: u64,
+    generated_chars: usize,
+    verdict: Result<SynthesizedKernel, RejectReason>,
+) -> Option<StreamedKernel> {
+    totals.attempts += 1;
+    totals.generated_chars += generated_chars;
+    window.attempts += 1;
+    window.generated_chars += generated_chars;
+    match verdict {
+        Ok(kernel) => {
+            let repaired = usize::from(kernel.repaired);
+            totals.accepted += 1;
+            totals.repaired += repaired;
+            let stats = KernelStats {
+                repaired,
+                candidate_index,
+                ..std::mem::take(window)
+            };
+            Some(StreamedKernel { kernel, stats })
+        }
+        Err(reason) => {
+            *totals.rejected.entry(reason).or_insert(0) += 1;
+            *window.rejected.entry(reason).or_insert(0) += 1;
+            None
+        }
+    }
 }
 
 /// A sampling session over a [`TrainedModel`].
@@ -371,14 +284,7 @@ impl<'m> Sampler<'m> {
     /// Open a lazy stream of accepted kernels. Nothing is sampled until the
     /// first pull.
     pub fn stream(&self) -> SynthesisStream<'m> {
-        self.stream_from(0)
-    }
-
-    /// [`stream`](Sampler::stream) with the candidate counter starting at
-    /// `first_candidate` instead of 0, so successive sessions over one run
-    /// seed never reuse a candidate's RNG stream.
-    pub fn stream_from(&self, first_candidate: u64) -> SynthesisStream<'m> {
-        SynthesisStream::new(self.model, self.config.clone(), first_candidate)
+        SynthesisStream::new(self.model, self.config.clone())
     }
 
     /// Pull kernels until `target` have been accepted or the session's
@@ -386,15 +292,7 @@ impl<'m> Sampler<'m> {
     /// already sampled when the target is reached are fully accounted (the
     /// report can therefore exceed `target` by up to the in-flight rounds).
     pub fn synthesize(&self, target: usize) -> SynthesisReport {
-        self.synthesize_from(target, 0)
-    }
-
-    /// [`synthesize`](Sampler::synthesize) with the candidate counter
-    /// starting at `first_candidate` (see [`Sampler::stream_from`]). After
-    /// the run, `report.stats.attempts` equals the candidates dispatched, so
-    /// callers chaining sessions can advance their counter by it.
-    pub fn synthesize_from(&self, target: usize, first_candidate: u64) -> SynthesisReport {
-        let mut stream = self.stream_from(first_candidate);
+        let mut stream = self.stream();
         let mut report = SynthesisReport::default();
         while report.kernels.len() < target {
             match stream.next() {
@@ -419,9 +317,9 @@ type FilteredBatch = Vec<(SampledCandidate, Result<SynthesizedKernel, RejectReas
 /// without a cap it is unbounded and the consumer decides when to stop.
 /// Dropping the stream shuts the filter worker down cleanly.
 ///
-/// Determinism: for a given model, configuration and starting candidate
-/// index, the sequence of accepted kernels and the final statistics are
-/// independent of thread scheduling (rounds are absorbed in dispatch order,
+/// Determinism: for a given model and configuration, the sequence of
+/// accepted kernels and the final statistics are independent of thread
+/// scheduling (rounds are absorbed in dispatch order,
 /// and per-candidate RNG streams are derived, never shared).
 pub struct SynthesisStream<'m> {
     streams: Box<dyn StreamBatch + 'm>,
@@ -434,7 +332,6 @@ pub struct SynthesisStream<'m> {
     budget: usize,
     /// Next candidate index (global across the session).
     next_candidate: u64,
-    first_candidate: u64,
     /// Rounds dispatched to the filter worker but not yet absorbed.
     in_flight: usize,
     batch_tx: Option<mpsc::Sender<Vec<SampledCandidate>>>,
@@ -448,7 +345,7 @@ pub struct SynthesisStream<'m> {
 }
 
 impl<'m> SynthesisStream<'m> {
-    fn new(model: &'m TrainedModel, config: SamplerConfig, first_candidate: u64) -> Self {
+    fn new(model: &'m TrainedModel, config: SamplerConfig) -> Self {
         let lanes = config.lanes.max(1);
         let seed_text = match &config.spec {
             Some(spec) => spec.seed_text(),
@@ -482,8 +379,7 @@ impl<'m> SynthesisStream<'m> {
             run_seed: config.seed,
             round_size: lanes * ROUND_OVERSUBSCRIPTION,
             budget: config.max_attempts.unwrap_or(usize::MAX),
-            next_candidate: first_candidate,
-            first_candidate,
+            next_candidate: 0,
             in_flight: 0,
             batch_tx: Some(batch_tx),
             result_rx,
@@ -497,12 +393,6 @@ impl<'m> SynthesisStream<'m> {
     /// Whole-run statistics over every candidate absorbed so far.
     pub fn stats(&self) -> &SynthesisStats {
         &self.stats
-    }
-
-    /// Candidates dispatched to sampling so far (≥ `stats().attempts` while
-    /// rounds are in flight; equal once the stream is drained).
-    pub fn candidates_dispatched(&self) -> u64 {
-        self.next_candidate - self.first_candidate
     }
 
     /// True if the session's attempt cap still allows sampling.
@@ -538,32 +428,18 @@ impl<'m> SynthesisStream<'m> {
     fn absorb_one(&mut self) {
         let batch = self.result_rx.recv().expect("filter worker hung up early");
         self.in_flight -= 1;
-        // Rounds are absorbed in dispatch order, so everything dispatched
-        // before this batch has already been absorbed: its first candidate
-        // index is the session start plus the absorbed count.
-        let first_index = self.first_candidate + self.stats.attempts as u64;
-        debug_assert!(first_index + batch.len() as u64 <= self.next_candidate);
-        for (offset, (candidate, verdict)) in batch.into_iter().enumerate() {
-            self.stats.attempts += 1;
-            self.stats.generated_chars += candidate.generated_chars;
-            self.window.attempts += 1;
-            self.window.generated_chars += candidate.generated_chars;
-            match verdict {
-                Ok(kernel) => {
-                    self.stats.accepted += 1;
-                    let mut stats = std::mem::take(&mut self.window);
-                    if kernel.repaired {
-                        self.stats.repaired += 1;
-                        stats.repaired = 1;
-                    }
-                    stats.candidate_index = first_index + offset as u64;
-                    self.ready.push_back(StreamedKernel { kernel, stats });
-                }
-                Err(reason) => {
-                    *self.stats.rejected.entry(reason).or_insert(0) += 1;
-                    *self.window.rejected.entry(reason).or_insert(0) += 1;
-                }
-            }
+        // Rounds are absorbed in dispatch order, so a candidate's index is
+        // the count absorbed before it.
+        for (candidate, verdict) in batch {
+            let index = self.stats.attempts as u64;
+            debug_assert!(index < self.next_candidate);
+            self.ready.extend(absorb_candidate(
+                &mut self.stats,
+                &mut self.window,
+                index,
+                candidate.generated_chars,
+                verdict,
+            ));
         }
     }
 

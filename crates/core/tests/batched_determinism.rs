@@ -2,16 +2,15 @@
 //! sampling produces **byte-identical** kernels to the same number of serial
 //! `sample_kernel` calls given the same per-stream seeds. For the LSTM this
 //! exercises the whole batched numeric stack (GEMM lanes, fused gates,
-//! softmax transpose); for the n-gram baseline it exercises the cloned-stream
-//! fallback.
-#![allow(deprecated)] // the legacy eager facade is part of what these tests pin
+//! softmax transpose); for the n-gram baseline it exercises the per-stream
+//! histories of `NgramStreams`.
 
 use clgen::sampler::{sample_kernel, sample_kernels_batched, SampleOptions};
-use clgen::{ArgumentSpec, Clgen, ClgenOptions};
+use clgen::{ArgumentSpec, ClgenBuilder, ClgenOptions, SamplerConfig, TrainedModel};
 use clgen_corpus::Vocabulary;
 use clgen_neural::lstm::{LstmConfig, LstmModel};
 use clgen_neural::ngram::{NgramConfig, NgramModel};
-use clgen_neural::{ClonedStreams, LstmStreams, StatefulLstm};
+use clgen_neural::{LstmStreams, NgramStreams, StatefulLstm};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,7 +68,7 @@ proptest! {
         }
     }
 
-    /// N-gram baseline through the cloned-stream fallback: same contract.
+    /// N-gram baseline through `NgramStreams`: same contract.
     #[test]
     fn ngram_batched_sampling_is_byte_identical_to_serial(
         n in 1usize..7,
@@ -91,7 +90,7 @@ proptest! {
             })
             .collect();
 
-        let mut streams = ClonedStreams::new(&model, n);
+        let mut streams = NgramStreams::new(&model, n);
         let batched = sample_kernels_batched(&mut streams, &vocab, SEED_TEXT, &options, &stream_seeds);
 
         for (s, b) in serial.iter().zip(batched.iter()) {
@@ -148,22 +147,32 @@ fn lstm_batched_sampling_matches_serial_across_hidden_sweep() {
     }
 }
 
+fn train(options: ClgenOptions) -> TrainedModel {
+    ClgenBuilder::with_options(options)
+        .build_corpus()
+        .expect("corpus")
+        .train()
+        .expect("training")
+}
+
 /// Batched synthesis end-to-end: deterministic for a fixed run seed and
 /// batch size, with fully-consistent statistics and valid accepted kernels.
 #[test]
 fn synthesize_batched_is_deterministic_and_consistent() {
-    let build = || {
+    let run = || {
         let mut options = ClgenOptions::small(404);
         options.corpus.miner.repositories = 40;
         options.corpus.miner.files_per_repo = (1, 4);
-        Clgen::new(options)
+        train(options)
+            .sampler(
+                SamplerConfig::new(404)
+                    .with_spec(ArgumentSpec::paper_default())
+                    .with_max_attempts(200),
+            )
+            .synthesize(5)
     };
-    let spec = ArgumentSpec::paper_default();
-
-    let mut a = build();
-    let report_a = a.synthesize_batched(5, 200, Some(&spec), 8);
-    let mut b = build();
-    let report_b = b.synthesize_batched(5, 200, Some(&spec), 8);
+    let report_a = run();
+    let report_b = run();
 
     assert_eq!(
         report_a.stats, report_b.stats,
@@ -175,10 +184,7 @@ fn synthesize_batched_is_deterministic_and_consistent() {
         assert_eq!(ka.raw, kb.raw);
     }
 
-    assert!(
-        report_a.stats.attempts <= 200 + 15,
-        "attempts overshoot bounded by batches"
-    );
+    assert!(report_a.stats.attempts <= 200, "the attempt cap is hard");
     assert_eq!(
         report_a.stats.accepted + report_a.stats.rejected.values().sum::<usize>(),
         report_a.stats.attempts,
@@ -199,10 +205,8 @@ fn synthesize_batched_is_deterministic_and_consistent() {
     }
 }
 
-/// The batched LSTM driver end-to-end (tiny model): batched synthesis accepts
-/// the same set of kernels the serial driver would, given the same stream
-/// seeds — here we only require it runs, accepts consistently, and respects
-/// the attempt cap.
+/// The batched LSTM driver end-to-end (tiny model): we only require it runs,
+/// accounts for every candidate, and respects the attempt cap.
 #[test]
 fn synthesize_batched_lstm_backend_runs() {
     use clgen::ModelBackend;
@@ -223,10 +227,18 @@ fn synthesize_batched_lstm_backend_runs() {
             batch_size: 1,
         },
     };
-    options.sample.max_chars = 150;
-    let mut clgen = Clgen::new(options);
-    let report = clgen.synthesize_batched(2, 24, Some(&ArgumentSpec::paper_default()), 8);
-    assert!(report.stats.attempts >= 8 && report.stats.attempts <= 24 + 7);
+    let report = train(options)
+        .sampler(
+            SamplerConfig::new(3)
+                .with_spec(ArgumentSpec::paper_default())
+                .with_sample(SampleOptions {
+                    max_chars: 150,
+                    temperature: 0.8,
+                })
+                .with_max_attempts(24),
+        )
+        .synthesize(2);
+    assert!(report.stats.attempts >= 8 && report.stats.attempts <= 24);
     assert_eq!(
         report.stats.accepted + report.stats.rejected.values().sum::<usize>(),
         report.stats.attempts

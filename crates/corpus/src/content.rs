@@ -1,9 +1,7 @@
 //! Raw "content files" as mined from repositories (§4.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Why a content file was rejected by the rejection filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RejectReason {
     /// The file did not compile (parse or semantic errors other than
     /// undeclared identifiers).
@@ -46,7 +44,7 @@ impl std::fmt::Display for RejectReason {
 
 /// A raw content file as produced by the miner: text that *potentially*
 /// contains OpenCL code, plus provenance metadata.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ContentFile {
     /// Synthetic repository identifier (e.g. `github.com/user42/project-7`).
     pub repository: String,
@@ -78,7 +76,7 @@ impl ContentFile {
 
 /// A kernel that survived the rejection filter and code rewriting: part of the
 /// final language corpus.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CorpusKernel {
     /// Rewritten, canonically formatted source of exactly one kernel function
     /// (plus any helper functions it needs).

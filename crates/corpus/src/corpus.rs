@@ -6,14 +6,13 @@ use crate::filter::{filter_corpus, FilterConfig, FilterStats};
 use crate::miner::{mine, mining_stats, MinerConfig, MiningStats};
 use crate::rewriter::rewrite_file;
 use clgen_wire::{Decoder, Encoder, WireError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Version of the corpus wire block written by [`Corpus::encode_into`].
 pub const CORPUS_WIRE_VERSION: u32 = 1;
 
 /// A fully assembled language corpus.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Corpus {
     /// The per-kernel corpus entries (rewritten, canonical style).
     pub kernels: Vec<CorpusKernel>,
@@ -22,7 +21,7 @@ pub struct Corpus {
 }
 
 /// Statistics over the corpus construction pipeline, mirroring §4.1.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CorpusStats {
     /// Repositories mined.
     pub repositories: usize,
@@ -221,7 +220,9 @@ impl Corpus {
                 supported: CORPUS_WIRE_VERSION,
             });
         }
-        let count = dec.usize_bounded(8, "corpus kernel count")?;
+        // Every kernel occupies at least two string length prefixes and its
+        // instruction count.
+        let count = dec.usize_bounded(24, "corpus kernel count")?;
         let mut kernels = Vec::with_capacity(count);
         for _ in 0..count {
             let source = dec.str()?.to_string();

@@ -6,14 +6,13 @@
 //! start/end-of-kernel markers used when assembling training batches.
 
 use clgen_wire::{Decoder, Encoder, WireError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Index type for vocabulary entries.
 pub type TokenId = u32;
 
 /// A character vocabulary with a reserved padding/unknown entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vocabulary {
     chars: Vec<char>,
     index: BTreeMap<char, TokenId>,

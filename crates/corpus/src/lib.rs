@@ -8,8 +8,7 @@
 //! reports (discard rates, vocabulary reduction, corpus size). The
 //! [`encoding`] module provides the character vocabulary used by the language
 //! model, and [`kernelgen`] is the generator of human-style kernels that
-//! stands in for GitHub-hosted code (see DESIGN.md for the substitution
-//! rationale).
+//! stands in for GitHub-hosted code.
 //!
 //! ```
 //! use clgen_corpus::{Corpus, CorpusOptions};

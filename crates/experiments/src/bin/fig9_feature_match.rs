@@ -9,7 +9,8 @@
 
 use clgen::{ArgumentSpec, ClgenBuilder, SamplerConfig};
 use clsmith::ClsmithConfig;
-use experiments::{data::static_features_of_sources, print_table, scaled, SyntheticConfig};
+use experiments::data::{static_features_of_sources, SAMPLE};
+use experiments::{print_table, scaled, SyntheticConfig};
 use std::collections::HashSet;
 use suites::all_benchmarks;
 
@@ -52,7 +53,7 @@ fn main() {
     let sampler = model.sampler(
         SamplerConfig::new(synth_config.clgen.seed)
             .with_spec(ArgumentSpec::paper_default())
-            .with_sample(synth_config.clgen.sample)
+            .with_sample(SAMPLE)
             .with_max_attempts(total * 30),
     );
     let clgen_report = sampler.synthesize(total);

@@ -1,9 +1,9 @@
 //! Table 3: the benchmark inventory (suites, benchmark counts, kernel counts).
 //!
 //! The paper uses 71 benchmarks / 256 kernels from the seven suites; this
-//! reproduction ships a reduced-but-representative population (see DESIGN.md),
-//! and this binary prints the actual inventory so EXPERIMENTS.md can record
-//! the paper-vs-reproduction comparison.
+//! reproduction ships a reduced-but-representative population, and this
+//! binary prints the actual inventory for the paper-vs-reproduction
+//! comparison.
 
 use experiments::print_table;
 use suites::{inventory, NPB_CLASSES};

@@ -11,6 +11,7 @@
 
 use clgen::{ArgumentSpec, ClgenBuilder, SamplerConfig};
 use clsmith::ClsmithConfig;
+use experiments::data::SAMPLE;
 use experiments::{print_table, scaled, SyntheticConfig};
 use predictive::{DecisionTree, TreeConfig};
 
@@ -96,7 +97,7 @@ fn main() {
     let sampler = model.sampler(
         SamplerConfig::new(synth_config.clgen.seed)
             .with_spec(ArgumentSpec::paper_default())
-            .with_sample(synth_config.clgen.sample)
+            .with_sample(SAMPLE)
             .with_max_attempts(pool * 30),
     );
     let report = sampler.synthesize(pool);

@@ -3,7 +3,9 @@
 use cl_frontend::analysis::analyze_function;
 use cl_frontend::compile;
 use cldrive::{DriverOptions, HostDriver, Platform};
-use clgen::{ArgumentSpec, ClgenBuilder, ClgenOptions, SamplerConfig, SynthesizedKernel};
+use clgen::{
+    ArgumentSpec, ClgenBuilder, ClgenOptions, SampleOptions, SamplerConfig, SynthesizedKernel,
+};
 use grewe_features::{FeatureSet, GreweFeatures, StaticFeatures};
 use predictive::{Dataset, Example};
 use suites::{all_benchmarks, Benchmark};
@@ -117,6 +119,12 @@ pub fn build_dataset_from_benchmarks(
     dataset
 }
 
+/// Sampling parameters every experiment synthesizes with.
+pub const SAMPLE: SampleOptions = SampleOptions {
+    max_chars: 1024,
+    temperature: 0.8,
+};
+
 /// Configuration for synthesizing the CLgen training-set augmentation.
 #[derive(Debug, Clone)]
 pub struct SyntheticConfig {
@@ -124,7 +132,7 @@ pub struct SyntheticConfig {
     pub target_kernels: usize,
     /// Upper bound on sampling attempts.
     pub max_attempts: usize,
-    /// CLgen pipeline options (corpus scale, model backend, sampling).
+    /// CLgen pipeline options (corpus scale, model backend).
     pub clgen: ClgenOptions,
     /// Dataset sizes each synthetic kernel is executed at.
     pub dataset_sizes: Vec<usize>,
@@ -168,7 +176,7 @@ pub fn synthesize_kernels(config: &SyntheticConfig) -> Vec<SynthesizedKernel> {
     let sampler = model.sampler(
         SamplerConfig::new(config.clgen.seed)
             .with_spec(ArgumentSpec::paper_default())
-            .with_sample(config.clgen.sample)
+            .with_sample(SAMPLE)
             .with_max_attempts(config.max_attempts),
     );
     sampler.synthesize(config.target_kernels).kernels

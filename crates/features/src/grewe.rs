@@ -21,10 +21,9 @@
 
 use cl_frontend::analysis::StaticCounts;
 use cldrive::KernelRun;
-use serde::{Deserialize, Serialize};
 
 /// The four static code features of Table 2a.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StaticFeatures {
     /// Number of compute operations.
     pub comp: f64,
@@ -70,7 +69,7 @@ impl StaticFeatures {
 }
 
 /// The full Grewe et al. feature vector for one (kernel, dataset) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GreweFeatures {
     /// Static code features.
     pub static_features: StaticFeatures,

@@ -1,18 +1,16 @@
-//! Open backend abstraction for trained language models.
+//! Backend abstraction for trained language models.
 //!
-//! The synthesizer used to hard-code a two-variant enum over the LSTM and the
-//! n-gram baseline; every new model class meant editing that enum and every
-//! match on it. This module replaces the closed enum with an object-safe
-//! trait, [`LanguageModelBackend`], that any trained model class implements
-//! once: it exposes the serial sampling interface, the multi-stream batched
-//! sampling interface, and a versioned weight codec. A
-//! [`BackendRegistry`] maps checkpoint tags back to decoders so checkpoints
-//! of future backends load through the same entry point as the built-in ones.
+//! [`LanguageModelBackend`] is the object-safe trait a trained model class
+//! implements once: it exposes the serial sampling interface, the
+//! multi-stream batched sampling interface, and a versioned weight codec.
+//! The LSTM and the n-gram baseline implement it;
+//! [`decode_backend`](crate::checkpoint::decode_backend) maps a checkpoint
+//! tag back to the class that wrote it.
 
 use crate::checkpoint;
 use crate::lm::{LanguageModel, LstmStreams, NgramStreams, StatefulLstm, StreamBatch};
 use crate::ngram::NgramModel;
-use clgen_wire::{Decoder, Encoder, WireError};
+use clgen_wire::Encoder;
 
 /// A trained, sample-ready language model of any class.
 ///
@@ -46,8 +44,9 @@ pub trait LanguageModelBackend: Send + Sync {
     fn streams(&self, n: usize) -> Box<dyn StreamBatch + '_>;
 
     /// Append this model's weights to a checkpoint. The encoding must be
-    /// self-delimiting and versioned; [`BackendRegistry`] routes the matching
-    /// decoder by [`kind`](LanguageModelBackend::kind).
+    /// self-delimiting and versioned;
+    /// [`decode_backend`](crate::checkpoint::decode_backend) routes the
+    /// matching decoder by [`kind`](LanguageModelBackend::kind).
     fn encode_weights(&self, enc: &mut Encoder);
 }
 
@@ -95,75 +94,6 @@ impl LanguageModelBackend for NgramModel {
     }
 }
 
-/// A weight decoder for one model class.
-pub type BackendDecoder =
-    Box<dyn Fn(&mut Decoder<'_>) -> Result<Box<dyn LanguageModelBackend>, WireError> + Send + Sync>;
-
-/// Maps checkpoint tags to weight decoders, so checkpoints of any registered
-/// model class load through one entry point.
-///
-/// [`BackendRegistry::builtin`] knows the in-tree classes; downstream crates
-/// register additional ones with [`BackendRegistry::register`] and pass the
-/// registry to the checkpoint loader.
-pub struct BackendRegistry {
-    entries: Vec<(String, BackendDecoder)>,
-}
-
-impl std::fmt::Debug for BackendRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BackendRegistry")
-            .field("kinds", &self.kinds().collect::<Vec<_>>())
-            .finish()
-    }
-}
-
-impl BackendRegistry {
-    /// A registry with no entries.
-    pub fn empty() -> BackendRegistry {
-        BackendRegistry {
-            entries: Vec::new(),
-        }
-    }
-
-    /// A registry knowing the built-in model classes (`"lstm"`, `"ngram"`).
-    pub fn builtin() -> BackendRegistry {
-        let mut registry = BackendRegistry::empty();
-        registry.register(checkpoint::LSTM_KIND, |dec| {
-            checkpoint::decode_lstm(dec)
-                .map(|model| Box::new(StatefulLstm::new(model)) as Box<dyn LanguageModelBackend>)
-        });
-        registry.register(checkpoint::NGRAM_KIND, |dec| {
-            checkpoint::decode_ngram(dec)
-                .map(|model| Box::new(model) as Box<dyn LanguageModelBackend>)
-        });
-        registry
-    }
-
-    /// Register (or replace) the decoder for a model-class tag.
-    pub fn register(
-        &mut self,
-        kind: impl Into<String>,
-        decode: impl Fn(&mut Decoder<'_>) -> Result<Box<dyn LanguageModelBackend>, WireError>
-            + Send
-            + Sync
-            + 'static,
-    ) {
-        let kind = kind.into();
-        self.entries.retain(|(k, _)| *k != kind);
-        self.entries.push((kind, Box::new(decode)));
-    }
-
-    /// The decoder registered for `kind`, if any.
-    pub fn decoder(&self, kind: &str) -> Option<&BackendDecoder> {
-        self.entries.iter().find(|(k, _)| k == kind).map(|(_, d)| d)
-    }
-
-    /// Tags with a registered decoder.
-    pub fn kinds(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(k, _)| k.as_str())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,20 +128,5 @@ mod tests {
             streams.probs_into(0, &mut out);
             assert_eq!(out.len(), 7);
         }
-    }
-
-    #[test]
-    fn registry_routes_by_kind_and_replaces_duplicates() {
-        let registry = BackendRegistry::builtin();
-        assert!(registry.decoder(checkpoint::LSTM_KIND).is_some());
-        assert!(registry.decoder(checkpoint::NGRAM_KIND).is_some());
-        assert!(registry.decoder("transformer").is_none());
-
-        let mut registry = BackendRegistry::builtin();
-        registry.register(checkpoint::NGRAM_KIND, |dec| {
-            checkpoint::decode_ngram(dec)
-                .map(|model| Box::new(model) as Box<dyn LanguageModelBackend>)
-        });
-        assert_eq!(registry.kinds().count(), 2, "re-registering replaces");
     }
 }

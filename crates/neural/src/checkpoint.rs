@@ -9,8 +9,7 @@
 //!
 //! The container framing (magic, format version, backend tag, vocabulary) is
 //! owned by the synthesizer crate; this module only codes the weights
-//! themselves, routed by tag through
-//! [`BackendRegistry`](crate::backend::BackendRegistry).
+//! themselves, routed by tag through [`decode_backend`].
 //!
 //! The wire format carries only the raw row-major weights — the packed
 //! row-panel copies the hot kernels consume
@@ -21,6 +20,8 @@
 //! pipeline applies at build time, so a corrupt header cannot drive a
 //! capacity panic.
 
+use crate::backend::LanguageModelBackend;
+use crate::lm::StatefulLstm;
 use crate::lstm::{LstmConfig, LstmLayer, LstmModel};
 use crate::ngram::{NgramConfig, NgramModel, NgramTable};
 use crate::tensor::Matrix;
@@ -41,6 +42,19 @@ pub const NGRAM_WEIGHTS_VERSION: u32 = 1;
 pub const TRAIN_SNAPSHOT_MAGIC: &str = "CLGENTSN";
 /// Current version of the training snapshot container.
 pub const TRAIN_SNAPSHOT_VERSION: u32 = 1;
+
+/// Decode the weight block of the model class tagged `kind` into a
+/// sample-ready backend; `None` if no built-in class has that tag.
+pub fn decode_backend(
+    kind: &str,
+    dec: &mut Decoder<'_>,
+) -> Option<Result<Box<dyn LanguageModelBackend>, WireError>> {
+    Some(match kind {
+        LSTM_KIND => decode_lstm(dec).map(|model| Box::new(StatefulLstm::new(model)) as _),
+        NGRAM_KIND => decode_ngram(dec).map(|model| Box::new(model) as _),
+        _ => return None,
+    })
+}
 
 fn encode_matrix(m: &Matrix, enc: &mut Encoder) {
     enc.usize(m.rows());

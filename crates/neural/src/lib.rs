@@ -34,10 +34,10 @@ pub mod ngram;
 pub mod tensor;
 pub mod train;
 
-pub use backend::{BackendDecoder, BackendRegistry, LanguageModelBackend};
+pub use backend::LanguageModelBackend;
 pub use lm::{
-    argmax, sample_distribution, sample_distribution_with, ClonedStreams, LanguageModel,
-    LstmStreams, NgramStreams, StatefulLstm, StreamBatch,
+    argmax, sample_distribution, sample_distribution_with, LanguageModel, LstmStreams,
+    NgramStreams, StatefulLstm, StreamBatch,
 };
 pub use lstm::{BatchState, BatchStepCache, LstmConfig, LstmModel, TrainBatch, Workspace};
 pub use ngram::{NgramConfig, NgramModel};

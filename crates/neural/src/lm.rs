@@ -254,56 +254,6 @@ impl StreamBatch for LstmStreams<'_> {
     }
 }
 
-/// Fallback [`StreamBatch`] for model classes without a batched kernel
-/// (e.g. the n-gram baseline): `n` independent clones advanced serially.
-/// Batched sampling through this adapter is trivially identical to serial
-/// sampling, since it *is* serial sampling.
-#[derive(Debug, Clone)]
-pub struct ClonedStreams<M> {
-    streams: Vec<M>,
-}
-
-impl<M: LanguageModel + Clone> ClonedStreams<M> {
-    /// `n` fresh streams, each a reset clone of `model`.
-    pub fn new(model: &M, n: usize) -> ClonedStreams<M> {
-        let mut streams = vec![model.clone(); n];
-        for s in &mut streams {
-            s.reset();
-        }
-        ClonedStreams { streams }
-    }
-}
-
-impl<M: LanguageModel + Clone> StreamBatch for ClonedStreams<M> {
-    fn vocab_size(&self) -> usize {
-        self.streams.first().map(|s| s.vocab_size()).unwrap_or(0)
-    }
-
-    fn num_streams(&self) -> usize {
-        self.streams.len()
-    }
-
-    fn reset(&mut self) {
-        for s in &mut self.streams {
-            s.reset();
-        }
-    }
-
-    fn reset_stream(&mut self, stream: usize) {
-        self.streams[stream].reset();
-    }
-
-    fn feed_many(&mut self, pairs: &[(usize, u32)]) {
-        for &(stream, id) in pairs {
-            self.streams[stream].feed(id);
-        }
-    }
-
-    fn probs_into(&self, stream: usize, out: &mut Vec<f32>) {
-        *out = self.streams[stream].predict();
-    }
-}
-
 /// Multi-stream sampling over a shared [`NgramModel`]: every stream carries
 /// only its rolling character history while the (potentially large) count
 /// tables are borrowed, so spawning a batch costs nothing. Prediction per

@@ -12,7 +12,6 @@ use crate::tensor::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Hard cap on the element count of any single weight tensor
 /// (`4 * hidden * input` for layer weights): 2^31 f32 elements (8 GiB).
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 pub const MAX_WEIGHT_ELEMS: usize = 1 << 31;
 
 /// Hyper-parameters of the LSTM network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LstmConfig {
     /// Size of the character vocabulary (input and output dimension).
     pub vocab_size: usize,
@@ -98,7 +97,7 @@ impl LstmConfig {
 
 /// Weights of a single LSTM layer. Gate order within the stacked `4H` blocks is
 /// input, forget, cell (candidate), output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LstmLayer {
     /// Input-to-hidden weights, `4H x I`.
     pub w_x: Matrix,
@@ -752,7 +751,7 @@ impl Workspace {
 }
 
 /// The LSTM character language model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LstmModel {
     /// Hyper-parameters.
     pub config: LstmConfig,

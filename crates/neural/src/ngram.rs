@@ -4,7 +4,7 @@
 //! but serves two purposes in the reproduction:
 //!
 //! 1. an *ablation baseline* for the "deep learning vs simpler language model"
-//!    design choice (see DESIGN.md), and
+//!    design choice, and
 //! 2. a compute-feasible stand-in when experiments need thousands of accepted
 //!    synthesis samples and the CPU budget does not allow training a large
 //!    LSTM (the paper spent three GPU-weeks on theirs). A high-order
@@ -13,14 +13,13 @@
 //!    driver pipeline.
 
 use crate::lm::LanguageModel;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One back-off order's count table: context ids → next-character counts.
 pub(crate) type NgramTable = HashMap<Vec<u32>, HashMap<u32, u32>>;
 
 /// Hyper-parameters for the n-gram model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NgramConfig {
     /// Maximum context length in characters (order = context + 1).
     pub context: usize,
@@ -39,7 +38,7 @@ impl Default for NgramConfig {
 }
 
 /// A back-off character n-gram model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NgramModel {
     config: NgramConfig,
     vocab_size: usize,
@@ -49,7 +48,6 @@ pub struct NgramModel {
     /// Unigram counts.
     unigrams: Vec<u32>,
     /// Rolling history used by the stateful [`LanguageModel`] interface.
-    #[serde(skip)]
     history: Vec<u32>,
 }
 

@@ -32,10 +32,9 @@
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rayon::ParallelSliceMut;
-use serde::{Deserialize, Serialize};
 
 /// A dense row-major `rows x cols` matrix of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

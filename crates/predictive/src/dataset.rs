@@ -1,8 +1,6 @@
 //! Labelled datasets for the CPU/GPU-mapping prediction task, and the
 //! evaluation metrics used throughout the paper's evaluation section.
 
-use serde::{Deserialize, Serialize};
-
 /// The two mapping classes.
 pub const CLASS_CPU: usize = 0;
 /// GPU class label.
@@ -10,7 +8,7 @@ pub const CLASS_GPU: usize = 1;
 
 /// One training/evaluation example: a (kernel, dataset size) pair with its
 /// feature vector, measured runtimes and provenance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Example {
     /// Feature vector (representation depends on the experiment's feature set).
     pub features: Vec<f64>,
@@ -58,7 +56,7 @@ impl Example {
 }
 
 /// A labelled dataset.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     /// Examples in insertion order.
     pub examples: Vec<Example>,

@@ -15,7 +15,9 @@
 //! A leaf carries `class: usize` and its length-prefixed `counts` histogram; a
 //! split carries `feature: usize`, `threshold: f64` (IEEE-754 bit pattern, so
 //! reload is bit-exact) and both children. Decoding bounds the node recursion
-//! at [`MAX_TREE_DEPTH`] so a corrupt or hostile file cannot blow the stack.
+//! at [`MAX_TREE_DEPTH`] so a corrupt or hostile file cannot blow the stack,
+//! and refuses a leaf class or a split feature outside the declared
+//! `num_classes` / `num_features`, so a tree that decodes predicts in range.
 
 use crate::model::MappingModel;
 use crate::tree::{DecisionTree, Node};
@@ -90,7 +92,14 @@ fn encode_node(node: &Node, enc: &mut Encoder) {
     }
 }
 
-fn decode_node(dec: &mut Decoder<'_>, depth: usize) -> Result<Node, WireError> {
+/// Decode one node of a tree over `num_classes` classes and `num_features`
+/// feature columns.
+fn decode_node(
+    dec: &mut Decoder<'_>,
+    depth: usize,
+    num_classes: usize,
+    num_features: usize,
+) -> Result<Node, WireError> {
     if depth > MAX_TREE_DEPTH {
         return Err(WireError::Invalid {
             what: "decision tree deeper than MAX_TREE_DEPTH",
@@ -99,6 +108,11 @@ fn decode_node(dec: &mut Decoder<'_>, depth: usize) -> Result<Node, WireError> {
     match dec.u8()? {
         TAG_LEAF => {
             let class = dec.usize("leaf class")?;
+            if class >= num_classes {
+                return Err(WireError::Invalid {
+                    what: "leaf class outside the model's classes",
+                });
+            }
             let len = dec.usize_bounded(std::mem::size_of::<usize>(), "leaf counts")?;
             let mut counts = Vec::with_capacity(len);
             for _ in 0..len {
@@ -108,9 +122,14 @@ fn decode_node(dec: &mut Decoder<'_>, depth: usize) -> Result<Node, WireError> {
         }
         TAG_SPLIT => {
             let feature = dec.usize("split feature")?;
+            if feature >= num_features {
+                return Err(WireError::Invalid {
+                    what: "split feature outside the model's feature columns",
+                });
+            }
             let threshold = dec.f64()?;
-            let left = Box::new(decode_node(dec, depth + 1)?);
-            let right = Box::new(decode_node(dec, depth + 1)?);
+            let left = Box::new(decode_node(dec, depth + 1, num_classes, num_features)?);
+            let right = Box::new(decode_node(dec, depth + 1, num_classes, num_features)?);
             Ok(Node::Split {
                 feature,
                 threshold,
@@ -162,7 +181,7 @@ impl MappingModel {
                 what: "mapping model with zero classes",
             });
         }
-        let root = decode_node(&mut dec, 0)?;
+        let root = decode_node(&mut dec, 0, num_classes, num_features)?;
         dec.finish()?;
         Ok(MappingModel::from_tree(DecisionTree {
             root,
@@ -272,6 +291,50 @@ mod tests {
         enc.u8(9); // bogus node tag
         assert!(matches!(
             MappingModel::from_bytes(&enc.into_bytes()).unwrap_err(),
+            WireError::Invalid { .. }
+        ));
+    }
+
+    /// A two-class, three-feature container around one hand-written root.
+    fn container(root: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.magic(MAPPING_MAGIC);
+        enc.u32(MAPPING_VERSION);
+        enc.usize(2);
+        enc.usize(3);
+        root(&mut enc);
+        enc.into_bytes()
+    }
+
+    fn leaf(enc: &mut Encoder, class: usize) {
+        enc.u8(TAG_LEAF);
+        enc.usize(class);
+        enc.usize(0);
+    }
+
+    #[test]
+    fn leaf_class_outside_the_classes_rejected() {
+        assert!(MappingModel::from_bytes(&container(|enc| leaf(enc, 1))).is_ok());
+        assert!(matches!(
+            MappingModel::from_bytes(&container(|enc| leaf(enc, 2))).unwrap_err(),
+            WireError::Invalid { .. }
+        ));
+    }
+
+    #[test]
+    fn split_feature_outside_the_columns_rejected() {
+        let split_on = |feature: usize| {
+            container(|enc| {
+                enc.u8(TAG_SPLIT);
+                enc.usize(feature);
+                enc.f64(0.5);
+                leaf(enc, 0);
+                leaf(enc, 1);
+            })
+        };
+        assert!(MappingModel::from_bytes(&split_on(2)).is_ok());
+        assert!(matches!(
+            MappingModel::from_bytes(&split_on(3)).unwrap_err(),
             WireError::Invalid { .. }
         ));
     }

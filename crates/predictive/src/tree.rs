@@ -5,10 +5,8 @@
 //! CART learner (greedy binary splits minimising Gini impurity) that both the
 //! original and the extended models are built on.
 
-use serde::{Deserialize, Serialize};
-
 /// Learner hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeConfig {
     /// Maximum tree depth.
     pub max_depth: usize,
@@ -29,7 +27,7 @@ impl Default for TreeConfig {
 }
 
 /// A decision tree node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Node {
     /// Internal node splitting on `feature <= threshold`.
     Split {
@@ -52,7 +50,7 @@ pub enum Node {
 }
 
 /// A trained decision tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     /// Root node.
     pub root: Node,

@@ -1,8 +1,8 @@
 //! Hand-rolled JSON rendering and field extraction.
 //!
-//! The vendored `serde` is a marker-only stand-in, so the service writes its
-//! NDJSON lines by hand and the client side pulls individual fields back
-//! out with a small extractor instead of a full parser. Rendering is
+//! The build environment has no serialisation framework, so the service
+//! writes its NDJSON lines by hand and the client side pulls individual
+//! fields back out with a small extractor instead of a full parser. Rendering is
 //! deterministic — map fields are emitted in sorted order — because
 //! synthesis response bodies carry a byte-identical reproducibility
 //! guarantee.

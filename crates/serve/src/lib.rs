@@ -27,7 +27,7 @@
 //! | `POST /features?sizes=&drive_seed=&feature_set=&deadline_ms=` | Body = OpenCL source. Same drive, streaming the Grewe `features` vectors (`feature_set=grewe\|extended`) plus `unit_error` events. |
 //! | `POST /pipeline?count=&seed=&sizes=&drive_seed=&feature_set=&deadline_ms=…` | The paper's loop over one socket: synthesis through the batching scheduler, each accepted `kernel` line followed inline by its `run`, `features` and `prediction` events, then the synthesis summary. |
 //! | `GET /healthz` | Liveness + supervisor health: `ok`/`degraded`/`failed` with restart counts (`503` once failed). |
-//! | `GET /stats` | Aggregate throughput ([`StatsSummary`](clgen::StatsSummary)), lane occupancy, queue depth, request counters, harness counters, health. |
+//! | `GET /stats` | Aggregate throughput ([`SynthesisStats`](clgen::SynthesisStats) totals), lane occupancy, queue depth, request counters, harness counters, health. |
 //! | `GET /metrics` | The full metric catalog in the Prometheus text exposition format — request-latency histograms by endpoint and outcome, queue depth/wait, lane occupancy, filter accept/reject, harness unit outcomes, supervisor restarts. Rendered from the same atomics as `/stats`. |
 //! | `GET /debug/flight` | The flight recorder's recent-event ring as NDJSON (admissions, sheds, reaps, sampling steps, faults). Gated behind `--debug-flight`; `404` otherwise. |
 //! | `POST /shutdown` | Graceful shutdown with a bounded drain: in-flight requests finish, or get `503` once the drain timeout passes. |

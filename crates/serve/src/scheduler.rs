@@ -61,10 +61,9 @@
 use crate::faults::{FaultPlan, FaultPoint};
 use crate::json;
 use crate::metrics::ServeMetrics;
-use clgen::stream::{filter_candidate, stream_seed};
-use clgen::synthesizer::SynthesizedKernel;
 use clgen::{
-    BatchEngine, KernelStats, SampleOptions, SampledCandidate, StatsSummary, TrainedModel,
+    absorb_candidate, filter_candidate, stream_seed, BatchEngine, KernelStats, SampleOptions,
+    SampledCandidate, StreamedKernel, SynthesisStats, SynthesizedKernel, TrainedModel,
 };
 use clgen_corpus::filter::FilterConfig;
 use clgen_corpus::RejectReason;
@@ -306,8 +305,7 @@ struct ActiveRequest {
     /// Accumulation since the last accepted kernel.
     window: KernelStats,
     /// Request totals (drives the trailing summary line).
-    summary: StatsSummary,
-    accepted: usize,
+    summary: SynthesisStats,
     /// A reply send failed (client went away mid-stream); sample no more,
     /// absorb silently.
     failed: bool,
@@ -331,13 +329,13 @@ impl ActiveRequest {
 
     fn wants_dispatch(&self) -> bool {
         if self.is_dead()
-            || self.accepted >= self.params.count
+            || self.summary.accepted >= self.params.count
             || self.next_dispatch >= self.params.max_attempts as u64
         {
             return false;
         }
         let outstanding = (self.next_dispatch - self.next_absorb) as usize;
-        let wanted = self.params.count - self.accepted;
+        let wanted = self.params.count - self.summary.accepted;
         outstanding < wanted.saturating_mul(REQUEST_OVERSUBSCRIPTION)
     }
 }
@@ -397,11 +395,11 @@ fn render_kernel_line(kernel: &SynthesizedKernel, stats: &KernelStats) -> String
 /// Render the trailing per-request summary as an NDJSON line. The
 /// `timed_out` marker is only emitted when set, so responses that never hit
 /// their deadline are byte-identical to those of a deadline-free server.
-fn render_done_line(summary: &StatsSummary, exhausted: bool, timed_out: bool) -> String {
+fn render_done_line(summary: &SynthesisStats, exhausted: bool, timed_out: bool) -> String {
     let mut line = String::with_capacity(160);
     line.push_str(&format!(
         "{{\"done\":true,\"kernels\":{},\"attempts\":{},\"generated_chars\":{},\"repaired\":{},\"exhausted\":{},",
-        summary.kernels, summary.attempts, summary.generated_chars, summary.repaired, exhausted
+        summary.accepted, summary.attempts, summary.generated_chars, summary.repaired, exhausted
     ));
     if timed_out {
         line.push_str("\"timeout\":true,");
@@ -488,42 +486,33 @@ impl Scheduler {
                         engine.abort(lane);
                     }
                 }
-                // `window` is already folded into `summary` on the partial-
-                // response paths and empty there; on the satisfied path it
-                // holds the trailing rejections after the last acceptance.
-                self.metrics.kernels.add(req.summary.kernels as u64);
-                self.metrics
-                    .attempts
-                    .add((req.summary.attempts + req.window.attempts) as u64);
+                let stats = &req.summary;
+                self.metrics.kernels.add(stats.accepted as u64);
+                self.metrics.attempts.add(stats.attempts as u64);
                 self.metrics
                     .generated_chars
-                    .add((req.summary.generated_chars + req.window.generated_chars) as u64);
-                self.metrics.filter_accepted.add(req.summary.kernels as u64);
-                let mut aborted = 0u64;
-                let mut other_rejected = 0u64;
-                for (reason, &count) in req.summary.rejected.iter().chain(&req.window.rejected) {
-                    match reason {
-                        RejectReason::AbortedMidstream => aborted += count as u64,
-                        _ => other_rejected += count as u64,
-                    }
+                    .add(stats.generated_chars as u64);
+                self.metrics.filter_accepted.add(stats.accepted as u64);
+                for (reason, &count) in &stats.rejected {
                     self.metrics
                         .filter_rejected(&reason.to_string())
                         .add(count as u64);
                 }
                 // Mutually-exclusive outcome taxonomy: the four counters sum
                 // to the request's absorbed attempts.
+                let aborted = stats.aborted_midstream();
                 self.metrics
                     .candidate_outcome("accepted")
-                    .add((req.summary.kernels - req.summary.repaired) as u64);
+                    .add((stats.accepted - stats.repaired) as u64);
                 self.metrics
                     .candidate_outcome("repaired")
-                    .add(req.summary.repaired as u64);
+                    .add(stats.repaired as u64);
                 self.metrics
                     .candidate_outcome("aborted_midstream")
-                    .add(aborted);
+                    .add(aborted as u64);
                 self.metrics
                     .candidate_outcome("rejected")
-                    .add(other_rejected);
+                    .add((stats.attempts - stats.accepted - aborted) as u64);
                 self.metrics.requests_completed.inc();
                 if req.timed_out {
                     self.metrics.requests_timed_out.inc();
@@ -545,25 +534,19 @@ impl Scheduler {
             let index = req.next_absorb;
             req.next_absorb += 1;
             req.filter_us += filter_us;
-            req.window.attempts += 1;
-            req.window.generated_chars += candidate.generated_chars;
-            match verdict {
-                Ok(kernel) => {
-                    let mut stats = std::mem::take(&mut req.window);
-                    stats.candidate_index = index;
-                    stats.repaired = kernel.repaired as usize;
-                    let line = render_kernel_line(&kernel, &stats);
-                    req.summary.merge(&stats);
-                    req.accepted += 1;
-                    if !req.is_dead() && req.reply.send(ResponseEvent::Kernel(line)).is_err() {
-                        req.failed = true;
-                    }
-                    if req.accepted >= req.params.count {
-                        return Some(render_done_line(&req.summary, false, false));
-                    }
+            if let Some(StreamedKernel { kernel, stats }) = absorb_candidate(
+                &mut req.summary,
+                &mut req.window,
+                index,
+                candidate.generated_chars,
+                verdict,
+            ) {
+                let line = render_kernel_line(&kernel, &stats);
+                if !req.is_dead() && req.reply.send(ResponseEvent::Kernel(line)).is_err() {
+                    req.failed = true;
                 }
-                Err(reason) => {
-                    *req.window.rejected.entry(reason).or_insert(0) += 1;
+                if req.summary.accepted >= req.params.count {
+                    return Some(render_done_line(&req.summary, false, false));
                 }
             }
         }
@@ -573,16 +556,10 @@ impl Scheduler {
             // dropped — their lanes are reaped by the step-abort predicate
             // (so they can never come back), and late filter verdicts are
             // dropped by the key lookup.
-            req.summary.merge_window(&req.window);
-            req.window = KernelStats::default();
             return Some(render_done_line(&req.summary, true, req.timed_out));
         }
         if req.next_absorb >= req.params.max_attempts as u64 {
-            // Attempt cap reached with the target unmet: the trailing
-            // rejected window joins the summary so every absorbed candidate
-            // is accounted.
-            req.summary.merge_window(&req.window);
-            req.window = KernelStats::default();
+            // Attempt cap reached with the target unmet.
             return Some(render_done_line(&req.summary, true, false));
         }
         None
@@ -680,8 +657,7 @@ impl Scheduler {
                 next_absorb: 0,
                 pending: HashMap::new(),
                 window: KernelStats::default(),
-                summary: StatsSummary::default(),
-                accepted: 0,
+                summary: SynthesisStats::default(),
                 failed: false,
                 timed_out: false,
             });
@@ -1055,8 +1031,8 @@ mod tests {
 
     #[test]
     fn done_line_timeout_marker_is_additive() {
-        let summary = StatsSummary {
-            kernels: 1,
+        let summary = SynthesisStats {
+            accepted: 1,
             attempts: 3,
             generated_chars: 120,
             repaired: 1,

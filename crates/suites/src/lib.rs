@@ -11,7 +11,7 @@
 //! SHOC has bandwidth/compute microbenchmarks, and so on. Dataset size classes
 //! mirror the paper's setup (five classes for NPB, one to four for Parboil,
 //! defaults elsewhere). The *count* of benchmarks is reduced relative to
-//! Table 3; DESIGN.md documents this substitution.
+//! Table 3.
 
 #![warn(missing_docs)]
 

@@ -2,9 +2,9 @@
 //!
 //! Hand-rolled binary wire format primitives for checkpoint persistence.
 //!
-//! The build environment has no serialisation framework (the vendored `serde`
-//! is a marker-only stand-in), so the checkpoint formats of the workspace are
-//! written by hand over these primitives. The encoding is deliberately plain:
+//! The build environment has no serialisation framework, so the checkpoint
+//! formats of the workspace are written by hand over these primitives. The
+//! encoding is deliberately plain:
 //!
 //! * every integer is fixed-width little-endian,
 //! * lengths are `u64` prefixes,

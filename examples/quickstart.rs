@@ -15,7 +15,6 @@ fn main() {
     println!("building corpus (small configuration)...");
     let mut options = ClgenOptions::small(42);
     options.corpus.miner.repositories = 60;
-    let sample_options = options.sample;
     let stage = ClgenBuilder::with_options(options)
         .build_corpus()
         .expect("corpus construction failed");
@@ -35,7 +34,6 @@ fn main() {
     let sampler = model.sampler(
         SamplerConfig::new(42)
             .with_spec(ArgumentSpec::paper_default())
-            .with_sample(sample_options)
             .with_max_attempts(500),
     );
     let mut kernels = Vec::new();

@@ -1,9 +1,8 @@
 //! Cross-crate integration tests: the full CLgen pipeline from corpus to
 //! synthesized benchmark to driver record to predictive model.
-#![allow(deprecated)] // pins the legacy serial driver (RNG-stream-sensitive seeds)
 
 use clgen_repro::cldrive::{DriverOptions, HostDriver, Platform};
-use clgen_repro::clgen::{ArgumentSpec, Clgen, ClgenOptions};
+use clgen_repro::clgen::{ArgumentSpec, ClgenBuilder, ClgenOptions, SamplerConfig};
 use clgen_repro::grewe_features::{FeatureSet, GreweFeatures, StaticFeatures};
 use clgen_repro::predictive::{aggregate, leave_one_out, TreeConfig};
 use clgen_repro::suites::{suite_benchmarks, Suite};
@@ -14,8 +13,17 @@ use experiments::DatasetConfig;
 fn synthesized_kernels_flow_through_driver_and_features() {
     let mut options = ClgenOptions::small(2024);
     options.corpus.miner.repositories = 40;
-    let mut clgen = Clgen::try_new(options).expect("pipeline");
-    let report = clgen.synthesize(4, 300, Some(&ArgumentSpec::paper_default()));
+    let report = ClgenBuilder::with_options(options)
+        .build_corpus()
+        .expect("corpus")
+        .train()
+        .expect("training")
+        .sampler(
+            SamplerConfig::new(2024)
+                .with_spec(ArgumentSpec::paper_default())
+                .with_max_attempts(300),
+        )
+        .synthesize(4);
     assert!(!report.kernels.is_empty(), "no kernels synthesized");
 
     let driver = HostDriver::with_options(Platform::amd(), DriverOptions::quick());
