@@ -13,8 +13,9 @@
 //! with an epsilon for floating point comparisons and a timeout (here: a step
 //! budget) to catch non-terminating kernels.
 
-use crate::interp::{execute, ArgBinding, ExecError, ExecLimits, NDRange};
-use crate::payload::{generate_payload_pair, Payload, PayloadError, PayloadOptions};
+use crate::interp::{ArgBinding, ExecError, ExecLimits, NDRange};
+use crate::payload::{generate_payload_pair, PayloadError, PayloadOptions};
+use crate::program::{Launch, Program};
 use crate::runtime::Buffer;
 use cl_frontend::ast::TranslationUnit;
 use cl_frontend::sema::KernelSignature;
@@ -89,24 +90,37 @@ fn buffers_differ(a: &[Buffer], b: &[Buffer], epsilon: f64) -> bool {
         .any(|(x, y)| x.differs_from(y, epsilon))
 }
 
-/// Execute the kernel once over a payload, returning the output global buffers.
-fn run_once(
-    unit: &TranslationUnit,
-    kernel: &str,
-    payload: &Payload,
-    ndrange: NDRange,
-    limits: &ExecLimits,
-) -> Result<Vec<Buffer>, ExecError> {
-    let result = execute(unit, kernel, payload.args.clone(), ndrange, limits)?;
-    Ok(global_buffers(&result.args))
-}
-
 /// Run the four-execution dynamic check on one kernel.
 pub fn check_kernel(
     unit: &TranslationUnit,
     sig: &KernelSignature,
     options: &CheckerOptions,
 ) -> CheckOutcome {
+    let program = Program::lower(unit, &sig.name);
+    check_by(
+        &|args, ndrange, limits| program.launch(args, ndrange, limits),
+        sig,
+        options,
+        0,
+    )
+    .0
+}
+
+/// How the driver launches the kernel it is driving: the lowered program in
+/// production, the reference walker for the tests that compare the two.
+pub(crate) type Launcher<'a> =
+    dyn Fn(Vec<ArgBinding>, NDRange, &ExecLimits) -> Launch + Send + Sync + 'a;
+
+/// The dynamic check of a kernel launched by `launch`, each of the four
+/// launches under a launch-wide budget of `total_steps` (0 = unbounded;
+/// exhausting it is a timeout like any other). Returns the verdict and the
+/// steps the launches consumed.
+pub(crate) fn check_by(
+    launch: &Launcher,
+    sig: &KernelSignature,
+    options: &CheckerOptions,
+    total_steps: u64,
+) -> (CheckOutcome, u64) {
     let payload_options = PayloadOptions {
         global_size: options.global_size,
         local_size: options.local_size,
@@ -114,11 +128,12 @@ pub fn check_kernel(
     };
     let (payload_a, payload_b) = match generate_payload_pair(sig, &payload_options) {
         Ok(p) => p,
-        Err(PayloadError::UnsupportedArgument(why)) => return CheckOutcome::Failed(why),
+        Err(PayloadError::UnsupportedArgument(why)) => return (CheckOutcome::Failed(why), 0),
     };
     let ndrange = NDRange::linear(options.global_size, options.local_size);
     let limits = ExecLimits {
         steps_per_work_item: options.steps_per_work_item,
+        total_steps,
         ..ExecLimits::default()
     };
 
@@ -126,39 +141,44 @@ pub fn check_kernel(
     let b_in = global_buffers(&payload_b.args);
     if a_in.is_empty() {
         // Without global buffers there is no observable output at all.
-        return CheckOutcome::NoOutput;
+        return (CheckOutcome::NoOutput, 0);
     }
 
     // k(A1) -> A1out, k(B1) -> B1out, k(A2) -> A2out, k(B2) -> B2out
+    let mut steps = 0;
     let mut outs = Vec::with_capacity(4);
     for payload in [&payload_a, &payload_b, &payload_a, &payload_b] {
-        match run_once(unit, &sig.name, payload, ndrange, &limits) {
-            Ok(buffers) => outs.push(buffers),
-            Err(ExecError::StepLimitExceeded) => return CheckOutcome::Timeout,
-            Err(e) => return CheckOutcome::Failed(e.to_string()),
+        let launched = launch(payload.args.clone(), ndrange, &limits);
+        steps += launched.steps;
+        match launched.result {
+            Ok(result) => outs.push(global_buffers(&result.args)),
+            Err(ExecError::StepLimitExceeded | ExecError::TotalStepLimitExceeded) => {
+                return (CheckOutcome::Timeout, steps)
+            }
+            Err(e) => return (CheckOutcome::Failed(e.to_string()), steps),
         }
     }
     let (a1_out, b1_out, a2_out, b2_out) = (&outs[0], &outs[1], &outs[2], &outs[3]);
 
     // Assert: outputs differ from inputs, else no output for these inputs.
-    if !buffers_differ(a1_out, &a_in, options.epsilon)
+    let outcome = if !buffers_differ(a1_out, &a_in, options.epsilon)
         && !buffers_differ(b1_out, &b_in, options.epsilon)
     {
-        return CheckOutcome::NoOutput;
-    }
+        CheckOutcome::NoOutput
     // Assert: outputs differ across inputs, else input-insensitive.
-    if !buffers_differ(a1_out, b1_out, options.epsilon)
+    } else if !buffers_differ(a1_out, b1_out, options.epsilon)
         || !buffers_differ(a2_out, b2_out, options.epsilon)
     {
-        return CheckOutcome::InputInsensitive;
-    }
+        CheckOutcome::InputInsensitive
     // Assert: repeated executions agree, else non-deterministic.
-    if buffers_differ(a1_out, a2_out, options.epsilon)
+    } else if buffers_differ(a1_out, a2_out, options.epsilon)
         || buffers_differ(b1_out, b2_out, options.epsilon)
     {
-        return CheckOutcome::NonDeterministic;
-    }
-    CheckOutcome::UsefulWork
+        CheckOutcome::NonDeterministic
+    } else {
+        CheckOutcome::UsefulWork
+    };
+    (outcome, steps)
 }
 
 /// Convenience: compile-free check when the caller already has the unit and

@@ -6,11 +6,22 @@
 //! CPU and GPU of an experimental platform. The per-(kernel, dataset) records
 //! it emits are the raw material of every predictive-modeling experiment in
 //! the paper.
+//!
+//! Driving a kernel at several sizes repeats very little: the kernel is
+//! lowered once ([`HostDriver::prepare`], which also runs the dynamic check —
+//! it does not depend on the size), launched once per *distinct* profiling
+//! size ([`HostDriver::profile`]; every size above
+//! [`DriverOptions::profile_elements_cap`] profiles at the cap), and each
+//! size's record is scaled from the counts of its launch
+//! ([`HostDriver::record`]). [`HostDriver::run_source`] and
+//! [`HostDriver::run_kernel`] are those three steps in order; the
+//! `clgen-harness` pool runs the same three across its workers.
 
-use crate::checker::{check_kernel, CheckOutcome, CheckerOptions};
+use crate::checker::{check_by, CheckOutcome, CheckerOptions, Launcher};
 use crate::device::{DeviceKind, Platform, WorkloadProfile};
-use crate::interp::{execute, ExecError, ExecLimits, ExecutionCounts, NDRange};
+use crate::interp::{ExecError, ExecLimits, ExecutionCounts, NDRange};
 use crate::payload::{estimated_transfer_bytes, generate_payload, PayloadError, PayloadOptions};
+use crate::program::Program;
 use cl_frontend::ast::TranslationUnit;
 use cl_frontend::sema::KernelSignature;
 use cl_frontend::{compile, CompileOptions, Diagnostics};
@@ -33,9 +44,12 @@ pub struct DriverOptions {
     /// times; our analytic estimates are deterministic so this mainly matters
     /// when callers add noise models).
     pub repetitions: usize,
-    /// Launch-wide interpreter step budget (0 = unbounded). Batched callers
-    /// (the `clgen-harness` drive pool) set this so a single hostile kernel
-    /// cannot consume a worker for `steps_per_work_item * work_items` steps.
+    /// Launch-wide interpreter step budget (0 = unbounded) of every launch
+    /// the driver makes: each profile launch, and each of the dynamic check's
+    /// four. Batched callers (the `clgen-harness` drive pool) set this so a
+    /// single hostile kernel cannot consume a worker for
+    /// `steps_per_work_item * work_items` steps: driving one kernel at `n`
+    /// distinct profiling sizes costs at most `(4 + n)` budgets.
     pub total_step_budget: u64,
 }
 
@@ -187,9 +201,24 @@ impl HostDriver {
         let mut runs = Vec::new();
         let mut last_error = None;
         for sig in &compiled.kernels {
+            let kernel = self.prepare(&compiled.unit, sig);
+            // One launch per distinct profiling size, in first-use order.
+            let mut launches: Vec<(usize, Result<ExecutionCounts, DriveError>)> = Vec::new();
             for &size in global_sizes {
-                match self.run_kernel(&compiled.unit, sig, size) {
-                    Ok(run) => runs.push(run),
+                let profile_size = self.profile_size(size);
+                let outcome = match kernel.rejection() {
+                    Some(rejection) => Err(rejection),
+                    None => match launches.iter().find(|(s, _)| *s == profile_size) {
+                        Some((_, launched)) => launched.clone(),
+                        None => {
+                            let launched = self.profile(&kernel, profile_size).result;
+                            launches.push((profile_size, launched.clone()));
+                            launched
+                        }
+                    },
+                };
+                match outcome {
+                    Ok(counts) => runs.push(self.record(&kernel, &counts, size)),
                     Err(e) => last_error = Some(e),
                 }
             }
@@ -213,25 +242,89 @@ impl HostDriver {
         sig: &KernelSignature,
         global_size: usize,
     ) -> Result<KernelRun, DriveError> {
-        // 1. Dynamic check (on a small payload) if configured.
-        if let Some(checker) = &self.options.checker {
-            let outcome = check_kernel(unit, sig, checker);
-            if !outcome.is_useful() {
-                return Err(DriveError::Check(outcome));
-            }
+        self.run_prepared(&self.prepare(unit, sig), global_size)
+    }
+
+    /// The three steps for one dataset size.
+    pub(crate) fn run_prepared(
+        &self,
+        kernel: &PreparedKernel,
+        global_size: usize,
+    ) -> Result<KernelRun, DriveError> {
+        if let Some(rejection) = kernel.rejection() {
+            return Err(rejection);
         }
-        // 2. Profile by interpretation at a capped size.
-        let profile_size = global_size
+        let counts = self
+            .profile(kernel, self.profile_size(global_size))
+            .result?;
+        Ok(self.record(kernel, &counts, global_size))
+    }
+
+    /// Step 1, once per kernel: lower it, decide the shape of its launches,
+    /// and run the dynamic check (on a small payload) if one is configured.
+    /// Never fails: a rejection is part of the result.
+    pub fn prepare<'a>(
+        &self,
+        unit: &TranslationUnit,
+        sig: &'a KernelSignature,
+    ) -> PreparedKernel<'a> {
+        let program = Program::lower(unit, &sig.name);
+        let launch =
+            move |args, ndrange, limits: &ExecLimits| program.launch(args, ndrange, limits);
+        self.prepare_by(unit, sig, Box::new(launch))
+    }
+
+    /// [`HostDriver::prepare`] for a kernel launched by `launch` (the lowered
+    /// program in production, the reference walker in tests).
+    pub(crate) fn prepare_by<'a>(
+        &self,
+        unit: &TranslationUnit,
+        sig: &'a KernelSignature,
+        launch: Box<Launcher<'a>>,
+    ) -> PreparedKernel<'a> {
+        let (rejected, check_steps) = match &self.options.checker {
+            Some(checker) => {
+                let budget = self.options.total_step_budget;
+                let (outcome, steps) = check_by(&*launch, sig, checker, budget);
+                ((!outcome.is_useful()).then_some(outcome), steps)
+            }
+            None => (None, 0),
+        };
+        PreparedKernel {
+            sig,
+            two_d: uses_second_dimension(unit, sig),
+            launch,
+            rejected,
+            check_steps,
+        }
+    }
+
+    /// The payload size a dataset of `global_size` elements is profiled at
+    /// (larger dataset sizes are extrapolated from per-work-item averages).
+    pub fn profile_size(&self, global_size: usize) -> usize {
+        global_size
             .min(self.options.profile_elements_cap)
-            .max(self.options.local_size);
+            .max(self.options.local_size)
+    }
+
+    /// Step 2, once per distinct [`HostDriver::profile_size`]: profile the
+    /// kernel by interpretation over a payload of that size.
+    pub fn profile(&self, kernel: &PreparedKernel, profile_size: usize) -> Profile {
         let payload_options = PayloadOptions {
             global_size: profile_size,
             local_size: self.options.local_size,
             seed: self.options.seed,
         };
-        let payload = generate_payload(sig, &payload_options).map_err(DriveError::Payload)?;
-        let is_2d = uses_second_dimension(unit, sig);
-        let ndrange = if is_2d {
+        let payload = match generate_payload(kernel.sig, &payload_options) {
+            Ok(payload) => payload,
+            Err(e) => {
+                return Profile {
+                    result: Err(DriveError::Payload(e)),
+                    steps: 0,
+                }
+            }
+        };
+        let ndrange = if kernel.two_d {
             let side = (profile_size as f64).sqrt().ceil() as usize;
             let lside = (self.options.local_size as f64).sqrt().ceil().max(1.0) as usize;
             NDRange::two_d(side.max(1), side.max(1), lside, lside)
@@ -243,18 +336,29 @@ impl HostDriver {
             max_work_items: self.options.profile_work_item_cap,
             total_steps: self.options.total_step_budget,
         };
-        let result = execute(unit, &sig.name, payload.args.clone(), ndrange, &limits)
-            .map_err(DriveError::Exec)?;
-        let counts = result.counts;
-        let executed = counts.work_items_executed.max(1) as f64;
+        let launched = (kernel.launch)(payload.args, ndrange, &limits);
+        Profile {
+            result: launched
+                .result
+                .map(|result| result.counts)
+                .map_err(DriveError::Exec),
+            steps: launched.steps,
+        }
+    }
 
-        // 3. Scale per-work-item averages to the full dataset size.
-        let total_items = if is_2d {
-            // a 2-D launch over an N-element dataset still touches ~N items
-            global_size as f64
-        } else {
-            global_size as f64
-        };
+    /// Step 3, once per dataset size: scale the per-work-item averages of a
+    /// profile launch to `global_size` and estimate both devices.
+    pub fn record(
+        &self,
+        kernel: &PreparedKernel,
+        counts: &ExecutionCounts,
+        global_size: usize,
+    ) -> KernelRun {
+        let sig = kernel.sig;
+        let counts = *counts;
+        let executed = counts.work_items_executed.max(1) as f64;
+        // A 2-D launch over an N-element dataset still touches ~N items.
+        let total_items = global_size as f64;
         let elem_bytes = 4.0;
         let (to_device, from_device) = estimated_transfer_bytes(sig, global_size);
         let global_accesses = counts.global_accesses() as f64;
@@ -275,10 +379,9 @@ impl HostDriver {
             },
             transfer_bytes: (to_device + from_device) as f64,
         };
-        // 4. Device estimates.
         let cpu_time = self.platform.cpu.estimate(&workload).total();
         let gpu_time = self.platform.gpu.estimate(&workload).total();
-        Ok(KernelRun {
+        KernelRun {
             kernel_name: sig.name.clone(),
             global_size,
             local_size: self.options.local_size,
@@ -287,8 +390,40 @@ impl HostDriver {
             cpu_time,
             gpu_time,
             platform: self.platform.name.clone(),
-        })
+        }
     }
+}
+
+/// A kernel the driver has lowered and (if configured to) checked: what
+/// [`HostDriver::prepare`] produces and the other two steps consume.
+pub struct PreparedKernel<'a> {
+    sig: &'a KernelSignature,
+    launch: Box<Launcher<'a>>,
+    two_d: bool,
+    rejected: Option<CheckOutcome>,
+    check_steps: u64,
+}
+
+impl PreparedKernel<'_> {
+    /// Why the dynamic checker turned the kernel away, if it did: the error
+    /// every record of this kernel fails with.
+    pub fn rejection(&self) -> Option<DriveError> {
+        self.rejected.clone().map(DriveError::Check)
+    }
+
+    /// Steps the dynamic check consumed (0 without a checker).
+    pub fn check_steps(&self) -> u64 {
+        self.check_steps
+    }
+}
+
+/// The outcome of one profile launch.
+#[derive(Debug, Clone)]
+pub struct Profile {
+    /// The dynamic counts over the profiled sample, or why there are none.
+    pub result: Result<ExecutionCounts, DriveError>,
+    /// Steps the launch consumed, also when it was cut short.
+    pub steps: u64,
 }
 
 /// Does the kernel read `get_global_id(1)` / `get_group_id(1)`? If so the

@@ -1,16 +1,23 @@
-//! An NDRange interpreter for the OpenCL C subset.
+//! Launching kernels: the NDRange, limits, counters and errors of a launch,
+//! and [`execute`], which runs one.
 //!
 //! The paper executes synthesized kernels on real GPUs; this reproduction
-//! executes them by interpretation over the `cl-frontend` AST. Work-items are
-//! executed sequentially (work-group by work-group, in work-item order), which
-//! keeps the interpreter simple at the cost of not modelling true barrier
-//! concurrency; barriers are treated as sequencing no-ops. Execution gathers
-//! dynamic instruction/memory counts which feed the analytic device models.
+//! interprets them. Work-items are executed sequentially (work-group by
+//! work-group, in work-item order), which keeps execution simple at the cost
+//! of not modelling true barrier concurrency; barriers are treated as
+//! sequencing no-ops. Execution gathers dynamic instruction/memory counts
+//! which feed the analytic device models.
+//!
+//! A *step* is one tick of the interpreter's clock, the unit every budget in
+//! [`ExecLimits`] is written in and [`ExecutionCounts::instructions`] counts:
+//! one per operator, call, subscript, member access, declaration, `return`
+//! and loop/branch decision that executes. Steps are defined by the source,
+//! not by the executor: [`crate::program`] and [`crate::reference`] charge
+//! the same steps at the same points.
 
-use crate::runtime::{Buffer, BufferSpace, PtrValue, Scalar, Value};
-use cl_frontend::ast::*;
-use cl_frontend::builtins::{builtin_function_kind, is_vector_component, BuiltinKind};
-use std::collections::HashMap;
+use crate::program::Program;
+use crate::runtime::{Buffer, BufferSpace, Scalar};
+use cl_frontend::ast::{ParamDecl, ScalarType, TranslationUnit, Type};
 
 /// The iteration space of a kernel launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,6 +149,40 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+/// The errors a reachable construct raises, worded once for both executors.
+impl ExecError {
+    pub(crate) fn unbound_identifier(name: &str) -> ExecError {
+        ExecError::Unsupported(format!("unbound identifier `{name}`"))
+    }
+
+    pub(crate) fn unknown_function(callee: &str) -> ExecError {
+        ExecError::Unsupported(format!("call to unknown function `{callee}`"))
+    }
+
+    pub(crate) fn call_depth_exceeded() -> ExecError {
+        ExecError::Unsupported("call depth exceeded".into())
+    }
+
+    pub(crate) fn atomic_without_pointer(callee: &str) -> ExecError {
+        ExecError::Unsupported(format!("`{callee}` without a pointer argument"))
+    }
+
+    // Error nodes only exist in units that failed to compile, which the
+    // driver refuses to launch; reaching one is a logic error surfaced as an
+    // unsupported-construct failure, not a panic.
+    pub(crate) fn error_statement() -> ExecError {
+        ExecError::Unsupported("parse-error placeholder statement".into())
+    }
+
+    pub(crate) fn error_expression() -> ExecError {
+        ExecError::Unsupported("parse-error placeholder expression".into())
+    }
+}
+
+/// Deepest chain of user-function calls a work item may be in when it makes
+/// another call (the kernel body is depth 0).
+pub(crate) const MAX_CALL_DEPTH: usize = 16;
+
 /// How a kernel argument is bound at launch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArgBinding {
@@ -153,10 +194,38 @@ pub enum ArgBinding {
     Scalar(Scalar),
 }
 
-/// Largest scratch (private/local) array a kernel may declare, in elements.
-/// Anything above this is treated as hostile and aborted with
+/// Most scratch (private/local array) elements one work item may hold at a
+/// time, over all the array declarations it has executed. A declaration that
+/// would cross it is treated as hostile and aborted with
 /// [`ExecError::ResourceLimitExceeded`] instead of attempting the allocation.
 pub const MAX_SCRATCH_ELEMENTS: usize = 1 << 22;
+
+/// Elements an array of these dimensions holds (a dimension of zero counts
+/// as one); `None` when the product overflows.
+pub(crate) fn scratch_elements(dims: &[usize]) -> Option<usize> {
+    dims.iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d.max(1)))
+}
+
+/// Charge an executing array declaration against the work item's scratch
+/// allowance `live`. Scratch is freed when the work item ends, so a
+/// declaration in a loop is charged every time it executes.
+pub(crate) fn claim_scratch(
+    live: &mut usize,
+    name: &str,
+    elements: Option<usize>,
+) -> Result<usize, ExecError> {
+    let elements = elements
+        .filter(|n| live.saturating_add(*n) <= MAX_SCRATCH_ELEMENTS)
+        .ok_or_else(|| {
+            ExecError::ResourceLimitExceeded(format!(
+                "array `{name}` takes the work item's scratch memory above \
+                 {MAX_SCRATCH_ELEMENTS} elements"
+            ))
+        })?;
+    *live += elements;
+    Ok(elements)
+}
 
 /// Execution limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,7 +266,8 @@ pub struct LaunchResult {
 }
 
 /// Execute `kernel_name` from `unit` over `ndrange` with the given argument
-/// bindings.
+/// bindings: lower the kernel to a [`Program`] and launch it once. Callers
+/// that launch a kernel more than once keep the `Program`.
 ///
 /// # Errors
 ///
@@ -211,38 +281,45 @@ pub fn execute(
     ndrange: NDRange,
     limits: &ExecLimits,
 ) -> Result<LaunchResult, ExecError> {
-    let kernel = unit
-        .function(kernel_name)
-        .filter(|f| f.is_kernel)
-        .ok_or_else(|| ExecError::MissingKernel(kernel_name.to_string()))?;
-    if kernel.params.len() != args.len() {
+    Program::lower(unit, kernel_name)
+        .launch(args, ndrange, limits)
+        .result
+}
+
+/// A kernel argument as both executors see it once bound: buffers live in
+/// the launch's buffer table (global ones first moved in, local ones
+/// allocated), scalars are converted to the parameter's type.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum BoundArg {
+    /// A `__global` / `__constant` buffer at this index of the buffer table.
+    Buffer(usize),
+    /// A `__local` buffer at this index of the buffer table.
+    LocalBuffer(usize),
+    /// A by-value scalar.
+    Scalar(Scalar),
+}
+
+/// Bind launch arguments to a kernel's parameters, in order. Returns the
+/// buffer table and one [`BoundArg`] per parameter.
+pub(crate) fn bind_args(
+    kernel_name: &str,
+    params: &[ParamDecl],
+    args: Vec<ArgBinding>,
+) -> Result<(Vec<Buffer>, Vec<BoundArg>), ExecError> {
+    if params.len() != args.len() {
         return Err(ExecError::ArgumentMismatch(format!(
             "kernel `{kernel_name}` has {} parameters but {} bindings were provided",
-            kernel.params.len(),
+            params.len(),
             args.len()
         )));
     }
-
-    let mut machine = Machine {
-        unit,
-        buffers: Vec::new(),
-        counts: ExecutionCounts::default(),
-        limits: *limits,
-        steps_this_item: 0,
-        work_item: WorkItemCtx::default(),
-    };
-
-    // Bind arguments: global buffers move into the machine's buffer table.
-    let mut bindings: Vec<BoundArg> = Vec::with_capacity(args.len());
-    for (param, arg) in kernel.params.iter().zip(args) {
-        match arg {
+    let mut buffers = Vec::new();
+    let mut bound = Vec::with_capacity(args.len());
+    for (param, arg) in params.iter().zip(args) {
+        bound.push(match arg {
             ArgBinding::GlobalBuffer(buffer) => {
-                let idx = machine.buffers.len();
-                machine.buffers.push(buffer);
-                bindings.push(BoundArg::Buffer {
-                    name: param.name.clone(),
-                    index: idx,
-                });
+                buffers.push(buffer);
+                BoundArg::Buffer(buffers.len() - 1)
             }
             ArgBinding::LocalElements(elements) => {
                 let elem = param.ty.element_scalar().unwrap_or(ScalarType::Float);
@@ -250,1500 +327,52 @@ pub fn execute(
                     Type::Pointer { pointee, .. } => pointee.lanes().unwrap_or(1) as usize,
                     _ => 1,
                 };
-                let idx = machine.buffers.len();
-                machine.buffers.push(Buffer::zeroed(
+                buffers.push(Buffer::zeroed(
                     elem,
                     lanes,
                     elements.max(1),
                     BufferSpace::Local,
                 ));
-                bindings.push(BoundArg::LocalBuffer {
-                    name: param.name.clone(),
-                    index: idx,
-                });
+                BoundArg::LocalBuffer(buffers.len() - 1)
             }
             ArgBinding::Scalar(s) => {
-                let ty = param.ty.element_scalar().unwrap_or(ScalarType::Int);
-                bindings.push(BoundArg::Scalar {
-                    name: param.name.clone(),
-                    value: s.convert_to(ty),
-                });
+                BoundArg::Scalar(s.convert_to(param.ty.element_scalar().unwrap_or(ScalarType::Int)))
             }
-        }
+        });
     }
-
-    let total_items = ndrange.work_items();
-    let sample_budget = if limits.max_work_items == 0 {
-        total_items
-    } else {
-        limits.max_work_items
-    };
-    let mut executed = 0usize;
-
-    let groups = [
-        ndrange.global[0].div_ceil(ndrange.local[0]),
-        ndrange.global[1].div_ceil(ndrange.local[1]),
-        ndrange.global[2].div_ceil(ndrange.local[2]),
-    ];
-    'outer: for gz in 0..groups[2] {
-        for gy in 0..groups[1] {
-            for gx in 0..groups[0] {
-                // Fresh local memory per work group.
-                for (i, b) in machine.buffers.iter_mut().enumerate() {
-                    let _ = i;
-                    if b.space == BufferSpace::Local {
-                        b.data.iter_mut().for_each(|s| *s = Scalar::zero_of(b.elem));
-                    }
-                }
-                for lz in 0..ndrange.local[2] {
-                    for ly in 0..ndrange.local[1] {
-                        for lx in 0..ndrange.local[0] {
-                            let global = [
-                                gx * ndrange.local[0] + lx,
-                                gy * ndrange.local[1] + ly,
-                                gz * ndrange.local[2] + lz,
-                            ];
-                            if global[0] >= ndrange.global[0]
-                                || global[1] >= ndrange.global[1]
-                                || global[2] >= ndrange.global[2]
-                            {
-                                continue;
-                            }
-                            if executed >= sample_budget {
-                                break 'outer;
-                            }
-                            machine.work_item = WorkItemCtx {
-                                global,
-                                local: [lx, ly, lz],
-                                group: [gx, gy, gz],
-                                global_size: ndrange.global,
-                                local_size: ndrange.local,
-                                num_groups: groups,
-                            };
-                            machine.run_work_item(kernel, &bindings)?;
-                            executed += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    machine.counts.work_items_executed = executed as u64;
-    // Move global buffers back out, preserving argument order.
-    let mut out_args = Vec::with_capacity(bindings.len());
-    for binding in &bindings {
-        match binding {
-            BoundArg::Buffer { index, .. } => {
-                out_args.push(ArgBinding::GlobalBuffer(machine.buffers[*index].clone()));
-            }
-            BoundArg::LocalBuffer { .. } => out_args.push(ArgBinding::LocalElements(0)),
-            BoundArg::Scalar { value, .. } => out_args.push(ArgBinding::Scalar(*value)),
-        }
-    }
-    Ok(LaunchResult {
-        args: out_args,
-        counts: machine.counts,
-        sampled_fraction: if total_items == 0 {
-            1.0
-        } else {
-            executed as f64 / total_items as f64
-        },
-    })
+    Ok((buffers, bound))
 }
 
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum BoundArg {
-    Buffer { name: String, index: usize },
-    LocalBuffer { name: String, index: usize },
-    Scalar { name: String, value: Scalar },
+/// The argument bindings a finished launch hands back, in parameter order:
+/// global buffers hold the kernel's results.
+pub(crate) fn unbind_args(buffers: Vec<Buffer>, bound: &[BoundArg]) -> Vec<ArgBinding> {
+    let mut buffers: Vec<Option<Buffer>> = buffers.into_iter().map(Some).collect();
+    bound
+        .iter()
+        .map(|arg| match *arg {
+            BoundArg::Buffer(index) => ArgBinding::GlobalBuffer(
+                buffers[index]
+                    .take()
+                    .expect("each argument owns one buffer"),
+            ),
+            BoundArg::LocalBuffer(_) => ArgBinding::LocalElements(0),
+            BoundArg::Scalar(value) => ArgBinding::Scalar(value),
+        })
+        .collect()
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct WorkItemCtx {
-    global: [usize; 3],
-    local: [usize; 3],
-    group: [usize; 3],
-    global_size: [usize; 3],
-    local_size: [usize; 3],
-    num_groups: [usize; 3],
-}
-
-enum Flow {
-    Normal,
-    Break,
-    Continue,
-    Return(Value),
-}
-
-/// An assignable location.
-enum Place {
-    Var {
-        name: String,
-        lane: Option<usize>,
-    },
-    BufferElem {
-        buffer: usize,
-        index: i64,
-        lane: Option<usize>,
-    },
-}
-
-struct Machine<'a> {
-    unit: &'a TranslationUnit,
-    buffers: Vec<Buffer>,
-    counts: ExecutionCounts,
-    limits: ExecLimits,
-    steps_this_item: u64,
-    work_item: WorkItemCtx,
-}
-
-type Env = Vec<HashMap<String, Value>>;
-
-impl<'a> Machine<'a> {
-    fn run_work_item(
-        &mut self,
-        kernel: &FunctionDef,
-        bindings: &[BoundArg],
-    ) -> Result<(), ExecError> {
-        self.steps_this_item = 0;
-        let mut env: Env = vec![HashMap::new()];
-        for binding in bindings {
-            match binding {
-                BoundArg::Buffer { name, index } | BoundArg::LocalBuffer { name, index } => {
-                    env[0].insert(
-                        name.clone(),
-                        Value::Ptr(PtrValue {
-                            buffer: *index,
-                            offset: 0,
-                            dims: vec![],
-                        }),
-                    );
-                }
-                BoundArg::Scalar { name, value } => {
-                    env[0].insert(name.clone(), Value::Scalar(*value));
-                }
-            }
-        }
-        let body = kernel
-            .body
-            .as_ref()
-            .ok_or_else(|| ExecError::MissingKernel(kernel.name.clone()))?;
-        // Private/local arrays declared in the body allocate scratch buffers;
-        // remember how many buffers existed so they can be freed afterwards.
-        let base_buffers = self.buffers.len();
-        let flow = self.exec_block(body, &mut env, 0)?;
-        let _ = flow;
-        self.buffers.truncate(base_buffers);
-        Ok(())
-    }
-
-    fn tick(&mut self, n: u64) -> Result<(), ExecError> {
-        self.counts.instructions += n;
-        self.steps_this_item += n;
-        if self.steps_this_item > self.limits.steps_per_work_item {
-            Err(ExecError::StepLimitExceeded)
-        } else if self.limits.total_steps > 0 && self.counts.instructions > self.limits.total_steps
-        {
-            Err(ExecError::TotalStepLimitExceeded)
-        } else {
-            Ok(())
-        }
-    }
-
-    // ----- environment ----------------------------------------------------
-
-    fn lookup(&self, env: &Env, name: &str) -> Option<Value> {
-        for scope in env.iter().rev() {
-            if let Some(v) = scope.get(name) {
-                return Some(v.clone());
-            }
-        }
-        None
-    }
-
-    fn assign_var(&mut self, env: &mut Env, name: &str, value: Value) {
-        for scope in env.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                *slot = value;
-                return;
-            }
-        }
-        // Undeclared (should not happen for sema-clean kernels): declare in the
-        // innermost scope so execution can continue.
-        env.last_mut()
-            .expect("env never empty")
-            .insert(name.to_string(), value);
-    }
-
-    // ----- statements -------------------------------------------------------
-
-    fn exec_block(
-        &mut self,
-        block: &Block,
-        env: &mut Env,
-        depth: usize,
-    ) -> Result<Flow, ExecError> {
-        env.push(HashMap::new());
-        let mut flow = Flow::Normal;
-        for stmt in &block.stmts {
-            flow = self.exec_stmt(stmt, env, depth)?;
-            if !matches!(flow, Flow::Normal) {
-                break;
-            }
-        }
-        env.pop();
-        Ok(flow)
-    }
-
-    fn exec_stmt(&mut self, stmt: &Stmt, env: &mut Env, depth: usize) -> Result<Flow, ExecError> {
-        match stmt {
-            Stmt::Block(b) => self.exec_block(b, env, depth),
-            Stmt::Empty => Ok(Flow::Normal),
-            // Error nodes only exist in units that failed to compile, which
-            // the driver refuses to launch; reaching one is a logic error
-            // surfaced as an unsupported-construct failure, not a panic.
-            Stmt::Error(_) => Err(ExecError::Unsupported(
-                "parse-error placeholder statement".into(),
-            )),
-            Stmt::Decl(d) => {
-                self.exec_decl(d, env, depth)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::Expr(e) => {
-                self.eval(e, env, depth)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                self.counts.branches += 1;
-                self.tick(1)?;
-                let c = self.eval(cond, env, depth)?.as_bool();
-                if c {
-                    self.exec_stmt(then_branch, env, depth)
-                } else if let Some(e) = else_branch {
-                    self.exec_stmt(e, env, depth)
-                } else {
-                    Ok(Flow::Normal)
-                }
-            }
-            Stmt::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                env.push(HashMap::new());
-                if let Some(init) = init {
-                    self.exec_stmt(init, env, depth)?;
-                }
-                let result = loop {
-                    self.counts.branches += 1;
-                    self.tick(1)?;
-                    let keep_going = match cond {
-                        Some(c) => self.eval(c, env, depth)?.as_bool(),
-                        None => true,
-                    };
-                    if !keep_going {
-                        break Flow::Normal;
-                    }
-                    match self.exec_stmt(body, env, depth)? {
-                        Flow::Break => break Flow::Normal,
-                        Flow::Return(v) => break Flow::Return(v),
-                        Flow::Normal | Flow::Continue => {}
-                    }
-                    if let Some(step) = step {
-                        self.eval(step, env, depth)?;
-                    }
-                };
-                env.pop();
-                Ok(result)
-            }
-            Stmt::While { cond, body } => {
-                loop {
-                    self.counts.branches += 1;
-                    self.tick(1)?;
-                    if !self.eval(cond, env, depth)?.as_bool() {
-                        break;
-                    }
-                    match self.exec_stmt(body, env, depth)? {
-                        Flow::Break => break,
-                        Flow::Return(v) => return Ok(Flow::Return(v)),
-                        Flow::Normal | Flow::Continue => {}
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::DoWhile { body, cond } => {
-                loop {
-                    match self.exec_stmt(body, env, depth)? {
-                        Flow::Break => break,
-                        Flow::Return(v) => return Ok(Flow::Return(v)),
-                        Flow::Normal | Flow::Continue => {}
-                    }
-                    self.counts.branches += 1;
-                    self.tick(1)?;
-                    if !self.eval(cond, env, depth)?.as_bool() {
-                        break;
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Switch { cond, cases } => {
-                self.counts.branches += 1;
-                self.tick(1)?;
-                let scrutinee = self.eval(cond, env, depth)?.as_scalar().as_i64();
-                // Find the matching case (or default), then fall through until a
-                // break, matching C semantics.
-                let mut start = None;
-                for (i, case) in cases.iter().enumerate() {
-                    match &case.value {
-                        Some(v) => {
-                            let val = self.eval(v, env, depth)?.as_scalar().as_i64();
-                            if val == scrutinee {
-                                start = Some(i);
-                                break;
-                            }
-                        }
-                        None => {
-                            if start.is_none() {
-                                start = Some(i);
-                            }
-                        }
-                    }
-                }
-                if let Some(start) = start {
-                    'cases: for case in &cases[start..] {
-                        for stmt in &case.body {
-                            match self.exec_stmt(stmt, env, depth)? {
-                                Flow::Break => break 'cases,
-                                Flow::Return(v) => return Ok(Flow::Return(v)),
-                                Flow::Normal | Flow::Continue => {}
-                            }
-                        }
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Return(value) => {
-                self.tick(1)?;
-                let v = match value {
-                    Some(e) => self.eval(e, env, depth)?,
-                    None => Value::Void,
-                };
-                Ok(Flow::Return(v))
-            }
-            Stmt::Break => Ok(Flow::Break),
-            Stmt::Continue => Ok(Flow::Continue),
-        }
-    }
-
-    fn exec_decl(&mut self, d: &Declaration, env: &mut Env, depth: usize) -> Result<(), ExecError> {
-        for v in &d.vars {
-            self.tick(1)?;
-            let value = match (&v.ty, &v.init) {
-                (Type::Array { .. }, _) => {
-                    // Allocate a scratch buffer for the array. Hostile sources
-                    // can declare arrays whose element product overflows usize
-                    // or is simply absurd; both become a typed error rather
-                    // than an allocation panic/OOM.
-                    let (elem, lanes, dims) = array_shape(&v.ty);
-                    let elements: usize = dims
-                        .iter()
-                        .try_fold(1usize, |acc, &d| acc.checked_mul(d.max(1)))
-                        .filter(|&n| n <= MAX_SCRATCH_ELEMENTS)
-                        .ok_or_else(|| {
-                            ExecError::ResourceLimitExceeded(format!(
-                                "array `{}` requests more than {MAX_SCRATCH_ELEMENTS} elements",
-                                v.name
-                            ))
-                        })?
-                        .max(1);
-                    let space = if d.address_space == AddressSpace::Local {
-                        BufferSpace::Local
-                    } else {
-                        BufferSpace::Private
-                    };
-                    let idx = self.buffers.len();
-                    self.buffers
-                        .push(Buffer::zeroed(elem, lanes, elements, space));
-                    Value::Ptr(PtrValue {
-                        buffer: idx,
-                        offset: 0,
-                        dims: if dims.len() > 1 {
-                            dims[1..].to_vec()
-                        } else {
-                            vec![]
-                        },
-                    })
-                }
-                (_, Some(init)) => {
-                    let val = self.eval(init, env, depth)?;
-                    coerce_to_type(val, &v.ty)
-                }
-                (ty, None) => default_value(ty),
-            };
-            env.last_mut()
-                .expect("env never empty")
-                .insert(v.name.clone(), value);
-        }
-        Ok(())
-    }
-
-    // ----- expressions ------------------------------------------------------
-
-    fn eval(&mut self, e: &Expr, env: &mut Env, depth: usize) -> Result<Value, ExecError> {
-        match e {
-            Expr::IntLit { value, .. } => Ok(Value::int(*value)),
-            Expr::Error(_) => Err(ExecError::Unsupported(
-                "parse-error placeholder expression".into(),
-            )),
-            Expr::FloatLit { value, .. } => Ok(Value::float(*value)),
-            Expr::CharLit(c) => Ok(Value::int(*c as i64)),
-            Expr::StrLit(_) => Ok(Value::int(0)),
-            Expr::Ident(name) => self
-                .lookup(env, name)
-                .or_else(|| builtin_constant_value(name))
-                .ok_or_else(|| ExecError::Unsupported(format!("unbound identifier `{name}`"))),
-            Expr::Binary { op, lhs, rhs } => {
-                self.tick(1)?;
-                if op.is_arithmetic() {
-                    self.counts.compute_ops += 1;
-                }
-                if matches!(op, BinOp::LogAnd | BinOp::LogOr) {
-                    self.counts.branches += 1;
-                    // short-circuit evaluation
-                    let l = self.eval(lhs, env, depth)?.as_bool();
-                    let result = match op {
-                        BinOp::LogAnd => l && self.eval(rhs, env, depth)?.as_bool(),
-                        _ => l || self.eval(rhs, env, depth)?.as_bool(),
-                    };
-                    return Ok(Value::int(i64::from(result)));
-                }
-                let l = self.eval(lhs, env, depth)?;
-                let r = self.eval(rhs, env, depth)?;
-                Ok(apply_binop(*op, &l, &r))
-            }
-            Expr::Unary { op, expr } => {
-                self.tick(1)?;
-                match op {
-                    UnOp::Deref => {
-                        let v = self.eval(expr, env, depth)?;
-                        if let Value::Ptr(p) = v {
-                            Ok(self.load_ptr(&p))
-                        } else {
-                            Ok(v)
-                        }
-                    }
-                    UnOp::AddrOf => {
-                        // Address of an lvalue: produce a pointer when possible.
-                        match self.eval_place(expr, env, depth)? {
-                            Some(Place::BufferElem { buffer, index, .. }) => {
-                                Ok(Value::Ptr(PtrValue {
-                                    buffer,
-                                    offset: index,
-                                    dims: vec![],
-                                }))
-                            }
-                            _ => Ok(Value::int(0)),
-                        }
-                    }
-                    UnOp::PreInc | UnOp::PreDec => {
-                        let delta = if *op == UnOp::PreInc { 1 } else { -1 };
-                        self.counts.compute_ops += 1;
-                        let current = self.eval(expr, env, depth)?;
-                        let updated = apply_binop(BinOp::Add, &current, &Value::int(delta));
-                        self.store_to(expr, updated.clone(), env, depth)?;
-                        Ok(updated)
-                    }
-                    UnOp::Neg => {
-                        self.counts.compute_ops += 1;
-                        let v = self.eval(expr, env, depth)?;
-                        Ok(map_unary(&v, |s| match s {
-                            Scalar::I(i) => Scalar::I(-i),
-                            Scalar::F(f) => Scalar::F(-f),
-                        }))
-                    }
-                    UnOp::Plus => self.eval(expr, env, depth),
-                    UnOp::Not => {
-                        let v = self.eval(expr, env, depth)?;
-                        Ok(Value::int(i64::from(!v.as_bool())))
-                    }
-                    UnOp::BitNot => {
-                        self.counts.compute_ops += 1;
-                        let v = self.eval(expr, env, depth)?;
-                        Ok(map_unary(&v, |s| Scalar::I(!s.as_i64())))
-                    }
-                }
-            }
-            Expr::Postfix { expr, inc } => {
-                self.tick(1)?;
-                self.counts.compute_ops += 1;
-                let current = self.eval(expr, env, depth)?;
-                let delta = if *inc { 1 } else { -1 };
-                let updated = apply_binop(BinOp::Add, &current, &Value::int(delta));
-                self.store_to(expr, updated, env, depth)?;
-                Ok(current)
-            }
-            Expr::Assign { op, lhs, rhs } => {
-                self.tick(1)?;
-                let rhs_val = self.eval(rhs, env, depth)?;
-                let value = match op.binary_op() {
-                    None => rhs_val,
-                    Some(bin) => {
-                        self.counts.compute_ops += 1;
-                        let current = self.eval(lhs, env, depth)?;
-                        apply_binop(bin, &current, &rhs_val)
-                    }
-                };
-                self.store_to(lhs, value.clone(), env, depth)?;
-                Ok(value)
-            }
-            Expr::Conditional {
-                cond,
-                then_expr,
-                else_expr,
-            } => {
-                self.tick(1)?;
-                self.counts.branches += 1;
-                if self.eval(cond, env, depth)?.as_bool() {
-                    self.eval(then_expr, env, depth)
-                } else {
-                    self.eval(else_expr, env, depth)
-                }
-            }
-            Expr::Call { callee, args } => self.eval_call(callee, args, env, depth),
-            Expr::Index { .. } | Expr::Member { .. } => {
-                self.tick(1)?;
-                match self.eval_place(e, env, depth)? {
-                    Some(place) => Ok(self.load_place(&place, env)),
-                    None => Ok(Value::int(0)),
-                }
-            }
-            Expr::Cast { ty, expr } => {
-                let v = self.eval(expr, env, depth)?;
-                Ok(coerce_to_type(v, ty))
-            }
-            Expr::VectorLit { ty, elems } => {
-                self.tick(1)?;
-                let lanes = ty.lanes().unwrap_or(1) as usize;
-                let elem_ty = ty.element_scalar().unwrap_or(ScalarType::Float);
-                let mut values = Vec::with_capacity(lanes);
-                for e in elems {
-                    let v = self.eval(e, env, depth)?;
-                    for lane in 0..v.lanes() {
-                        values.push(v.lane(lane).convert_to(elem_ty));
-                    }
-                }
-                if values.is_empty() {
-                    values.push(Scalar::zero_of(elem_ty));
-                }
-                // Broadcast a single element to all lanes.
-                while values.len() < lanes {
-                    let last = *values.last().expect("non-empty");
-                    values.push(last);
-                }
-                values.truncate(lanes);
-                Ok(Value::Vector(values))
-            }
-            Expr::SizeOf { ty, expr } => {
-                let size = match (ty, expr) {
-                    (Some(ty), _) => ty.size_bytes(),
-                    (None, Some(_)) => 4,
-                    (None, None) => 4,
-                };
-                Ok(Value::int(size as i64))
-            }
-            Expr::Comma(elems) => {
-                let mut last = Value::Void;
-                for e in elems {
-                    last = self.eval(e, env, depth)?;
-                }
-                Ok(last)
-            }
-        }
-    }
-
-    /// Evaluate an expression used as an assignment target.
-    fn store_to(
-        &mut self,
-        lhs: &Expr,
-        value: Value,
-        env: &mut Env,
-        depth: usize,
-    ) -> Result<(), ExecError> {
-        match self.eval_place(lhs, env, depth)? {
-            Some(Place::Var { name, lane }) => {
-                match lane {
-                    None => self.assign_var(env, &name, value),
-                    Some(lane) => {
-                        let mut current = self.lookup(env, &name).unwrap_or(Value::int(0));
-                        if let Value::Vector(v) = &mut current {
-                            if lane < v.len() {
-                                v[lane] = value.as_scalar();
-                            }
-                        } else {
-                            current = value;
-                        }
-                        self.assign_var(env, &name, current);
-                    }
-                }
-                Ok(())
-            }
-            Some(Place::BufferElem {
-                buffer,
-                index,
-                lane,
-            }) => {
-                self.record_access(buffer, index, true);
-                if let Some(buf) = self.buffers.get_mut(buffer) {
-                    match lane {
-                        None => buf.store(index, &value),
-                        Some(lane) => buf.store_lane(index, lane, value.as_scalar()),
-                    }
-                }
-                Ok(())
-            }
-            None => Ok(()),
-        }
-    }
-
-    /// Resolve an expression to a place, if it denotes one.
-    fn eval_place(
-        &mut self,
-        e: &Expr,
-        env: &mut Env,
-        depth: usize,
-    ) -> Result<Option<Place>, ExecError> {
-        match e {
-            Expr::Ident(name) => Ok(Some(Place::Var {
-                name: name.clone(),
-                lane: None,
-            })),
-            Expr::Unary {
-                op: UnOp::Deref,
-                expr,
-            } => {
-                let v = self.eval(expr, env, depth)?;
-                if let Value::Ptr(p) = v {
-                    Ok(Some(Place::BufferElem {
-                        buffer: p.buffer,
-                        index: p.offset,
-                        lane: None,
-                    }))
-                } else {
-                    Ok(None)
-                }
-            }
-            Expr::Index { base, index } => {
-                let base_val = self.eval(base, env, depth)?;
-                let idx = self.eval(index, env, depth)?.as_scalar().as_i64();
-                match base_val {
-                    Value::Ptr(p) => {
-                        if p.dims.len() > 1 {
-                            // Multi-dimensional array: peeling handled in eval()
-                            // when loading; as a place we flatten fully only at
-                            // the innermost level, so compute the flat index.
-                            let stride: usize = p.dims[1..].iter().product();
-                            let _ = stride;
-                        }
-                        let stride: i64 = p.dims.iter().product::<usize>().max(1) as i64;
-                        let flat = p.offset + idx * stride;
-                        if !p.dims.is_empty() && stride > 1 {
-                            // Still an aggregate; no scalar place.
-                            Ok(Some(Place::BufferElem {
-                                buffer: p.buffer,
-                                index: flat,
-                                lane: None,
-                            }))
-                        } else {
-                            let coalesced = self.is_coalesced_index(idx);
-                            if coalesced {
-                                self.counts.coalesced_accesses += 1;
-                            }
-                            Ok(Some(Place::BufferElem {
-                                buffer: p.buffer,
-                                index: flat,
-                                lane: None,
-                            }))
-                        }
-                    }
-                    Value::Vector(_) => {
-                        // Indexing a vector value: treat as lane access on the
-                        // base variable when the base is a simple identifier.
-                        if let Expr::Ident(name) = &**base {
-                            Ok(Some(Place::Var {
-                                name: name.clone(),
-                                lane: Some(idx.max(0) as usize),
-                            }))
-                        } else {
-                            Ok(None)
-                        }
-                    }
-                    _ => Ok(None),
-                }
-            }
-            Expr::Member { base, member, .. } => {
-                if !is_vector_component(member) {
-                    // Struct member accesses are not supported as stores; loads
-                    // return 0 via eval_place -> None.
-                    return Ok(None);
-                }
-                let lane = component_lane(member);
-                match &**base {
-                    Expr::Ident(name) => Ok(Some(Place::Var {
-                        name: name.clone(),
-                        lane: Some(lane),
-                    })),
-                    Expr::Index { .. } => {
-                        let inner = self.eval_place(base, env, depth)?;
-                        match inner {
-                            Some(Place::BufferElem { buffer, index, .. }) => {
-                                Ok(Some(Place::BufferElem {
-                                    buffer,
-                                    index,
-                                    lane: Some(lane),
-                                }))
-                            }
-                            other => Ok(other),
-                        }
-                    }
-                    _ => Ok(None),
-                }
-            }
-            _ => Ok(None),
-        }
-    }
-
-    fn load_place(&mut self, place: &Place, env: &Env) -> Value {
-        match place {
-            Place::Var { name, lane } => {
-                let v = self.lookup(env, name).unwrap_or(Value::int(0));
-                match lane {
-                    None => v,
-                    Some(l) => Value::Scalar(v.lane(*l)),
-                }
-            }
-            Place::BufferElem {
-                buffer,
-                index,
-                lane,
-            } => {
-                self.record_access(*buffer, *index, false);
-                match self.buffers.get(*buffer) {
-                    None => Value::int(0),
-                    Some(buf) => match lane {
-                        None => buf.load(*index),
-                        Some(l) => Value::Scalar(buf.load_lane(*index, *l)),
-                    },
-                }
-            }
-        }
-    }
-
-    fn load_ptr(&mut self, p: &PtrValue) -> Value {
-        self.record_access(p.buffer, p.offset, false);
-        self.buffers
-            .get(p.buffer)
-            .map(|b| b.load(p.offset))
-            .unwrap_or(Value::int(0))
-    }
-
-    fn record_access(&mut self, buffer: usize, index: i64, is_store: bool) {
-        let Some(buf) = self.buffers.get(buffer) else {
-            return;
-        };
-        if index < 0 || index as usize >= buf.elements().max(1) {
-            self.counts.out_of_bounds += 1;
-        }
-        match buf.space {
-            BufferSpace::Global | BufferSpace::Constant => {
-                if is_store {
-                    self.counts.global_stores += 1;
-                } else {
-                    self.counts.global_loads += 1;
-                }
-            }
-            BufferSpace::Local => self.counts.local_accesses += 1,
-            BufferSpace::Private => {}
-        }
-    }
-
-    /// Heuristic: an access whose element index equals the linear global id
-    /// plus/minus a small constant is coalesced across neighbouring work items.
-    fn is_coalesced_index(&self, idx: i64) -> bool {
-        let gid = self.work_item.global[0] as i64
-            + (self.work_item.global[1] * self.work_item.global_size[0]) as i64;
-        (idx - gid).abs() <= 4
-    }
-
-    // ----- calls ------------------------------------------------------------
-
-    fn eval_call(
-        &mut self,
-        callee: &str,
-        args: &[Expr],
-        env: &mut Env,
-        depth: usize,
-    ) -> Result<Value, ExecError> {
-        self.tick(1)?;
-        // Work-item functions first (cheap, extremely common).
-        if let Some(kind) = builtin_function_kind(callee) {
-            return self.eval_builtin(callee, kind, args, env, depth);
-        }
-        // User-defined function.
-        let func = self
-            .unit
-            .function(callee)
-            .ok_or_else(|| ExecError::Unsupported(format!("call to unknown function `{callee}`")))?
-            .clone();
-        if depth > 16 {
-            return Err(ExecError::Unsupported("call depth exceeded".into()));
-        }
-        let mut arg_values = Vec::with_capacity(args.len());
-        for a in args {
-            arg_values.push(self.eval(a, env, depth)?);
-        }
-        let mut callee_env: Env = vec![HashMap::new()];
-        // The callee still needs access to file-scope constants; copy the
-        // outermost scope (cheap: only globals and kernel args live there).
-        callee_env[0] = env[0].clone();
-        callee_env.push(HashMap::new());
-        for (param, value) in func.params.iter().zip(arg_values) {
-            let v = coerce_to_type(value, &param.ty);
-            callee_env
-                .last_mut()
-                .expect("scope")
-                .insert(param.name.clone(), v);
-        }
-        let body = match &func.body {
-            Some(b) => b.clone(),
-            None => return Ok(Value::int(0)),
-        };
-        match self.exec_block(&body, &mut callee_env, depth + 1)? {
-            Flow::Return(v) => Ok(coerce_to_type(v, &func.return_type)),
-            _ => Ok(Value::int(0)),
-        }
-    }
-
-    fn eval_builtin(
-        &mut self,
-        callee: &str,
-        kind: BuiltinKind,
-        args: &[Expr],
-        env: &mut Env,
-        depth: usize,
-    ) -> Result<Value, ExecError> {
-        match kind {
-            BuiltinKind::WorkItem => {
-                let dim = if args.is_empty() {
-                    0
-                } else {
-                    self.eval(&args[0], env, depth)?
-                        .as_scalar()
-                        .as_i64()
-                        .clamp(0, 2) as usize
-                };
-                let wi = self.work_item;
-                let v = match callee {
-                    "get_global_id" => wi.global[dim] as i64,
-                    "get_local_id" => wi.local[dim] as i64,
-                    "get_group_id" => wi.group[dim] as i64,
-                    "get_global_size" => wi.global_size[dim] as i64,
-                    "get_local_size" => wi.local_size[dim] as i64,
-                    "get_num_groups" => wi.num_groups[dim] as i64,
-                    "get_global_offset" => 0,
-                    "get_work_dim" => {
-                        if wi.global_size[1] > 1 {
-                            2
-                        } else {
-                            1
-                        }
-                    }
-                    _ => 0,
-                };
-                Ok(Value::int(v))
-            }
-            BuiltinKind::Sync => {
-                self.counts.barriers += 1;
-                // Evaluate arguments for their side effects (they rarely have
-                // any) and continue: sequential execution makes barriers no-ops.
-                for a in args {
-                    self.eval(a, env, depth)?;
-                }
-                Ok(Value::Void)
-            }
-            BuiltinKind::Math => {
-                self.counts.math_calls += 1;
-                self.counts.compute_ops += 1;
-                let mut values = Vec::with_capacity(args.len());
-                for a in args {
-                    values.push(self.eval(a, env, depth)?);
-                }
-                Ok(apply_math(callee, &values))
-            }
-            BuiltinKind::Atomic => {
-                self.counts.compute_ops += 1;
-                let ptr = self.eval(&args[0], env, depth)?;
-                let operand = if args.len() > 1 {
-                    self.eval(&args[1], env, depth)?.as_scalar().as_i64()
-                } else {
-                    1
-                };
-                if let Value::Ptr(p) = ptr {
-                    let old = self.load_ptr(&p).as_scalar().as_i64();
-                    let new = match callee
-                        .trim_start_matches("atomic_")
-                        .trim_start_matches("atom_")
-                    {
-                        "add" => old + operand,
-                        "sub" => old - operand,
-                        "inc" => old + 1,
-                        "dec" => old - 1,
-                        "xchg" => operand,
-                        "min" => old.min(operand),
-                        "max" => old.max(operand),
-                        "and" => old & operand,
-                        "or" => old | operand,
-                        "xor" => old ^ operand,
-                        "cmpxchg" => {
-                            let desired = if args.len() > 2 {
-                                self.eval(&args[2], env, depth)?.as_scalar().as_i64()
-                            } else {
-                                operand
-                            };
-                            if old == operand {
-                                desired
-                            } else {
-                                old
-                            }
-                        }
-                        _ => old,
-                    };
-                    self.record_access(p.buffer, p.offset, true);
-                    if let Some(buf) = self.buffers.get_mut(p.buffer) {
-                        buf.store(p.offset, &Value::int(new));
-                    }
-                    Ok(Value::int(old))
-                } else {
-                    Ok(Value::int(0))
-                }
-            }
-            BuiltinKind::Convert => {
-                let v = if args.is_empty() {
-                    Value::int(0)
-                } else {
-                    self.eval(&args[0], env, depth)?
-                };
-                // convert_<type> / as_<type>: reinterpretation niceties are not
-                // modelled; values keep their numeric content.
-                let target = callee
-                    .trim_start_matches("convert_")
-                    .trim_start_matches("as_");
-                match Type::from_name(target.trim_end_matches("_sat").trim_end_matches("_rte")) {
-                    Some(ty) => Ok(coerce_to_type(v, &ty)),
-                    None => Ok(v),
-                }
-            }
-            BuiltinKind::VectorData => {
-                // vloadN(offset, ptr) and vstoreN(data, offset, ptr).
-                let lanes: usize = callee
-                    .trim_start_matches("vload")
-                    .trim_start_matches("vstore")
-                    .parse()
-                    .unwrap_or(4);
-                if callee.starts_with("vload") && args.len() >= 2 {
-                    let offset = self.eval(&args[0], env, depth)?.as_scalar().as_i64();
-                    let ptr = self.eval(&args[1], env, depth)?;
-                    if let Value::Ptr(p) = ptr {
-                        let mut v = Vec::with_capacity(lanes);
-                        for lane in 0..lanes {
-                            let pv = PtrValue {
-                                buffer: p.buffer,
-                                offset: offset * lanes as i64 + lane as i64,
-                                dims: vec![],
-                            };
-                            v.push(self.load_ptr(&pv).as_scalar());
-                        }
-                        return Ok(Value::Vector(v));
-                    }
-                    return Ok(Value::int(0));
-                }
-                if callee.starts_with("vstore") && args.len() >= 3 {
-                    let data = self.eval(&args[0], env, depth)?;
-                    let offset = self.eval(&args[1], env, depth)?.as_scalar().as_i64();
-                    let ptr = self.eval(&args[2], env, depth)?;
-                    if let Value::Ptr(p) = ptr {
-                        for lane in 0..lanes {
-                            let index = offset * lanes as i64 + lane as i64;
-                            self.record_access(p.buffer, index, true);
-                            if let Some(buf) = self.buffers.get_mut(p.buffer) {
-                                buf.store(index, &Value::Scalar(data.lane(lane)));
-                            }
-                        }
-                    }
-                    return Ok(Value::Void);
-                }
-                Ok(Value::int(0))
-            }
-            BuiltinKind::Image | BuiltinKind::Async | BuiltinKind::Other => {
-                // Evaluate arguments for side effects; images and async copies
-                // are outside the supported subset (CLgen never generates them).
-                for a in args {
-                    self.eval(a, env, depth)?;
-                }
-                Ok(Value::int(0))
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// helpers
-
-fn array_shape(ty: &Type) -> (ScalarType, usize, Vec<usize>) {
-    let mut dims = Vec::new();
-    let mut current = ty;
-    while let Type::Array { elem, size } = current {
-        dims.push(size.unwrap_or(1));
-        current = elem;
-    }
-    dims.reverse();
-    let elem = current.element_scalar().unwrap_or(ScalarType::Float);
-    let lanes = current.lanes().unwrap_or(1) as usize;
-    (elem, lanes, dims)
-}
-
-fn default_value(ty: &Type) -> Value {
-    match ty {
-        Type::Vector(s, n) => Value::Vector(vec![Scalar::zero_of(*s); *n as usize]),
-        Type::Scalar(s) => Value::Scalar(Scalar::zero_of(*s)),
-        _ => Value::int(0),
-    }
-}
-
-fn coerce_to_type(v: Value, ty: &Type) -> Value {
-    match ty {
-        Type::Scalar(s) => Value::Scalar(v.as_scalar().convert_to(*s)),
-        Type::Vector(s, n) => {
-            let lanes = *n as usize;
-            let mut out = Vec::with_capacity(lanes);
-            for i in 0..lanes {
-                out.push(v.lane(i).convert_to(*s));
-            }
-            // broadcast scalars
-            if v.lanes() == 1 {
-                out = vec![v.as_scalar().convert_to(*s); lanes];
-            }
-            Value::Vector(out)
-        }
-        _ => v,
-    }
-}
-
-fn map_unary(v: &Value, f: impl Fn(Scalar) -> Scalar) -> Value {
-    match v {
-        Value::Vector(lanes) => Value::Vector(lanes.iter().map(|s| f(*s)).collect()),
-        other => Value::Scalar(f(other.as_scalar())),
-    }
-}
-
-fn map_binary(a: &Value, b: &Value, f: impl Fn(Scalar, Scalar) -> Scalar) -> Value {
-    let lanes = a.lanes().max(b.lanes());
-    if lanes == 1 {
-        Value::Scalar(f(a.as_scalar(), b.as_scalar()))
-    } else {
-        Value::Vector((0..lanes).map(|i| f(a.lane(i), b.lane(i))).collect())
-    }
-}
-
-fn scalar_binop(op: BinOp, a: Scalar, b: Scalar) -> Scalar {
-    use BinOp::*;
-    let float = a.is_float() || b.is_float();
-    match op {
-        Add | Sub | Mul | Div | Rem => {
-            if float {
-                let (x, y) = (a.as_f64(), b.as_f64());
-                Scalar::F(match op {
-                    Add => x + y,
-                    Sub => x - y,
-                    Mul => x * y,
-                    Div => {
-                        if y == 0.0 {
-                            0.0
-                        } else {
-                            x / y
-                        }
-                    }
-                    _ => {
-                        if y == 0.0 {
-                            0.0
-                        } else {
-                            x % y
-                        }
-                    }
-                })
-            } else {
-                let (x, y) = (a.as_i64(), b.as_i64());
-                Scalar::I(match op {
-                    Add => x.wrapping_add(y),
-                    Sub => x.wrapping_sub(y),
-                    Mul => x.wrapping_mul(y),
-                    Div => {
-                        if y == 0 {
-                            0
-                        } else {
-                            x.wrapping_div(y)
-                        }
-                    }
-                    _ => {
-                        if y == 0 {
-                            0
-                        } else {
-                            x.wrapping_rem(y)
-                        }
-                    }
-                })
-            }
-        }
-        Shl | Shr | BitAnd | BitOr | BitXor => {
-            let (x, y) = (a.as_i64(), b.as_i64());
-            Scalar::I(match op {
-                Shl => x.wrapping_shl((y & 63) as u32),
-                Shr => x.wrapping_shr((y & 63) as u32),
-                BitAnd => x & y,
-                BitOr => x | y,
-                _ => x ^ y,
-            })
-        }
-        Lt | Gt | Le | Ge | Eq | Ne => {
-            let result = if float {
-                let (x, y) = (a.as_f64(), b.as_f64());
-                match op {
-                    Lt => x < y,
-                    Gt => x > y,
-                    Le => x <= y,
-                    Ge => x >= y,
-                    Eq => x == y,
-                    _ => x != y,
-                }
-            } else {
-                let (x, y) = (a.as_i64(), b.as_i64());
-                match op {
-                    Lt => x < y,
-                    Gt => x > y,
-                    Le => x <= y,
-                    Ge => x >= y,
-                    Eq => x == y,
-                    _ => x != y,
-                }
-            };
-            Scalar::I(i64::from(result))
-        }
-        LogAnd => Scalar::I(i64::from(a.as_bool() && b.as_bool())),
-        LogOr => Scalar::I(i64::from(a.as_bool() || b.as_bool())),
-    }
-}
-
-fn apply_binop(op: BinOp, a: &Value, b: &Value) -> Value {
-    // Pointer arithmetic: ptr + int adjusts the element offset.
-    if let (Value::Ptr(p), other) = (a, b) {
-        if matches!(op, BinOp::Add | BinOp::Sub) {
-            let delta = other.as_scalar().as_i64();
-            let offset = if op == BinOp::Add {
-                p.offset + delta
-            } else {
-                p.offset - delta
-            };
-            return Value::Ptr(PtrValue {
-                buffer: p.buffer,
-                offset,
-                dims: p.dims.clone(),
-            });
-        }
-    }
-    if let (other, Value::Ptr(p)) = (a, b) {
-        if op == BinOp::Add {
-            return Value::Ptr(PtrValue {
-                buffer: p.buffer,
-                offset: p.offset + other.as_scalar().as_i64(),
-                dims: p.dims.clone(),
-            });
-        }
-    }
-    map_binary(a, b, |x, y| scalar_binop(op, x, y))
-}
-
-fn builtin_constant_value(name: &str) -> Option<Value> {
-    Some(match name {
-        "M_PI" | "M_PI_F" => Value::float(std::f64::consts::PI),
-        "M_E" | "M_E_F" => Value::float(std::f64::consts::E),
-        "MAXFLOAT" | "FLT_MAX" | "HUGE_VALF" | "INFINITY" => Value::float(f32::MAX as f64),
-        "FLT_MIN" => Value::float(f32::MIN_POSITIVE as f64),
-        "FLT_EPSILON" => Value::float(f32::EPSILON as f64),
-        "DBL_MAX" => Value::float(f64::MAX),
-        "DBL_MIN" => Value::float(f64::MIN_POSITIVE),
-        "NAN" => Value::float(f64::NAN),
-        "INT_MAX" => Value::int(i32::MAX as i64),
-        "INT_MIN" => Value::int(i32::MIN as i64),
-        "UINT_MAX" => Value::int(u32::MAX as i64),
-        "LONG_MAX" => Value::int(i64::MAX),
-        "LONG_MIN" => Value::int(i64::MIN),
-        "CHAR_BIT" => Value::int(8),
-        "CLK_LOCAL_MEM_FENCE" => Value::int(1),
-        "CLK_GLOBAL_MEM_FENCE" => Value::int(2),
-        "true" => Value::int(1),
-        "false" | "NULL" => Value::int(0),
-        _ => return None,
-    })
-}
-
-fn apply_math(name: &str, args: &[Value]) -> Value {
-    let a = args.first().cloned().unwrap_or(Value::float(0.0));
-    let b = args.get(1).cloned().unwrap_or(Value::float(0.0));
-    let c = args.get(2).cloned().unwrap_or(Value::float(0.0));
-    let unary = |f: fn(f64) -> f64| map_unary(&a, |s| Scalar::F(f(s.as_f64())));
-    match name {
-        "sqrt" | "native_sqrt" | "half_sqrt" => unary(f64::sqrt),
-        "rsqrt" | "native_rsqrt" => unary(|x| 1.0 / x.sqrt().max(1e-30)),
-        "cbrt" => unary(f64::cbrt),
-        "fabs" => unary(f64::abs),
-        "abs" => map_unary(&a, |s| match s {
-            Scalar::I(i) => Scalar::I(i.abs()),
-            Scalar::F(f) => Scalar::F(f.abs()),
-        }),
-        "abs_diff" => map_binary(&a, &b, |x, y| Scalar::I((x.as_i64() - y.as_i64()).abs())),
-        "exp" | "native_exp" | "half_exp" => unary(f64::exp),
-        "exp2" => unary(f64::exp2),
-        "exp10" => unary(|x| 10f64.powf(x)),
-        "log" | "native_log" | "half_log" => unary(|x| x.max(1e-30).ln()),
-        "log2" => unary(|x| x.max(1e-30).log2()),
-        "log10" => unary(|x| x.max(1e-30).log10()),
-        "sin" | "native_sin" | "sinpi" => unary(f64::sin),
-        "cos" | "native_cos" | "cospi" => unary(f64::cos),
-        "tan" => unary(f64::tan),
-        "sinh" => unary(f64::sinh),
-        "cosh" => unary(f64::cosh),
-        "tanh" => unary(f64::tanh),
-        "asin" => unary(|x| x.clamp(-1.0, 1.0).asin()),
-        "acos" => unary(|x| x.clamp(-1.0, 1.0).acos()),
-        "atan" => unary(f64::atan),
-        "atan2" => map_binary(&a, &b, |x, y| Scalar::F(x.as_f64().atan2(y.as_f64()))),
-        "floor" => unary(f64::floor),
-        "ceil" => unary(f64::ceil),
-        "round" | "rint" => unary(f64::round),
-        "trunc" => unary(f64::trunc),
-        "fract" => unary(f64::fract),
-        "sign" => unary(f64::signum),
-        "degrees" => unary(f64::to_degrees),
-        "radians" => unary(f64::to_radians),
-        "fmod" | "remainder" => map_binary(&a, &b, |x, y| {
-            let d = y.as_f64();
-            Scalar::F(if d == 0.0 { 0.0 } else { x.as_f64() % d })
-        }),
-        "pow" | "powr" | "pown" | "native_powr" | "half_powr" => {
-            map_binary(&a, &b, |x, y| Scalar::F(x.as_f64().powf(y.as_f64())))
-        }
-        "fmin" => map_binary(&a, &b, |x, y| Scalar::F(x.as_f64().min(y.as_f64()))),
-        "fmax" | "maxmag" => map_binary(&a, &b, |x, y| Scalar::F(x.as_f64().max(y.as_f64()))),
-        "min" | "minmag" => map_binary(&a, &b, |x, y| {
-            if x.is_float() || y.is_float() {
-                Scalar::F(x.as_f64().min(y.as_f64()))
-            } else {
-                Scalar::I(x.as_i64().min(y.as_i64()))
-            }
-        }),
-        "max" => map_binary(&a, &b, |x, y| {
-            if x.is_float() || y.is_float() {
-                Scalar::F(x.as_f64().max(y.as_f64()))
-            } else {
-                Scalar::I(x.as_i64().max(y.as_i64()))
-            }
-        }),
-        "clamp" => {
-            let lanes = a.lanes().max(b.lanes()).max(c.lanes());
-            let f = |i: usize| {
-                let v = a.lane(i).as_f64();
-                let lo = b.lane(i).as_f64();
-                let hi = c.lane(i).as_f64();
-                Scalar::F(v.clamp(lo, hi.max(lo)))
-            };
-            if lanes == 1 {
-                Value::Scalar(f(0))
-            } else {
-                Value::Vector((0..lanes).map(f).collect())
-            }
-        }
-        "mix" => {
-            let lanes = a.lanes().max(b.lanes()).max(c.lanes());
-            let f = |i: usize| {
-                let x = a.lane(i).as_f64();
-                let y = b.lane(i).as_f64();
-                let t = c.lane(i).as_f64();
-                Scalar::F(x + (y - x) * t)
-            };
-            if lanes == 1 {
-                Value::Scalar(f(0))
-            } else {
-                Value::Vector((0..lanes).map(f).collect())
-            }
-        }
-        "step" => map_binary(&a, &b, |edge, x| {
-            Scalar::F(if x.as_f64() < edge.as_f64() { 0.0 } else { 1.0 })
-        }),
-        "smoothstep" => {
-            let f = |i: usize| {
-                let e0 = a.lane(i).as_f64();
-                let e1 = b.lane(i).as_f64();
-                let x = c.lane(i).as_f64();
-                let t = ((x - e0) / (e1 - e0).max(1e-30)).clamp(0.0, 1.0);
-                Scalar::F(t * t * (3.0 - 2.0 * t))
-            };
-            let lanes = a.lanes().max(c.lanes());
-            if lanes == 1 {
-                Value::Scalar(f(0))
-            } else {
-                Value::Vector((0..lanes).map(f).collect())
-            }
-        }
-        "mad" | "fma" | "mad24" => {
-            let lanes = a.lanes().max(b.lanes()).max(c.lanes());
-            let f =
-                |i: usize| Scalar::F(a.lane(i).as_f64() * b.lane(i).as_f64() + c.lane(i).as_f64());
-            if lanes == 1 {
-                Value::Scalar(f(0))
-            } else {
-                Value::Vector((0..lanes).map(f).collect())
-            }
-        }
-        "mul24" | "mul_hi" => map_binary(&a, &b, |x, y| {
-            Scalar::I(x.as_i64().wrapping_mul(y.as_i64()))
-        }),
-        "hadd" | "rhadd" => map_binary(&a, &b, |x, y| Scalar::I((x.as_i64() + y.as_i64()) / 2)),
-        "rotate" => map_binary(&a, &b, |x, y| {
-            Scalar::I(x.as_i64().rotate_left((y.as_i64() & 63) as u32))
-        }),
-        "clz" => map_unary(&a, |s| {
-            Scalar::I(i64::from((s.as_i64() as u32).leading_zeros()))
-        }),
-        "popcount" => map_unary(&a, |s| Scalar::I(i64::from(s.as_i64().count_ones()))),
-        "isnan" => map_unary(&a, |s| Scalar::I(i64::from(s.as_f64().is_nan()))),
-        "isinf" => map_unary(&a, |s| Scalar::I(i64::from(s.as_f64().is_infinite()))),
-        "isfinite" => map_unary(&a, |s| Scalar::I(i64::from(s.as_f64().is_finite()))),
-        "isequal" => map_binary(&a, &b, |x, y| {
-            Scalar::I(i64::from(x.as_f64() == y.as_f64()))
-        }),
-        "isnotequal" => map_binary(&a, &b, |x, y| {
-            Scalar::I(i64::from(x.as_f64() != y.as_f64()))
-        }),
-        "isgreater" => map_binary(&a, &b, |x, y| Scalar::I(i64::from(x.as_f64() > y.as_f64()))),
-        "isless" => map_binary(&a, &b, |x, y| Scalar::I(i64::from(x.as_f64() < y.as_f64()))),
-        "any" => Value::int(i64::from((0..a.lanes()).any(|i| a.lane(i).as_bool()))),
-        "all" => Value::int(i64::from((0..a.lanes()).all(|i| a.lane(i).as_bool()))),
-        "select" => {
-            let lanes = a.lanes().max(b.lanes()).max(c.lanes());
-            let f = |i: usize| {
-                if c.lane(i).as_bool() {
-                    b.lane(i)
-                } else {
-                    a.lane(i)
-                }
-            };
-            if lanes == 1 {
-                Value::Scalar(f(0))
-            } else {
-                Value::Vector((0..lanes).map(f).collect())
-            }
-        }
-        "bitselect" => map_binary(&a, &b, |x, y| Scalar::I(x.as_i64() ^ y.as_i64())),
-        "dot" => {
-            let lanes = a.lanes().max(b.lanes());
-            let mut acc = 0.0;
-            for i in 0..lanes {
-                acc += a.lane(i).as_f64() * b.lane(i).as_f64();
-            }
-            Value::float(acc)
-        }
-        "cross" => {
-            let ax = a.lane(0).as_f64();
-            let ay = a.lane(1).as_f64();
-            let az = a.lane(2).as_f64();
-            let bx = b.lane(0).as_f64();
-            let by = b.lane(1).as_f64();
-            let bz = b.lane(2).as_f64();
-            Value::Vector(vec![
-                Scalar::F(ay * bz - az * by),
-                Scalar::F(az * bx - ax * bz),
-                Scalar::F(ax * by - ay * bx),
-                Scalar::F(0.0),
-            ])
-        }
-        "length" | "fast_length" => {
-            let mut acc = 0.0;
-            for i in 0..a.lanes() {
-                acc += a.lane(i).as_f64().powi(2);
-            }
-            Value::float(acc.sqrt())
-        }
-        "distance" | "fast_distance" => {
-            let mut acc = 0.0;
-            for i in 0..a.lanes().max(b.lanes()) {
-                acc += (a.lane(i).as_f64() - b.lane(i).as_f64()).powi(2);
-            }
-            Value::float(acc.sqrt())
-        }
-        "normalize" | "fast_normalize" => {
-            let mut acc = 0.0;
-            for i in 0..a.lanes() {
-                acc += a.lane(i).as_f64().powi(2);
-            }
-            let len = acc.sqrt().max(1e-30);
-            map_unary(&a, |s| Scalar::F(s.as_f64() / len))
-        }
-        "ldexp" => map_binary(&a, &b, |x, y| {
-            Scalar::F(x.as_f64() * 2f64.powi(y.as_i64() as i32))
-        }),
-        "hypot" => map_binary(&a, &b, |x, y| Scalar::F(x.as_f64().hypot(y.as_f64()))),
-        "copysign" => map_binary(&a, &b, |x, y| Scalar::F(x.as_f64().copysign(y.as_f64()))),
-        "nextafter" => a,
-        "native_divide" => map_binary(&a, &b, |x, y| {
-            let d = y.as_f64();
-            Scalar::F(if d == 0.0 { 0.0 } else { x.as_f64() / d })
-        }),
-        "native_recip" | "half_recip" => unary(|x| if x == 0.0 { 0.0 } else { 1.0 / x }),
-        "frexp" => a,
-        _ => a,
-    }
-}
-
-fn component_lane(member: &str) -> usize {
-    match member {
-        "x" => 0,
-        "y" => 1,
-        "z" => 2,
-        "w" => 3,
-        "lo" | "even" => 0,
-        "hi" | "odd" => 1,
-        _ => {
-            if let Some(rest) = member
-                .strip_prefix('s')
-                .or_else(|| member.strip_prefix('S'))
-            {
-                usize::from_str_radix(rest, 16).unwrap_or(0)
-            } else {
-                0
-            }
-        }
+/// Fraction of the NDRange that was interpreted.
+pub(crate) fn sampled_fraction(executed: usize, ndrange: &NDRange) -> f64 {
+    match ndrange.work_items() {
+        0 => 1.0,
+        total => executed as f64 / total as f64,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::Value;
     use cl_frontend::parser::parse;
 
     fn run_kernel(

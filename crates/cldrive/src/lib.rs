@@ -7,7 +7,14 @@
 //! CPU/GPU platforms (Table 4).
 //!
 //! * [`runtime`] — values, buffers and scalar semantics,
-//! * [`interp`] — the NDRange interpreter with dynamic instruction counting,
+//! * `value` (crate-private) — the arithmetic on them, shared by both
+//!   executors,
+//! * [`interp`] — what a launch is (NDRange, limits, counters, errors, what a
+//!   *step* is) and [`execute`],
+//! * [`program`] — the executor production runs: a kernel lowered once to
+//!   register bytecode, launched many times,
+//! * [`mod@reference`] — the tree-walking interpreter `program` replaced, kept as
+//!   its differential oracle (tests only),
 //! * [`payload`] — rule-based payload generation (§5.1),
 //! * [`checker`] — the four-execution dynamic checker (§5.2),
 //! * [`device`] — roofline-style device models of Table 4's platforms,
@@ -37,13 +44,17 @@ pub mod device;
 pub mod driver;
 pub mod interp;
 pub mod payload;
+pub mod program;
+pub mod reference;
 pub mod runtime;
+pub(crate) mod value;
 
 pub use checker::{check_kernel, CheckOutcome, CheckerOptions};
 pub use device::{Device, DeviceKind, Platform, RuntimeEstimate, WorkloadProfile};
-pub use driver::{DriveError, DriverOptions, HostDriver, KernelRun};
+pub use driver::{DriveError, DriverOptions, HostDriver, KernelRun, PreparedKernel, Profile};
 pub use interp::{
     execute, ArgBinding, ExecError, ExecLimits, ExecutionCounts, NDRange, MAX_SCRATCH_ELEMENTS,
 };
 pub use payload::{generate_payload, Payload, PayloadError, PayloadOptions};
+pub use program::{Launch, Program};
 pub use runtime::{Buffer, BufferSpace, Scalar, Value};

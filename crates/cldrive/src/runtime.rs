@@ -1,5 +1,6 @@
 //! Runtime value and memory representation for the NDRange interpreter.
 
+use crate::value::Operand;
 use cl_frontend::ast::ScalarType;
 
 /// A scalar runtime value: integer or floating point.
@@ -184,7 +185,10 @@ impl Buffer {
 
     /// Number of elements (not scalars).
     pub fn elements(&self) -> usize {
-        self.data.len().checked_div(self.lanes).unwrap_or(0)
+        match self.lanes {
+            1 => self.data.len(),
+            lanes => self.data.len().checked_div(lanes).unwrap_or(0),
+        }
     }
 
     /// Size in bytes (as the host driver would allocate it).
@@ -192,30 +196,40 @@ impl Buffer {
         self.data.len() * self.elem.size_bytes()
     }
 
-    /// Load the element at `index` (a scalar or a vector depending on lanes).
-    /// Out-of-bounds accesses clamp to the last element (the interpreter
-    /// reports them separately) so that faulty kernels remain analysable.
-    pub fn load(&self, index: i64) -> Value {
-        if self.data.is_empty() {
-            return Value::int(0);
-        }
+    /// The element an access to `index` touches: out-of-bounds accesses clamp
+    /// to the nearest element (the executors report them separately) so that
+    /// faulty kernels remain analysable. `None` when the buffer is empty.
+    pub fn locate(&self, index: i64) -> Option<usize> {
         let n = self.elements() as i64;
-        let idx = index.clamp(0, n - 1) as usize;
-        if self.lanes == 1 {
-            Value::Scalar(self.data[idx])
-        } else {
-            Value::Vector(self.data[idx * self.lanes..(idx + 1) * self.lanes].to_vec())
+        (n > 0).then(|| index.clamp(0, n - 1) as usize)
+    }
+
+    /// Load the element at `index` (a scalar or a vector depending on lanes);
+    /// an empty buffer reads as integer zero.
+    pub fn load(&self, index: i64) -> Value {
+        self.load_as(index)
+    }
+
+    /// [`Buffer::load`] into any executor's value representation.
+    pub(crate) fn load_as<V: Operand>(&self, index: i64) -> V {
+        match self.locate(index) {
+            None => V::from_scalar(Scalar::I(0)),
+            Some(idx) if self.lanes == 1 => V::from_scalar(self.data[idx]),
+            Some(idx) => V::from_lanes(self.lanes, |lane| self.data[idx * self.lanes + lane]),
         }
     }
 
     /// Store a value at `index` (vector stores write all lanes; scalar stores
     /// into vector buffers broadcast).
     pub fn store(&mut self, index: i64, value: &Value) {
-        if self.data.is_empty() {
+        self.store_from(index, value);
+    }
+
+    /// [`Buffer::store`] from any executor's value representation.
+    pub(crate) fn store_from<V: Operand>(&mut self, index: i64, value: &V) {
+        let Some(idx) = self.locate(index) else {
             return;
-        }
-        let n = self.elements() as i64;
-        let idx = index.clamp(0, n - 1) as usize;
+        };
         let elem = self.elem;
         if self.lanes == 1 {
             self.data[idx] = value.as_scalar().convert_to(elem);
@@ -228,23 +242,18 @@ impl Buffer {
 
     /// Load a single scalar lane of the element at `index`.
     pub fn load_lane(&self, index: i64, lane: usize) -> Scalar {
-        if self.data.is_empty() {
-            return Scalar::I(0);
+        match self.locate(index) {
+            None => Scalar::I(0),
+            Some(idx) => self.data[idx * self.lanes + lane.min(self.lanes - 1)],
         }
-        let n = self.elements() as i64;
-        let idx = index.clamp(0, n - 1) as usize;
-        self.data[idx * self.lanes + lane.min(self.lanes - 1)]
     }
 
     /// Store a single scalar lane of the element at `index`.
     pub fn store_lane(&mut self, index: i64, lane: usize, value: Scalar) {
-        if self.data.is_empty() {
-            return;
+        if let Some(idx) = self.locate(index) {
+            let lane = lane.min(self.lanes - 1);
+            self.data[idx * self.lanes + lane] = value.convert_to(self.elem);
         }
-        let n = self.elements() as i64;
-        let idx = index.clamp(0, n - 1) as usize;
-        let lane = lane.min(self.lanes - 1);
-        self.data[idx * self.lanes + lane] = value.convert_to(self.elem);
     }
 
     /// True if any scalar differs from `other` by more than `epsilon`

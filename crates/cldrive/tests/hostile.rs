@@ -4,9 +4,16 @@
 //! Every case here was chosen to poke a specific historical panic surface:
 //! unbounded parser recursion (stack overflow inside `compile`), unchecked
 //! array-dimension products (overflow/OOM in `exec_decl`), integer edge cases
-//! in the evaluator, and unbounded loops (step budgets).
+//! in the evaluator, and unbounded loops (step budgets). The sources live in
+//! `common`, which `differential.rs` replays against the reference executor.
 
-use cldrive::{DriveError, DriverOptions, ExecError, HostDriver, Platform};
+mod common;
+
+use cldrive::interp::{execute, ArgBinding, ExecLimits, NDRange};
+use cldrive::{
+    generate_payload, CheckOutcome, CheckerOptions, DriveError, DriverOptions, ExecError,
+    HostDriver, PayloadOptions, Platform,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn driver() -> HostDriver {
@@ -28,16 +35,7 @@ fn assert_typed_outcome(label: &str, source: &str) {
 
 #[test]
 fn garbage_bytes_do_not_panic() {
-    let cases: &[&str] = &[
-        "",
-        "\0\0\0\0",
-        "}}}}{{{{",
-        "kernel kernel kernel ((((",
-        "__kernel __kernel void void A A",
-        "#pragma nonsense\n@!$%^&*",
-        "__kernel void A(__global float* a) { a[0] = ; }",
-        "\u{FFFD}\u{FFFD}\u{FFFD}",
-    ];
+    let cases = common::GARBAGE;
     for (i, src) in cases.iter().enumerate() {
         assert_typed_outcome(&format!("garbage case {i}"), src);
     }
@@ -45,52 +43,14 @@ fn garbage_bytes_do_not_panic() {
 
 #[test]
 fn deterministic_pseudo_random_garbage() {
-    // A cheap xorshift over a printable alphabet: 64 seeds of fuzz input.
-    let alphabet: Vec<char> = "__kernel void A(){}[]<>;,+-*/%&|^!~=0123456789abcxyz \n\t\"'"
-        .chars()
-        .collect();
-    let mut state = 0x2545F4914F6CDD1Du64;
-    for case in 0..64 {
-        let mut src = String::new();
-        for _ in 0..200 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            src.push(alphabet[(state as usize) % alphabet.len()]);
-        }
-        assert_typed_outcome(&format!("fuzz case {case}"), &src);
+    for (case, src) in common::pseudo_random_garbage().iter().enumerate() {
+        assert_typed_outcome(&format!("fuzz case {case}"), src);
     }
 }
 
 #[test]
 fn deep_nesting_is_rejected_not_stack_overflow() {
-    // 10k nested parens/blocks/ifs would overflow the parser stack without
-    // the nesting cap; the cap turns them into compile diagnostics.
-    let parens = format!(
-        "__kernel void A(__global float* a) {{ a[0] = {}1.0f{}; }}",
-        "(".repeat(10_000),
-        ")".repeat(10_000)
-    );
-    let blocks = format!(
-        "__kernel void A(__global float* a) {{ {} a[0] = 1.0f; {} }}",
-        "{".repeat(10_000),
-        "}".repeat(10_000)
-    );
-    let ifs = format!(
-        "__kernel void A(__global float* a) {{ {} a[0] = 1.0f; {} }}",
-        "if (1) {".repeat(10_000),
-        "}".repeat(10_000)
-    );
-    let unary = format!(
-        "__kernel void A(__global float* a) {{ a[0] = {}1.0f; }}",
-        "-".repeat(10_000)
-    );
-    for (label, src) in [
-        ("parens", &parens),
-        ("blocks", &blocks),
-        ("ifs", &ifs),
-        ("unary", &unary),
-    ] {
+    for (label, src) in &common::deep_nesting() {
         let result = catch_unwind(AssertUnwindSafe(|| driver().run_source(src, &[64])));
         let outcome = result.unwrap_or_else(|_| panic!("{label}: panicked"));
         assert!(
@@ -102,18 +62,7 @@ fn deep_nesting_is_rejected_not_stack_overflow() {
 
 #[test]
 fn huge_array_dimensions_become_typed_errors() {
-    // Would formerly attempt multi-gigabyte Buffer::zeroed allocations (or
-    // overflow the element product in debug builds).
-    let huge = "__kernel void A(__global float* a) {
-        float t[1000000000];
-        t[0] = a[0];
-        a[0] = t[0];
-    }";
-    let overflowing = "__kernel void A(__global float* a) {
-        float t[4000000000][4000000000][4000000000];
-        a[0] = 1.0f;
-    }";
-    for (label, src) in [("huge", huge), ("overflowing", overflowing)] {
+    for (label, src) in common::HUGE_ARRAYS {
         let result = catch_unwind(AssertUnwindSafe(|| driver().run_source(src, &[64])));
         let outcome = result.unwrap_or_else(|_| panic!("{label}: panicked"));
         assert!(
@@ -129,32 +78,84 @@ fn huge_array_dimensions_become_typed_errors() {
 
 #[test]
 fn integer_edge_cases_do_not_panic() {
-    let cases: &[&str] = &[
-        // i64::MIN / -1 and % -1 overflow in two's complement.
-        "__kernel void A(__global int* a) { long x = -9223372036854775807L - 1L; a[0] = (int)(x / -1L); }",
-        "__kernel void A(__global int* a) { long x = -9223372036854775807L - 1L; a[0] = (int)(x % -1L); }",
-        // Division by a zero loaded from data.
-        "__kernel void A(__global int* a) { a[0] = 7 / a[1]; }",
-        "__kernel void A(__global int* a) { a[0] = 7 % a[1]; }",
-        // Shift counts beyond the width.
-        "__kernel void A(__global int* a) { a[0] = 1 << 1000; }",
-        "__kernel void A(__global int* a) { a[0] = 1 >> -3; }",
-        // Out-of-range float→int casts.
-        "__kernel void A(__global int* a) { a[0] = (int)1e300; }",
-        "__kernel void A(__global int* a) { float f = 0.0f; a[0] = (int)(1.0f / f); }",
-    ];
+    let cases = common::INTEGER_EDGE_CASES;
     for (i, src) in cases.iter().enumerate() {
         assert_typed_outcome(&format!("integer case {i}"), src);
+    }
+    // Overflowing `long` arithmetic wraps, here (a debug build) exactly as in
+    // the release build production runs: the same source is the same bytes.
+    for (i, (src, wrapped)) in common::INTEGER_WRAPS.iter().enumerate() {
+        assert_typed_outcome(&format!("wrapping case {i}"), src);
+        let compiled = cl_frontend::compile(src, &Default::default());
+        assert!(
+            compiled.is_ok(),
+            "wrapping case {i}: {}",
+            compiled.diagnostics
+        );
+        let options = PayloadOptions {
+            global_size: 8,
+            local_size: 4,
+            seed: 1,
+        };
+        let payload = generate_payload(&compiled.kernels[0], &options).unwrap();
+        let result = execute(
+            &compiled.unit,
+            "A",
+            payload.args,
+            NDRange::linear(8, 4),
+            &ExecLimits::default(),
+        )
+        .unwrap_or_else(|e| panic!("wrapping case {i}: {e}"));
+        let ArgBinding::GlobalBuffer(a) = &result.args[0] else {
+            panic!("wrapping case {i}: the argument is a buffer")
+        };
+        let got: Vec<i64> = (0..wrapped.len())
+            .map(|at| a.load(at as i64).as_scalar().as_i64())
+            .collect();
+        assert_eq!(&got, wrapped, "wrapping case {i}: {src}");
     }
 }
 
 #[test]
+fn scratch_declared_in_a_loop_is_a_typed_error_not_an_abort() {
+    // 64 MB per iteration, freed only when the work item ends: without a cap
+    // on what one work item holds the allocator aborts the process, which
+    // `catch_unwind` cannot contain.
+    let outcome = driver().run_source(common::SCRATCH_IN_A_LOOP, &[64]);
+    assert!(
+        matches!(
+            outcome,
+            Err(DriveError::Exec(ExecError::ResourceLimitExceeded(_)))
+        ),
+        "expected the scratch allowance to fire, got {outcome:?}"
+    );
+    // The allowance is per work item: more than half of it in each of two
+    // work items is fine.
+    let per_item = "__kernel void A(__global float* a) {
+        float t[2097153];
+        t[5] = a[0]; a[get_global_id(0)] = t[5] + 1.0f;
+    }";
+    let compiled = cl_frontend::compile(per_item, &Default::default());
+    let options = PayloadOptions {
+        global_size: 2,
+        local_size: 1,
+        seed: 1,
+    };
+    let payload = generate_payload(&compiled.kernels[0], &options).unwrap();
+    let ndrange = NDRange::linear(2, 1);
+    let result = execute(
+        &compiled.unit,
+        "A",
+        payload.args,
+        ndrange,
+        &ExecLimits::default(),
+    );
+    assert!(result.is_ok(), "{result:?}");
+}
+
+#[test]
 fn infinite_loops_are_cut_by_budgets() {
-    let loops: &[&str] = &[
-        "__kernel void A(__global float* a) { while (1) { a[0] += 1.0f; } }",
-        "__kernel void A(__global float* a) { for (;;) { a[0] += 1.0f; } }",
-        "__kernel void A(__global float* a) { int i = 0; do { i++; } while (i >= 0); a[0] = i; }",
-    ];
+    let loops = common::INFINITE_LOOPS;
     for (i, src) in loops.iter().enumerate() {
         let outcome = driver().run_source(src, &[256]);
         assert!(
@@ -171,14 +172,7 @@ fn infinite_loops_are_cut_by_budgets() {
 
 #[test]
 fn total_step_budget_cuts_launches_short() {
-    // Per-item budget alone would admit ~128 items × 2M steps; the
-    // launch-wide budget cuts the whole unit at 50k.
-    let spin = "__kernel void A(__global float* a, const int n) {
-        int i = get_global_id(0);
-        float acc = 0.0f;
-        for (int r = 0; r < 1000000; r++) { acc += 0.5f; }
-        a[i % 8] = acc;
-    }";
+    let spin = common::SPIN;
     let bounded = HostDriver::with_options(
         Platform::amd(),
         DriverOptions {
@@ -198,11 +192,41 @@ fn total_step_budget_cuts_launches_short() {
 
 #[test]
 fn recursion_depth_is_bounded() {
-    // Mutually recursive calls exhaust the interpreter's call-depth cap and
-    // must surface as a typed error.
-    let recursive = "float f(float x);
-    float g(float x) { return f(x) + 1.0f; }
-    float f(float x) { return g(x) + 1.0f; }
-    __kernel void A(__global float* a) { a[0] = f(a[0]); }";
+    let recursive = common::MUTUAL_RECURSION;
     assert_typed_outcome("mutual recursion", recursive);
+}
+
+#[test]
+fn the_unit_budget_bounds_the_dynamic_check_too() {
+    // 60k steps per work item: far below the per-item budget (2M), so only a
+    // launch-wide budget can stop the check's four launches of 64 items
+    // before they have cost 15M steps. With the budget at 100k the first
+    // check launch is cut (a timeout) and the unit has cost one budget, not
+    // the kernel's full price four times over and a profile launch besides.
+    let slow = "__kernel void A(__global float* a, const int n) {
+        int i = get_global_id(0);
+        float acc = 0.0f;
+        for (int r = 0; r < 15000; r++) { acc += a[i] * 0.5f; }
+        a[i] = acc;
+    }";
+    let checked = HostDriver::with_options(
+        Platform::amd(),
+        DriverOptions {
+            checker: Some(CheckerOptions {
+                global_size: 64,
+                local_size: 16,
+                ..CheckerOptions::default()
+            }),
+            total_step_budget: 100_000,
+            ..DriverOptions::quick()
+        },
+    );
+    let outcome = checked.run_source(slow, &[4096]);
+    assert!(
+        matches!(outcome, Err(DriveError::Check(CheckOutcome::Timeout))),
+        "expected the check to time out on the unit budget, got {outcome:?}"
+    );
+    let compiled = cl_frontend::compile(slow, &Default::default());
+    let kernel = checked.prepare(&compiled.unit, &compiled.kernels[0]);
+    assert_eq!(kernel.check_steps(), 100_001);
 }

@@ -10,20 +10,33 @@
 //! # Work units and isolation
 //!
 //! A kernel source is compiled **once**; every (kernel function × payload
-//! size) pair then becomes an independent work unit fanned across the rayon
-//! worker pool. Each unit runs under a bounded [`cldrive::ExecLimits`] budget
-//! (see [`DriverOptions::total_step_budget`]) and inside `catch_unwind`, so a
-//! hostile kernel that panics the interpreter or burns its budget becomes a
-//! typed [`UnitError`] on that unit alone — sibling units, the worker pool
-//! and the caller are unaffected.
+//! size) pair is a work unit with a result of its own. Units are independent
+//! in *outcome* — each is what driving that kernel at that size alone would
+//! produce — but not in *work*: a kernel is lowered and dynamically checked
+//! once, whatever the number of sizes, and sizes that profile at the same
+//! payload (everything above the driver's `profile_elements_cap`) share one
+//! launch. The rayon pool fans out what is left: the kernels' preparation,
+//! then the distinct launches ([`cldrive::HostDriver::prepare`] /
+//! [`cldrive::HostDriver::profile`]). Shared work is charged — in
+//! [`UnitResult::run_us`] and [`UnitResult::steps`] — once, to the first unit
+//! in unit order that uses it, so the units of a report add up to the time
+//! and the steps the report cost.
+//!
+//! Every launch runs under a bounded [`cldrive::ExecLimits`] budget (see
+//! [`DriverOptions::total_step_budget`]) and every piece of work inside
+//! `catch_unwind`, so a hostile kernel that panics the interpreter or burns
+//! its budget becomes a typed [`UnitError`] on the units that needed that
+//! work — the other kernels' units, the worker pool and the caller are
+//! unaffected.
 //!
 //! # Determinism
 //!
 //! For a fixed (source, sizes, seed) the report — and its NDJSON rendering —
-//! is **byte-identical at any worker count**. Units are pure functions of
-//! their inputs and the fan-out preserves input order, mirroring the
-//! thread-invariance guarantee of the numeric core. The only intentional
-//! exception is an expired [`Deadline`], which cuts units short.
+//! is **byte-identical at any worker count**. Every piece of work is a pure
+//! function of its inputs and the fan-out preserves input order, mirroring
+//! the thread-invariance guarantee of the numeric core. The only intentional
+//! exception is an expired [`Deadline`], which cuts the units whose launch
+//! (or whose kernel's preparation) has not started.
 //!
 //! ```
 //! use clgen_harness::{Harness, HarnessConfig};
@@ -45,10 +58,10 @@
 #![warn(missing_docs)]
 
 use cl_frontend::analysis::{analyze_function, StaticCounts};
-use cl_frontend::ast::TranslationUnit;
-use cl_frontend::sema::KernelSignature;
 use cl_frontend::{compile, CompileOptions};
-use cldrive::{DriveError, DriverOptions, ExecError, HostDriver, KernelRun, Platform};
+use cldrive::{
+    DriveError, DriverOptions, ExecError, HostDriver, KernelRun, Platform, PreparedKernel, Profile,
+};
 use grewe_features::{FeatureSet, GreweFeatures, StaticFeatures};
 use predictive::{MappingModel, CLASS_CPU};
 use rayon::prelude::*;
@@ -75,7 +88,7 @@ impl Deadline {
         Deadline { at: None }
     }
 
-    /// Cut off units that have not *started* by `at`.
+    /// Cut off units whose launch has not *started* by `at`.
     pub fn at(at: Instant) -> Deadline {
         Deadline { at: Some(at) }
     }
@@ -211,12 +224,35 @@ pub struct UnitResult {
     pub prediction: Option<usize>,
     /// The typed error, if the unit failed.
     pub error: Option<UnitError>,
-    /// Wall-clock of the drive (interpreter) phase, microseconds.
+    /// Wall-clock of the drive (interpreter) phase charged to this unit,
+    /// microseconds: its launch and its kernel's preparation, unless an
+    /// earlier unit shared and paid for them.
     pub run_us: u64,
+    /// Interpreter steps charged to this unit, dynamic check included, on the
+    /// same rule as `run_us`. A killed launch counts the steps it reached.
+    pub steps: u64,
     /// Wall-clock of feature extraction, microseconds.
     pub features_us: u64,
     /// Wall-clock of mapping inference, microseconds.
     pub predict_us: u64,
+}
+
+impl UnitResult {
+    /// A unit nothing is known about yet.
+    fn new(kernel: &str, global_size: usize) -> UnitResult {
+        UnitResult {
+            kernel: kernel.to_string(),
+            global_size,
+            run: None,
+            features: None,
+            prediction: None,
+            error: None,
+            run_us: 0,
+            steps: 0,
+            features_us: 0,
+            predict_us: 0,
+        }
+    }
 }
 
 /// Aggregate counters over one or many drive calls (mirrored into the
@@ -425,7 +461,7 @@ impl Harness {
     }
 
     /// Serial reference implementation: identical results to
-    /// [`Harness::drive_source`], but units run one after another on the
+    /// [`Harness::drive_source`], but the work runs piece after piece on the
     /// calling thread. This is the baseline the ledger's
     /// `harness.pool_speedup` compares the batched pool against.
     ///
@@ -464,23 +500,71 @@ impl Harness {
                     .and_then(|f| catch_unwind(AssertUnwindSafe(|| analyze_function(unit, f))).ok())
             })
             .collect();
-        let work: Vec<(usize, usize)> = (0..compiled.kernels.len())
-            .flat_map(|k| self.config.sizes.iter().map(move |&s| (k, s)))
-            .collect();
-        let run_unit = |(k, size): (usize, usize)| {
-            self.run_unit(
-                unit,
-                &compiled.kernels[k],
-                statics[k].as_ref(),
-                size,
-                deadline,
-            )
-        };
-        let units: Vec<UnitResult> = if parallel {
-            work.into_par_iter().map(run_unit).collect()
-        } else {
-            work.into_iter().map(run_unit).collect()
-        };
+        let kernels = &compiled.kernels;
+        let driver =
+            HostDriver::with_options(self.config.platform.clone(), self.config.driver.clone());
+        // Once per kernel: lower it and run the dynamic check.
+        let prepared: Vec<Shared<PreparedKernel>> =
+            fan_out(parallel, (0..kernels.len()).collect(), |k| {
+                Shared::run(deadline, || driver.prepare(unit, &kernels[k]))
+            });
+        // Once per kernel and distinct profiling size: the profile launch.
+        let mut launches: Vec<(usize, usize)> = Vec::new();
+        for (k, kernel) in prepared.iter().enumerate() {
+            if kernel
+                .outcome()
+                .is_ok_and(|kernel| kernel.rejection().is_none())
+            {
+                for &size in &self.config.sizes {
+                    let launch = (k, driver.profile_size(size));
+                    if !launches.contains(&launch) {
+                        launches.push(launch);
+                    }
+                }
+            }
+        }
+        let profiles: Vec<Shared<Profile>> = fan_out(parallel, launches.clone(), |(k, size)| {
+            let kernel = prepared[k].outcome().expect("only prepared kernels launch");
+            Shared::run(deadline, || driver.profile(kernel, size))
+        });
+        // Every unit, in order, from the work it shares.
+        let mut charged = vec![false; launches.len()];
+        let mut units = Vec::with_capacity(kernels.len() * self.config.sizes.len());
+        for (k, sig) in kernels.iter().enumerate() {
+            for (nth, &size) in self.config.sizes.iter().enumerate() {
+                let mut unit = UnitResult::new(&sig.name, size);
+                if nth == 0 {
+                    unit.run_us += prepared[k].us();
+                    unit.steps += prepared[k].outcome().map_or(0, PreparedKernel::check_steps);
+                }
+                let outcome = prepared[k].outcome().and_then(|kernel| {
+                    if let Some(rejection) = kernel.rejection() {
+                        return Err(classify_drive_error(rejection));
+                    }
+                    let launch = (k, driver.profile_size(size));
+                    let at = launches
+                        .iter()
+                        .position(|l| *l == launch)
+                        .expect("every size of a prepared kernel has a launch");
+                    if !std::mem::replace(&mut charged[at], true) {
+                        unit.run_us += profiles[at].us();
+                        unit.steps += profiles[at].outcome().map_or(0, |p| p.steps);
+                    }
+                    let counts = profiles[at]
+                        .outcome()?
+                        .result
+                        .as_ref()
+                        .map_err(|e| classify_drive_error(e.clone()))?;
+                    Ok(driver.record(kernel, counts, size))
+                });
+                match outcome {
+                    Ok(run) => self.finish_unit(&mut unit, run, statics[k].as_ref()),
+                    Err(e) => unit.error = Some(e),
+                }
+                self.record_unit(&unit);
+                units.push(unit);
+            }
+        }
         if let Some(registry) = &self.metrics {
             registry
                 .counter(
@@ -493,63 +577,25 @@ impl Harness {
         Ok(HarnessReport { units })
     }
 
-    fn run_unit(
-        &self,
-        unit: &TranslationUnit,
-        sig: &KernelSignature,
-        statics: Option<&StaticCounts>,
-        size: usize,
-        deadline: &Deadline,
-    ) -> UnitResult {
-        let mut result = UnitResult {
-            kernel: sig.name.clone(),
-            global_size: size,
-            run: None,
-            features: None,
-            prediction: None,
-            error: None,
-            run_us: 0,
-            features_us: 0,
-            predict_us: 0,
-        };
-        if deadline.expired() {
-            result.error = Some(UnitError::DeadlineExceeded);
-            self.record_unit(&result);
-            return result;
-        }
-        let driver =
-            HostDriver::with_options(self.config.platform.clone(), self.config.driver.clone());
-        // The vendored rayon pool treats a worker panic as fatal, so the
-        // catch_unwind MUST live inside the unit closure: a hostile kernel
-        // takes down its own unit, never the pool.
-        let drive_started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| driver.run_kernel(unit, sig, size)));
-        result.run_us = drive_started.elapsed().as_micros() as u64;
-        match outcome {
-            Err(_) => result.error = Some(UnitError::Panicked),
-            Ok(Err(e)) => result.error = Some(classify_drive_error(e)),
-            Ok(Ok(run)) => {
-                if let Some(counts) = statics {
-                    let features_started = Instant::now();
-                    let features = GreweFeatures {
-                        static_features: StaticFeatures::from_counts(counts),
-                        transfer: run.workload.transfer_bytes,
-                        wgsize: run.global_size as f64,
-                    };
-                    let vector = self.config.feature_set.vector(&features);
-                    result.features_us = features_started.elapsed().as_micros() as u64;
-                    if let Some(model) = &self.model {
-                        let predict_started = Instant::now();
-                        result.prediction = Some(model.predict_vector(&vector));
-                        result.predict_us = predict_started.elapsed().as_micros() as u64;
-                    }
-                    result.features = Some(vector);
-                }
-                result.run = Some(run);
+    /// Featurize (and, with a model, classify) a unit that produced a record.
+    fn finish_unit(&self, unit: &mut UnitResult, run: KernelRun, statics: Option<&StaticCounts>) {
+        if let Some(counts) = statics {
+            let features_started = Instant::now();
+            let features = GreweFeatures {
+                static_features: StaticFeatures::from_counts(counts),
+                transfer: run.workload.transfer_bytes,
+                wgsize: run.global_size as f64,
+            };
+            let vector = self.config.feature_set.vector(&features);
+            unit.features_us = features_started.elapsed().as_micros() as u64;
+            if let Some(model) = &self.model {
+                let predict_started = Instant::now();
+                unit.prediction = Some(model.predict_vector(&vector));
+                unit.predict_us = predict_started.elapsed().as_micros() as u64;
             }
+            unit.features = Some(vector);
         }
-        self.record_unit(&result);
-        result
+        unit.run = Some(run);
     }
 
     /// Report one unit's outcome and run time into the attached registry
@@ -579,6 +625,13 @@ impl Harness {
                 "Per-unit drive wall-clock in microseconds",
             )
             .observe(result.run_us);
+        registry
+            .histogram(
+                "clgen_harness_unit_steps",
+                &[],
+                "Per-unit interpreter steps, dynamic check included",
+            )
+            .observe(result.steps);
         if result.prediction.is_some() {
             registry
                 .counter(
@@ -588,6 +641,61 @@ impl Harness {
                 )
                 .inc();
         }
+    }
+}
+
+/// A piece of driving work several units may share (a kernel's preparation,
+/// a profile launch): how it ended and what it cost.
+enum Shared<T> {
+    /// The deadline expired before it started.
+    Cut,
+    /// It panicked; the panic was contained.
+    Panicked { us: u64 },
+    /// It ran.
+    Done { value: T, us: u64 },
+}
+
+impl<T> Shared<T> {
+    /// Run `work` unless the deadline has passed. The vendored rayon pool
+    /// treats a worker panic as fatal, so the `catch_unwind` MUST live inside
+    /// the closure the pool runs: a hostile kernel takes down its own units,
+    /// never the pool.
+    fn run(deadline: &Deadline, work: impl FnOnce() -> T) -> Shared<T> {
+        if deadline.expired() {
+            return Shared::Cut;
+        }
+        let started = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(work));
+        let us = started.elapsed().as_micros() as u64;
+        match outcome {
+            Ok(value) => Shared::Done { value, us },
+            Err(_) => Shared::Panicked { us },
+        }
+    }
+
+    /// What the work produced, or the error of every unit that needed it.
+    fn outcome(&self) -> Result<&T, UnitError> {
+        match self {
+            Shared::Cut => Err(UnitError::DeadlineExceeded),
+            Shared::Panicked { .. } => Err(UnitError::Panicked),
+            Shared::Done { value, .. } => Ok(value),
+        }
+    }
+
+    fn us(&self) -> u64 {
+        match self {
+            Shared::Cut => 0,
+            Shared::Panicked { us } | Shared::Done { us, .. } => *us,
+        }
+    }
+}
+
+/// Map `f` over `items` in order, on the worker pool or on this thread.
+fn fan_out<T: Send, R: Send>(parallel: bool, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    if parallel {
+        items.into_par_iter().map(f).collect()
+    } else {
+        items.into_iter().map(f).collect()
     }
 }
 
@@ -800,6 +908,98 @@ mod tests {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
             assert!(!line.contains('\n'));
         }
+    }
+
+    /// The report as it was before any work was shared, and by the reference
+    /// executor: every unit driven on its own — check, profile, scale — each
+    /// launch made by the tree-walker.
+    fn reference_report(harness: &Harness, source: &str) -> HarnessReport {
+        let compiled = compile(source, &CompileOptions::default());
+        assert!(compiled.is_ok(), "{}", compiled.diagnostics);
+        let config = harness.config();
+        let driver = HostDriver::with_options(config.platform.clone(), config.driver.clone());
+        let mut units = Vec::new();
+        for sig in &compiled.kernels {
+            let statics = compiled
+                .unit
+                .function(&sig.name)
+                .map(|f| analyze_function(&compiled.unit, f));
+            for &size in &config.sizes {
+                let mut unit = UnitResult::new(&sig.name, size);
+                match cldrive::reference::drive_kernel(&driver, &compiled.unit, sig, size) {
+                    Ok(run) => harness.finish_unit(&mut unit, run, statics.as_ref()),
+                    Err(e) => unit.error = Some(classify_drive_error(e)),
+                }
+                units.push(unit);
+            }
+        }
+        HarnessReport { units }
+    }
+
+    #[test]
+    fn every_suite_source_matches_the_reference_report_at_1_and_4_workers() {
+        // The configuration `clgen-serve` drives with (checker on), under a
+        // unit budget the walker can afford in a debug build: the expensive
+        // kernels are budget-killed, which has to match as well.
+        let mut config = HarnessConfig::default();
+        config.driver.total_step_budget = 80_000;
+        let harness = Harness::new(config, Some(toy_model()));
+        let benchmarks = suites::all_benchmarks();
+        assert_eq!(benchmarks.len(), 50);
+        let (mut ok, mut killed) = (0, 0);
+        for benchmark in &benchmarks {
+            let expected = reference_report(&harness, &benchmark.source);
+            ok += expected.counters().units_ok;
+            killed += expected.counters().units_budget_killed;
+            for workers in [1, 4] {
+                let got = rayon::with_num_threads(workers, || {
+                    harness.drive_source(&benchmark.source, &Deadline::none())
+                })
+                .unwrap();
+                assert_eq!(
+                    got.ndjson(),
+                    expected.ndjson(),
+                    "{} at {workers} workers",
+                    benchmark.id()
+                );
+            }
+        }
+        assert!(ok > 50 && killed > 5, "{ok} ok, {killed} killed");
+    }
+
+    #[test]
+    fn shared_work_is_charged_once_to_the_first_unit_that_uses_it() {
+        let harness = Harness::new(HarnessConfig::default(), None);
+        let report = harness.drive_source(VECADD, &Deadline::none()).unwrap();
+        let steps: Vec<u64> = report.units.iter().map(|u| u.steps).collect();
+        // 256 carries the dynamic check and its own launch, 4096 its launch;
+        // 65536 profiles at the cap like 4096 and rides on that launch.
+        assert_eq!(DEFAULT_SIZES, &[256, 4096, 65536]);
+        assert!(steps[0] > steps[1] && steps[1] > 0, "{steps:?}");
+        assert_eq!(steps[2], 0, "{steps:?}");
+        assert_eq!(report.units[2].run_us, 0);
+        let runs: Vec<_> = report
+            .units
+            .iter()
+            .map(|u| u.run.as_ref().unwrap())
+            .collect();
+        assert_eq!(runs[1].counts, runs[2].counts);
+        assert!(runs[2].workload.work_items > runs[1].workload.work_items);
+        // A killed launch is charged the steps it reached: one past the budget.
+        let mut config = HarnessConfig::quick();
+        config.driver.total_step_budget = 1_000;
+        config.sizes = vec![64];
+        let hog = "__kernel void A(__global float* a, const int n) {
+            for (int r = 0; r < 100000; r++) { a[0] += 0.5f; }
+        }";
+        let report = Harness::new(config, None)
+            .drive_source(hog, &Deadline::none())
+            .unwrap();
+        assert!(matches!(
+            report.units[0].error,
+            Some(UnitError::BudgetExceeded(_))
+        ));
+        assert_eq!(report.units[0].steps, 1_001);
     }
 
     #[test]

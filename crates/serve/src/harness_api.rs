@@ -336,15 +336,20 @@ pub(crate) fn render_harness_stats(shared: &Shared) -> String {
     let predictions = registry
         .counter("clgen_harness_predictions_total", &[], "")
         .get();
+    // Steps over microseconds is the interpreter's speed in production.
+    let unit_sum = |name: &str| registry.histogram(name, &[], "").sum();
     format!(
         "{{\"model\":{},\"kernels_driven\":{},\"units\":{{\"total\":{},\"ok\":{},\
-         \"budget_killed\":{},\"panicked\":{}}},\"predictions\":{}}}",
+         \"budget_killed\":{},\"panicked\":{}}},\"unit_steps\":{},\"unit_run_us\":{},\
+         \"predictions\":{}}}",
         shared.config.mapping_model.is_some(),
         kernels_driven,
         total,
         by_outcome("ok"),
         by_outcome("budget_killed"),
         by_outcome("panicked"),
+        unit_sum("clgen_harness_unit_steps"),
+        unit_sum("clgen_harness_unit_run_us"),
         predictions,
     )
 }

@@ -94,6 +94,11 @@ impl ServeMetrics {
             &[],
             "Per-unit drive wall-clock in microseconds",
         );
+        registry.histogram(
+            "clgen_harness_unit_steps",
+            &[],
+            "Per-unit interpreter steps, dynamic check included",
+        );
         // Candidate outcomes are pre-registered at zero so the family is
         // complete in `/metrics` before the first candidate is absorbed.
         for outcome in CANDIDATE_OUTCOMES {

@@ -129,6 +129,7 @@ fn metrics_exposition_parses_and_agrees_with_stats() {
         "clgen_harness_units_total",
         "clgen_harness_kernels_driven_total",
         "clgen_harness_unit_run_us_count",
+        "clgen_harness_unit_steps_bucket",
         "clgen_supervisor_restarts_total",
     ] {
         assert!(
@@ -156,6 +157,8 @@ fn metrics_exposition_parses_and_agrees_with_stats() {
         ("completed", "clgen_requests_completed_total "),
         ("attempts", "clgen_sampling_attempts_total "),
         ("kernels_driven", "clgen_harness_kernels_driven_total "),
+        ("unit_steps", "clgen_harness_unit_steps_sum "),
+        ("unit_run_us", "clgen_harness_unit_run_us_sum "),
     ] {
         let from_stats = json::extract_u64(&stats, stats_key)
             .unwrap_or_else(|| panic!("stats has {stats_key}: {stats}"));
@@ -166,6 +169,12 @@ fn metrics_exposition_parses_and_agrees_with_stats() {
             "{stats_key} disagrees between /stats and /metrics"
         );
     }
+
+    // The drive and the pipeline ran the interpreter: steps were charged.
+    assert!(
+        json::extract_u64(&stats, "unit_steps").is_some_and(|steps| steps > 0),
+        "{stats}"
+    );
 
     // Lane utilisation is the occupancy histogram's sum over its count times
     // the lane count — the same atomics `/metrics` renders.
