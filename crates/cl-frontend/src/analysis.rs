@@ -49,11 +49,6 @@ pub struct StaticCounts {
 }
 
 impl StaticCounts {
-    /// Total memory accesses in any address space.
-    pub fn total_mem_accesses(&self) -> usize {
-        self.global_mem_accesses + self.local_mem_accesses + self.constant_mem_accesses
-    }
-
     /// Merge counts from another kernel/function (used when a kernel calls
     /// user-defined helper functions: their bodies are accumulated).
     pub fn merge(&mut self, other: &StaticCounts) {

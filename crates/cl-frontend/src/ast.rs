@@ -209,20 +209,6 @@ impl Type {
         }
     }
 
-    /// Shorthand for a local pointer to a scalar element type.
-    pub fn local_ptr(elem: ScalarType) -> Type {
-        Type::Pointer {
-            pointee: Box::new(Type::Scalar(elem)),
-            address_space: AddressSpace::Local,
-            is_const: false,
-        }
-    }
-
-    /// True if the type is a pointer.
-    pub fn is_pointer(&self) -> bool {
-        matches!(self, Type::Pointer { .. })
-    }
-
     /// True if the type is a scalar or vector of integers.
     pub fn is_integer(&self) -> bool {
         match self {

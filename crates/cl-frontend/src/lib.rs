@@ -52,7 +52,7 @@ pub mod token;
 pub use analysis::{analyze_kernels, StaticCounts};
 pub use ast::{FunctionDef, TranslationUnit, Type};
 pub use error::{Diagnostic, DiagnosticKind, Diagnostics, Severity};
-pub use preprocess::{MacroDef, PreprocessOptions};
+pub use preprocess::PreprocessOptions;
 pub use repair::{
     repair, repair_candidates, HopelessReason, PrefixValidator, Repair, RepairAction,
 };
@@ -61,10 +61,8 @@ pub use sema::{KernelArg, KernelSignature};
 /// Options controlling the full [`compile`] pipeline.
 #[derive(Debug, Clone, Default)]
 pub struct CompileOptions {
-    /// Preprocessor configuration (predefined macros, virtual includes).
+    /// Preprocessor configuration (virtual includes).
     pub preprocess: PreprocessOptions,
-    /// Extra type names the parser should accept without a typedef in scope.
-    pub extra_type_names: Vec<String>,
 }
 
 /// The output of the full frontend pipeline.
@@ -106,10 +104,7 @@ impl CompileResult {
 pub fn compile(source: &str, options: &CompileOptions) -> CompileResult {
     let pp = preprocess::preprocess(source, &options.preprocess);
     let mut diagnostics = pp.diagnostics.clone();
-    let parse_options = parser::ParseOptions {
-        extra_type_names: options.extra_type_names.clone(),
-    };
-    let parsed = parser::parse_with_options(&pp.text, &parse_options);
+    let parsed = parser::parse(&pp.text);
     diagnostics.extend(parsed.diagnostics.clone());
     let sema = sema::analyze(&parsed.unit);
     diagnostics.extend(sema.diagnostics.clone());
@@ -194,7 +189,6 @@ mod tests {
         // ... and with it, it compiles.
         let options = CompileOptions {
             preprocess: PreprocessOptions::new().include("shim.h", shim),
-            ..Default::default()
         };
         let r_with = compile(bad, &options);
         assert!(r_with.is_ok(), "{}", r_with.diagnostics);

@@ -18,15 +18,6 @@ use crate::lexer::tokenize;
 use crate::token::{Keyword, Punct, Span, Token, TokenKind};
 use std::collections::HashSet;
 
-/// Parser configuration.
-#[derive(Debug, Clone, Default)]
-pub struct ParseOptions {
-    /// Additional type names to treat as known (e.g. the shim typedefs when
-    /// the shim is provided as predefined knowledge rather than textual
-    /// inclusion).
-    pub extra_type_names: Vec<String>,
-}
-
 /// The result of parsing a translation unit.
 #[derive(Debug, Clone)]
 pub struct ParseResult {
@@ -45,13 +36,8 @@ impl ParseResult {
 
 /// Parse preprocessed OpenCL C source into a [`TranslationUnit`].
 pub fn parse(src: &str) -> ParseResult {
-    parse_with_options(src, &ParseOptions::default())
-}
-
-/// Parse with explicit [`ParseOptions`].
-pub fn parse_with_options(src: &str, options: &ParseOptions) -> ParseResult {
     let (tokens, mut diags) = tokenize(src);
-    let mut parser = Parser::new(tokens, options);
+    let mut parser = Parser::new(tokens);
     let unit = parser.parse_unit();
     diags.extend(parser.diags);
     ParseResult {
@@ -90,7 +76,7 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     diags: Diagnostics,
-    /// Names introduced by `typedef` (plus caller-supplied extras).
+    /// Names introduced by `typedef` (plus the opaque OpenCL types).
     type_names: HashSet<String>,
     /// Struct tags defined so far.
     struct_names: HashSet<String>,
@@ -105,16 +91,12 @@ struct Parser {
 }
 
 impl Parser {
-    fn new(tokens: Vec<Token>, options: &ParseOptions) -> Self {
-        let mut type_names: HashSet<String> = options.extra_type_names.iter().cloned().collect();
-        for t in OPAQUE_TYPES {
-            type_names.insert((*t).to_string());
-        }
+    fn new(tokens: Vec<Token>) -> Self {
         Parser {
             tokens,
             pos: 0,
             diags: Diagnostics::new(),
-            type_names,
+            type_names: OPAQUE_TYPES.iter().map(|t| (*t).to_string()).collect(),
             struct_names: HashSet::new(),
             depth: 0,
             errors_emitted: 0,

@@ -12,53 +12,31 @@
 use crate::error::{DiagnosticKind, Diagnostics};
 use std::collections::HashMap;
 
-/// A macro definition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MacroDef {
-    /// Macro name.
-    pub name: String,
+/// A macro definition (the value under its name in the macro table).
+#[derive(Debug, Clone)]
+struct MacroDef {
     /// Parameter names for function-like macros, `None` for object-like ones.
-    pub params: Option<Vec<String>>,
+    params: Option<Vec<String>>,
     /// Replacement token text.
-    pub body: String,
+    body: String,
 }
 
+/// Macro expansion depth past which the preprocessor gives up (guards
+/// recursion).
+const MAX_EXPANSION_DEPTH: usize = 32;
+
 /// Preprocessor configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PreprocessOptions {
-    /// Macros predefined before processing begins (name → definition).
-    pub predefined: Vec<MacroDef>,
     /// Virtual include files: `#include "name"` or `<name>` resolves against
     /// this map; unresolved includes are dropped with a warning.
     pub includes: HashMap<String, String>,
-    /// Maximum macro expansion depth before giving up (guards recursion).
-    pub max_expansion_depth: usize,
-}
-
-impl Default for PreprocessOptions {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl PreprocessOptions {
-    /// Options with no predefined macros and no virtual includes.
+    /// Options with no virtual includes.
     pub fn new() -> Self {
-        PreprocessOptions {
-            predefined: Vec::new(),
-            includes: HashMap::new(),
-            max_expansion_depth: 32,
-        }
-    }
-
-    /// Add a simple object-like macro definition.
-    pub fn define(mut self, name: &str, body: &str) -> Self {
-        self.predefined.push(MacroDef {
-            name: name.to_string(),
-            params: None,
-            body: body.to_string(),
-        });
-        self
+        Self::default()
     }
 
     /// Register a virtual include file.
@@ -73,8 +51,6 @@ impl PreprocessOptions {
 pub struct PreprocessOutput {
     /// The preprocessed source text.
     pub text: String,
-    /// Macros that were defined over the course of processing.
-    pub macros: HashMap<String, MacroDef>,
     /// Diagnostics (unterminated conditionals, unknown includes, ...).
     pub diagnostics: Diagnostics,
 }
@@ -160,7 +136,6 @@ pub fn preprocess(src: &str, options: &PreprocessOptions) -> PreprocessOutput {
     let text = pp.process(src, 0);
     PreprocessOutput {
         text,
-        macros: pp.macros,
         diagnostics: pp.diags,
     }
 }
@@ -183,13 +158,9 @@ enum CondState {
 
 impl<'a> Preprocessor<'a> {
     fn new(options: &'a PreprocessOptions) -> Self {
-        let mut macros = HashMap::new();
-        for m in &options.predefined {
-            macros.insert(m.name.clone(), m.clone());
-        }
         Preprocessor {
             options,
-            macros,
+            macros: HashMap::new(),
             diags: Diagnostics::new(),
         }
     }
@@ -350,7 +321,6 @@ impl<'a> Preprocessor<'a> {
                 self.macros.insert(
                     rest.to_string(),
                     MacroDef {
-                        name: rest.to_string(),
                         params: None,
                         body: String::new(),
                     },
@@ -375,9 +345,8 @@ impl<'a> Preprocessor<'a> {
                     .collect();
                 let body = after[close + 1..].trim().to_string();
                 self.macros.insert(
-                    name.clone(),
+                    name,
                     MacroDef {
-                        name,
                         params: Some(params),
                         body,
                     },
@@ -391,20 +360,13 @@ impl<'a> Preprocessor<'a> {
             }
         } else {
             let body = after.trim().to_string();
-            self.macros.insert(
-                name.clone(),
-                MacroDef {
-                    name,
-                    params: None,
-                    body,
-                },
-            );
+            self.macros.insert(name, MacroDef { params: None, body });
         }
     }
 
     /// Expand macros in one line of text.
     fn expand_line(&mut self, line: &str, depth: usize) -> String {
-        if depth > self.options.max_expansion_depth {
+        if depth > MAX_EXPANSION_DEPTH {
             self.diags
                 .error(DiagnosticKind::Preprocess, "macro expansion too deep", None);
             return line.to_string();
@@ -822,13 +784,6 @@ mod tests {
             &PreprocessOptions::new(),
         );
         assert!(out.text.contains("int x = (1 + 2);"));
-    }
-
-    #[test]
-    fn predefined_macros_apply() {
-        let options = PreprocessOptions::new().define("WG_SIZE", "128");
-        let out = preprocess("int n = WG_SIZE;", &options);
-        assert!(out.text.contains("int n = 128;"));
     }
 
     #[test]

@@ -5,27 +5,12 @@
 use crate::ast::*;
 use std::fmt::Write as _;
 
-/// Pretty printing configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct PrintOptions {
-    /// Number of spaces per indentation level.
-    pub indent_width: usize,
-}
-
-impl Default for PrintOptions {
-    fn default() -> Self {
-        PrintOptions { indent_width: 2 }
-    }
-}
+/// Spaces per indentation level of the canonical style.
+const INDENT_WIDTH: usize = 2;
 
 /// Print a whole translation unit in canonical style.
 pub fn print_unit(unit: &TranslationUnit) -> String {
-    print_unit_with(unit, &PrintOptions::default())
-}
-
-/// Print a translation unit with explicit options.
-pub fn print_unit_with(unit: &TranslationUnit, options: &PrintOptions) -> String {
-    let mut p = Printer::new(options);
+    let mut p = Printer::default();
     for (i, item) in unit.items.iter().enumerate() {
         if i > 0 {
             p.out.push('\n');
@@ -37,36 +22,21 @@ pub fn print_unit_with(unit: &TranslationUnit, options: &PrintOptions) -> String
 
 /// Print a single function definition in canonical style.
 pub fn print_function(func: &FunctionDef) -> String {
-    let mut p = Printer::new(&PrintOptions::default());
+    let mut p = Printer::default();
     p.function(func);
     p.out
 }
 
-/// Print an expression (mainly for diagnostics and tests).
-pub fn print_expr(expr: &Expr) -> String {
-    let mut p = Printer::new(&PrintOptions::default());
-    p.expr(expr);
-    p.out
-}
-
+#[derive(Default)]
 struct Printer {
     out: String,
     indent: usize,
-    indent_width: usize,
 }
 
 impl Printer {
-    fn new(options: &PrintOptions) -> Self {
-        Printer {
-            out: String::new(),
-            indent: 0,
-            indent_width: options.indent_width,
-        }
-    }
-
     fn newline(&mut self) {
         self.out.push('\n');
-        for _ in 0..self.indent * self.indent_width {
+        for _ in 0..self.indent * INDENT_WIDTH {
             self.out.push(' ');
         }
     }

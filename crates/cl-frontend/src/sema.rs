@@ -34,11 +34,6 @@ impl KernelArg {
         self.ty.address_space() == Some(AddressSpace::Global)
     }
 
-    /// True if this argument is a local-memory buffer.
-    pub fn is_local_buffer(&self) -> bool {
-        self.ty.address_space() == Some(AddressSpace::Local)
-    }
-
     /// True if this argument is a scalar passed by value.
     pub fn is_scalar(&self) -> bool {
         matches!(self.ty, Type::Scalar(_) | Type::Vector(..))
@@ -56,11 +51,6 @@ pub struct KernelSignature {
 }
 
 impl KernelSignature {
-    /// Number of global buffer arguments.
-    pub fn global_buffer_count(&self) -> usize {
-        self.args.iter().filter(|a| a.is_global_buffer()).count()
-    }
-
     /// True if any argument has a type CLgen's host driver cannot synthesise a
     /// payload for (user-defined structs, images, unknown named types). The
     /// paper notes 2.3% of benchmark kernels use such "irregular" inputs

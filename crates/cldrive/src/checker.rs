@@ -44,6 +44,12 @@ impl CheckOutcome {
     }
 }
 
+/// Relative epsilon for floating point output comparison.
+const EPSILON: f64 = 1e-5;
+
+/// RNG seed of the two check payloads.
+const PAYLOAD_SEED: u64 = 0xC4EC;
+
 /// Configuration of the dynamic checker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckerOptions {
@@ -51,12 +57,8 @@ pub struct CheckerOptions {
     pub global_size: usize,
     /// Local size for the check executions.
     pub local_size: usize,
-    /// Relative epsilon for floating point output comparison.
-    pub epsilon: f64,
     /// Step budget per work item (the "timeout threshold").
     pub steps_per_work_item: u64,
-    /// Payload RNG seed.
-    pub seed: u64,
 }
 
 impl Default for CheckerOptions {
@@ -64,9 +66,7 @@ impl Default for CheckerOptions {
         CheckerOptions {
             global_size: 256,
             local_size: 32,
-            epsilon: 1e-5,
             steps_per_work_item: 2_000_000,
-            seed: 0xC4EC,
         }
     }
 }
@@ -81,13 +81,13 @@ fn global_buffers(args: &[ArgBinding]) -> Vec<Buffer> {
         .collect()
 }
 
-fn buffers_differ(a: &[Buffer], b: &[Buffer], epsilon: f64) -> bool {
+fn buffers_differ(a: &[Buffer], b: &[Buffer]) -> bool {
     if a.len() != b.len() {
         return true;
     }
     a.iter()
         .zip(b.iter())
-        .any(|(x, y)| x.differs_from(y, epsilon))
+        .any(|(x, y)| x.differs_from(y, EPSILON))
 }
 
 /// Run the four-execution dynamic check on one kernel.
@@ -124,7 +124,7 @@ pub(crate) fn check_by(
     let payload_options = PayloadOptions {
         global_size: options.global_size,
         local_size: options.local_size,
-        seed: options.seed,
+        seed: PAYLOAD_SEED,
     };
     let (payload_a, payload_b) = match generate_payload_pair(sig, &payload_options) {
         Ok(p) => p,
@@ -161,37 +161,18 @@ pub(crate) fn check_by(
     let (a1_out, b1_out, a2_out, b2_out) = (&outs[0], &outs[1], &outs[2], &outs[3]);
 
     // Assert: outputs differ from inputs, else no output for these inputs.
-    let outcome = if !buffers_differ(a1_out, &a_in, options.epsilon)
-        && !buffers_differ(b1_out, &b_in, options.epsilon)
-    {
+    let outcome = if !buffers_differ(a1_out, &a_in) && !buffers_differ(b1_out, &b_in) {
         CheckOutcome::NoOutput
     // Assert: outputs differ across inputs, else input-insensitive.
-    } else if !buffers_differ(a1_out, b1_out, options.epsilon)
-        || !buffers_differ(a2_out, b2_out, options.epsilon)
-    {
+    } else if !buffers_differ(a1_out, b1_out) || !buffers_differ(a2_out, b2_out) {
         CheckOutcome::InputInsensitive
     // Assert: repeated executions agree, else non-deterministic.
-    } else if buffers_differ(a1_out, a2_out, options.epsilon)
-        || buffers_differ(b1_out, b2_out, options.epsilon)
-    {
+    } else if buffers_differ(a1_out, a2_out) || buffers_differ(b1_out, b2_out) {
         CheckOutcome::NonDeterministic
     } else {
         CheckOutcome::UsefulWork
     };
     (outcome, steps)
-}
-
-/// Convenience: compile-free check when the caller already has the unit and
-/// wants the first kernel checked.
-pub fn check_first_kernel(
-    unit: &TranslationUnit,
-    sigs: &[KernelSignature],
-    options: &CheckerOptions,
-) -> CheckOutcome {
-    match sigs.first() {
-        Some(sig) => check_kernel(unit, sig, options),
-        None => CheckOutcome::Failed("no kernel in translation unit".into()),
-    }
 }
 
 #[cfg(test)]
@@ -254,7 +235,6 @@ mod tests {
             global_size: 8,
             local_size: 4,
             steps_per_work_item: 5_000,
-            ..Default::default()
         };
         let outcome = check_kernel(&r.unit, &r.kernels[0], &options);
         assert_eq!(outcome, CheckOutcome::Timeout);

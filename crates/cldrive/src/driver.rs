@@ -7,15 +7,16 @@
 //! it emits are the raw material of every predictive-modeling experiment in
 //! the paper.
 //!
-//! Driving a kernel at several sizes repeats very little: the kernel is
+//! Driving a kernel at several sizes has little to repeat: the kernel is
 //! lowered once ([`HostDriver::prepare`], which also runs the dynamic check —
 //! it does not depend on the size), launched once per *distinct* profiling
 //! size ([`HostDriver::profile`]; every size above
 //! [`DriverOptions::profile_elements_cap`] profiles at the cap), and each
 //! size's record is scaled from the counts of its launch
-//! ([`HostDriver::record`]). [`HostDriver::run_source`] and
-//! [`HostDriver::run_kernel`] are those three steps in order; the
-//! `clgen-harness` pool runs the same three across its workers.
+//! ([`HostDriver::record`]). The `clgen-harness` pool is the caller that
+//! shares launches; [`HostDriver::run_source`] and
+//! [`HostDriver::run_kernel`] are the three steps in order, one launch per
+//! size, for tests and examples.
 
 use crate::checker::{check_by, CheckOutcome, CheckerOptions, Launcher};
 use crate::device::{DeviceKind, Platform, WorkloadProfile};
@@ -40,10 +41,6 @@ pub struct DriverOptions {
     pub checker: Option<CheckerOptions>,
     /// Payload RNG seed.
     pub seed: u64,
-    /// Number of repetitions to average (the paper repeats each experiment 5
-    /// times; our analytic estimates are deterministic so this mainly matters
-    /// when callers add noise models).
-    pub repetitions: usize,
     /// Launch-wide interpreter step budget (0 = unbounded) of every launch
     /// the driver makes: each profile launch, and each of the dynamic check's
     /// four. Batched callers (the `clgen-harness` drive pool) set this so a
@@ -61,7 +58,6 @@ impl Default for DriverOptions {
             profile_work_item_cap: 512,
             checker: Some(CheckerOptions::default()),
             seed: 0xD21E,
-            repetitions: 5,
             total_step_budget: 0,
         }
     }
@@ -76,7 +72,6 @@ impl DriverOptions {
             profile_work_item_cap: 128,
             checker: None,
             seed: 7,
-            repetitions: 1,
             total_step_budget: 0,
         }
     }
@@ -166,14 +161,6 @@ pub struct HostDriver {
 }
 
 impl HostDriver {
-    /// A driver for the given platform with default options.
-    pub fn new(platform: Platform) -> HostDriver {
-        HostDriver {
-            platform,
-            options: DriverOptions::default(),
-        }
-    }
-
     /// A driver with explicit options.
     pub fn with_options(platform: Platform, options: DriverOptions) -> HostDriver {
         HostDriver { platform, options }
@@ -202,23 +189,9 @@ impl HostDriver {
         let mut last_error = None;
         for sig in &compiled.kernels {
             let kernel = self.prepare(&compiled.unit, sig);
-            // One launch per distinct profiling size, in first-use order.
-            let mut launches: Vec<(usize, Result<ExecutionCounts, DriveError>)> = Vec::new();
             for &size in global_sizes {
-                let profile_size = self.profile_size(size);
-                let outcome = match kernel.rejection() {
-                    Some(rejection) => Err(rejection),
-                    None => match launches.iter().find(|(s, _)| *s == profile_size) {
-                        Some((_, launched)) => launched.clone(),
-                        None => {
-                            let launched = self.profile(&kernel, profile_size).result;
-                            launches.push((profile_size, launched.clone()));
-                            launched
-                        }
-                    },
-                };
-                match outcome {
-                    Ok(counts) => runs.push(self.record(&kernel, &counts, size)),
+                match self.run_prepared(&kernel, size) {
+                    Ok(run) => runs.push(run),
                     Err(e) => last_error = Some(e),
                 }
             }

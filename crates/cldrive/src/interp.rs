@@ -50,11 +50,6 @@ impl NDRange {
         self.global[0] * self.global[1] * self.global[2]
     }
 
-    /// Work items per work group.
-    pub fn group_size(&self) -> usize {
-        self.local[0] * self.local[1] * self.local[2]
-    }
-
     /// Number of work groups (rounding up in each dimension).
     pub fn num_groups(&self) -> usize {
         let gx = self.global[0].div_ceil(self.local[0]);

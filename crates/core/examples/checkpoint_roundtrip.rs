@@ -19,9 +19,7 @@
 //! `check` loads the checkpoint in a fresh process, repeats the session and
 //! exits non-zero unless the output matches byte for byte.
 
-use clgen_repro::clgen::{
-    ArgumentSpec, ClgenBuilder, ClgenOptions, SampleOptions, SamplerConfig, TrainedModel,
-};
+use clgen::{ArgumentSpec, ClgenBuilder, ClgenOptions, SampleOptions, SamplerConfig, TrainedModel};
 use std::process::ExitCode;
 
 const RUN_SEED: u64 = 2017;

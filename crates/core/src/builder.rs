@@ -20,7 +20,7 @@
 use crate::error::ClgenError;
 use crate::model::TrainedModel;
 use crate::synthesizer::{ClgenOptions, ModelBackend};
-use clgen_corpus::{Corpus, CorpusOptions, Vocabulary};
+use clgen_corpus::{Corpus, Vocabulary};
 use clgen_neural::lstm::{LstmConfig, LstmModel};
 use clgen_neural::ngram::NgramModel;
 use clgen_neural::train::{train, EpochReport};
@@ -48,12 +48,6 @@ impl ClgenBuilder {
     /// A builder starting from explicit options.
     pub fn with_options(options: ClgenOptions) -> ClgenBuilder {
         ClgenBuilder { options }
-    }
-
-    /// Set the corpus construction options.
-    pub fn corpus_options(mut self, corpus: CorpusOptions) -> ClgenBuilder {
-        self.options.corpus = corpus;
-        self
     }
 
     /// Set the model backend to train.
@@ -133,11 +127,6 @@ impl CorpusStage {
     /// The options the stage was built with.
     pub fn options(&self) -> &ClgenOptions {
         &self.options
-    }
-
-    /// Give up the stage, keeping only the corpus.
-    pub fn into_corpus(self) -> Corpus {
-        self.corpus
     }
 
     /// Train the backend configured in the options over this corpus.

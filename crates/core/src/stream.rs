@@ -160,10 +160,7 @@ impl SamplerConfig {
             lanes: 8,
             seed,
             max_attempts: None,
-            filter: FilterConfig {
-                use_shim: false,
-                min_instructions: 3,
-            },
+            filter: FilterConfig::without_shim(),
         }
     }
 

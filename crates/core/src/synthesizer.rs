@@ -43,17 +43,6 @@ impl Default for ModelBackend {
     }
 }
 
-impl ModelBackend {
-    /// A small LSTM configuration usable in tests and demos.
-    pub fn small_lstm() -> ModelBackend {
-        ModelBackend::Lstm {
-            hidden_size: 64,
-            num_layers: 2,
-            train: TrainConfig::quick(),
-        }
-    }
-}
-
 /// Options controlling an end-to-end CLgen instance.
 #[derive(Debug, Clone, Default)]
 pub struct ClgenOptions {

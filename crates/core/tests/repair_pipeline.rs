@@ -13,10 +13,7 @@ use clgen_corpus::RejectReason;
 
 /// The synthesis-path filter: standalone code, paper's instruction minimum.
 fn synthesis_filter() -> FilterConfig {
-    FilterConfig {
-        use_shim: false,
-        min_instructions: 3,
-    }
+    FilterConfig::without_shim()
 }
 
 fn candidate(text: &str) -> SampledCandidate {

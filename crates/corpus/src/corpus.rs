@@ -1,7 +1,7 @@
 //! Corpus assembly: mining → filtering → rewriting → a language corpus ready
 //! for model training, plus the statistics reported in §4.1 of the paper.
 
-use crate::content::{ContentFile, CorpusKernel, RejectReason};
+use crate::content::{ContentFile, CorpusKernel};
 use crate::filter::{filter_corpus, FilterConfig, FilterStats};
 use crate::miner::{mine, mining_stats, MinerConfig, MiningStats};
 use crate::rewriter::rewrite_file;
@@ -268,9 +268,6 @@ fn words(text: &str) -> Vec<String> {
     }
     out
 }
-
-/// Convenience re-export so callers can reason about rejection categories.
-pub type Rejection = RejectReason;
 
 #[cfg(test)]
 mod tests {

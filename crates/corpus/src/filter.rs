@@ -15,32 +15,28 @@ use cl_frontend::error::DiagnosticKind;
 use cl_frontend::{compile, CompileOptions, CompileResult, PreprocessOptions};
 use std::collections::HashMap;
 
+/// Minimum static instruction count a kernel must reach (§4.1).
+const MIN_KERNEL_INSTRUCTIONS: usize = 3;
+
 /// Configuration of the rejection filter.
 #[derive(Debug, Clone)]
 pub struct FilterConfig {
     /// Whether the shim header is injected before compilation.
     pub use_shim: bool,
-    /// Minimum static instruction count a kernel must reach (the paper uses 3).
-    pub min_instructions: usize,
 }
 
 impl Default for FilterConfig {
     fn default() -> Self {
-        FilterConfig {
-            use_shim: true,
-            min_instructions: 3,
-        }
+        FilterConfig { use_shim: true }
     }
 }
 
 impl FilterConfig {
-    /// Filter configuration without the shim header (for the ablation in the
-    /// corpus statistics experiment).
+    /// Filter configuration without the shim header (sampled kernels, which
+    /// come from a rewritten corpus, and the ablation in the corpus
+    /// statistics experiment).
     pub fn without_shim() -> Self {
-        FilterConfig {
-            use_shim: false,
-            min_instructions: 3,
-        }
+        FilterConfig { use_shim: false }
     }
 }
 
@@ -68,10 +64,7 @@ pub fn compile_options(config: &FilterConfig) -> CompileOptions {
     if config.use_shim {
         pp = pp.include(SHIM_INCLUDE_NAME, &shim_header());
     }
-    CompileOptions {
-        preprocess: pp,
-        extra_type_names: Vec::new(),
-    }
+    CompileOptions { preprocess: pp }
 }
 
 /// Run the rejection filter on a single source text.
@@ -87,7 +80,7 @@ pub fn filter_source(source: &str, config: &FilterConfig) -> FilterVerdict {
         source.to_string()
     };
     let compile = compile(&input, &options);
-    let decision = decide(&compile, config);
+    let decision = decide(&compile);
     FilterVerdict { decision, compile }
 }
 
@@ -96,7 +89,7 @@ pub fn filter_content_file(file: &ContentFile, config: &FilterConfig) -> FilterV
     filter_source(&file.text, config)
 }
 
-fn decide(compile: &CompileResult, config: &FilterConfig) -> Result<(), RejectReason> {
+fn decide(compile: &CompileResult) -> Result<(), RejectReason> {
     if compile.diagnostics.has_errors() {
         // Classify: if *all* error diagnostics are undeclared identifiers /
         // unknown types, the shim is the missing piece.
@@ -113,7 +106,7 @@ fn decide(compile: &CompileResult, config: &FilterConfig) -> Result<(), RejectRe
     if compile.kernels.is_empty() {
         return Err(RejectReason::NoKernel);
     }
-    if compile.max_kernel_instructions() < config.min_instructions {
+    if compile.max_kernel_instructions() < MIN_KERNEL_INSTRUCTIONS {
         return Err(RejectReason::TooFewInstructions);
     }
     Ok(())
@@ -145,11 +138,6 @@ impl FilterStats {
         } else {
             1.0 - self.accepted as f64 / self.total as f64
         }
-    }
-
-    /// Number of rejections with the given reason.
-    pub fn rejected_because(&self, reason: RejectReason) -> usize {
-        self.rejected.get(&reason).copied().unwrap_or(0)
     }
 }
 

@@ -14,7 +14,6 @@
 
 use crate::content::ContentFile;
 use crate::kernelgen::{self, KernelGenConfig, NamingStyle};
-use crate::shim;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -302,12 +301,6 @@ pub fn mining_stats(files: &[ContentFile]) -> MiningStats {
         files: files.len(),
         lines: files.iter().map(ContentFile::line_count).sum(),
     }
-}
-
-/// Convenience: the shim identifiers most often needed by mined files. Used in
-/// corpus statistics to show which aliases the shim actually rescues.
-pub fn shim_alias_pool() -> Vec<&'static str> {
-    shim::shim_identifiers()
 }
 
 #[cfg(test)]

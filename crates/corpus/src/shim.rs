@@ -175,7 +175,6 @@ mod tests {
         let src = "#include <clgen-shim.h>\n__kernel void A(__global FLOAT_T* a) { a[get_global_id(0)] = ALPHA * BLOCK_SIZE; }";
         let options = CompileOptions {
             preprocess: PreprocessOptions::new().include(SHIM_INCLUDE_NAME, &shim_header()),
-            ..Default::default()
         };
         let r = compile(src, &options);
         assert!(r.is_ok(), "{}", r.diagnostics);

@@ -6,9 +6,9 @@
 //! cargo run --release --example corpus_pipeline
 //! ```
 
-use clgen_repro::clgen_corpus::filter::{filter_source, FilterConfig};
-use clgen_repro::clgen_corpus::rewriter::process_content_file;
-use clgen_repro::clgen_corpus::{ContentFile, Corpus, CorpusOptions, MinerConfig};
+use clgen_corpus::filter::{filter_source, FilterConfig};
+use clgen_corpus::rewriter::process_content_file;
+use clgen_corpus::{ContentFile, Corpus, CorpusOptions, MinerConfig};
 
 fn main() {
     // 1. The Figure 5 walkthrough: a hand-written saxpy content file with

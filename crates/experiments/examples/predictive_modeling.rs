@@ -7,7 +7,7 @@
 //! cargo run --release --example predictive_modeling
 //! ```
 
-use clgen_repro::cldrive::Platform;
+use cldrive::Platform;
 use experiments::{
     build_suite_dataset, build_synthetic_dataset, synthesize_kernels, DatasetConfig,
     SyntheticConfig,

@@ -6,8 +6,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use clgen_repro::cldrive::{DriverOptions, HostDriver, Platform};
-use clgen_repro::clgen::{ArgumentSpec, ClgenBuilder, ClgenOptions, SamplerConfig};
+use cldrive::{DriverOptions, HostDriver, Platform};
+use clgen::{ArgumentSpec, ClgenBuilder, ClgenOptions, SamplerConfig};
 
 fn main() {
     // 1. Corpus stage: mine the synthetic GitHub population, filter and

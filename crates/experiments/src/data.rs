@@ -1,11 +1,14 @@
-//! Dataset construction shared by the experiment binaries.
+//! Dataset construction shared by the experiment binaries: every kernel is
+//! driven through [`clgen_harness`] (one compile, one lowering and one dynamic
+//! check per kernel, one launch per distinct profile size), and a dataset is
+//! a fold over its reports.
 
-use cl_frontend::analysis::analyze_function;
-use cl_frontend::compile;
-use cldrive::{DriverOptions, HostDriver, Platform};
+use cl_frontend::{compile, CompileResult, StaticCounts};
+use cldrive::{DriverOptions, KernelRun, Platform};
 use clgen::{
     ArgumentSpec, ClgenBuilder, ClgenOptions, SampleOptions, SamplerConfig, SynthesizedKernel,
 };
+use clgen_harness::{Deadline, Harness, HarnessConfig};
 use grewe_features::{FeatureSet, GreweFeatures, StaticFeatures};
 use predictive::{Dataset, Example};
 use suites::{all_benchmarks, Benchmark};
@@ -38,26 +41,70 @@ pub fn suite_driver_options() -> DriverOptions {
         profile_work_item_cap: 192,
         checker: None,
         seed: 0xBE7C,
-        repetitions: 1,
         total_step_budget: 0,
     }
 }
 
-/// Extract static features for every kernel in a benchmark source and return
-/// the *sum* over kernels (multi-kernel benchmarks contribute the union of
-/// their kernels' behaviour, mirroring how the paper treats per-benchmark
-/// feature vectors).
-fn benchmark_static_features(source: &str) -> Option<StaticFeatures> {
+/// Static features of a compiled source: the *sum* over its kernels
+/// (multi-kernel benchmarks contribute the union of their kernels' behaviour,
+/// mirroring how the paper treats per-benchmark feature vectors).
+fn summed_static_features(compiled: &CompileResult) -> StaticFeatures {
+    let mut total = StaticCounts::default();
+    for (_, counts) in &compiled.kernel_counts {
+        total.merge(counts);
+    }
+    StaticFeatures::from_counts(&total)
+}
+
+/// Compile `source` once, drive it through the harness at every size, and
+/// fold the report into one `(size, feature vector, cpu_time, gpu_time)` row
+/// per size at which any of its first `kernels` kernels ran: times and
+/// transfer are summed over those kernels' runs (a benchmark maps to one
+/// device as a whole). No rows for a source that does not compile.
+fn drive_rows(
+    source: &str,
+    sizes: &[usize],
+    kernels: usize,
+    platform: &Platform,
+    driver: &DriverOptions,
+    feature_set: FeatureSet,
+) -> Vec<(usize, Vec<f64>, f64, f64)> {
+    let config = HarnessConfig {
+        platform: platform.clone(),
+        driver: driver.clone(),
+        sizes: sizes.to_vec(),
+        feature_set,
+    };
     let compiled = compile(source, &Default::default());
-    if !compiled.is_ok() || compiled.kernels.is_empty() {
-        return None;
+    let Ok(report) = Harness::new(config, None).drive_compiled(&compiled, &Deadline::none()) else {
+        return Vec::new();
+    };
+    let static_features = summed_static_features(&compiled);
+    let mut rows = Vec::new();
+    for (nth, &size) in sizes.iter().enumerate() {
+        // Units are kernel-major, size-minor.
+        let runs: Vec<&KernelRun> = report.units[nth..]
+            .iter()
+            .step_by(sizes.len())
+            .take(kernels)
+            .filter_map(|unit| unit.run.as_ref())
+            .collect();
+        if runs.is_empty() {
+            continue;
+        }
+        let features = GreweFeatures {
+            static_features,
+            transfer: runs.iter().map(|run| run.workload.transfer_bytes).sum(),
+            wgsize: size as f64,
+        };
+        rows.push((
+            size,
+            feature_set.vector(&features),
+            runs.iter().map(|run| run.cpu_time).sum(),
+            runs.iter().map(|run| run.gpu_time).sum(),
+        ));
     }
-    let mut total = cl_frontend::analysis::StaticCounts::default();
-    for kernel in compiled.unit.kernels() {
-        let counts = analyze_function(&compiled.unit, kernel);
-        total.merge(&counts);
-    }
-    Some(StaticFeatures::from_counts(&total))
+    rows
 }
 
 /// Build the labelled dataset for one platform from every benchmark of every
@@ -72,47 +119,23 @@ pub fn build_dataset_from_benchmarks(
     platform: &Platform,
     config: &DatasetConfig,
 ) -> Dataset {
-    let driver = HostDriver::with_options(platform.clone(), config.driver.clone());
     let mut dataset = Dataset::new();
     for benchmark in benchmarks {
-        let compiled = compile(&benchmark.source, &Default::default());
-        if !compiled.is_ok() || compiled.kernels.is_empty() {
-            continue;
-        }
-        let Some(statics) = benchmark_static_features(&benchmark.source) else {
-            continue;
-        };
-        for &size in &benchmark.dataset_sizes {
-            // Aggregate CPU/GPU times over all kernels of the benchmark (a
-            // benchmark maps to one device as a whole).
-            let mut cpu = 0.0f64;
-            let mut gpu = 0.0f64;
-            let mut transfer = 0.0f64;
-            let mut any = false;
-            for sig in &compiled.kernels {
-                let Ok(run) = driver.run_kernel(&compiled.unit, sig, size) else {
-                    continue;
-                };
-                cpu += run.cpu_time;
-                gpu += run.gpu_time;
-                transfer += run.workload.transfer_bytes;
-                any = true;
-            }
-            if !any {
-                continue;
-            }
-            let features = GreweFeatures {
-                static_features: statics,
-                transfer,
-                wgsize: size as f64,
-            };
+        for (size, features, cpu_time, gpu_time) in drive_rows(
+            &benchmark.source,
+            &benchmark.dataset_sizes,
+            usize::MAX,
+            platform,
+            &config.driver,
+            config.feature_set,
+        ) {
             dataset.push(Example {
-                features: config.feature_set.vector(&features),
+                features,
                 benchmark: benchmark.name.clone(),
                 suite: benchmark.suite.short_name().to_string(),
                 id: format!("{}@{}", benchmark.id(), size),
-                cpu_time: cpu,
-                gpu_time: gpu,
+                cpu_time,
+                gpu_time,
             });
         }
     }
@@ -197,33 +220,24 @@ pub fn build_synthetic_dataset(
         local_size: 32,
         ..Default::default()
     });
-    let driver = HostDriver::with_options(platform.clone(), driver_options);
     let mut dataset = Dataset::new();
     for (idx, kernel) in kernels.iter().enumerate() {
-        let compiled = compile(&kernel.source, &Default::default());
-        if !compiled.is_ok() || compiled.kernels.is_empty() {
-            continue;
-        }
-        let Some(statics) = benchmark_static_features(&kernel.source) else {
-            continue;
-        };
-        let sig = &compiled.kernels[0];
-        for &size in dataset_sizes {
-            let Ok(run) = driver.run_kernel(&compiled.unit, sig, size) else {
-                continue;
-            };
-            let features = GreweFeatures {
-                static_features: statics,
-                transfer: run.workload.transfer_bytes,
-                wgsize: size as f64,
-            };
+        // A synthetic benchmark is the first kernel of its source.
+        for (size, features, cpu_time, gpu_time) in drive_rows(
+            &kernel.source,
+            dataset_sizes,
+            1,
+            platform,
+            &driver_options,
+            feature_set,
+        ) {
             dataset.push(Example {
-                features: feature_set.vector(&features),
+                features,
                 benchmark: format!("clgen-{idx}"),
                 suite: "CLgen".to_string(),
                 id: format!("clgen-{idx}@{size}"),
-                cpu_time: run.cpu_time,
-                gpu_time: run.gpu_time,
+                cpu_time,
+                gpu_time,
             });
         }
     }
@@ -235,12 +249,157 @@ pub fn build_synthetic_dataset(
 pub fn static_features_of_sources<'a>(
     sources: impl Iterator<Item = &'a str>,
 ) -> Vec<StaticFeatures> {
-    sources.filter_map(benchmark_static_features).collect()
+    sources
+        .filter_map(|source| {
+            let compiled = compile(source, &Default::default());
+            (compiled.is_ok() && !compiled.kernels.is_empty())
+                .then(|| summed_static_features(&compiled))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cl_frontend::analysis::analyze_function;
+    use cldrive::HostDriver;
+
+    /// One source's `(size, features, cpu, gpu)` rows as the datasets were
+    /// assembled before the harness: the first `kernels` kernels driven one
+    /// (kernel, size) at a time by `run_kernel`, the static counts from an
+    /// analysis pass of their own.
+    fn reference_rows(
+        driver: &HostDriver,
+        source: &str,
+        sizes: &[usize],
+        kernels: usize,
+    ) -> Vec<(usize, GreweFeatures, f64, f64)> {
+        let compiled = compile(source, &Default::default());
+        if !compiled.is_ok() || compiled.kernels.is_empty() {
+            return Vec::new();
+        }
+        let mut statics = StaticCounts::default();
+        for kernel in compiled.unit.kernels() {
+            statics.merge(&analyze_function(&compiled.unit, kernel));
+        }
+        let mut rows = Vec::new();
+        for &size in sizes {
+            let (mut cpu, mut gpu, mut transfer, mut any) = (0.0f64, 0.0f64, 0.0f64, false);
+            for sig in compiled.kernels.iter().take(kernels) {
+                let Ok(run) = driver.run_kernel(&compiled.unit, sig, size) else {
+                    continue;
+                };
+                cpu += run.cpu_time;
+                gpu += run.gpu_time;
+                transfer += run.workload.transfer_bytes;
+                any = true;
+            }
+            if any {
+                let features = GreweFeatures {
+                    static_features: StaticFeatures::from_counts(&statics),
+                    transfer,
+                    wgsize: size as f64,
+                };
+                rows.push((size, features, cpu, gpu));
+            }
+        }
+        rows
+    }
+
+    /// `build` at 1 and at 4 workers equals `expected`, bit for bit.
+    fn assert_dataset_is(expected: &[Example], build: impl Fn() -> Dataset) {
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
+        assert!(!expected.is_empty());
+        for workers in [1, 4] {
+            let got = rayon::with_num_threads(workers, &build).examples;
+            assert_eq!(got.len(), expected.len(), "{workers} workers");
+            for (g, e) in got.iter().zip(expected) {
+                let what = format!("{} at {workers} workers", e.id);
+                assert_eq!(
+                    (&g.id, &g.benchmark, &g.suite),
+                    (&e.id, &e.benchmark, &e.suite)
+                );
+                assert_eq!(bits(&g.features), bits(&e.features), "{what}");
+                assert_eq!(g.cpu_time.to_bits(), e.cpu_time.to_bits(), "{what}");
+                assert_eq!(g.gpu_time.to_bits(), e.gpu_time.to_bits(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn suite_dataset_matches_the_per_unit_reference_at_1_and_4_workers() {
+        // NPB runs five sizes and Parboil two; the cap puts the smaller ones
+        // on launches of their own and the rest on one shared launch.
+        let config = DatasetConfig {
+            feature_set: FeatureSet::Extended,
+            driver: DriverOptions {
+                profile_elements_cap: 1 << 14,
+                profile_work_item_cap: 64,
+                ..suite_driver_options()
+            },
+        };
+        let platform = Platform::nvidia();
+        let benchmarks: Vec<Benchmark> = suites::suite_benchmarks(suites::Suite::Npb)
+            .into_iter()
+            .chain(suites::suite_benchmarks(suites::Suite::Parboil))
+            .collect();
+        let driver = HostDriver::with_options(platform.clone(), config.driver.clone());
+        let mut expected = Vec::new();
+        for b in &benchmarks {
+            for (size, features, cpu_time, gpu_time) in
+                reference_rows(&driver, &b.source, &b.dataset_sizes, usize::MAX)
+            {
+                expected.push(Example {
+                    features: config.feature_set.vector(&features),
+                    benchmark: b.name.clone(),
+                    suite: b.suite.short_name().to_string(),
+                    id: format!("{}@{}", b.id(), size),
+                    cpu_time,
+                    gpu_time,
+                });
+            }
+        }
+        assert_dataset_is(&expected, || {
+            build_dataset_from_benchmarks(&benchmarks, &platform, &config)
+        });
+    }
+
+    #[test]
+    fn synthetic_dataset_matches_the_per_unit_reference_at_1_and_4_workers() {
+        let config = SyntheticConfig::small();
+        let kernels = synthesize_kernels(&config);
+        let platform = Platform::amd();
+        let mut options = suite_driver_options();
+        options.checker = Some(cldrive::CheckerOptions {
+            global_size: 128,
+            local_size: 32,
+            ..Default::default()
+        });
+        let driver = HostDriver::with_options(platform.clone(), options);
+        let mut expected = Vec::new();
+        for (idx, kernel) in kernels.iter().enumerate() {
+            for (size, features, cpu_time, gpu_time) in
+                reference_rows(&driver, &kernel.source, &config.dataset_sizes, 1)
+            {
+                expected.push(Example {
+                    features: FeatureSet::Grewe.vector(&features),
+                    benchmark: format!("clgen-{idx}"),
+                    suite: "CLgen".to_string(),
+                    id: format!("clgen-{idx}@{size}"),
+                    cpu_time,
+                    gpu_time,
+                });
+            }
+        }
+        assert_dataset_is(&expected, || {
+            build_synthetic_dataset(
+                &kernels,
+                &platform,
+                FeatureSet::Grewe,
+                &config.dataset_sizes,
+            )
+        });
+    }
 
     #[test]
     fn suite_dataset_covers_all_suites() {

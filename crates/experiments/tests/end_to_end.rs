@@ -1,13 +1,14 @@
 //! Cross-crate integration tests: the full CLgen pipeline from corpus to
 //! synthesized benchmark to driver record to predictive model.
 
-use clgen_repro::cldrive::{DriverOptions, HostDriver, Platform};
-use clgen_repro::clgen::{ArgumentSpec, ClgenBuilder, ClgenOptions, SamplerConfig};
-use clgen_repro::grewe_features::{FeatureSet, GreweFeatures, StaticFeatures};
-use clgen_repro::predictive::{aggregate, leave_one_out, TreeConfig};
-use clgen_repro::suites::{suite_benchmarks, Suite};
+use cldrive::{DriverOptions, Platform};
+use clgen::{ArgumentSpec, ClgenBuilder, ClgenOptions, SamplerConfig};
+use clgen_harness::{Deadline, Harness, HarnessConfig};
 use experiments::data::build_dataset_from_benchmarks;
 use experiments::DatasetConfig;
+use grewe_features::FeatureSet;
+use predictive::{aggregate, leave_one_out, TreeConfig};
+use suites::{suite_benchmarks, Suite};
 
 #[test]
 fn synthesized_kernels_flow_through_driver_and_features() {
@@ -26,29 +27,33 @@ fn synthesized_kernels_flow_through_driver_and_features() {
         .synthesize(4);
     assert!(!report.kernels.is_empty(), "no kernels synthesized");
 
-    let driver = HostDriver::with_options(Platform::amd(), DriverOptions::quick());
+    let harness = Harness::new(
+        HarnessConfig {
+            platform: Platform::amd(),
+            driver: DriverOptions::quick(),
+            sizes: vec![4096],
+            feature_set: FeatureSet::Extended,
+        },
+        None,
+    );
     let mut driven = 0;
     for kernel in &report.kernels {
-        let compiled = cl_frontend::compile(&kernel.source, &Default::default());
-        assert!(
-            compiled.is_ok(),
-            "synthesized kernel does not compile:\n{}",
-            kernel.source
-        );
-        let sig = &compiled.kernels[0];
-        let Ok(run) = driver.run_kernel(&compiled.unit, sig, 4096) else {
+        let report = harness
+            .drive_source(&kernel.source, &Deadline::none())
+            .unwrap_or_else(|e| {
+                panic!(
+                    "synthesized kernel does not compile ({e}):\n{}",
+                    kernel.source
+                )
+            });
+        // The first kernel of the source at its one size.
+        let unit = &report.units[0];
+        if unit.run.is_none() {
             continue;
-        };
+        }
         driven += 1;
-        // Build the Grewe feature vector for the record and sanity-check it.
-        let counts = cl_frontend::analysis::analyze_kernels(&compiled.unit);
-        let statics = StaticFeatures::from_counts(&counts[0].1);
-        let features = GreweFeatures {
-            static_features: statics,
-            transfer: run.workload.transfer_bytes,
-            wgsize: 4096.0,
-        };
-        let vector = FeatureSet::Extended.vector(&features);
+        // Sanity-check the Grewe feature vector extracted for the record.
+        let vector = unit.features.as_ref().expect("a driven unit has features");
         assert_eq!(vector.len(), 11);
         assert!(vector.iter().all(|v| v.is_finite()));
     }

@@ -5,15 +5,13 @@
 //! and the rewriter makes CLgen output superficially indistinguishable from
 //! rewritten human code.
 
-use clgen_repro::clgen::{
-    ArgumentSpec, ClgenBuilder, ClgenOptions, SamplerConfig, SynthesisReport,
-};
-use clgen_repro::clgen_corpus::filter::{filter_corpus, FilterConfig};
-use clgen_repro::clgen_corpus::miner::{mine, MinerConfig};
-use clgen_repro::clsmith::{self, ClsmithConfig};
-use clgen_repro::grewe_features::StaticFeatures;
-use clgen_repro::suites::all_benchmarks;
+use clgen::{ArgumentSpec, ClgenBuilder, ClgenOptions, SamplerConfig, SynthesisReport};
+use clgen_corpus::filter::{filter_corpus, FilterConfig};
+use clgen_corpus::miner::{mine, MinerConfig};
+use clsmith::{self, ClsmithConfig};
+use grewe_features::StaticFeatures;
 use std::collections::HashSet;
+use suites::all_benchmarks;
 
 fn static_key(source: &str) -> Option<(u64, u64, u64, u64, u64)> {
     let compiled = cl_frontend::compile(source, &Default::default());

@@ -2,10 +2,10 @@
 //!
 //! The batched drive-and-predict pipeline that closes the paper's loop:
 //! accepted kernels go in, `KernelRun` records, Grewe feature vectors and
-//! CPU/GPU mapping predictions come out. This is the serving-side counterpart
-//! of the offline experiment binaries — `cldrive`, `grewe-features` and
-//! `predictive` composed into one subsystem that `clgen-serve` exposes as
-//! `POST /drive`, `POST /features` and `POST /pipeline`.
+//! CPU/GPU mapping predictions come out. This is the one composition of
+//! `cldrive`, `grewe-features` and `predictive`: `clgen-serve` exposes it as
+//! `POST /drive`, `POST /features` and `POST /pipeline`, and the experiment
+//! binaries fold their datasets from its reports.
 //!
 //! # Work units and isolation
 //!
@@ -57,12 +57,11 @@
 
 #![warn(missing_docs)]
 
-use cl_frontend::analysis::{analyze_function, StaticCounts};
-use cl_frontend::{compile, CompileOptions};
+use cl_frontend::{compile, CompileOptions, CompileResult, StaticCounts};
 use cldrive::{
     DriveError, DriverOptions, ExecError, HostDriver, KernelRun, Platform, PreparedKernel, Profile,
 };
-use grewe_features::{FeatureSet, GreweFeatures, StaticFeatures};
+use grewe_features::{FeatureSet, GreweFeatures};
 use predictive::{MappingModel, CLASS_CPU};
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -177,6 +176,11 @@ pub enum UnitError {
     Drive(String),
 }
 
+/// The `outcome` label values of `clgen_harness_units_total`, in the order
+/// every rendering lists them. A unit ends in exactly one, so the five
+/// series partition the units driven.
+pub const UNIT_OUTCOMES: [&str; 5] = ["ok", "budget_killed", "panicked", "deadline", "drive_error"];
+
 impl UnitError {
     /// Short machine-readable kind tag used in NDJSON lines.
     pub fn kind(&self) -> &'static str {
@@ -255,8 +259,8 @@ impl UnitResult {
     }
 }
 
-/// Aggregate counters over one or many drive calls (mirrored into the
-/// server's `/stats`).
+/// Aggregate counters over one drive call. The five unit outcomes partition
+/// `units_total`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HarnessCounters {
     /// Sources that compiled and entered the drive pool.
@@ -269,21 +273,13 @@ pub struct HarnessCounters {
     pub units_budget_killed: u64,
     /// Units whose interpreter panicked (contained).
     pub units_panicked: u64,
+    /// Units cut by the shared deadline before their work started.
+    pub units_deadline: u64,
+    /// Units that failed with any other typed driver error (payload,
+    /// dynamic check, execution).
+    pub units_drive_error: u64,
     /// Mapping predictions produced.
     pub predictions: u64,
-}
-
-impl HarnessCounters {
-    /// Fold another set of counters into this one (used by the server to
-    /// accumulate per-request reports into `/stats`).
-    pub fn merge(&mut self, other: &HarnessCounters) {
-        self.kernels_driven += other.kernels_driven;
-        self.units_total += other.units_total;
-        self.units_ok += other.units_ok;
-        self.units_budget_killed += other.units_budget_killed;
-        self.units_panicked += other.units_panicked;
-        self.predictions += other.predictions;
-    }
 }
 
 /// The report for one driven source.
@@ -297,7 +293,7 @@ pub struct HarnessReport {
 impl HarnessReport {
     /// Total wall-clock per pipeline stage across all units, microseconds:
     /// `(drive, features, predict)`. Feeds the serving traces and the
-    /// benchmark recorders' stage breakdowns.
+    /// ledger's `harness.*_us` metrics.
     pub fn stage_timing_us(&self) -> (u64, u64, u64) {
         self.units.iter().fold((0, 0, 0), |(r, f, p), u| {
             (r + u.run_us, f + u.features_us, p + u.predict_us)
@@ -312,16 +308,15 @@ impl HarnessReport {
             ..HarnessCounters::default()
         };
         for u in &self.units {
-            if u.run.is_some() {
-                c.units_ok += 1;
-            }
             if u.prediction.is_some() {
                 c.predictions += 1;
             }
             match u.error {
+                None => c.units_ok += 1,
                 Some(UnitError::BudgetExceeded(_)) => c.units_budget_killed += 1,
                 Some(UnitError::Panicked) => c.units_panicked += 1,
-                _ => {}
+                Some(UnitError::DeadlineExceeded) => c.units_deadline += 1,
+                Some(UnitError::Drive(_)) => c.units_drive_error += 1,
             }
         }
         c
@@ -457,7 +452,7 @@ impl Harness {
         source: &str,
         deadline: &Deadline,
     ) -> Result<HarnessReport, HarnessError> {
-        self.drive(source, deadline, true)
+        self.drive_compiled(&compile(source, &CompileOptions::default()), deadline)
     }
 
     /// Serial reference implementation: identical results to
@@ -473,16 +468,31 @@ impl Harness {
         source: &str,
         deadline: &Deadline,
     ) -> Result<HarnessReport, HarnessError> {
-        self.drive(source, deadline, false)
+        let compiled = compile(source, &CompileOptions::default());
+        self.drive(&compiled, deadline, false)
+    }
+
+    /// [`Harness::drive_source`] for a source the caller has already
+    /// compiled (and may want more from: the experiment datasets sum
+    /// [`CompileResult::kernel_counts`] over a benchmark's kernels).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Harness::drive_source`].
+    pub fn drive_compiled(
+        &self,
+        compiled: &CompileResult,
+        deadline: &Deadline,
+    ) -> Result<HarnessReport, HarnessError> {
+        self.drive(compiled, deadline, true)
     }
 
     fn drive(
         &self,
-        source: &str,
+        compiled: &CompileResult,
         deadline: &Deadline,
         parallel: bool,
     ) -> Result<HarnessReport, HarnessError> {
-        let compiled = compile(source, &CompileOptions::default());
         if !compiled.is_ok() {
             return Err(HarnessError::Compile(compiled.diagnostics.to_string()));
         }
@@ -490,16 +500,6 @@ impl Harness {
             return Err(HarnessError::NoKernel);
         }
         let unit = &compiled.unit;
-        // Static counts once per kernel function (shared by all its sizes);
-        // the analysis walks the hostile AST, so contain panics here too.
-        let statics: Vec<Option<StaticCounts>> = compiled
-            .kernels
-            .iter()
-            .map(|sig| {
-                unit.function(&sig.name)
-                    .and_then(|f| catch_unwind(AssertUnwindSafe(|| analyze_function(unit, f))).ok())
-            })
-            .collect();
         let kernels = &compiled.kernels;
         let driver =
             HostDriver::with_options(self.config.platform.clone(), self.config.driver.clone());
@@ -531,6 +531,13 @@ impl Harness {
         let mut charged = vec![false; launches.len()];
         let mut units = Vec::with_capacity(kernels.len() * self.config.sizes.len());
         for (k, sig) in kernels.iter().enumerate() {
+            // Static counts once per kernel function (shared by all its
+            // sizes): the ones `compile` already took.
+            let statics = compiled
+                .kernel_counts
+                .iter()
+                .find(|(name, _)| *name == sig.name)
+                .map(|(_, counts)| counts);
             for (nth, &size) in self.config.sizes.iter().enumerate() {
                 let mut unit = UnitResult::new(&sig.name, size);
                 if nth == 0 {
@@ -558,7 +565,7 @@ impl Harness {
                     Ok(driver.record(kernel, counts, size))
                 });
                 match outcome {
-                    Ok(run) => self.finish_unit(&mut unit, run, statics[k].as_ref()),
+                    Ok(run) => self.finish_unit(&mut unit, run, statics),
                     Err(e) => unit.error = Some(e),
                 }
                 self.record_unit(&unit);
@@ -581,12 +588,10 @@ impl Harness {
     fn finish_unit(&self, unit: &mut UnitResult, run: KernelRun, statics: Option<&StaticCounts>) {
         if let Some(counts) = statics {
             let features_started = Instant::now();
-            let features = GreweFeatures {
-                static_features: StaticFeatures::from_counts(counts),
-                transfer: run.workload.transfer_bytes,
-                wgsize: run.global_size as f64,
-            };
-            let vector = self.config.feature_set.vector(&features);
+            let vector = self
+                .config
+                .feature_set
+                .vector(&GreweFeatures::new(counts, &run));
             unit.features_us = features_started.elapsed().as_micros() as u64;
             if let Some(model) = &self.model {
                 let predict_started = Instant::now();
@@ -604,6 +609,7 @@ impl Harness {
         let Some(registry) = &self.metrics else {
             return;
         };
+        // One of `UNIT_OUTCOMES`.
         let outcome = match &result.error {
             None => "ok",
             Some(UnitError::BudgetExceeded(_)) => "budget_killed",
@@ -755,6 +761,7 @@ fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cl_frontend::analysis::analyze_function;
     use predictive::{Dataset, Example};
 
     const VECADD: &str =
@@ -771,6 +778,15 @@ mod tests {
         int i = get_global_id(0);
         if (i < n) { b[i] = a[i] + 1.0f; }
     }";
+
+    fn assert_outcomes_partition(c: &HarnessCounters) {
+        let outcomes = c.units_ok
+            + c.units_budget_killed
+            + c.units_panicked
+            + c.units_deadline
+            + c.units_drive_error;
+        assert_eq!(c.units_total, outcomes, "{c:?}");
+    }
 
     fn toy_model() -> Arc<MappingModel> {
         let mut d = Dataset::new();
@@ -898,6 +914,9 @@ mod tests {
             .units
             .iter()
             .all(|u| matches!(u.error, Some(UnitError::DeadlineExceeded))));
+        let counters = report.counters();
+        assert_eq!(counters.units_deadline, counters.units_total);
+        assert_outcomes_partition(&counters);
     }
 
     #[test]
@@ -946,16 +965,18 @@ mod tests {
         let harness = Harness::new(config, Some(toy_model()));
         let benchmarks = suites::all_benchmarks();
         assert_eq!(benchmarks.len(), 50);
-        let (mut ok, mut killed) = (0, 0);
+        let (mut ok, mut killed, mut rejected) = (0, 0, 0);
         for benchmark in &benchmarks {
             let expected = reference_report(&harness, &benchmark.source);
             ok += expected.counters().units_ok;
             killed += expected.counters().units_budget_killed;
+            rejected += expected.counters().units_drive_error;
             for workers in [1, 4] {
                 let got = rayon::with_num_threads(workers, || {
                     harness.drive_source(&benchmark.source, &Deadline::none())
                 })
                 .unwrap();
+                assert_outcomes_partition(&got.counters());
                 assert_eq!(
                     got.ndjson(),
                     expected.ndjson(),
@@ -964,7 +985,11 @@ mod tests {
                 );
             }
         }
-        assert!(ok > 50 && killed > 5, "{ok} ok, {killed} killed");
+        // The six `NoOutput` units are the outcome `/stats` used to drop.
+        assert!(
+            ok > 50 && killed > 5 && rejected > 0,
+            "{ok} ok, {killed} killed, {rejected} rejected"
+        );
     }
 
     #[test]

@@ -54,11 +54,6 @@ impl StatefulLstm {
     pub fn model(&self) -> &LstmModel {
         &self.model
     }
-
-    /// Unwrap into the underlying model.
-    pub fn into_model(self) -> LstmModel {
-        self.model
-    }
 }
 
 impl LanguageModel for StatefulLstm {

@@ -47,17 +47,6 @@ impl LstmConfig {
         }
     }
 
-    /// The paper's configuration (3 x 2048). Provided for completeness; on a
-    /// CPU this is only practical for inference over a pre-trained checkpoint.
-    pub fn paper(vocab_size: usize) -> LstmConfig {
-        LstmConfig {
-            vocab_size,
-            hidden_size: 2048,
-            num_layers: 3,
-            seed: 0x15F3,
-        }
-    }
-
     /// Check the configuration for dimensions that cannot be built: zero
     /// sizes, gate blocks (`4 * hidden`) or weight tensors
     /// (`4 * hidden * input` for `input ∈ {vocab, hidden}`) that would

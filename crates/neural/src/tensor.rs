@@ -84,11 +84,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutable access to the underlying data (row major).
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// Element accessor.
     pub fn get(&self, r: usize, c: usize) -> f32 {
         self.data[r * self.cols + c]
@@ -1019,19 +1014,6 @@ pub fn softmax_in_place(x: &mut [f32]) {
             *v = uniform;
         }
     }
-}
-
-/// AXPY over plain vectors: `y += alpha * x`.
-pub fn vec_axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (dst, src) in y.iter_mut().zip(x.iter()) {
-        *dst += alpha * src;
-    }
-}
-
-/// Sum of squares of a vector.
-pub fn vec_sq_norm(x: &[f32]) -> f32 {
-    x.iter().map(|v| v * v).sum()
 }
 
 #[cfg(test)]

@@ -17,11 +17,11 @@
 //! cargo run --release --example serve_roundtrip -- train-mapping /tmp/model.prd
 //! ```
 
-use clgen_repro::cldrive::Platform;
-use clgen_repro::clgen::{ClgenBuilder, ClgenOptions, TrainedModel};
-use clgen_repro::clgen_serve::{client, json, Server, ServerConfig, SynthesisParams};
-use clgen_repro::predictive::MappingModel;
+use cldrive::Platform;
+use clgen::{ClgenBuilder, ClgenOptions, TrainedModel};
+use clgen_serve::{client, json, Server, ServerConfig, SynthesisParams};
 use experiments::{build_suite_dataset, DatasetConfig};
+use predictive::MappingModel;
 use std::process::ExitCode;
 use std::sync::Arc;
 

@@ -8,9 +8,9 @@
 //! *unaffected* concurrent requests still produce byte-identical responses
 //! while faults fire around them.
 //!
-//! The hooks are compiled in only under the `faults` cargo feature; without
-//! it [`FaultPlan::fire`] is a `const None` the optimizer deletes, so the
-//! production build pays nothing for the instrumentation.
+//! The hooks are in every build. The default plan is inert
+//! ([`FaultPlan::inert`]): a hook on it is one `Option` check, against a
+//! scheduler round of tens of microseconds.
 //!
 //! # Plan grammar
 //!
@@ -24,8 +24,7 @@
 //! | `NAME@N:ARG` | as above, with an integer argument (milliseconds for the stall/delay points) |
 //! | `seed=S` | seed for fault randomness (e.g. which checkpoint byte to corrupt) |
 //!
-//! Plans come from the `--faults` CLI flag or the `CLGEN_SERVE_FAULTS`
-//! environment variable (see [`FaultPlan::from_env`]).
+//! Plans come from the `--faults` CLI flag.
 //!
 //! # Fault points
 //!
@@ -91,9 +90,7 @@ impl FaultPoint {
 
 /// One armed fault point: fire at hit `at` (1-based), optionally on every
 /// later hit too, with an integer argument for the points that take one.
-/// Only the feature-gated [`FaultPlan::fire`] reads the fields.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(not(feature = "faults"), allow(dead_code))]
 struct Arm {
     at: u64,
     repeat: bool,
@@ -134,20 +131,11 @@ impl FaultPlan {
     }
 
     /// Parse a plan from the grammar in the module docs. The empty string is
-    /// the inert plan. Without the `faults` cargo feature, any non-empty spec
-    /// is an error: the hooks are compiled out, so an armed plan would be
-    /// silently ignored — failing loudly is safer.
+    /// the inert plan.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let spec = spec.trim();
         if spec.is_empty() {
             return Ok(FaultPlan::inert());
-        }
-        if !cfg!(feature = "faults") {
-            return Err(
-                "fault injection requested but clgen-serve was built without the `faults` \
-                 feature (rebuild with `--features faults`)"
-                    .to_string(),
-            );
         }
         let mut inner = Inner::default();
         for entry in spec.split(',') {
@@ -194,18 +182,8 @@ impl FaultPlan {
         })
     }
 
-    /// Parse the plan from the `CLGEN_SERVE_FAULTS` environment variable
-    /// (unset or empty means inert).
-    pub fn from_env() -> Result<FaultPlan, String> {
-        match std::env::var("CLGEN_SERVE_FAULTS") {
-            Ok(spec) => FaultPlan::parse(&spec),
-            Err(_) => Ok(FaultPlan::inert()),
-        }
-    }
-
     /// Record one hit at `point` and return `Some(arg)` if the fault fires on
-    /// this hit. Compiled to a constant `None` without the `faults` feature.
-    #[cfg(feature = "faults")]
+    /// this hit. The inert plan records nothing and never fires.
     pub fn fire(&self, point: FaultPoint) -> Option<u64> {
         let inner = self.inner.as_ref()?;
         let hit = inner.hits[point.index()].fetch_add(1, Ordering::SeqCst) + 1;
@@ -218,15 +196,7 @@ impl FaultPlan {
         fires.then_some(arm.arg)
     }
 
-    /// Record one hit at `point` and return `Some(arg)` if the fault fires on
-    /// this hit. Compiled to a constant `None` without the `faults` feature.
-    #[cfg(not(feature = "faults"))]
-    #[inline(always)]
-    pub fn fire(&self, _point: FaultPoint) -> Option<u64> {
-        None
-    }
-
-    /// Hits recorded at `point` so far (0 without the `faults` feature).
+    /// Hits recorded at `point` so far (0 on the inert plan).
     pub fn hits(&self, point: FaultPoint) -> u64 {
         self.inner
             .as_ref()
@@ -265,7 +235,7 @@ impl FaultPlan {
     }
 }
 
-#[cfg(all(test, feature = "faults"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

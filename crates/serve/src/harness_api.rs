@@ -20,7 +20,7 @@ use crate::http::{self, Request};
 use crate::json;
 use crate::scheduler::SchedMsg;
 use crate::server::{client_disconnected, stream_synthesis, write_error, Shared, MAX_DEADLINE_MS};
-use clgen_harness::{Deadline, Harness, HarnessReport};
+use clgen_harness::{Deadline, Harness, HarnessReport, UNIT_OUTCOMES};
 use clgen_obs::Trace;
 use grewe_features::FeatureSet;
 use std::net::TcpStream;
@@ -181,12 +181,14 @@ fn done_line(report: &HarnessReport, model_attached: bool) -> String {
     let c = report.counters();
     format!(
         "{{\"done\":true,\"kernels\":{},\"units\":{},\"ok\":{},\"budget_killed\":{},\
-         \"panicked\":{},\"predictions\":{},\"model\":{}}}",
+         \"panicked\":{},\"deadline\":{},\"drive_error\":{},\"predictions\":{},\"model\":{}}}",
         c.kernels_driven,
         c.units_total,
         c.units_ok,
         c.units_budget_killed,
         c.units_panicked,
+        c.units_deadline,
+        c.units_drive_error,
         c.predictions,
         model_attached,
     )
@@ -321,15 +323,16 @@ pub(crate) fn handle_pipeline(
 /// `clgen_harness_*` series `GET /metrics` exposes, so the two views agree.
 pub(crate) fn render_harness_stats(shared: &Shared) -> String {
     let registry = &shared.metrics.registry;
-    let outcomes = registry.counter_values("clgen_harness_units_total");
-    let total: u64 = outcomes.iter().map(|(_, v)| v).sum();
-    let by_outcome = |wanted: &str| -> u64 {
-        outcomes
-            .iter()
-            .find(|(labels, _)| labels.iter().any(|(k, v)| k == "outcome" && v == wanted))
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
+    // The five outcomes are all a unit can end in: their sum is the total.
+    let mut total = 0;
+    let mut by_outcome = String::new();
+    for outcome in UNIT_OUTCOMES {
+        let units = registry
+            .counter("clgen_harness_units_total", &[("outcome", outcome)], "")
+            .get();
+        total += units;
+        by_outcome.push_str(&format!(",\"{outcome}\":{units}"));
+    }
     let kernels_driven = registry
         .counter("clgen_harness_kernels_driven_total", &[], "")
         .get();
@@ -339,15 +342,10 @@ pub(crate) fn render_harness_stats(shared: &Shared) -> String {
     // Steps over microseconds is the interpreter's speed in production.
     let unit_sum = |name: &str| registry.histogram(name, &[], "").sum();
     format!(
-        "{{\"model\":{},\"kernels_driven\":{},\"units\":{{\"total\":{},\"ok\":{},\
-         \"budget_killed\":{},\"panicked\":{}}},\"unit_steps\":{},\"unit_run_us\":{},\
-         \"predictions\":{}}}",
+        "{{\"model\":{},\"kernels_driven\":{},\"units\":{{\"total\":{total}{by_outcome}}},\
+         \"unit_steps\":{},\"unit_run_us\":{},\"predictions\":{}}}",
         shared.config.mapping_model.is_some(),
         kernels_driven,
-        total,
-        by_outcome("ok"),
-        by_outcome("budget_killed"),
-        by_outcome("panicked"),
         unit_sum("clgen_harness_unit_steps"),
         unit_sum("clgen_harness_unit_run_us"),
         predictions,

@@ -53,7 +53,7 @@
 //! shed expired queued jobs with `503` and reap expired in-flight requests
 //! mid-step, returning the partial response with a `"timeout"` marker. The
 //! whole stack is testable under **deterministic fault injection**
-//! ([`faults::FaultPlan`], compiled in with the `faults` cargo feature):
+//! ([`faults::FaultPlan`], inert unless `--faults` arms it):
 //! seeded, named fault points cover sampler panics, stalls, slow and
 //! dropped client writes, and checkpoint corruption on reload, and the
 //! chaos suite (`tests/chaos.rs`) asserts that concurrent *unaffected*

@@ -14,11 +14,7 @@
 //! `prediction` events; without it they stream runs and features only.
 //!
 //! Timeout flags take milliseconds; `0` disables the timeout (unbounded).
-//! Each resilience flag also reads a `CLGEN_SERVE_*` environment variable
-//! (`READ_TIMEOUT_MS`, `WRITE_TIMEOUT_MS`, `DRAIN_TIMEOUT_MS`,
-//! `DEADLINE_MS`, `RESTART_BUDGET`, `RESTART_WINDOW_MS`, `FAULTS`,
-//! `MAPPING_MODEL`, `DEBUG_FLIGHT`), with the flag winning when both are
-//! set.
+//! The flags are the only channel: the binary reads no environment variable.
 //!
 //! The binary wires the process-global metric registry into the server, so
 //! `GET /metrics` exposes the whole process (training hooks included).
@@ -46,14 +42,6 @@ const USAGE: &str = "usage: clgen-serve --checkpoint PATH \
                      [--restart-budget N] [--restart-window-ms N] \
                      [--faults PLAN] [--debug-flight]";
 
-/// Load a `CLGENPRD` mapping-model checkpoint into the config.
-fn load_mapping_model(config: &mut ServerConfig, path: &str) -> Result<(), String> {
-    let model =
-        MappingModel::load(path).map_err(|e| format!("cannot load mapping model {path:?}: {e}"))?;
-    config.mapping_model = Some(Arc::new(model));
-    Ok(())
-}
-
 /// Parse a millisecond count where `0` means "disabled".
 fn parse_ms_option(raw: &str, flag: &str) -> Result<Option<Duration>, String> {
     let ms: u64 = raw
@@ -62,50 +50,9 @@ fn parse_ms_option(raw: &str, flag: &str) -> Result<Option<Duration>, String> {
     Ok((ms > 0).then(|| Duration::from_millis(ms)))
 }
 
-/// Apply the `CLGEN_SERVE_*` environment to a default config; CLI flags are
-/// applied afterwards and win.
-fn apply_env(config: &mut ServerConfig) -> Result<(), String> {
-    let var = |name: &str| std::env::var(format!("CLGEN_SERVE_{name}")).ok();
-    if let Some(raw) = var("READ_TIMEOUT_MS") {
-        config.read_timeout = parse_ms_option(&raw, "CLGEN_SERVE_READ_TIMEOUT_MS")?;
-    }
-    if let Some(raw) = var("WRITE_TIMEOUT_MS") {
-        config.write_timeout = parse_ms_option(&raw, "CLGEN_SERVE_WRITE_TIMEOUT_MS")?;
-    }
-    if let Some(raw) = var("DRAIN_TIMEOUT_MS") {
-        config.drain_timeout = parse_ms_option(&raw, "CLGEN_SERVE_DRAIN_TIMEOUT_MS")?;
-    }
-    if let Some(raw) = var("DEADLINE_MS") {
-        config.default_deadline_ms =
-            parse_ms_option(&raw, "CLGEN_SERVE_DEADLINE_MS")?.map(|d| d.as_millis() as u64);
-    }
-    if let Some(raw) = var("RESTART_BUDGET") {
-        config.restart_budget = raw
-            .parse()
-            .map_err(|_| "CLGEN_SERVE_RESTART_BUDGET needs an integer".to_string())?;
-    }
-    if let Some(raw) = var("RESTART_WINDOW_MS") {
-        config.restart_window = parse_ms_option(&raw, "CLGEN_SERVE_RESTART_WINDOW_MS")?
-            .ok_or("CLGEN_SERVE_RESTART_WINDOW_MS must be nonzero")?;
-    }
-    if let Some(path) = var("MAPPING_MODEL") {
-        load_mapping_model(config, &path)?;
-    }
-    if let Some(raw) = var("DEBUG_FLIGHT") {
-        config.debug_flight = raw != "0" && !raw.is_empty();
-    }
-    config.faults = FaultPlan::from_env()?;
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let mut checkpoint: Option<String> = None;
     let mut config = ServerConfig::default();
-    if let Err(message) = apply_env(&mut config) {
-        eprintln!("clgen-serve: {message}");
-        return ExitCode::FAILURE;
-    }
-
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = |flag: &str| {
@@ -152,7 +99,10 @@ fn main() -> ExitCode {
                         .ok_or("--restart-window-ms must be nonzero")?;
                 }
                 "--mapping-model" => {
-                    load_mapping_model(&mut config, &value("--mapping-model")?)?;
+                    let path = value("--mapping-model")?;
+                    let model = MappingModel::load(&path)
+                        .map_err(|e| format!("cannot load mapping model {path:?}: {e}"))?;
+                    config.mapping_model = Some(Arc::new(model));
                 }
                 "--faults" => config.faults = FaultPlan::parse(&value("--faults")?)?,
                 "--debug-flight" => config.debug_flight = true,

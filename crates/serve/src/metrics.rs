@@ -2,10 +2,11 @@
 //! the server records, pre-registered once into a [`Registry`] so hot paths
 //! only touch atomics.
 //!
-//! `/stats` renders from these same handles (see `server::render_stats`),
-//! so the text blob and the Prometheus exposition can never disagree — they
-//! are two views of one set of atomics. The full catalog is documented in
-//! the README's "Observability" section.
+//! `/stats` renders from these same handles (`server::render_stats`, and
+//! `harness_api::render_harness_stats` for the `clgen_harness_*` families
+//! the harness records by name), so the JSON object and the Prometheus
+//! exposition can never disagree — they are two views of one set of atomics.
+//! The full catalog is documented in the README's "Observability" section.
 
 use clgen_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
@@ -72,7 +73,7 @@ impl ServeMetrics {
     pub fn new(registry: Arc<Registry>) -> ServeMetrics {
         let c = |name: &str, help: &str| registry.counter(name, &[], help);
         let g = |name: &str, help: &str| registry.gauge(name, &[], help);
-        for outcome in ["ok", "budget_killed", "panicked"] {
+        for outcome in clgen_harness::UNIT_OUTCOMES {
             registry.counter(
                 "clgen_harness_units_total",
                 &[("outcome", outcome)],

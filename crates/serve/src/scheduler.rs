@@ -838,7 +838,6 @@ impl Scheduler {
 pub(crate) struct CoreContext {
     pub lanes: usize,
     pub seed_text: String,
-    pub filter: FilterConfig,
     /// Pristine checkpoint image (the bytes of the model the server booted
     /// with); every respawn decodes a fresh model from it.
     pub checkpoint: Arc<Vec<u8>>,
@@ -878,7 +877,8 @@ pub(crate) fn run_sampler_core(
     sched_tx: mpsc::Sender<SchedMsg>,
 ) {
     let (filter_tx, filter_rx) = mpsc::channel::<Vec<(u64, SampledCandidate)>>();
-    let filter_config = ctx.filter.clone();
+    // Served code stands alone, like anything the sampler accepts offline.
+    let filter_config = FilterConfig::without_shim();
     let filter_faults = ctx.faults.clone();
     let filter_thread = std::thread::spawn(move || {
         // Filter stage: each round fans out over the rayon pool; verdicts

@@ -12,7 +12,6 @@ use crate::scheduler::{
 use crate::{json, DEFAULT_MAX_ATTEMPTS_PER_KERNEL};
 use clgen::spec::FREE_SEED;
 use clgen::TrainedModel;
-use clgen_corpus::filter::FilterConfig;
 use clgen_harness::{Deadline, Harness, HarnessConfig};
 use clgen_obs::{FlightRecorder, Registry, Trace};
 use predictive::MappingModel;
@@ -25,6 +24,15 @@ use std::time::{Duration, Instant};
 
 /// Largest accepted `deadline_ms` (24 hours): anything longer is a typo.
 pub const MAX_DEADLINE_MS: u64 = 86_400_000;
+
+/// Largest accepted `count` of a `/synthesize` or `/pipeline` request.
+const MAX_COUNT: usize = 1024;
+
+/// Largest accepted `max_chars`.
+const MAX_CHARS: usize = 64 * 1024;
+
+/// Largest accepted `max_attempts` (and the cap on its default).
+const MAX_ATTEMPTS: usize = 1 << 20;
 
 /// Events retained by the flight recorder (enough context to cover the
 /// rounds leading up to a crash without unbounded growth).
@@ -40,14 +48,6 @@ pub struct ServerConfig {
     /// Maximum requests queued ahead of the sampler core; beyond it,
     /// `/synthesize` answers `503 Service Unavailable` (backpressure).
     pub queue_cap: usize,
-    /// Upper bound accepted for a request's `count` parameter.
-    pub max_count: usize,
-    /// Upper bound accepted for a request's `max_chars` parameter.
-    pub max_chars_cap: usize,
-    /// Upper bound accepted for a request's `max_attempts` parameter.
-    pub max_attempts_cap: usize,
-    /// Rejection-filter configuration applied to sampled candidates.
-    pub filter: FilterConfig,
     /// Socket read timeout per connection (`None` disables): bounds how long
     /// a stalled client can pin a connection thread while sending its
     /// request.
@@ -75,8 +75,7 @@ pub struct ServerConfig {
     ///
     /// [`restart_budget`]: ServerConfig::restart_budget
     pub restart_window: Duration,
-    /// Deterministic fault-injection plan (inert by default; armed plans
-    /// require the `faults` cargo feature).
+    /// Deterministic fault-injection plan (`--faults`; inert by default).
     pub faults: FaultPlan,
     /// Default drive-and-predict harness configuration used by `/drive`,
     /// `/features` and `/pipeline` (per-request `sizes`, `drive_seed` and
@@ -103,13 +102,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:8090".to_string(),
             lanes: 8,
             queue_cap: 64,
-            max_count: 1024,
-            max_chars_cap: 64 * 1024,
-            max_attempts_cap: 1 << 20,
-            filter: FilterConfig {
-                use_shim: false,
-                min_instructions: 3,
-            },
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             drain_timeout: Some(Duration::from_secs(5)),
@@ -182,7 +174,6 @@ impl Server {
         let ctx = CoreContext {
             lanes: config.lanes,
             seed_text: FREE_SEED.to_string(),
-            filter: config.filter.clone(),
             checkpoint,
             queued,
             metrics,
@@ -305,7 +296,7 @@ impl Drop for ServerHandle {
 }
 
 /// Parse and bounds-check `/synthesize` parameters.
-fn parse_params(request: &Request, config: &ServerConfig) -> Result<SynthesisParams, String> {
+fn parse_params(request: &Request) -> Result<SynthesisParams, String> {
     fn parse<T: std::str::FromStr>(request: &Request, name: &str, default: T) -> Result<T, String> {
         match request.query_param(name) {
             None => Ok(default),
@@ -316,12 +307,12 @@ fn parse_params(request: &Request, config: &ServerConfig) -> Result<SynthesisPar
     }
 
     let count: usize = parse(request, "count", 1)?;
-    if count == 0 || count > config.max_count {
-        return Err(format!("count must be in 1..={}", config.max_count));
+    if count == 0 || count > MAX_COUNT {
+        return Err(format!("count must be in 1..={MAX_COUNT}"));
     }
     let max_chars: usize = parse(request, "max_chars", 2048)?;
-    if max_chars == 0 || max_chars > config.max_chars_cap {
-        return Err(format!("max_chars must be in 1..={}", config.max_chars_cap));
+    if max_chars == 0 || max_chars > MAX_CHARS {
+        return Err(format!("max_chars must be in 1..={MAX_CHARS}"));
     }
     let temperature: f32 = parse(request, "temperature", 0.9)?;
     if !temperature.is_finite() || !(0.01..=100.0).contains(&temperature) {
@@ -330,13 +321,10 @@ fn parse_params(request: &Request, config: &ServerConfig) -> Result<SynthesisPar
     let seed: u64 = parse(request, "seed", 0)?;
     let default_attempts = count
         .saturating_mul(DEFAULT_MAX_ATTEMPTS_PER_KERNEL)
-        .min(config.max_attempts_cap);
+        .min(MAX_ATTEMPTS);
     let max_attempts: usize = parse(request, "max_attempts", default_attempts)?;
-    if max_attempts == 0 || max_attempts > config.max_attempts_cap {
-        return Err(format!(
-            "max_attempts must be in 1..={}",
-            config.max_attempts_cap
-        ));
+    if max_attempts == 0 || max_attempts > MAX_ATTEMPTS {
+        return Err(format!("max_attempts must be in 1..={MAX_ATTEMPTS}"));
     }
     let deadline_ms: Option<u64> = match request.query_param("deadline_ms") {
         None => None,
@@ -510,7 +498,7 @@ pub(crate) fn stream_synthesis(
             .metrics
             .observe_latency(endpoint, outcome, received_at.elapsed().as_micros() as u64);
     };
-    let params = match parse_params(&request, &shared.config) {
+    let params = match parse_params(&request) {
         Ok(params) => params,
         Err(message) => {
             write_error(&mut stream, 400, "Bad Request", &message);

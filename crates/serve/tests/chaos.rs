@@ -1,12 +1,11 @@
 //! Chaos suite: deterministic fault injection against a live server over
-//! real sockets (`faults` cargo feature).
+//! real sockets.
 //!
 //! The invariant under test everywhere: a `/synthesize` response body is a
 //! pure function of the checkpoint and the request parameters, so whatever
 //! faults fire around (or into) a request, any response that *does* complete
 //! — directly, after a supervisor respawn, or via client retries — is
 //! byte-identical to the fault-free run's.
-#![cfg(feature = "faults")]
 
 use clgen::{ClgenBuilder, ClgenOptions, TrainedModel};
 use clgen_serve::client::{self, RetryPolicy};

@@ -15,6 +15,12 @@ const VECADD: &str =
     if (e < d) { c[e] = a[e] + b[e]; }
 }";
 
+/// Reads its buffer and writes nothing: the dynamic check's `NoOutput`.
+const NO_OUTPUT: &str = "__kernel void A(__global float* a, const int n) {
+    int i = get_global_id(0);
+    float x = a[i % 16] * 2.0f;
+}";
+
 fn checkpointed_model(seed: u64) -> TrainedModel {
     let mut options = ClgenOptions::small(seed);
     options.corpus.miner.repositories = 40;
@@ -87,15 +93,24 @@ fn sample_value(body: &str, prefix: &str) -> Option<f64> {
 /// counters agree exactly with `/stats` (they render from the same atomics).
 #[test]
 fn metrics_exposition_parses_and_agrees_with_stats() {
-    let handle = Server::start(checkpointed_model(61), test_config()).expect("server starts");
+    let mut config = test_config();
+    config.harness.driver.checker = HarnessConfig::default().driver.checker;
+    let handle = Server::start(checkpointed_model(61), config).expect("server starts");
     let addr = handle.addr();
 
-    // Mixed traffic: synthesis, a harness drive, and a full pipeline.
+    // Mixed traffic: synthesis, two harness drives (one of a kernel the
+    // dynamic check turns away), and a full pipeline.
     let reply = client::synthesize(addr, &params(5)).expect("synthesize");
     assert_eq!(reply.status, 200);
     let drive =
         client::post_body(addr, "/drive?sizes=256&drive_seed=3", VECADD.as_bytes()).expect("drive");
     assert_eq!(drive.status, 200);
+    let rejected =
+        client::post_body(addr, "/drive?sizes=256", NO_OUTPUT.as_bytes()).expect("drive");
+    assert_eq!(rejected.status, 200);
+    let done = rejected.lines().last().cloned().expect("summary");
+    assert_eq!(json::extract_u64(&done, "drive_error"), Some(1), "{done}");
+    assert_eq!(json::extract_u64(&done, "deadline"), Some(0), "{done}");
     let pipeline = client::post(addr, "/pipeline?count=1&seed=6&max_attempts=256&sizes=256")
         .expect("pipeline");
     assert_eq!(pipeline.status, 200);
@@ -169,6 +184,34 @@ fn metrics_exposition_parses_and_agrees_with_stats() {
             "{stats_key} disagrees between /stats and /metrics"
         );
     }
+
+    // The harness unit outcomes partition the units driven: all five are in
+    // the `/stats` block (pre-registered at zero), each equal to its labeled
+    // sample, and they sum to `total`.
+    let units_obj = stats
+        .split("\"harness\":")
+        .nth(1)
+        .and_then(|harness| harness.split("\"units\":").nth(1))
+        .expect("stats has a harness units object");
+    let mut unit_sum = 0u64;
+    for outcome in ["ok", "budget_killed", "panicked", "deadline", "drive_error"] {
+        let metric = format!("clgen_harness_units_total{{outcome=\"{outcome}\"}}");
+        let from_metrics = sample_value(&body, &metric)
+            .unwrap_or_else(|| panic!("exposition has {metric}:\n{body}"))
+            as u64;
+        assert_eq!(
+            json::extract_u64(units_obj, outcome),
+            Some(from_metrics),
+            "units.{outcome} disagrees between /stats and /metrics: {stats}"
+        );
+        unit_sum += from_metrics;
+    }
+    assert_eq!(
+        json::extract_u64(units_obj, "total"),
+        Some(unit_sum),
+        "unit outcomes must partition the units driven: {stats}"
+    );
+    assert_eq!(json::extract_u64(units_obj, "drive_error"), Some(1));
 
     // The drive and the pipeline ran the interpreter: steps were charged.
     assert!(
