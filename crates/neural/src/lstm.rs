@@ -8,7 +8,7 @@
 
 use crate::tensor::{
     fast_tanh, lstm_cell_cached_batch, lstm_cell_fused_batch, sigmoid, softmax_in_place,
-    tile_width, Matrix, PackedMatrix,
+    softmax_lanes, tile_width, Matrix, PackedMatrix,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -1019,12 +1019,7 @@ impl LstmModel {
         }
         let top = &bs.h[self.config.num_layers - 1];
         packs.w_out.matmul_add_into(top, width, logits);
-        for (lane, dst) in probs.chunks_exact_mut(nv).take(inputs.len()).enumerate() {
-            for (r, p) in dst.iter_mut().enumerate() {
-                *p = logits[r * width + lane];
-            }
-            softmax_in_place(dst);
-        }
+        softmax_lanes(logits, width, inputs.len(), &mut probs[..inputs.len() * nv]);
     }
 
     /// Recompute one lane's next-character distribution from its resident
@@ -1140,21 +1135,14 @@ impl LstmModel {
         }
         let top = &bs.h[self.config.num_layers - 1];
         interleaved_to_lanes(top, width, &mut cache.h_top_lanes);
-        // Output projection over every lane, then a per-lane softmax on the
-        // gathered (contiguous) logits.
+        // Output projection over every lane, then every lane's softmax.
         let logits = &mut logit_scratch[..nv * width];
         for (r, &bias) in self.b_out.iter().enumerate() {
             logits[r * width..(r + 1) * width].fill(bias);
         }
         packs.w_out.matmul_add_into(top, width, logits);
         probs.resize(nv * width, 0.0);
-        for lane in 0..width {
-            let dst = &mut probs[lane * nv..(lane + 1) * nv];
-            for (r, p) in dst.iter_mut().enumerate() {
-                *p = logits[r * width + lane];
-            }
-            softmax_in_place(dst);
-        }
+        softmax_lanes(logits, width, width, probs);
     }
 
     /// Backpropagate through a sequence of minibatched cached steps,

@@ -28,6 +28,30 @@
 //! keeps every lane of a batched step bitwise identical to the reference
 //! loops, and batched sampling bitwise identical to serial sampling, at any
 //! model scale, block shape or rayon thread count.
+//!
+//! # The lane-parallel element-wise stage
+//!
+//! Between and after the GEMMs, a batched step is element-wise: the gate
+//! activations and cell update ([`lstm_cell_fused_batch`],
+//! [`lstm_cell_cached_batch`], one flat loop over `hidden x width`) and the
+//! output softmax ([`softmax_lanes`], lanes in the vector dimension). These
+//! loops run at vector width, and stay bitwise equal to the scalar
+//! reference, for three reasons:
+//!
+//! * [`fast_exp`] is branch-free integer and float arithmetic. It reads its
+//!   2^n scale off the bits of the rounding sum `x·log2(e) + 1.5·2^23`,
+//!   which lies in `[2^23, 2^24)` where the ulp is 1, so those bits are
+//!   exactly `0x4B40_0000 + n` — the same n a float-to-int conversion
+//!   gives, without the saturating conversion that kept the loops scalar
+//!   (checked against that conversion on every one of the 2^32 inputs).
+//! * Each element's operations, and their order, are the reference's: a
+//!   vector lane computes what the scalar code computes, nothing is
+//!   reassociated, and rustc does not contract `a * b + c` into FMA.
+//! * [`softmax_lanes`] keeps [`softmax_in_place`]'s fold per lane: max over
+//!   ascending rows, `exp(v - max)` and the running sum over ascending rows,
+//!   the divide or the uniform fallback. Turning the loops so one row is
+//!   processed for many lanes at once changes which lane a register holds,
+//!   never the order of one lane's operations.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -693,7 +717,8 @@ pub fn fast_exp(x: f32) -> f32 {
     // subtracting 1.5 * 2^23 forces rounding at the unit place (|fx| < 2^22
     // holds for the clamped range).
     let fx = x * LOG2E;
-    let n = (fx + 12_582_912.0f32) - 12_582_912.0f32;
+    let shifted = fx + 12_582_912.0f32;
+    let n = shifted - 12_582_912.0f32;
     let g = x - n * C1 - n * C2;
     let z = g * g;
     let mut y = 1.987_569_2e-4f32;
@@ -703,9 +728,13 @@ pub fn fast_exp(x: f32) -> f32 {
     y = y * g + 1.666_666_6e-1;
     y = y * g + 5e-1;
     y = y * z + g + 1.0;
-    // Scale by 2^n through the exponent bits; n stays in [-127, 128] for the
-    // clamped input range, so the bias arithmetic cannot overflow.
-    let scale = f32::from_bits((((n as i32) + 127) << 23) as u32);
+    // Scale by 2^n through the exponent bits. `shifted` lies in
+    // [2^23, 2^24), where the ulp is 1, so its bits are exactly
+    // `0x4B40_0000 + n`: the biased exponent `n + 127` is read off them with
+    // integer arithmetic alone. (A float-to-int `n as i32` gives the same
+    // integer, but its saturating semantics keep every lane loop over this
+    // function scalar.) n stays in [-127, 128] for the clamped input range.
+    let scale = f32::from_bits(shifted.to_bits().wrapping_sub(0x4B40_0000 - 127) << 23);
     y * scale
 }
 
@@ -730,11 +759,11 @@ pub fn sigmoid(x: f32) -> f32 {
 /// cell candidate, output — the layout produced by `W_x x + W_h h + b`).
 /// All buffers are lane-interleaved: gate row `r` of lane `b` lives at
 /// `z[r * width + b]`, and cell/hidden element `j` of lane `b` at
-/// `c[j * width + b]` / `h[j * width + b]`. The lane-inner loop is pure
-/// branchless arithmetic ([`fast_exp`] under the hood), so the compiler can
-/// vectorise across lanes; per element the operations and their order are
-/// exactly those of the reference [`LstmModel::step`], so batched updates
-/// stay bitwise identical to it.
+/// `c[j * width + b]` / `h[j * width + b]`. The update is one flat loop of
+/// pure branchless arithmetic ([`fast_exp`] under the hood) over all
+/// `hidden x width` elements, so the compiler vectorises it; per element
+/// the operations and their order are exactly those of the reference
+/// [`LstmModel::step`], so batched updates stay bitwise identical to it.
 ///
 /// [`LstmModel::step`]: crate::lstm::LstmModel::step
 ///
@@ -750,24 +779,15 @@ pub fn lstm_cell_fused_batch(z: &[f32], width: usize, c: &mut [f32], h: &mut [f3
     let hs = c.len() / width.max(1);
     assert_eq!(z.len(), 4 * hs * width, "gate block mismatch");
     assert_eq!(h.len(), hs * width, "hidden/cell size mismatch");
-    for j in 0..hs {
-        let (zi, zf) = (
-            &z[j * width..(j + 1) * width],
-            &z[(hs + j) * width..(hs + j + 1) * width],
-        );
-        let zg = &z[(2 * hs + j) * width..(2 * hs + j + 1) * width];
-        let zo = &z[(3 * hs + j) * width..(3 * hs + j + 1) * width];
-        let cj = &mut c[j * width..(j + 1) * width];
-        let hj = &mut h[j * width..(j + 1) * width];
-        for b in 0..width {
-            let gi = sigmoid(zi[b]);
-            let gf = sigmoid(zf[b]);
-            let gg = fast_tanh(zg[b]);
-            let go = sigmoid(zo[b]);
-            let c_new = gf * cj[b] + gi * gg;
-            cj[b] = c_new;
-            hj[b] = go * fast_tanh(c_new);
-        }
+    // Gate row `g*hs + j` of lane `b` sits at the flat index
+    // `g*hs*width + (j*width + b)`: four fixed gate offsets.
+    let hw = hs * width;
+    let (zi, zrest) = z.split_at(hw);
+    let (zf, zrest) = zrest.split_at(hw);
+    let (zg, zo) = zrest.split_at(hw);
+    for e in 0..hw {
+        c[e] = sigmoid(zf[e]) * c[e] + sigmoid(zi[e]) * fast_tanh(zg[e]);
+        h[e] = sigmoid(zo[e]) * fast_tanh(c[e]);
     }
 }
 
@@ -993,7 +1013,8 @@ fn outer_span_col_tile<const T: usize>(
 ///
 /// Degenerate inputs whose exponential mass underflows to zero (e.g. a
 /// slice of `-inf` logits) fall back to the uniform distribution, so the
-/// result is always a valid probability distribution.
+/// result is always a valid probability distribution. [`softmax_lanes`]
+/// computes exactly this, bit for bit, for every lane of a batch at once.
 pub fn softmax_in_place(x: &mut [f32]) {
     if x.is_empty() {
         return;
@@ -1014,6 +1035,90 @@ pub fn softmax_in_place(x: &mut [f32]) {
             *v = uniform;
         }
     }
+}
+
+/// [`softmax_in_place`] for the first `lanes` lanes of a lane-interleaved
+/// `rows x width` logit block, the lanes in the vector dimension: lane `b`'s
+/// distribution lands in `out[b*rows..(b+1)*rows]` (batch-major), bitwise
+/// what `softmax_in_place` makes of that lane's column.
+///
+/// Each lane keeps the reference's fold exactly — max over ascending rows,
+/// then `exp(v - max)` and the running sum over ascending rows, then the
+/// divide or the uniform fallback — only the loops are turned so that one
+/// row's step runs for a tile of 16, 8 or 2 lanes side by side; a lane left
+/// over on its own is copied out and handed to `softmax_in_place` itself.
+/// `logits` is scratch: the normalised values overwrite it before they are
+/// copied out.
+///
+/// # Panics
+///
+/// Panics if `lanes > width` or the buffer lengths disagree with `width`
+/// and `lanes`.
+pub fn softmax_lanes(logits: &mut [f32], width: usize, lanes: usize, out: &mut [f32]) {
+    assert!(lanes <= width, "more lanes than the logit block holds");
+    let rows = logits.len() / width.max(1);
+    assert_eq!(logits.len(), rows * width, "logits must be a lane multiple");
+    assert_eq!(out.len(), lanes * rows, "output size mismatch");
+    let mut l0 = 0;
+    while l0 < lanes {
+        // A tile may run on into the padding lanes past `lanes` (their
+        // logits are scratch too); only the live lanes are copied out.
+        let live = lanes - l0;
+        l0 += if live > 8 && l0 + 16 <= width {
+            softmax_tile::<16>(logits, width, l0, live.min(16), out)
+        } else if live > 2 && l0 + 8 <= width {
+            softmax_tile::<8>(logits, width, l0, live.min(8), out)
+        } else if live > 1 {
+            softmax_tile::<2>(logits, width, l0, 2, out)
+        } else {
+            let dst = &mut out[l0 * rows..(l0 + 1) * rows];
+            for (p, row) in dst.iter_mut().zip(logits.chunks_exact(width)) {
+                *p = row[l0];
+            }
+            softmax_in_place(dst);
+            1
+        };
+    }
+}
+
+/// One `L`-lane tile of [`softmax_lanes`], lanes `l0..l0 + L`, of which the
+/// first `live` are copied out; returns `live`. The lane loops have a fixed
+/// length, so each pass over the rows is straight vector code.
+#[inline(always)]
+fn softmax_tile<const L: usize>(
+    logits: &mut [f32],
+    width: usize,
+    l0: usize,
+    live: usize,
+    out: &mut [f32],
+) -> usize {
+    let rows = logits.len() / width;
+    let mut max = [f32::NEG_INFINITY; L];
+    for row in logits.chunks_exact(width) {
+        for (m, &v) in max.iter_mut().zip(&row[l0..][..L]) {
+            *m = m.max(v);
+        }
+    }
+    let mut sum = [0.0f32; L];
+    for row in logits.chunks_exact_mut(width) {
+        for ((s, &m), v) in sum.iter_mut().zip(&max).zip(&mut row[l0..][..L]) {
+            *v = fast_exp(*v - m);
+            *s += *v;
+        }
+    }
+    for row in logits.chunks_exact_mut(width) {
+        for (v, &s) in row[l0..][..L].iter_mut().zip(&sum) {
+            *v /= s;
+        }
+    }
+    for (lane, &s) in (l0..).zip(&sum[..live]) {
+        let ok = s > 0.0 && s.is_finite();
+        let dst = &mut out[lane * rows..(lane + 1) * rows];
+        for (p, row) in dst.iter_mut().zip(logits.chunks_exact(width)) {
+            *p = if ok { row[lane] } else { 1.0 / rows as f32 };
+        }
+    }
+    live
 }
 
 #[cfg(test)]
@@ -1538,6 +1643,144 @@ mod tests {
         // Paper-scale operands parallelise, test-scale ones do not.
         assert!(BlockPlan::for_kernel(8192, 2048, 8).parallel);
         assert!(!BlockPlan::for_kernel(256, 64, 8).parallel);
+    }
+
+    /// The former `fast_exp`, which took its 2^n scale from a float-to-int
+    /// conversion (`n as i32`): the oracle the bit-derived scale must match.
+    fn fast_exp_float_to_int(x: f32) -> f32 {
+        const EXP_HI: f32 = 88.376_26;
+        const EXP_LO: f32 = -87.336_55;
+        const LOG2E: f32 = std::f32::consts::LOG2_E;
+        const C1: f32 = 0.693_359_4;
+        const C2: f32 = -2.121_944_4e-4;
+        let x = x.clamp(EXP_LO, EXP_HI);
+        let fx = x * LOG2E;
+        let n = (fx + 12_582_912.0f32) - 12_582_912.0f32;
+        let g = x - n * C1 - n * C2;
+        let z = g * g;
+        let mut y = 1.987_569_2e-4f32;
+        y = y * g + 1.398_199_9e-3;
+        y = y * g + 8.333_452e-3;
+        y = y * g + 4.166_579_6e-2;
+        y = y * g + 1.666_666_6e-1;
+        y = y * g + 5e-1;
+        y = y * z + g + 1.0;
+        let scale = f32::from_bits((((n as i32) + 127) << 23) as u32);
+        y * scale
+    }
+
+    /// `fast_exp(x)` and the oracle agree bitwise (or are both NaN).
+    fn assert_fast_exp_matches_oracle(x: f32) {
+        let (got, want) = (fast_exp(x), fast_exp_float_to_int(x));
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "fast_exp({x:e}) [{:#010x}] = {got:e}, oracle {want:e}",
+            x.to_bits()
+        );
+    }
+
+    /// The bit-derived 2^n scale changes no output: at every rounding
+    /// boundary of n (`(n ± ½)·ln 2`, a few ulps either side), on a stride
+    /// through all 2^32 bit patterns, and at the special values.
+    #[test]
+    fn fast_exp_bit_derived_scale_matches_float_to_int_oracle() {
+        for n in -127i32..=128 {
+            for half in [-0.5f64, 0.5] {
+                let edge = ((f64::from(n) + half) * std::f64::consts::LN_2) as f32;
+                for ulps in -4i32..=4 {
+                    assert_fast_exp_matches_oracle(f32::from_bits(
+                        edge.to_bits().wrapping_add_signed(ulps),
+                    ));
+                }
+            }
+        }
+        for bits in (0..=u32::MAX).step_by(251) {
+            assert_fast_exp_matches_oracle(f32::from_bits(bits));
+        }
+        let clamp_ends = [88.376_26f32, -87.336_55];
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x0040_0000),
+            f32::MIN_POSITIVE - f32::from_bits(1),
+            -(f32::MIN_POSITIVE - f32::from_bits(1)),
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7F80_0001),
+            f32::from_bits(0xFFFF_FFFF),
+        ];
+        for x in specials
+            .into_iter()
+            .chain(clamp_ends.into_iter().flat_map(|end| {
+                (-2i32..=2).map(move |ulps| f32::from_bits(end.to_bits().wrapping_add_signed(ulps)))
+            }))
+        {
+            assert_fast_exp_matches_oracle(x);
+        }
+    }
+
+    /// Every one of the 2^32 inputs. Slow; run it in release:
+    /// `cargo test -p clgen-neural --release -- --ignored fast_exp_exhaustive`.
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs; run in release"]
+    fn fast_exp_exhaustive_matches_float_to_int_oracle() {
+        for bits in 0..=u32::MAX {
+            assert_fast_exp_matches_oracle(f32::from_bits(bits));
+        }
+    }
+
+    /// `softmax_lanes` is, lane by lane, bitwise `softmax_in_place` of the
+    /// lane's column: at widths through two 8-lane and one 16-lane tile and
+    /// beyond, at every live-lane count, with degenerate lanes (all -inf, a
+    /// NaN, a +inf, a ±1e30 spread) beside ordinary ones and garbage in the
+    /// padding lanes.
+    #[test]
+    fn softmax_lanes_bitwise_matches_per_lane_softmax() {
+        let mut rng = StdRng::seed_from_u64(41);
+        for rows in [1usize, 5, 72] {
+            for width in (1..=17).chain([24, 32]) {
+                let mut block = random_vec(&mut rng, rows * width, 6.0);
+                for b in 0..width {
+                    let mut col: Vec<&mut f32> = block.iter_mut().skip(b).step_by(width).collect();
+                    let r = b % rows;
+                    match b % 7 {
+                        1 => col.iter_mut().for_each(|v| **v = f32::NEG_INFINITY),
+                        2 => *col[r] = f32::NAN,
+                        3 => *col[r] = f32::INFINITY,
+                        4 => col
+                            .iter_mut()
+                            .enumerate()
+                            .for_each(|(i, v)| **v = if i % 2 == 0 { 1e30 } else { -1e30 }),
+                        _ => {}
+                    }
+                }
+                for lanes in 0..=width {
+                    let mut logits = block.clone();
+                    let mut out = vec![0.0f32; lanes * rows];
+                    softmax_lanes(&mut logits, width, lanes, &mut out);
+                    for b in 0..lanes {
+                        let mut want = lane(&block, width, b);
+                        softmax_in_place(&mut want);
+                        for (r, (got, want)) in
+                            out[b * rows..(b + 1) * rows].iter().zip(&want).enumerate()
+                        {
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{rows} rows, width {width}, {lanes} lanes: lane {b} row {r}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -247,9 +247,26 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
         });
     }
     let mut body = Vec::new();
-    if let Some(len) = headers.iter().find(|(k, _)| k == "content-length") {
-        let len: usize = len.1.parse().map_err(|_| HttpError::Malformed {
-            what: "Content-Length is not an integer",
+    let mut lengths = headers
+        .iter()
+        .filter(|(k, _)| k == "content-length")
+        .map(|(_, v)| v.as_str());
+    if let Some(first) = lengths.next() {
+        // RFC 9110 §8.6: 1*DIGIT only (`usize::from_str` would also take a
+        // leading `+`), and differing values are an unrecoverable framing
+        // error. Repeats of one value are accepted.
+        if first.is_empty() || !first.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(HttpError::Malformed {
+                what: "Content-Length is not an integer",
+            });
+        }
+        if lengths.any(|other| other != first) {
+            return Err(HttpError::Malformed {
+                what: "differing Content-Length values",
+            });
+        }
+        let len: usize = first.parse().map_err(|_| HttpError::TooLarge {
+            what: "request body",
         })?;
         if len > MAX_BODY {
             return Err(HttpError::TooLarge {
@@ -408,6 +425,22 @@ mod tests {
             parse(b"POST / HTTP/1.1\r\nContent-Length: zzz\r\n\r\n"),
             Err(HttpError::Malformed { .. })
         ));
+        // A sign is not 1*DIGIT, and differing lengths cannot both frame
+        // the body (RFC 9110 §8.6); one value repeated is still a length.
+        assert!(matches!(
+            parse(b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello"),
+            Err(HttpError::Malformed { .. })
+        ));
+        assert!(matches!(
+            parse(b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\nhello"),
+            Err(HttpError::Malformed { .. })
+        ));
+        assert_eq!(
+            parse(b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
+                .unwrap()
+                .body,
+            b"hello"
+        );
         assert!(matches!(
             parse(b"POST / HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n"),
             Err(HttpError::TooLarge { .. })
