@@ -3,8 +3,16 @@
 //! model, evaluated across all seven benchmark suites on both platforms.
 //!
 //! Paper: 3.56x on AMD and 5.04x on NVIDIA (geometric means across a large
-//! test set). The reproduction checks that the extended feature set plus
-//! synthetic training data outperforms the original model on both platforms.
+//! test set).
+//!
+//! Prints, per platform, a table of each suite's speedup over the best static
+//! mapping for the original model and for the extended features plus
+//! synthetic training data (with the extended model's share of the oracle),
+//! then a summary table (per platform: both geometric means and their
+//! ratio). It prints; it asserts nothing. Whether the extended model
+//! outperforms the original — the paper's shape — is not checked by this
+//! binary or by any test: read it off the summary's "relative improvement"
+//! column.
 
 use cldrive::Platform;
 use experiments::{

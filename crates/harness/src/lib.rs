@@ -61,6 +61,7 @@ use cl_frontend::{compile, CompileOptions, CompileResult, StaticCounts};
 use cldrive::{
     DriveError, DriverOptions, ExecError, HostDriver, KernelRun, Platform, PreparedKernel, Profile,
 };
+use clgen_obs::escaped;
 use grewe_features::{FeatureSet, GreweFeatures};
 use predictive::{MappingModel, CLASS_CPU};
 use rayon::prelude::*;
@@ -341,7 +342,7 @@ impl HarnessReport {
                 (Some(run), _) => format!(
                     "{{\"event\":\"run\",\"kernel\":{},\"global_size\":{},\
                      \"cpu_time\":{},\"gpu_time\":{},\"oracle\":\"{}\"}}",
-                    json_string(&u.kernel),
+                    escaped(&u.kernel),
                     u.global_size,
                     json_f64(run.cpu_time),
                     json_f64(run.gpu_time),
@@ -350,10 +351,10 @@ impl HarnessReport {
                 (None, Some(e)) => format!(
                     "{{\"event\":\"unit_error\",\"kernel\":{},\"global_size\":{},\
                      \"error\":\"{}\",\"detail\":{}}}",
-                    json_string(&u.kernel),
+                    escaped(&u.kernel),
                     u.global_size,
                     e.kind(),
-                    json_string(&e.detail()),
+                    escaped(&e.detail()),
                 ),
                 (None, None) => unreachable!("unit has neither run nor error"),
             });
@@ -376,7 +377,7 @@ impl HarnessReport {
                 }
                 lines.push(format!(
                     "{{\"event\":\"features\",\"kernel\":{},\"global_size\":{},\"features\":[{vec}]}}",
-                    json_string(&u.kernel),
+                    escaped(&u.kernel),
                     u.global_size,
                 ));
             }
@@ -392,7 +393,7 @@ impl HarnessReport {
                 lines.push(format!(
                     "{{\"event\":\"prediction\",\"kernel\":{},\"global_size\":{},\
                      \"class\":\"{}\"}}",
-                    json_string(&u.kernel),
+                    escaped(&u.kernel),
                     u.global_size,
                     device_name(class == CLASS_CPU),
                 ));
@@ -738,26 +739,6 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Minimal JSON string rendering (quotes + escapes), matching the hand-rolled
-/// convention used across the serving layer.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1032,6 +1013,6 @@ mod tests {
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(f64::INFINITY), "null");
         assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(escaped("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

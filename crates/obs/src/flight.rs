@@ -14,6 +14,7 @@
 //! panic, reload failure or restart-budget exhaustion, and `/debug/flight`
 //! (CLI-gated) serves the same dump on demand.
 
+use crate::escape_into;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -43,27 +44,10 @@ impl FlightEvent {
         out.push_str(&self.at_us.to_string());
         out.push_str(",\"kind\":\"");
         out.push_str(self.kind);
-        out.push_str("\",\"detail\":\"");
+        out.push_str("\",\"detail\":");
         escape_into(&mut out, &self.detail);
-        out.push_str("\"}");
+        out.push('}');
         out
-    }
-}
-
-/// JSON string-escape `raw` into `out` (quotes, backslashes, control bytes).
-fn escape_into(out: &mut String, raw: &str) {
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
     }
 }
 
@@ -136,9 +120,9 @@ impl FlightRecorder {
     pub fn dump(&self, reason: &str) -> String {
         let events = self.snapshot();
         let mut out = String::with_capacity(128 + events.len() * 96);
-        out.push_str("{\"event\":\"flight_dump\",\"reason\":\"");
+        out.push_str("{\"event\":\"flight_dump\",\"reason\":");
         escape_into(&mut out, reason);
-        out.push_str("\",\"events\":");
+        out.push_str(",\"events\":");
         out.push_str(&events.len().to_string());
         out.push_str("}\n");
         for event in &events {

@@ -14,6 +14,10 @@
 //!   dumped as NDJSON when the serving supervisor hits a panic, a reload
 //!   failure or restart-budget exhaustion.
 //!
+//! Alongside them sits the workspace's one JSON string escaper
+//! ([`escape_into`] / [`escaped`]), which the flight dumps, the harness's
+//! NDJSON and every `clgen-serve` response share.
+//!
 //! Instrumentation reads monotonic clocks but never feeds sampled bytes:
 //! every durations-bearing artifact (trace objects, histograms, flight
 //! timestamps) is additive metadata layered on top of the byte-identical
@@ -22,10 +26,12 @@
 #![warn(missing_docs)]
 
 mod flight;
+mod json;
 mod metrics;
 mod trace;
 
 pub use flight::{FlightEvent, FlightRecorder};
+pub use json::{escape_into, escaped};
 pub use metrics::{Counter, Gauge, Histogram, Registry, HISTOGRAM_BUCKETS};
 pub use trace::{derive_trace_id, next_ordinal, valid_trace_id, Trace};
 

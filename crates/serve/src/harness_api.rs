@@ -10,23 +10,26 @@
 //! client sees `kernel`, `run`, `features` and `prediction` events
 //! interleaved per kernel, then the synthesis summary line.
 //!
-//! All three share the server's admission machinery: the bounded `queued`
-//! gate answers `503` with `Retry-After` under load, the deadline clock
-//! starts at admission, and hostile kernels are contained by the harness's
-//! per-unit budgets and `catch_unwind` — a panic or budget kill becomes a
-//! typed `unit_error` NDJSON line, never a sampler-core restart.
+//! All three run through the server's one POST lifecycle, the one
+//! `/synthesize` runs through too: parameters parsed once (`400`), one queue
+//! gate (`503` with `Retry-After` under load, every admission counted in
+//! `clgen_requests_received_total`), a deadline whose clock starts at
+//! admission, and one `clgen_request_latency_us` sample per request. This
+//! module supplies the harness parts: `parse_harness` and the `/drive` /
+//! `/features` body (`stream_drive`); `/pipeline` is a synthesis job with
+//! a harness attached (`pipeline_lines`). Hostile kernels are contained by
+//! the harness's per-unit budgets and `catch_unwind` — a panic or budget
+//! kill becomes a typed `unit_error` NDJSON line, never a sampler-core
+//! restart.
 
 use crate::http::{self, Request};
 use crate::json;
-use crate::scheduler::SchedMsg;
-use crate::server::{client_disconnected, stream_synthesis, write_error, Shared, MAX_DEADLINE_MS};
+use crate::server::{client_disconnected, write_error, Ended, Shared};
 use clgen_harness::{Deadline, Harness, HarnessReport, UNIT_OUTCOMES};
 use clgen_obs::Trace;
 use grewe_features::FeatureSet;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Maximum number of payload sizes accepted per request.
 pub const MAX_DRIVE_SIZES: usize = 16;
@@ -44,19 +47,12 @@ pub(crate) enum DriveStage {
     Features,
 }
 
-/// Parsed and bounds-checked harness parameters, shared by all three
-/// endpoints (`/pipeline` reads them alongside the synthesis parameters).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DriveParams {
-    sizes: Option<Vec<usize>>,
-    drive_seed: Option<u64>,
-    feature_set: Option<FeatureSet>,
-    deadline_ms: Option<u64>,
-}
-
-/// Parse `sizes`, `drive_seed`, `feature_set` and `deadline_ms`.
-pub(crate) fn parse_drive_params(request: &Request) -> Result<DriveParams, String> {
-    let mut params = DriveParams::default();
+/// The request's harness: the server's configured one with the request's
+/// `sizes`, `drive_seed` and `feature_set` applied (bounds-checked, in that
+/// order), plus the loaded mapping model (if any). Shared by all three
+/// endpoints (`/pipeline` reads its synthesis parameters after these).
+pub(crate) fn parse_harness(request: &Request, shared: &Shared) -> Result<Harness, String> {
+    let mut config = shared.config.harness.clone();
     if let Some(raw) = request.query_param("sizes") {
         let mut sizes = Vec::new();
         for part in raw.split(',').filter(|p| !p.is_empty()) {
@@ -71,93 +67,22 @@ pub(crate) fn parse_drive_params(request: &Request) -> Result<DriveParams, Strin
         if sizes.is_empty() || sizes.len() > MAX_DRIVE_SIZES {
             return Err(format!("sizes must list 1..={MAX_DRIVE_SIZES} values"));
         }
-        params.sizes = Some(sizes);
+        config.sizes = sizes;
     }
     if let Some(raw) = request.query_param("drive_seed") {
-        params.drive_seed = Some(
-            raw.parse()
-                .map_err(|_| format!("parameter \"drive_seed\" is not valid: {raw:?}"))?,
-        );
+        config.driver.seed = raw
+            .parse()
+            .map_err(|_| format!("parameter \"drive_seed\" is not valid: {raw:?}"))?;
     }
     if let Some(raw) = request.query_param("feature_set") {
-        params.feature_set = Some(match raw {
+        config.feature_set = match raw {
             "grewe" => FeatureSet::Grewe,
             "extended" => FeatureSet::Extended,
             _ => return Err("feature_set must be \"grewe\" or \"extended\"".to_string()),
-        });
+        };
     }
-    if let Some(raw) = request.query_param("deadline_ms") {
-        let ms: u64 = raw
-            .parse()
-            .map_err(|_| format!("parameter \"deadline_ms\" is not valid: {raw:?}"))?;
-        if ms == 0 || ms > MAX_DEADLINE_MS {
-            return Err(format!("deadline_ms must be in 1..={MAX_DEADLINE_MS}"));
-        }
-        params.deadline_ms = Some(ms);
-    }
-    Ok(params)
-}
-
-/// Build the per-request harness: the server's configured harness with the
-/// request's overrides applied, plus the loaded mapping model (if any).
-pub(crate) fn build_harness(shared: &Shared, params: &DriveParams) -> Harness {
-    let mut config = shared.config.harness.clone();
-    if let Some(sizes) = &params.sizes {
-        config.sizes = sizes.clone();
-    }
-    if let Some(seed) = params.drive_seed {
-        config.driver.seed = seed;
-    }
-    if let Some(feature_set) = params.feature_set {
-        config.feature_set = feature_set;
-    }
-    Harness::new(config, shared.config.mapping_model.clone())
-        .with_metrics(shared.metrics.registry.clone())
-}
-
-/// Resolve the request's deadline (its own `deadline_ms`, else the server
-/// default) into a harness [`Deadline`]; the clock starts at admission.
-pub(crate) fn drive_deadline(params: &DriveParams, shared: &Shared) -> Deadline {
-    match params
-        .deadline_ms
-        .or(shared.config.default_deadline_ms)
-        .map(|ms| Instant::now() + Duration::from_millis(ms))
-    {
-        Some(at) => Deadline::at(at),
-        None => Deadline::none(),
-    }
-}
-
-/// Decrements the admission queue counter when dropped, so every exit path
-/// (including a panicking connection thread) releases its slot.
-struct QueueSlot<'a>(&'a AtomicUsize);
-
-impl Drop for QueueSlot<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Admit a request through the bounded queue gate, answering `503` with
-/// `Retry-After` (and counting the rejection) when saturated or stopping.
-/// Returns the slot guard on success.
-fn admit<'a>(stream: &mut TcpStream, shared: &'a Shared) -> Option<QueueSlot<'a>> {
-    let depth = shared.queued.fetch_add(1, Ordering::SeqCst);
-    let slot = QueueSlot(&shared.queued);
-    if depth >= shared.config.queue_cap || shared.shutdown.load(Ordering::SeqCst) {
-        drop(slot);
-        shared.metrics.requests_rejected.inc();
-        let _ = http::write_response_with(
-            stream,
-            503,
-            "Service Unavailable",
-            &[("Retry-After", "1")],
-            "application/json",
-            format!("{{\"error\":\"queue full\",\"queue_depth\":{depth}}}\n").as_bytes(),
-        );
-        return None;
-    }
-    Some(slot)
+    Ok(Harness::new(config, shared.config.mapping_model.clone())
+        .with_metrics(shared.metrics.registry.clone()))
 }
 
 /// The NDJSON lines a drive endpoint streams for a report.
@@ -194,87 +119,41 @@ fn done_line(report: &HarnessReport, model_attached: bool) -> String {
     )
 }
 
-/// `POST /drive` and `POST /features`: drive the POSTed kernel source and
-/// stream one harness stage as NDJSON.
-pub(crate) fn handle_drive(
-    request: Request,
-    mut stream: TcpStream,
-    shared: &Shared,
+/// `POST /drive` and `POST /features` once admitted: drive the POSTed source
+/// on this connection thread and stream one harness stage as NDJSON. The
+/// harness's per-unit `catch_unwind` and budgets contain hostile kernels, so
+/// failures here are typed lines or typed HTTP errors — the sampler core is
+/// never involved.
+pub(crate) fn stream_drive<'s>(
+    stream: &'s TcpStream,
     stage: DriveStage,
-) {
-    let endpoint = match stage {
-        DriveStage::Runs => "drive",
-        DriveStage::Features => "features",
-    };
-    let received_at = Instant::now();
-    let finish = |outcome: &'static str| {
-        shared
-            .metrics
-            .observe_latency(endpoint, outcome, received_at.elapsed().as_micros() as u64);
-    };
-    let params = match parse_drive_params(&request) {
-        Ok(params) => params,
-        Err(message) => {
-            write_error(&mut stream, 400, "Bad Request", &message);
-            finish("bad_request");
-            return;
-        }
-    };
-    let source = match std::str::from_utf8(&request.body) {
-        Ok(s) if !s.trim().is_empty() => s.to_string(),
-        _ => {
-            write_error(
-                &mut stream,
-                400,
-                "Bad Request",
-                "request body must be non-empty UTF-8 OpenCL source",
-            );
-            finish("bad_request");
-            return;
-        }
-    };
-    let Some(_slot) = admit(&mut stream, shared) else {
-        finish("rejected");
-        return;
-    };
-    let trace = Trace::from_client(
-        request.header("trace-id"),
-        params
-            .drive_seed
-            .unwrap_or(shared.config.harness.driver.seed),
-    );
-    let deadline = drive_deadline(&params, shared);
-    let harness = build_harness(shared, &params);
-    // The harness runs on this connection thread; its per-unit catch_unwind
-    // and budgets contain hostile kernels, so failures here are typed lines
-    // or typed HTTP errors — the sampler core is never involved.
-    let report = match harness.drive_source(&source, &deadline) {
+    harness: &Harness,
+    source: &str,
+    trace: &Trace,
+    deadline: &Deadline,
+) -> Ended<'s> {
+    let report = match harness.drive_source(source, deadline) {
         Ok(report) => report,
         Err(e) => {
             // The response head is not yet written, so a source-level
             // failure is still a clean typed error.
-            write_error(&mut stream, 422, "Unprocessable Entity", &e.to_string());
-            finish("unprocessable");
-            return;
+            write_error(stream, 422, "Unprocessable Entity", &e.to_string());
+            return ("unprocessable", None);
         }
     };
-    record_stage_spans(&trace, &report);
-    if client_disconnected(&stream) {
-        finish("disconnect");
-        return;
+    record_stage_spans(trace, &report);
+    if client_disconnected(stream) {
+        return ("disconnect", None);
     }
     let respond_started = Instant::now();
-    let Ok(mut chunks) = http::ChunkedWriter::new(&mut stream, 200, "OK", "application/x-ndjson")
-    else {
-        finish("disconnect");
-        return;
+    let Ok(mut chunks) = http::ChunkedWriter::new(stream, 200, "OK", "application/x-ndjson") else {
+        return ("disconnect", None);
     };
     let trace_tag = format!("\"trace_id\":{}", json::escaped(trace.id()));
     for line in stage_lines(&report, stage) {
         let line = json::splice_field(&line, &trace_tag);
         if chunks.chunk(format!("{line}\n").as_bytes()).is_err() {
-            finish("disconnect");
-            return;
+            return ("disconnect", None);
         }
     }
     trace.record_since("respond", respond_started);
@@ -283,10 +162,7 @@ pub(crate) fn handle_drive(
         &format!("\"trace\":{}", trace.render_json()),
     );
     let _ = chunks.chunk(format!("{done}\n").as_bytes());
-    // Sample before the terminating chunk: a client that has seen the full
-    // response is guaranteed to find it on an immediate `/metrics` scrape.
-    finish("ok");
-    let _ = chunks.finish();
+    ("ok", Some(chunks))
 }
 
 /// Fold a report's per-stage wall-clock totals into a trace: `drive` (unit
@@ -296,27 +172,6 @@ fn record_stage_spans(trace: &Trace, report: &HarnessReport) {
     trace.record("drive", run_us);
     trace.record("features", features_us);
     trace.record("predict", predict_us);
-}
-
-/// `POST /pipeline`: synthesize kernels through the batching scheduler and
-/// drive each accepted kernel through the harness inline, streaming the full
-/// loop (`kernel` → `run` → `features` → `prediction` events, then the
-/// synthesis summary) over one socket.
-pub(crate) fn handle_pipeline(
-    request: Request,
-    mut stream: TcpStream,
-    tx: mpsc::Sender<SchedMsg>,
-    shared: &Shared,
-) {
-    let params = match parse_drive_params(&request) {
-        Ok(params) => params,
-        Err(message) => {
-            write_error(&mut stream, 400, "Bad Request", &message);
-            return;
-        }
-    };
-    let harness = build_harness(shared, &params);
-    stream_synthesis(request, stream, tx, shared, Some(harness), "pipeline");
 }
 
 /// Render the harness block of `/stats` from the shared registry — the same

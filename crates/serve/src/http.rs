@@ -238,7 +238,22 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
                 what: "header line has no colon",
             });
         };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        // RFC 9112 §5.1: the field name is a token that runs right up to
+        // the colon; whitespace before the colon must be answered with 400.
+        let tchar = |b: u8| b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b);
+        if name.is_empty() || !name.bytes().all(tchar) {
+            return Err(HttpError::Malformed {
+                what: "header name is not a token",
+            });
+        }
+        // RFC 9110 §5.5: a field value holding NUL or a bare CR is rejected,
+        // not passed on.
+        if value.bytes().any(|b| b == 0 || b == b'\r') {
+            return Err(HttpError::Malformed {
+                what: "header value holds NUL or CR",
+            });
+        }
+        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
     }
 
     if headers.iter().any(|(k, _)| k == "transfer-encoding") {

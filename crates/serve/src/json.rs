@@ -7,31 +7,7 @@
 //! synthesis response bodies carry a byte-identical reproducibility
 //! guarantee.
 
-/// Append `s` to `out` as a JSON string literal (with surrounding quotes).
-pub fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// `s` as a JSON string literal.
-pub fn escaped(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    escape_into(&mut out, s);
-    out
-}
+pub use clgen_obs::{escape_into, escaped};
 
 /// Extract the value of a top-level-ish `"key":` whose value is an unsigned
 /// integer. Purely textual: finds the first occurrence of the quoted key

@@ -36,12 +36,19 @@
 //! model loaded at startup (`--mapping-model`); without one, `/drive`,
 //! `/features` and `/pipeline` still stream runs and features.
 //!
-//! Backpressure: at most `queue_cap` requests wait ahead of the sampler
-//! core; beyond that `/synthesize` (and the harness endpoints, which share
-//! the same admission gate) answer `503` with `Retry-After`. Harness work
-//! units run under bounded step/resource budgets inside `catch_unwind`: a
-//! hostile kernel becomes a typed `unit_error` line on its own unit — never
-//! a sampler-core restart.
+//! All four POST endpoints share one request lifecycle (`server.rs`): their
+//! parameters are parsed once (a failure is a `400`), `deadline_ms`
+//! included; one queue gate admits them; the deadline clock starts at
+//! admission; and each request takes exactly one `clgen_request_latency_us`
+//! sample, before its terminating chunk. Backpressure is that gate: at most
+//! `queue_cap` requests hold a place in the queue (synthesis jobs until the
+//! sampler core activates, sheds or fails them; drives until answered), and
+//! beyond that every POST endpoint answers `503` with `Retry-After: 1`.
+//! Every admission counts in `clgen_requests_received_total` and every
+//! refusal in `clgen_requests_rejected_total`, so the two partition the
+//! requests that passed validation. Harness work units run under bounded
+//! step/resource budgets inside `catch_unwind`: a hostile kernel becomes a
+//! typed `unit_error` line on its own unit — never a sampler-core restart.
 //!
 //! ## Fault tolerance
 //!

@@ -7,6 +7,13 @@
 //! the harness records by name), so the JSON object and the Prometheus
 //! exposition can never disagree — they are two views of one set of atomics.
 //! The full catalog is documented in the README's "Observability" section.
+//!
+//! The request families are written from one place each: the POST
+//! lifecycle's queue gate bumps `clgen_requests_received_total` or
+//! `clgen_requests_rejected_total` (so the two partition the requests that
+//! passed parameter validation, on every endpoint), and its per-request
+//! guard takes the one `clgen_request_latency_us` sample of every POST
+//! request, `400`s included.
 
 use clgen_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
@@ -17,11 +24,14 @@ pub(crate) struct ServeMetrics {
     /// The registry everything is registered in (also receives the
     /// harness-side and training-side metrics; rendered by `GET /metrics`).
     pub registry: Arc<Registry>,
-    /// `clgen_requests_received_total`.
+    /// `clgen_requests_received_total`: admissions at the queue gate, on
+    /// every POST endpoint (with `requests_rejected`, the requests that
+    /// passed parameter validation).
     pub requests_received: Counter,
     /// `clgen_requests_completed_total`.
     pub requests_completed: Counter,
-    /// `clgen_requests_rejected_total` (queue-full 503s).
+    /// `clgen_requests_rejected_total` (queue-full 503s, every POST
+    /// endpoint).
     pub requests_rejected: Counter,
     /// `clgen_requests_shed_total` (expired while queued).
     pub requests_shed: Counter,
@@ -185,20 +195,18 @@ impl ServeMetrics {
         }
     }
 
-    /// The request-latency histogram for one endpoint/outcome pair
-    /// (get-or-create; recorded once per request, so the registry lookup is
-    /// off the hot path).
-    pub fn request_latency(&self, endpoint: &'static str, outcome: &'static str) -> Histogram {
-        self.registry.histogram(
-            LATENCY,
-            &[("endpoint", endpoint), ("outcome", outcome)],
-            "Request latency in microseconds, by endpoint and outcome",
-        )
-    }
-
-    /// Record one request's latency observation.
+    /// Record one request's latency in the histogram of its endpoint/outcome
+    /// pair (get-or-create). The POST lifecycle's per-request guard calls it
+    /// exactly once per request, whatever the outcome, so the registry
+    /// lookup is off the hot path.
     pub fn observe_latency(&self, endpoint: &'static str, outcome: &'static str, us: u64) {
-        self.request_latency(endpoint, outcome).observe(us);
+        self.registry
+            .histogram(
+                LATENCY,
+                &[("endpoint", endpoint), ("outcome", outcome)],
+                "Request latency in microseconds, by endpoint and outcome",
+            )
+            .observe(us);
     }
 
     /// The rejection counter for one filter-rejection reason.

@@ -118,6 +118,21 @@ pub struct ServeError {
     pub retry_after: Option<u32>,
     /// Human-readable failure description.
     pub message: String,
+    /// The request's `clgen_request_latency_us` outcome label: `shed` for a
+    /// job whose deadline expired while it was queued, `error` otherwise.
+    pub(crate) outcome: &'static str,
+}
+
+impl ServeError {
+    /// A failure that is not a shed: no `Retry-After`, outcome `error`.
+    fn failed(status: u16, message: String) -> ServeError {
+        ServeError {
+            status,
+            retry_after: None,
+            message,
+            outcome: "error",
+        }
+    }
 }
 
 /// One line of a streaming synthesis response.
@@ -151,6 +166,22 @@ pub struct Job {
     /// away, so the sampler core stops spending lanes on the request even
     /// if no acceptance (the other disconnect signal) ever happens.
     pub cancelled: Arc<AtomicBool>,
+    /// The job's place in the admission queue. The sampler core releases it
+    /// on activation, and with the job when it sheds or fails it; an unsent
+    /// job releases it on the connection thread.
+    pub(crate) slot: QueueSlot,
+}
+
+/// One place in the admission queue, handed out by the server's gate and
+/// released when dropped — the only place the queue counter goes down, so
+/// every exit path (a panicking connection thread included) gives it back.
+#[derive(Debug)]
+pub(crate) struct QueueSlot(pub(crate) Arc<AtomicUsize>);
+
+impl Drop for QueueSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Everything the sampler core can receive.
@@ -423,7 +454,6 @@ struct Scheduler {
     filter_tx: mpsc::Sender<Vec<(u64, SampledCandidate)>>,
     backlog: VecDeque<Job>,
     active: Vec<ActiveRequest>,
-    queued: Arc<AtomicUsize>,
     metrics: Arc<ServeMetrics>,
     flight: Arc<FlightRecorder>,
     faults: FaultPlan,
@@ -573,12 +603,10 @@ impl Scheduler {
             return;
         }
         let now = Instant::now();
-        let queued = &self.queued;
         let metrics = &self.metrics;
         let flight = &self.flight;
         self.backlog.retain(|job| {
             if job.deadline.is_some_and(|d| d <= now) {
-                queued.fetch_sub(1, Ordering::SeqCst);
                 // Recorded here — on the shared sweep reached from both the
                 // busy loop and the idle `recv_timeout` tick — so sheds are
                 // counted even with zero concurrent traffic.
@@ -593,6 +621,7 @@ impl Scheduler {
                     status: 503,
                     retry_after: Some(1),
                     message: "deadline expired while queued".to_string(),
+                    outcome: "shed",
                 }));
                 false
             } else {
@@ -629,7 +658,8 @@ impl Scheduler {
             let Some(job) = self.backlog.pop_front() else {
                 break;
             };
-            self.queued.fetch_sub(1, Ordering::SeqCst);
+            // Activation gives the job's place in the queue back.
+            drop(job.slot);
             let key = self.next_key;
             self.next_key = self.next_key.wrapping_add(1);
             let wait_us = job.enqueued_at.elapsed().as_micros() as u64;
@@ -727,7 +757,6 @@ impl Scheduler {
     fn fail_backlog(&mut self, error: &ServeError) {
         let n = self.backlog.len() as u64;
         for job in self.backlog.drain(..) {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
             let _ = job.reply.send(ResponseEvent::Error(error.clone()));
         }
         self.metrics.requests_failed.add(n);
@@ -745,11 +774,7 @@ impl Scheduler {
         if Instant::now() < deadline || self.is_drained() {
             return false;
         }
-        let error = ServeError {
-            status: 503,
-            retry_after: None,
-            message: "server stopping: drain timeout expired".to_string(),
-        };
+        let error = ServeError::failed(503, "server stopping: drain timeout expired".to_string());
         self.fail_in_flight(&error);
         self.fail_backlog(&error);
         true
@@ -841,7 +866,6 @@ pub(crate) struct CoreContext {
     /// Pristine checkpoint image (the bytes of the model the server booted
     /// with); every respawn decodes a fresh model from it.
     pub checkpoint: Arc<Vec<u8>>,
-    pub queued: Arc<AtomicUsize>,
     pub metrics: Arc<ServeMetrics>,
     pub flight: Arc<FlightRecorder>,
     pub supervisor: Arc<Supervisor>,
@@ -917,7 +941,6 @@ pub(crate) fn run_sampler_core(
         filter_tx,
         backlog: VecDeque::new(),
         active: Vec::new(),
-        queued: ctx.queued.clone(),
         metrics: ctx.metrics.clone(),
         flight: ctx.flight.clone(),
         faults: ctx.faults.clone(),
@@ -980,11 +1003,10 @@ pub(crate) fn run_sampler_core(
                     "clgen-serve: sampler core panicked ({message}); failing in-flight \
                      requests and respawning from the checkpoint image"
                 );
-                sched.fail_in_flight(&ServeError {
-                    status: 500,
-                    retry_after: None,
-                    message: format!("sampler core panicked: {message}"),
-                });
+                sched.fail_in_flight(&ServeError::failed(
+                    500,
+                    format!("sampler core panicked: {message}"),
+                ));
                 ctx.metrics.supervisor_restarts.inc();
                 if ctx.supervisor.record_restart() {
                     give_up(&mut sched, &ctx);
@@ -1012,11 +1034,10 @@ fn give_up(sched: &mut Scheduler, ctx: &CoreContext) {
         "clgen-serve: sampler core restart budget exhausted ({} restarts); shutting down",
         ctx.supervisor.restarts()
     );
-    let error = ServeError {
-        status: 503,
-        retry_after: None,
-        message: "server stopping: sampler core restart budget exhausted".to_string(),
-    };
+    let error = ServeError::failed(
+        503,
+        "server stopping: sampler core restart budget exhausted".to_string(),
+    );
     sched.fail_in_flight(&error);
     sched.fail_backlog(&error);
     if !ctx.shutdown.swap(true, Ordering::SeqCst) {
@@ -1075,12 +1096,12 @@ mod tests {
         let (filter_tx, _filter_rx) = mpsc::channel();
         let metrics = Arc::new(ServeMetrics::new(Arc::new(clgen_obs::Registry::new())));
         let flight = Arc::new(FlightRecorder::new(16));
+        let queued = Arc::new(AtomicUsize::new(1));
         let mut sched = Scheduler {
             rx,
             filter_tx,
             backlog: VecDeque::new(),
             active: Vec::new(),
-            queued: Arc::new(AtomicUsize::new(1)),
             metrics: metrics.clone(),
             flight: flight.clone(),
             faults: FaultPlan::inert(),
@@ -1115,6 +1136,7 @@ mod tests {
             trace: Arc::new(Trace::new("idle-shed-test".to_string())),
             reply: reply_tx,
             cancelled: Arc::new(AtomicBool::new(false)),
+            slot: QueueSlot(queued.clone()),
         }))
         .expect("send job");
 
@@ -1122,9 +1144,16 @@ mod tests {
             Ok(ResponseEvent::Error(e)) => {
                 assert_eq!(e.status, 503);
                 assert_eq!(e.retry_after, Some(1));
-                assert!(e.message.contains("deadline expired while queued"), "{e:?}");
+                assert_eq!(e.message, "deadline expired while queued");
+                assert_eq!(e.outcome, "shed");
             }
             other => panic!("expected shed error, got {other:?}"),
+        }
+        // The sweep drops the shed job, and with it the job's queue slot.
+        let by = Instant::now() + Duration::from_secs(10);
+        while queued.load(Ordering::SeqCst) != 0 {
+            assert!(Instant::now() < by, "shedding must release the queue slot");
+            std::thread::yield_now();
         }
         assert_eq!(metrics.requests_shed.get(), 1);
         assert_eq!(metrics.queue_wait_shed.count(), 1);

@@ -6,8 +6,8 @@ use crate::harness_api::{self, DriveStage};
 use crate::http::{self, HttpError, Request};
 use crate::metrics::ServeMetrics;
 use crate::scheduler::{
-    run_sampler_core, CoreContext, Job, ResponseEvent, SchedMsg, ServeError, ServiceHealth,
-    Supervisor, SynthesisParams,
+    run_sampler_core, CoreContext, Job, QueueSlot, ResponseEvent, SchedMsg, ServeError,
+    ServiceHealth, Supervisor, SynthesisParams,
 };
 use crate::{json, DEFAULT_MAX_ATTEMPTS_PER_KERNEL};
 use clgen::spec::FREE_SEED;
@@ -45,8 +45,10 @@ pub struct ServerConfig {
     pub addr: String,
     /// Sample-stream lanes of the shared continuously-batched run.
     pub lanes: usize,
-    /// Maximum requests queued ahead of the sampler core; beyond it,
-    /// `/synthesize` answers `503 Service Unavailable` (backpressure).
+    /// Maximum requests holding a place in the admission queue: synthesis
+    /// jobs waiting for the sampler core, and `/drive` / `/features`
+    /// requests until they are answered. Beyond it, every POST endpoint
+    /// answers `503 Service Unavailable` (backpressure).
     pub queue_cap: usize,
     /// Socket read timeout per connection (`None` disables): bounds how long
     /// a stalled client can pin a connection thread while sending its
@@ -153,7 +155,6 @@ impl Server {
             .unwrap_or_else(|| Arc::new(Registry::new()));
         let metrics = Arc::new(ServeMetrics::new(registry));
         let flight = Arc::new(FlightRecorder::new(FLIGHT_CAPACITY));
-        let queued = Arc::new(AtomicUsize::new(0));
         let shutdown = Arc::new(AtomicBool::new(false));
         let supervisor = Arc::new(Supervisor::new(
             config.restart_budget,
@@ -162,7 +163,7 @@ impl Server {
         let shared = Arc::new(Shared {
             metrics: metrics.clone(),
             flight: flight.clone(),
-            queued: queued.clone(),
+            queued: Arc::new(AtomicUsize::new(0)),
             shutdown: shutdown.clone(),
             supervisor: supervisor.clone(),
             started: Instant::now(),
@@ -175,7 +176,6 @@ impl Server {
             lanes: config.lanes,
             seed_text: FREE_SEED.to_string(),
             checkpoint,
-            queued,
             metrics,
             flight,
             supervisor: supervisor.clone(),
@@ -295,7 +295,8 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Parse and bounds-check `/synthesize` parameters.
+/// Parse and bounds-check the synthesis parameters of `/synthesize` and
+/// `/pipeline`, all but `deadline_ms` (`parse_deadline_ms`).
 fn parse_params(request: &Request) -> Result<SynthesisParams, String> {
     fn parse<T: std::str::FromStr>(request: &Request, name: &str, default: T) -> Result<T, String> {
         match request.query_param(name) {
@@ -326,40 +327,49 @@ fn parse_params(request: &Request) -> Result<SynthesisParams, String> {
     if max_attempts == 0 || max_attempts > MAX_ATTEMPTS {
         return Err(format!("max_attempts must be in 1..={MAX_ATTEMPTS}"));
     }
-    let deadline_ms: Option<u64> = match request.query_param("deadline_ms") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("parameter \"deadline_ms\" is not valid: {raw:?}"))?,
-        ),
-    };
-    if let Some(ms) = deadline_ms {
-        if ms == 0 || ms > MAX_DEADLINE_MS {
-            return Err(format!("deadline_ms must be in 1..={MAX_DEADLINE_MS}"));
-        }
-    }
     Ok(SynthesisParams {
         count,
         temperature,
         max_chars,
         seed,
         max_attempts,
-        deadline_ms,
+        deadline_ms: None,
     })
 }
 
-fn write_json(stream: &mut TcpStream, status: u16, reason: &str, body: &str) {
-    let _ = http::write_response(stream, status, reason, "application/json", body.as_bytes());
+/// Parse and bounds-check a request's `deadline_ms`, the one parameter every
+/// POST endpoint takes.
+fn parse_deadline_ms(request: &Request) -> Result<Option<u64>, String> {
+    let Some(raw) = request.query_param("deadline_ms") else {
+        return Ok(None);
+    };
+    let ms: u64 = raw
+        .parse()
+        .map_err(|_| format!("parameter \"deadline_ms\" is not valid: {raw:?}"))?;
+    if ms == 0 || ms > MAX_DEADLINE_MS {
+        return Err(format!("deadline_ms must be in 1..={MAX_DEADLINE_MS}"));
+    }
+    Ok(Some(ms))
 }
 
-pub(crate) fn write_error(stream: &mut TcpStream, status: u16, reason: &str, message: &str) {
+fn write_json(mut stream: &TcpStream, status: u16, reason: &str, body: &str) {
+    let _ = http::write_response(
+        &mut stream,
+        status,
+        reason,
+        "application/json",
+        body.as_bytes(),
+    );
+}
+
+pub(crate) fn write_error(stream: &TcpStream, status: u16, reason: &str, message: &str) {
     let body = format!("{{\"error\":{}}}\n", json::escaped(message));
     write_json(stream, status, reason, &body);
 }
 
 /// Render a [`ServeError`] as a plain HTTP error response (response head not
 /// yet written).
-fn write_serve_error(stream: &mut TcpStream, err: &ServeError) {
+fn write_serve_error(mut stream: &TcpStream, err: &ServeError) {
     let reason = match err.status {
         500 => "Internal Server Error",
         _ => "Service Unavailable",
@@ -369,7 +379,7 @@ fn write_serve_error(stream: &mut TcpStream, err: &ServeError) {
         Some(secs) => {
             let retry = secs.to_string();
             let _ = http::write_response_with(
-                stream,
+                &mut stream,
                 err.status,
                 reason,
                 &[("Retry-After", retry.as_str())],
@@ -381,20 +391,15 @@ fn write_serve_error(stream: &mut TcpStream, err: &ServeError) {
     }
 }
 
-fn handle_connection(stream: TcpStream, tx: mpsc::Sender<SchedMsg>, shared: Arc<Shared>) {
+fn handle_connection(mut stream: TcpStream, tx: mpsc::Sender<SchedMsg>, shared: Arc<Shared>) {
     let _ = stream.set_read_timeout(shared.config.read_timeout);
     let _ = stream.set_write_timeout(shared.config.write_timeout);
     let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut stream = stream;
-    let request = match http::read_request(&mut reader) {
+    let request = match http::read_request(&mut BufReader::new(&stream)) {
         Ok(request) => request,
         Err(HttpError::Io(_)) | Err(HttpError::UnexpectedEof) => return,
         Err(e) => {
-            write_error(&mut stream, 400, "Bad Request", &e.to_string());
+            write_error(&stream, 400, "Bad Request", &e.to_string());
             return;
         }
     };
@@ -413,11 +418,11 @@ fn handle_connection(stream: TcpStream, tx: mpsc::Sender<SchedMsg>, shared: Arc<
                 shared.supervisor.restarts(),
                 shared.supervisor.recent_restarts(),
             );
-            write_json(&mut stream, status, reason, &body);
+            write_json(&stream, status, reason, &body);
         }
         ("GET", "/stats") => {
             let body = render_stats(&shared);
-            write_json(&mut stream, 200, "OK", &body);
+            write_json(&stream, 200, "OK", &body);
         }
         ("GET", "/metrics") => {
             shared
@@ -445,23 +450,19 @@ fn handle_connection(stream: TcpStream, tx: mpsc::Sender<SchedMsg>, shared: Arc<
                 );
             } else {
                 write_error(
-                    &mut stream,
+                    &stream,
                     404,
                     "Not Found",
                     "flight endpoint disabled (start with --debug-flight)",
                 );
             }
         }
-        ("POST", "/synthesize") => {
-            stream_synthesis(request, stream, tx, &shared, None, "synthesize")
-        }
-        ("POST", "/drive") => harness_api::handle_drive(request, stream, &shared, DriveStage::Runs),
-        ("POST", "/features") => {
-            harness_api::handle_drive(request, stream, &shared, DriveStage::Features)
-        }
-        ("POST", "/pipeline") => harness_api::handle_pipeline(request, stream, tx, &shared),
+        ("POST", "/synthesize") => post("synthesize", &request, &stream, tx, &shared),
+        ("POST", "/drive") => post("drive", &request, &stream, tx, &shared),
+        ("POST", "/features") => post("features", &request, &stream, tx, &shared),
+        ("POST", "/pipeline") => post("pipeline", &request, &stream, tx, &shared),
         ("POST", "/shutdown") => {
-            write_json(&mut stream, 200, "OK", "{\"shutting_down\":true}\n");
+            write_json(&stream, 200, "OK", "{\"shutting_down\":true}\n");
             drop(stream);
             if !shared.shutdown.swap(true, Ordering::SeqCst) {
                 // Wake the blocking accept call so the graceful-shutdown
@@ -470,47 +471,121 @@ fn handle_connection(stream: TcpStream, tx: mpsc::Sender<SchedMsg>, shared: Arc<
             }
         }
         (_, "/healthz" | "/stats" | "/metrics" | "/debug/flight") => {
-            write_error(&mut stream, 405, "Method Not Allowed", "use GET");
+            write_error(&stream, 405, "Method Not Allowed", "use GET");
         }
         (_, "/synthesize" | "/shutdown" | "/drive" | "/features" | "/pipeline") => {
-            write_error(&mut stream, 405, "Method Not Allowed", "use POST");
+            write_error(&stream, 405, "Method Not Allowed", "use POST");
         }
-        _ => write_error(&mut stream, 404, "Not Found", "unknown path"),
+        _ => write_error(&stream, 404, "Not Found", "unknown path"),
     }
 }
 
-/// Run one synthesis request through the batching scheduler and stream its
-/// NDJSON response. With a harness attached (`/pipeline`), each accepted
-/// kernel line is followed inline by that kernel's harness events — the
-/// drive runs on this connection thread, so a hostile synthesized kernel is
-/// contained by the harness budgets and never touches the sampler core.
-pub(crate) fn stream_synthesis(
-    request: Request,
-    mut stream: TcpStream,
+/// How a POST request ended: its outcome label and, if the response head
+/// went out, the chunked body still to terminate.
+pub(crate) type Ended<'s> = (&'static str, Option<http::ChunkedWriter<&'s TcpStream>>);
+
+/// The one latency sample of a POST request. It owns the endpoint, the
+/// arrival time and the outcome, and records one `clgen_request_latency_us`
+/// sample when dropped — under `error` if the request never reached an end
+/// (its handler panicked).
+struct Latency<'a> {
+    metrics: &'a ServeMetrics,
+    endpoint: &'static str,
+    received_at: Instant,
+    outcome: &'static str,
+}
+
+impl Drop for Latency<'_> {
+    fn drop(&mut self) {
+        let us = self.received_at.elapsed().as_micros() as u64;
+        self.metrics
+            .observe_latency(self.endpoint, self.outcome, us);
+    }
+}
+
+/// The request lifecycle all four POST endpoints share: parse (`400`), the
+/// queue gate (`503`), the work, then the latency sample and only after it
+/// the terminating chunk — so a client that has read the whole response
+/// finds the sample on its next `/metrics` scrape.
+fn post(
+    endpoint: &'static str,
+    request: &Request,
+    stream: &TcpStream,
     tx: mpsc::Sender<SchedMsg>,
     shared: &Shared,
-    harness: Option<Harness>,
-    endpoint: &'static str,
 ) {
-    let received_at = Instant::now();
-    let finish = |outcome: &'static str| {
-        shared
-            .metrics
-            .observe_latency(endpoint, outcome, received_at.elapsed().as_micros() as u64);
+    let mut latency = Latency {
+        metrics: &shared.metrics,
+        endpoint,
+        received_at: Instant::now(),
+        outcome: "error",
     };
-    let params = match parse_params(&request) {
-        Ok(params) => params,
-        Err(message) => {
-            write_error(&mut stream, 400, "Bad Request", &message);
-            finish("bad_request");
-            return;
-        }
-    };
+    let (outcome, body) = serve_post(endpoint, request, stream, tx, shared);
+    latency.outcome = outcome;
+    drop(latency);
+    if let Some(chunks) = body {
+        let _ = chunks.finish();
+    }
+}
 
-    // Backpressure: a bounded admission queue ahead of the sampler core.
+/// A POST request whose parameters are valid: the work the gate admits.
+enum Work {
+    /// `/synthesize`, or `/pipeline` with the harness each accepted kernel
+    /// is driven through.
+    Synthesize(SynthesisParams, Option<Harness>),
+    /// `/drive` or `/features`: the stage to stream, the harness and the
+    /// POSTed source.
+    Drive(DriveStage, Harness, String),
+}
+
+/// Parse and bounds-check a POST request. Each endpoint checks its
+/// parameters in a fixed order (the first failure is the `400` message),
+/// and `deadline_ms` is parsed exactly once.
+fn parse_work(
+    endpoint: &str,
+    request: &Request,
+    shared: &Shared,
+) -> Result<(Work, Option<u64>), String> {
+    if endpoint == "synthesize" {
+        let params = parse_params(request)?;
+        let deadline_ms = parse_deadline_ms(request)?;
+        let params = SynthesisParams {
+            deadline_ms,
+            ..params
+        };
+        return Ok((Work::Synthesize(params, None), deadline_ms));
+    }
+    let harness = harness_api::parse_harness(request, shared)?;
+    let deadline_ms = parse_deadline_ms(request)?;
+    let work = if endpoint == "pipeline" {
+        let params = SynthesisParams {
+            deadline_ms,
+            ..parse_params(request)?
+        };
+        Work::Synthesize(params, Some(harness))
+    } else {
+        let source = match std::str::from_utf8(&request.body) {
+            Ok(s) if !s.trim().is_empty() => s.to_string(),
+            _ => return Err("request body must be non-empty UTF-8 OpenCL source".to_string()),
+        };
+        let stage = match endpoint {
+            "drive" => DriveStage::Runs,
+            _ => DriveStage::Features,
+        };
+        Work::Drive(stage, harness, source)
+    };
+    Ok((work, deadline_ms))
+}
+
+/// The admission queue's one gate: a slot, or `503 queue full` with
+/// `Retry-After: 1` when `queue_cap` requests already wait or the server is
+/// stopping. Every admission counts in `clgen_requests_received_total`,
+/// every refusal in `clgen_requests_rejected_total`.
+fn admit(mut stream: &TcpStream, shared: &Shared) -> Option<QueueSlot> {
     let depth = shared.queued.fetch_add(1, Ordering::SeqCst);
+    let slot = QueueSlot(shared.queued.clone());
     if depth >= shared.config.queue_cap || shared.shutdown.load(Ordering::SeqCst) {
-        shared.queued.fetch_sub(1, Ordering::SeqCst);
+        drop(slot);
         shared.metrics.requests_rejected.inc();
         let _ = http::write_response_with(
             &mut stream,
@@ -520,105 +595,129 @@ pub(crate) fn stream_synthesis(
             "application/json",
             format!("{{\"error\":\"queue full\",\"queue_depth\":{depth}}}\n").as_bytes(),
         );
-        finish("rejected");
-        return;
+        return None;
     }
+    shared.metrics.requests_received.inc();
+    Some(slot)
+}
 
+/// Parse, admit and run one POST request.
+fn serve_post<'s>(
+    endpoint: &'static str,
+    request: &Request,
+    stream: &'s TcpStream,
+    tx: mpsc::Sender<SchedMsg>,
+    shared: &Shared,
+) -> Ended<'s> {
+    let (work, deadline_ms) = match parse_work(endpoint, request, shared) {
+        Ok(parsed) => parsed,
+        Err(message) => {
+            write_error(stream, 400, "Bad Request", &message);
+            return ("bad_request", None);
+        }
+    };
+    let Some(slot) = admit(stream, shared) else {
+        return ("rejected", None);
+    };
     // The deadline clock starts at admission: queueing time counts against
     // it (that is what lets the scheduler shed jobs that expired while
     // queued).
-    let deadline = params
-        .deadline_ms
+    let deadline = deadline_ms
         .or(shared.config.default_deadline_ms)
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let trace = Arc::new(Trace::from_client(request.header("trace-id"), params.seed));
-    let (reply_tx, reply_rx) = mpsc::channel::<ResponseEvent>();
-    let cancelled = Arc::new(AtomicBool::new(false));
-    if tx
-        .send(SchedMsg::Job(Job {
-            params,
-            deadline,
-            enqueued_at: Instant::now(),
-            trace: trace.clone(),
-            reply: reply_tx,
-            cancelled: cancelled.clone(),
-        }))
-        .is_err()
-    {
-        shared.queued.fetch_sub(1, Ordering::SeqCst);
-        write_error(&mut stream, 503, "Service Unavailable", "server stopping");
-        finish("error");
-        return;
+    let trace_id = request.header("trace-id");
+    match work {
+        Work::Synthesize(params, harness) => {
+            let (reply, reply_rx) = mpsc::channel();
+            let job = Job {
+                trace: Arc::new(Trace::from_client(trace_id, params.seed)),
+                params,
+                deadline,
+                enqueued_at: Instant::now(),
+                reply,
+                cancelled: Arc::default(),
+                slot,
+            };
+            stream_synthesis(stream, tx, shared, job, reply_rx, harness)
+        }
+        Work::Drive(stage, harness, source) => {
+            // The slot is held until the drive has been answered.
+            let _slot = slot;
+            let trace = Trace::from_client(trace_id, harness.config().driver.seed);
+            let deadline = deadline.map_or_else(Deadline::none, Deadline::at);
+            harness_api::stream_drive(stream, stage, &harness, &source, &trace, &deadline)
+        }
     }
-    shared.metrics.requests_received.inc();
+}
 
-    // Phase 1: wait for the first event *before* writing the response head,
-    // so failures (queue shed, panic quarantine, shutdown) can still be
-    // typed HTTP errors instead of a truncated 200.
-    let first = loop {
-        match reply_rx.recv_timeout(Duration::from_millis(500)) {
-            Ok(event) => break event,
+/// Run one admitted synthesis job through the batching scheduler and stream
+/// its NDJSON response. With a harness attached (`/pipeline`), each accepted
+/// kernel line is followed inline by that kernel's harness events — the
+/// drive runs on this connection thread, so a hostile synthesized kernel is
+/// contained by the harness budgets and never touches the sampler core.
+fn stream_synthesis<'s>(
+    stream: &'s TcpStream,
+    tx: mpsc::Sender<SchedMsg>,
+    shared: &Shared,
+    job: Job,
+    reply_rx: mpsc::Receiver<ResponseEvent>,
+    harness: Option<Harness>,
+) -> Ended<'s> {
+    let (trace, cancelled) = (job.trace.clone(), job.cancelled.clone());
+    let harness_deadline = job.deadline.map_or_else(Deadline::none, Deadline::at);
+    if tx.send(SchedMsg::Job(job)).is_err() {
+        // The sampler core is gone (the unsent job released its slot).
+        write_error(stream, 503, "Service Unavailable", "server stopping");
+        return ("error", None);
+    }
+    // The client went away: tell the scheduler to stop sampling for it.
+    let hang_up = || {
+        cancelled.store(true, Ordering::Relaxed);
+        ("disconnect", None)
+    };
+    // One wait loop around the response head: until it is written, a
+    // failure (queue shed, panic quarantine, shutdown) is still a typed HTTP
+    // error instead of a truncated 200; after it, a terminal NDJSON line.
+    let mut head: Option<http::ChunkedWriter<&TcpStream>> = None;
+    let mut respond_started = Instant::now();
+    loop {
+        let event = match reply_rx.recv_timeout(Duration::from_millis(500)) {
+            Ok(event) => event,
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                if client_disconnected(&stream) {
-                    cancelled.store(true, Ordering::Relaxed);
-                    finish("disconnect");
-                    return;
+                // Nothing arrived recently, so a vanished client would go
+                // unnoticed by failing writes alone — probe the socket for
+                // EOF so the sampler core stops spending lanes on it.
+                if client_disconnected(stream) {
+                    return hang_up();
                 }
+                continue;
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // Sampler core went away without answering the request.
-                write_error(&mut stream, 503, "Service Unavailable", "server stopping");
-                finish("error");
-                return;
+                // The sampler core went away without completing the request.
+                if head.is_none() {
+                    write_error(stream, 503, "Service Unavailable", "server stopping");
+                }
+                return ("error", head);
             }
-        }
-    };
-    if let ResponseEvent::Error(err) = &first {
-        write_serve_error(&mut stream, err);
-        finish(if err.message.contains("deadline expired while queued") {
-            "shed"
-        } else {
-            "error"
-        });
-        return;
-    }
-
-    // A second handle onto the same socket, for the disconnect probe while
-    // `chunks` holds the write borrow.
-    let probe_handle = stream.try_clone();
-    // The `respond` span covers everything from the response head to the
-    // final chunk: streaming writes plus the tail of sampling they overlap.
-    let respond_started = Instant::now();
-    let Ok(mut chunks) = http::ChunkedWriter::new(&mut stream, 200, "OK", "application/x-ndjson")
-    else {
-        cancelled.store(true, Ordering::Relaxed);
-        finish("disconnect");
-        return;
-    };
-    let mut next = Some(first);
-    loop {
-        let event = match next.take() {
-            Some(event) => event,
-            None => match reply_rx.recv_timeout(Duration::from_millis(500)) {
-                Ok(event) => event,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    // Nothing accepted recently, so a vanished client would
-                    // go unnoticed by failing sends alone — probe the socket
-                    // for EOF so the sampler core stops spending lanes on it.
-                    if probe_handle.as_ref().is_ok_and(client_disconnected) {
-                        cancelled.store(true, Ordering::Relaxed);
-                        finish("disconnect");
-                        return;
-                    }
-                    continue;
+        };
+        let chunks = match &mut head {
+            Some(chunks) => chunks,
+            None => {
+                if let ResponseEvent::Error(err) = &event {
+                    write_serve_error(stream, err);
+                    return (err.outcome, None);
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    // Scheduler went away without completing the request.
-                    let _ = chunks.finish();
-                    finish("error");
-                    return;
-                }
-            },
+                // The `respond` span covers everything from the response
+                // head to the final chunk: streaming writes plus the tail of
+                // sampling they overlap.
+                respond_started = Instant::now();
+                let Ok(chunks) =
+                    http::ChunkedWriter::new(stream, 200, "OK", "application/x-ndjson")
+                else {
+                    return hang_up();
+                };
+                head.insert(chunks)
+            }
         };
         match event {
             ResponseEvent::Kernel(line) => {
@@ -633,29 +732,16 @@ pub(crate) fn stream_synthesis(
                     // truncated response. The request itself keeps running
                     // and is absorbed silently once sends start failing.
                     shared.flight.record("fault", "drop_response".to_string());
-                    finish("disconnect");
-                    return;
+                    return ("disconnect", None);
                 }
                 shared.config.faults.stall(FaultPoint::SlowWrite);
                 if chunks.chunk(format!("{line}\n").as_bytes()).is_err() {
-                    // Client went away mid-stream: tell the scheduler to
-                    // stop sampling for this request.
-                    cancelled.store(true, Ordering::Relaxed);
-                    finish("disconnect");
-                    return;
+                    return hang_up();
                 }
-                if let Some(harness) = &harness {
-                    let harness_deadline = match deadline {
-                        Some(at) => Deadline::at(at),
-                        None => Deadline::none(),
-                    };
-                    for hl in harness_api::pipeline_lines(harness, &line, &harness_deadline, &trace)
-                    {
-                        if chunks.chunk(format!("{hl}\n").as_bytes()).is_err() {
-                            cancelled.store(true, Ordering::Relaxed);
-                            finish("disconnect");
-                            return;
-                        }
+                let Some(harness) = &harness else { continue };
+                for hl in harness_api::pipeline_lines(harness, &line, &harness_deadline, &trace) {
+                    if chunks.chunk(format!("{hl}\n").as_bytes()).is_err() {
+                        return hang_up();
                     }
                 }
             }
@@ -666,12 +752,7 @@ pub(crate) fn stream_synthesis(
                 // to recover the deterministic done-line bytes.
                 let line = json::splice_field(&line, &format!("\"trace\":{}", trace.render_json()));
                 let _ = chunks.chunk(format!("{line}\n").as_bytes());
-                // Record the sample before the terminating chunk: a client
-                // that has seen the complete response is guaranteed to find
-                // it on an immediate `/metrics` scrape.
-                finish("ok");
-                let _ = chunks.finish();
-                return;
+                return ("ok", head);
             }
             ResponseEvent::Error(err) => {
                 // The head is already written: the failure becomes a
@@ -683,9 +764,7 @@ pub(crate) fn stream_synthesis(
                     err.status
                 );
                 let _ = chunks.chunk(line.as_bytes());
-                finish("error");
-                let _ = chunks.finish();
-                return;
+                return (err.outcome, head);
             }
         }
     }

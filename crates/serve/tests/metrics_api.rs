@@ -436,3 +436,70 @@ fn debug_flight_endpoint_is_gated() {
     );
     handle.shutdown();
 }
+
+/// Every POST request takes exactly one latency sample, whatever its end:
+/// per endpoint, the `clgen_request_latency_us_count` series summed over
+/// outcomes equal the requests sent — `400`s included, on every endpoint.
+#[test]
+fn every_post_request_takes_one_latency_sample() {
+    let handle = Server::start(checkpointed_model(65), test_config()).expect("server starts");
+    let addr = handle.addr();
+
+    let bad_pipeline = client::post(addr, "/pipeline?sizes=0").expect("pipeline");
+    assert_eq!(bad_pipeline.status, 400);
+    let bad_synthesize = client::post(addr, "/synthesize?count=0").expect("synthesize");
+    assert_eq!(bad_synthesize.status, 400);
+    let empty_drive = client::post_body(addr, "/drive", b"").expect("drive");
+    assert_eq!(empty_drive.status, 400);
+    let drive = client::post_body(addr, "/drive?sizes=256", VECADD.as_bytes()).expect("drive");
+    assert_eq!(drive.status, 200);
+    let features =
+        client::post_body(addr, "/features?sizes=256", VECADD.as_bytes()).expect("features");
+    assert_eq!(features.status, 200);
+
+    let body = client::get(addr, "/metrics").expect("metrics").text();
+    assert!(
+        body.contains("endpoint=\"pipeline\",outcome=\"bad_request\""),
+        "a /pipeline 400 is timed:\n{body}"
+    );
+    for (endpoint, sent) in [
+        ("pipeline", 1),
+        ("synthesize", 1),
+        ("drive", 2),
+        ("features", 1),
+    ] {
+        let prefix = format!("clgen_request_latency_us_count{{endpoint=\"{endpoint}\",");
+        let samples: f64 = body
+            .lines()
+            .filter(|l| l.starts_with(&prefix))
+            .filter_map(|l| l.rsplit_once(' ')?.1.parse::<f64>().ok())
+            .sum();
+        assert_eq!(samples as u64, sent, "{endpoint} latency samples:\n{body}");
+    }
+    handle.shutdown();
+}
+
+/// The queue gate counts every admission, on every endpoint: after one good
+/// `/drive`, `received` is 1 in `/metrics` and in `/stats` alike.
+#[test]
+fn drive_admissions_are_received() {
+    let handle = Server::start(checkpointed_model(66), test_config()).expect("server starts");
+    let addr = handle.addr();
+    let drive = client::post_body(addr, "/drive?sizes=256", VECADD.as_bytes()).expect("drive");
+    assert_eq!(drive.status, 200);
+
+    let body = client::get(addr, "/metrics").expect("metrics").text();
+    assert_eq!(
+        sample_value(&body, "clgen_requests_received_total "),
+        Some(1.0),
+        "{body}"
+    );
+    let stats = client::get(addr, "/stats").expect("stats").text();
+    assert_eq!(json::extract_u64(&stats, "received"), Some(1), "{stats}");
+    assert_eq!(
+        json::extract_u64(&stats, "rejected_503"),
+        Some(0),
+        "{stats}"
+    );
+    handle.shutdown();
+}
