@@ -1,12 +1,17 @@
 //! Lane-level batched sampling: the [`BatchEngine`] admission/step machinery
-//! underneath both offline batched sampling and the synthesis service.
+//! underneath offline synthesis and the synthesis service alike.
 //!
 //! [`sample_kernels_batched`](crate::sampler::sample_kernels_batched) runs a
 //! *closed* workload — a fixed list of candidate seeds, drained to
-//! completion. A synthesis service runs an *open* one: requests arrive while
-//! the batch is mid-flight, and throughput depends on folding them into the
-//! already-running batched forward pass instead of queueing behind it. The
-//! engine exposes exactly the hooks that distinction needs:
+//! completion. A [`SynthesisStream`](crate::stream::SynthesisStream) and the
+//! synthesis service run *open* ones: candidates are dispatched while the
+//! batch is mid-flight — the next of a session the moment a lane frees up,
+//! the first of a newly arrived request without waiting for the others —
+//! and throughput depends on folding them into the already-running batched
+//! forward pass instead of queueing behind it. The engine owns its
+//! [`StreamBatch`] (or a `&mut` borrow of one), so a driver can keep it
+//! alive across pulls, and exposes exactly the hooks that distinction
+//! needs:
 //!
 //! * [`admit`](BatchEngine::admit) starts one candidate on one free lane —
 //!   with its *own* seed text, sampling options and RNG stream, so candidates
@@ -70,9 +75,9 @@ struct LaneRun {
 }
 
 /// A continuously-batched sampling engine over the lanes of one
-/// [`StreamBatch`] (see the module docs).
+/// [`StreamBatch`] it owns (see the module docs).
 pub struct BatchEngine<'a> {
-    streams: &'a mut dyn StreamBatch,
+    streams: Box<dyn StreamBatch + 'a>,
     vocab: &'a Vocabulary,
     lanes: Vec<Option<LaneRun>>,
     occupied: usize,
@@ -94,18 +99,18 @@ impl std::fmt::Debug for BatchEngine<'_> {
 }
 
 impl<'a> BatchEngine<'a> {
-    /// An engine over `streams`, with every lane free. The engine does not
-    /// reset the streams; each lane is reset when a candidate is admitted to
-    /// it.
+    /// An engine over `streams` — owned, or borrowed as `&mut` — with every
+    /// lane free. The engine does not reset the streams; each lane is reset
+    /// when a candidate is admitted to it.
     ///
     /// # Panics
     ///
     /// Panics if `streams` has no lanes.
-    pub fn new(streams: &'a mut dyn StreamBatch, vocab: &'a Vocabulary) -> BatchEngine<'a> {
+    pub fn new(streams: impl StreamBatch + 'a, vocab: &'a Vocabulary) -> BatchEngine<'a> {
         let n = streams.num_streams();
         assert!(n > 0, "need at least one sample lane");
         BatchEngine {
-            streams,
+            streams: Box::new(streams),
             vocab,
             lanes: (0..n).map(|_| None).collect(),
             occupied: 0,

@@ -18,9 +18,11 @@
 //!    to the original,
 //! 3. a trained model opens [`Sampler`] sessions whose lazy
 //!    [`SynthesisStream`] iterator samples candidates (Algorithm 1,
-//!    batched multi-stream with continuous batching), rejection-filters
-//!    them in a pipelined worker, and yields accepted kernels with
-//!    per-kernel statistics.
+//!    batched multi-stream with continuous dispatch into free lanes),
+//!    rejection-filters them on a concurrent [`spawn_filter_stage`], and
+//!    yields accepted kernels in candidate order with per-kernel
+//!    statistics, kept by the same [`Session`] tally the synthesis service
+//!    runs per request.
 //!
 //! ```
 //! use clgen::{ArgumentSpec, ClgenBuilder, ClgenOptions, SamplerConfig};
@@ -60,8 +62,8 @@ pub use sampler::{
 };
 pub use spec::{ArgSpec, ArgumentSpec};
 pub use stream::{
-    absorb_candidate, filter_candidate, stream_seed, KernelStats, Sampler, SamplerConfig,
-    StreamedKernel, SynthesisStream, PIPELINE_DEPTH,
+    filter_candidate, spawn_filter_stage, stream_seed, FilterBatch, Filtered, KernelStats, Sampler,
+    SamplerConfig, Session, StreamedKernel, SynthesisStream,
 };
 pub use synthesizer::{
     ClgenOptions, ModelBackend, SynthesisReport, SynthesisStats, SynthesizedKernel,

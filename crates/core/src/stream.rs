@@ -1,52 +1,53 @@
 //! The sampling stage: [`Sampler`] sessions over a [`TrainedModel`] and the
 //! lazy, pull-based [`SynthesisStream`] they expose.
 //!
-//! A `SynthesisStream` is an iterator over accepted kernels. Internally it
-//! runs the batched production pipeline of the synthesizer: rounds of
-//! candidates advance through the model's multi-stream sampler (continuous
-//! batching keeps the batched GEMM at full width), and each finished round is
-//! handed to a rejection-filter worker thread that fans out over the rayon
-//! pool — so filtering of round `k` overlaps with sampling of round `k + 1`.
-//! The stream stays lazy at the granularity of rounds: nothing is sampled
-//! until the consumer pulls, and at most [`PIPELINE_DEPTH`] rounds are ever
-//! in flight.
+//! A `SynthesisStream` is an iterator over accepted kernels, and a
+//! single-request instance of the synthesis service's scheduler: it keeps one
+//! [`BatchEngine`] alive across pulls, admits candidates into lanes the
+//! moment they free up (continuous batching keeps the batched GEMM at full
+//! width), hands finished candidates to the rejection-filter stage
+//! ([`spawn_filter_stage`]), which fans them out over the rayon pool on its
+//! own thread so filtering overlaps sampling, and returns as soon as the next
+//! kernel in candidate order is accepted. Nothing is sampled until the
+//! consumer pulls.
 //!
-//! Every accepted kernel carries [`KernelStats`] — what it cost to find it —
-//! and the stream accumulates whole-run [`SynthesisStats`]; both are kept by
-//! [`absorb_candidate`], the one tally this stream and the synthesis
-//! service's scheduler share.
+//! Both drivers keep a run's books in a [`Session`]: which candidate goes out
+//! next, how many may be outstanding, and the in-order tally of filter
+//! verdicts into per-kernel [`KernelStats`] and whole-run
+//! [`SynthesisStats`]. Verdicts are absorbed in candidate order and
+//! absorption stops at the session's target, so what a run reports is a pure
+//! function of the model, the configuration and the seed — never of `lanes`
+//! or of thread timing.
 
+use crate::engine::BatchEngine;
 use crate::model::TrainedModel;
-use crate::sampler::{sample_kernels_batched, SampleOptions, SampledCandidate, StopReason};
+use crate::sampler::{SampleOptions, SampledCandidate, StopReason};
 use crate::spec::{ArgumentSpec, FREE_SEED};
 use crate::synthesizer::{SynthesisReport, SynthesisStats, SynthesizedKernel};
 use clgen_corpus::filter::{filter_source, FilterConfig};
 use clgen_corpus::rewriter::rewrite_unit_to_kernels;
-use clgen_corpus::{RejectReason, Vocabulary};
-use clgen_neural::StreamBatch;
+use clgen_corpus::RejectReason;
 use rayon::prelude::*;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
+use std::thread::JoinHandle;
+use std::time::Instant;
 
-/// Candidates assigned per lane per round of batched synthesis.
-/// Oversubscribing the lanes lets continuous batching keep the batched GEMM
-/// at full width even as individual kernels finish at different lengths; the
-/// cost is coarser stopping granularity (overshoot is bounded by the
-/// in-flight rounds).
-pub(crate) const ROUND_OVERSUBSCRIPTION: usize = 4;
-
-/// Maximum sampled-but-unfiltered rounds in flight: round `k` filters on the
-/// worker thread while round `k + 1` samples on the caller's thread.
-pub const PIPELINE_DEPTH: usize = 2;
+/// Candidates a [`Session`] may keep outstanding — dispatched but not yet
+/// absorbed — per kernel it still waits for, counting at most two kernels per
+/// lane. Running ahead keeps lanes busy while earlier candidates filter; the
+/// cap keeps one session from holding more than `8 × lanes` candidates.
+const OVERSUBSCRIPTION: usize = 4;
 
 /// Derive the RNG seed of sample stream `index` from the run seed
 /// (SplitMix64 finaliser: well-distributed, deterministic, independent of
 /// batch size).
 ///
-/// This derivation is shared by every consumer of the batched sampler — the
-/// [`SynthesisStream`] rounds here and the per-request candidate streams of
-/// the synthesis service — so candidate `index` of a given run seed samples
-/// identically no matter which driver dispatched it.
+/// Every [`Session`] dispatches its candidates with this derivation — a
+/// [`SynthesisStream`] and each request of the synthesis service alike — so
+/// candidate `index` of a given run seed samples identically no matter which
+/// driver dispatched it.
 pub fn stream_seed(run_seed: u64, index: u64) -> u64 {
     let mut z = run_seed
         ^ index
@@ -82,8 +83,8 @@ fn accept_source(filter: &FilterConfig, text: &str) -> Result<SynthesizedKernel,
 /// Run one candidate through the rejection filter, returning the formatted
 /// kernel if accepted. Pure function of the candidate text and filter
 /// configuration, so batches of candidates can be filtered on worker threads
-/// while the synthesizer keeps sampling — the [`SynthesisStream`] pipeline
-/// and the synthesis service both fan this out over the rayon pool.
+/// while the synthesizer keeps sampling — the [`SynthesisStream`] and the
+/// synthesis service both run it in their [`spawn_filter_stage`].
 ///
 /// Two resilient-frontend policies live here, both pure functions of the
 /// candidate bytes (so batched ≡ serial and thread-count invariance survive):
@@ -220,38 +221,193 @@ pub struct StreamedKernel {
     pub stats: KernelStats,
 }
 
-/// Fold one filtered candidate into a run's `totals` and into the cost
-/// `window` open since the previous accepted kernel. An acceptance closes the
-/// window: it is returned with the kernel, stamped with `candidate_index`
-/// (the candidate's position in its run's sample sequence), and a fresh one
-/// starts. Candidates must arrive in sample order.
-pub fn absorb_candidate(
-    totals: &mut SynthesisStats,
-    window: &mut KernelStats,
-    candidate_index: u64,
-    generated_chars: usize,
-    verdict: Result<SynthesizedKernel, RejectReason>,
-) -> Option<StreamedKernel> {
-    totals.attempts += 1;
-    totals.generated_chars += generated_chars;
-    window.attempts += 1;
-    window.generated_chars += generated_chars;
-    match verdict {
-        Ok(kernel) => {
-            let repaired = usize::from(kernel.repaired);
-            totals.accepted += 1;
-            totals.repaired += repaired;
-            let stats = KernelStats {
-                repaired,
-                candidate_index,
-                ..std::mem::take(window)
-            };
-            Some(StreamedKernel { kernel, stats })
+/// One candidate's filter verdict, as [`spawn_filter_stage`] delivers it.
+#[derive(Debug)]
+pub struct Filtered {
+    /// The ticket the candidate was sent to the stage with.
+    pub ticket: u64,
+    /// Characters the candidate generated.
+    pub generated_chars: usize,
+    /// The accepted kernel, or why the candidate was rejected.
+    pub verdict: Result<SynthesizedKernel, RejectReason>,
+    /// Wall-clock cost of the verdict (µs).
+    pub filter_us: u64,
+}
+
+/// Finished candidates on their way to the filter stage, each with its
+/// ticket.
+pub type FilterBatch = Vec<(u64, SampledCandidate)>;
+
+/// Spawn the rejection-filter stage of a sampling driver: a thread that takes
+/// batches from the returned sender, fans each batch out over the rayon pool,
+/// and hands its verdicts, in batch order, to `deliver` — until the sender is
+/// dropped or `deliver` returns `false` (nobody listens any more).
+///
+/// Each call of `verdict` runs under `catch_unwind` and is timed into
+/// [`Filtered::filter_us`]. A candidate whose verdict panics is rejected with
+/// [`RejectReason::FilterPanicked`] and the rest of its batch is delivered as
+/// usual, so one poisoned candidate cannot stop a run.
+pub fn spawn_filter_stage(
+    verdict: impl Fn(&SampledCandidate) -> Result<SynthesizedKernel, RejectReason>
+        + Send
+        + Sync
+        + 'static,
+    mut deliver: impl FnMut(Vec<Filtered>) -> bool + Send + 'static,
+) -> (mpsc::Sender<FilterBatch>, JoinHandle<()>) {
+    let (tx, rx) = mpsc::channel::<FilterBatch>();
+    let worker = std::thread::spawn(move || {
+        while let Ok(batch) = rx.recv() {
+            let filtered = batch
+                .into_par_iter()
+                .map(|(ticket, candidate)| {
+                    let started = Instant::now();
+                    let verdict = catch_unwind(AssertUnwindSafe(|| verdict(&candidate)))
+                        .unwrap_or(Err(RejectReason::FilterPanicked));
+                    Filtered {
+                        ticket,
+                        generated_chars: candidate.generated_chars,
+                        verdict,
+                        filter_us: started.elapsed().as_micros() as u64,
+                    }
+                })
+                .collect();
+            if !deliver(filtered) {
+                break;
+            }
         }
-        Err(reason) => {
-            *totals.rejected.entry(reason).or_insert(0) += 1;
-            *window.rejected.entry(reason).or_insert(0) += 1;
-            None
+    });
+    (tx, worker)
+}
+
+/// The books of one sampling run — a [`SynthesisStream`], or one request of
+/// the synthesis service: which candidate is dispatched next, and the
+/// in-order tally of the verdicts that come back.
+///
+/// Candidate `i` samples from [`stream_seed`]`(seed, i)`. Verdicts may be
+/// [`deliver`](Session::deliver)ed in any order; they are absorbed in
+/// candidate order, and absorption stops once the session
+/// [`is_complete`](Session::is_complete): `target` kernels accepted, or every
+/// candidate up to `max_attempts` absorbed. What a session reports therefore
+/// covers exactly the candidates up to that cut, however many were sampled
+/// past it.
+#[derive(Debug, Default)]
+pub struct Session {
+    seed: u64,
+    target: usize,
+    max_attempts: u64,
+    /// Candidates dispatched so far.
+    next_dispatch: u64,
+    /// The next candidate to absorb.
+    next_absorb: u64,
+    /// Verdicts delivered ahead of `next_absorb`.
+    pending: HashMap<u64, Filtered>,
+    /// Accumulation since the last accepted kernel.
+    window: KernelStats,
+    stats: SynthesisStats,
+    filter_us: u64,
+}
+
+impl Session {
+    /// A session over run seed `seed` that wants `target` kernels and may
+    /// sample at most `max_attempts` candidates.
+    pub fn new(seed: u64, target: usize, max_attempts: usize) -> Session {
+        Session {
+            seed,
+            target,
+            max_attempts: max_attempts as u64,
+            ..Session::default()
+        }
+    }
+
+    /// Whether another candidate should go out on an engine of `lanes`
+    /// lanes: kernels are still wanted, the attempt cap allows one more, and
+    /// fewer than `min(wanted, 2 · lanes) · 4` candidates are outstanding.
+    pub fn wants_dispatch(&self, lanes: usize) -> bool {
+        let wanted = self.target.saturating_sub(self.stats.accepted);
+        let outstanding = self.next_dispatch - self.next_absorb;
+        wanted > 0
+            && self.next_dispatch < self.max_attempts
+            && outstanding < (wanted.min(2 * lanes) * OVERSUBSCRIPTION) as u64
+    }
+
+    /// Dispatch the next candidate: its index in the session and the seed of
+    /// its RNG stream.
+    pub fn dispatch(&mut self) -> (u64, u64) {
+        let index = self.next_dispatch;
+        self.next_dispatch += 1;
+        (index, stream_seed(self.seed, index))
+    }
+
+    /// Hand over the verdict of candidate `index`.
+    pub fn deliver(&mut self, index: u64, filtered: Filtered) {
+        self.pending.insert(index, filtered);
+    }
+
+    /// Absorb delivered verdicts in candidate order up to the next accepted
+    /// kernel and return it, with what it cost to find. `None` when the next
+    /// verdict in order has not been delivered yet, or the session is
+    /// complete.
+    pub fn next_kernel(&mut self) -> Option<StreamedKernel> {
+        while !self.is_complete() {
+            let filtered = self.pending.remove(&self.next_absorb)?;
+            if let Some(kernel) = self.absorb(filtered) {
+                return Some(kernel);
+            }
+        }
+        None
+    }
+
+    /// Whether `target` kernels have been accepted.
+    pub fn target_met(&self) -> bool {
+        self.stats.accepted >= self.target
+    }
+
+    /// Whether the session is over: its target is met, or every candidate up
+    /// to `max_attempts` has been absorbed.
+    pub fn is_complete(&self) -> bool {
+        self.target_met() || self.next_absorb >= self.max_attempts
+    }
+
+    /// Totals over every candidate absorbed so far.
+    pub fn stats(&self) -> &SynthesisStats {
+        &self.stats
+    }
+
+    /// Filter wall-clock of every candidate absorbed so far (µs).
+    pub fn filter_us(&self) -> u64 {
+        self.filter_us
+    }
+
+    /// Fold the next candidate's verdict into the totals and into the cost
+    /// window open since the previous accepted kernel. An acceptance closes
+    /// the window: it is returned with the kernel, stamped with the
+    /// candidate's index, and a fresh one starts.
+    fn absorb(&mut self, filtered: Filtered) -> Option<StreamedKernel> {
+        let candidate_index = self.next_absorb;
+        self.next_absorb += 1;
+        self.filter_us += filtered.filter_us;
+        let (totals, window) = (&mut self.stats, &mut self.window);
+        totals.attempts += 1;
+        totals.generated_chars += filtered.generated_chars;
+        window.attempts += 1;
+        window.generated_chars += filtered.generated_chars;
+        match filtered.verdict {
+            Ok(kernel) => {
+                let repaired = usize::from(kernel.repaired);
+                totals.accepted += 1;
+                totals.repaired += repaired;
+                let stats = KernelStats {
+                    repaired,
+                    candidate_index,
+                    ..std::mem::take(window)
+                };
+                Some(StreamedKernel { kernel, stats })
+            }
+            Err(reason) => {
+                *totals.rejected.entry(reason).or_insert(0) += 1;
+                *window.rejected.entry(reason).or_insert(0) += 1;
+                None
+            }
         }
     }
 }
@@ -281,173 +437,79 @@ impl<'m> Sampler<'m> {
     /// Open a lazy stream of accepted kernels. Nothing is sampled until the
     /// first pull.
     pub fn stream(&self) -> SynthesisStream<'m> {
-        SynthesisStream::new(self.model, self.config.clone())
+        SynthesisStream::new(self.model, self.config.clone(), usize::MAX)
     }
 
-    /// Pull kernels until `target` have been accepted or the session's
-    /// attempt cap is exhausted, returning the classic report. Candidates
-    /// already sampled when the target is reached are fully accounted (the
-    /// report can therefore exceed `target` by up to the in-flight rounds).
+    /// Synthesize the first `target` kernels of the session (fewer if its
+    /// attempt cap runs out first), returning the classic report. Its
+    /// statistics cover exactly the candidates up to the `target`-th
+    /// acceptance, or every candidate up to the cap — the same cut, and so
+    /// the same report, at any number of lanes.
     pub fn synthesize(&self, target: usize) -> SynthesisReport {
-        let mut stream = self.stream();
-        let mut report = SynthesisReport::default();
-        while report.kernels.len() < target {
-            match stream.next() {
-                Some(k) => report.kernels.push(k.kernel),
-                None => break,
-            }
+        let mut stream = SynthesisStream::new(self.model, self.config.clone(), target);
+        let kernels = stream.by_ref().map(|k| k.kernel).collect();
+        SynthesisReport {
+            kernels,
+            stats: stream.stats().clone(),
         }
-        for k in stream.drain_ready() {
-            report.kernels.push(k.kernel);
-        }
-        report.stats = stream.stats().clone();
-        report
     }
 }
-
-type FilteredBatch = Vec<(SampledCandidate, Result<SynthesizedKernel, RejectReason>)>;
 
 /// A lazy, pull-based iterator over accepted kernels (see the module docs
 /// for the pipeline it runs internally).
 ///
 /// The stream ends (`None`) when the session's attempt cap is exhausted;
 /// without a cap it is unbounded and the consumer decides when to stop.
-/// Dropping the stream shuts the filter worker down cleanly.
+/// Dropping the stream ends its filter stage.
 ///
 /// Determinism: for a given model and configuration, the sequence of
-/// accepted kernels and the final statistics are independent of thread
-/// scheduling (rounds are absorbed in dispatch order,
-/// and per-candidate RNG streams are derived, never shared).
+/// accepted kernels, their [`KernelStats`] and the statistics after each
+/// pull are independent of `lanes` and of thread scheduling (verdicts are
+/// absorbed in candidate order, and per-candidate RNG streams are derived,
+/// never shared).
 pub struct SynthesisStream<'m> {
-    streams: Box<dyn StreamBatch + 'm>,
-    vocab: &'m Vocabulary,
+    engine: BatchEngine<'m>,
     seed_text: String,
     sample: SampleOptions,
-    run_seed: u64,
-    round_size: usize,
-    /// Candidates the session may still dispatch.
-    budget: usize,
-    /// Next candidate index (global across the session).
-    next_candidate: u64,
-    /// Rounds dispatched to the filter worker but not yet absorbed.
-    in_flight: usize,
-    batch_tx: Option<mpsc::Sender<Vec<SampledCandidate>>>,
-    result_rx: mpsc::Receiver<FilteredBatch>,
-    worker: Option<std::thread::JoinHandle<()>>,
-    /// Accepted kernels absorbed but not yet pulled.
-    ready: VecDeque<StreamedKernel>,
-    stats: SynthesisStats,
-    /// Per-kernel accumulation since the last accepted kernel.
-    window: KernelStats,
+    session: Session,
+    to_filter: mpsc::Sender<FilterBatch>,
+    verdicts: mpsc::Receiver<Vec<Filtered>>,
 }
 
 impl<'m> SynthesisStream<'m> {
-    fn new(model: &'m TrainedModel, config: SamplerConfig) -> Self {
-        let lanes = config.lanes.max(1);
+    fn new(model: &'m TrainedModel, config: SamplerConfig, target: usize) -> Self {
         let seed_text = match &config.spec {
             Some(spec) => spec.seed_text(),
             None => FREE_SEED.to_string(),
         };
-        let (batch_tx, batch_rx) = mpsc::channel::<Vec<SampledCandidate>>();
-        let (result_tx, result_rx) = mpsc::channel::<FilteredBatch>();
-        let filter = config.filter.clone();
-        // Filter stage: each incoming batch fans out over the rayon worker
-        // pool; result order inside a batch follows candidate order, and
-        // batches complete in dispatch order (single worker, FIFO channels).
-        let worker = std::thread::spawn(move || {
-            while let Ok(batch) = batch_rx.recv() {
-                let filtered: FilteredBatch = batch
-                    .into_par_iter()
-                    .map(|candidate| {
-                        let verdict = filter_candidate(&filter, &candidate);
-                        (candidate, verdict)
-                    })
-                    .collect();
-                if result_tx.send(filtered).is_err() {
-                    break;
-                }
-            }
-        });
+        let filter = config.filter;
+        let (verdicts_tx, verdicts) = mpsc::channel();
+        // Not joined: the stage ends on its own once the stream, and with it
+        // the sender, is gone. Verdicts run under `catch_unwind`, so the
+        // thread has no panic to hide; were it to die anyway, the next pull
+        // fails on the closed channel.
+        let (to_filter, _) = spawn_filter_stage(
+            move |candidate| filter_candidate(&filter, candidate),
+            move |batch| verdicts_tx.send(batch).is_ok(),
+        );
         SynthesisStream {
-            streams: model.streams(lanes),
-            vocab: model.vocabulary(),
+            engine: BatchEngine::new(model.streams(config.lanes.max(1)), model.vocabulary()),
             seed_text,
             sample: config.sample,
-            run_seed: config.seed,
-            round_size: lanes * ROUND_OVERSUBSCRIPTION,
-            budget: config.max_attempts.unwrap_or(usize::MAX),
-            next_candidate: 0,
-            in_flight: 0,
-            batch_tx: Some(batch_tx),
-            result_rx,
-            worker: Some(worker),
-            ready: VecDeque::new(),
-            stats: SynthesisStats::default(),
-            window: KernelStats::default(),
+            session: Session::new(
+                config.seed,
+                target,
+                config.max_attempts.unwrap_or(usize::MAX),
+            ),
+            to_filter,
+            verdicts,
         }
     }
 
-    /// Whole-run statistics over every candidate absorbed so far.
+    /// Whole-run statistics over every candidate absorbed so far: after a
+    /// pull, exactly the candidates up to the kernel it returned.
     pub fn stats(&self) -> &SynthesisStats {
-        &self.stats
-    }
-
-    /// True if the session's attempt cap still allows sampling.
-    pub fn can_sample(&self) -> bool {
-        self.budget > 0
-    }
-
-    /// Sample one round of candidates and hand it to the filter worker.
-    fn dispatch_round(&mut self) {
-        let n = self.round_size.min(self.budget);
-        debug_assert!(n > 0);
-        let seeds: Vec<u64> = (0..n as u64)
-            .map(|i| stream_seed(self.run_seed, self.next_candidate + i))
-            .collect();
-        self.next_candidate += n as u64;
-        self.budget -= n;
-        let candidates = sample_kernels_batched(
-            self.streams.as_mut(),
-            self.vocab,
-            &self.seed_text,
-            &self.sample,
-            &seeds,
-        );
-        let tx = self
-            .batch_tx
-            .as_ref()
-            .expect("filter worker is alive while the stream is");
-        tx.send(candidates).expect("filter worker hung up early");
-        self.in_flight += 1;
-    }
-
-    /// Receive one filtered round and fold it into stats and the ready queue.
-    fn absorb_one(&mut self) {
-        let batch = self.result_rx.recv().expect("filter worker hung up early");
-        self.in_flight -= 1;
-        // Rounds are absorbed in dispatch order, so a candidate's index is
-        // the count absorbed before it.
-        for (candidate, verdict) in batch {
-            let index = self.stats.attempts as u64;
-            debug_assert!(index < self.next_candidate);
-            self.ready.extend(absorb_candidate(
-                &mut self.stats,
-                &mut self.window,
-                index,
-                candidate.generated_chars,
-                verdict,
-            ));
-        }
-    }
-
-    /// Absorb every in-flight round and return all ready kernels without
-    /// sampling anything new. After this, `stats()` accounts for every
-    /// candidate ever dispatched.
-    pub fn drain_ready(&mut self) -> Vec<StreamedKernel> {
-        while self.in_flight > 0 {
-            self.absorb_one();
-        }
-        self.ready.drain(..).collect()
+        self.session.stats()
     }
 }
 
@@ -455,30 +517,170 @@ impl Iterator for SynthesisStream<'_> {
     type Item = StreamedKernel;
 
     fn next(&mut self) -> Option<StreamedKernel> {
+        const STAGE_ALIVE: &str = "the filter stage outlives the stream";
         loop {
-            if let Some(kernel) = self.ready.pop_front() {
+            if let Some(kernel) = self.session.next_kernel() {
                 return Some(kernel);
             }
-            if self.in_flight == 0 && !self.can_sample() {
+            if self.session.is_complete() {
                 return None;
             }
-            // Keep the pipeline primed (sampling of the next round overlaps
-            // filtering of the previous one), then absorb the oldest round.
-            while self.in_flight < PIPELINE_DEPTH && self.can_sample() {
-                self.dispatch_round();
+            let lanes = self.engine.num_lanes();
+            let mut completed = Vec::new();
+            while self.session.wants_dispatch(lanes) {
+                let Some(lane) = self.engine.free_lane() else {
+                    break;
+                };
+                let (index, rng_seed) = self.session.dispatch();
+                // Zero-budget candidates complete at admission.
+                let done = self
+                    .engine
+                    .admit(lane, index, &self.seed_text, self.sample, rng_seed);
+                completed.extend(done.map(|candidate| (index, candidate)));
             }
-            self.absorb_one();
+            self.engine.step_into(&mut completed);
+            if !completed.is_empty() {
+                self.to_filter.send(completed).expect(STAGE_ALIVE);
+            }
+            // With every lane idle, each outstanding candidate is in the
+            // filter stage: wait for it.
+            let wait = self.engine.occupied_lanes() == 0;
+            let waited = wait.then(|| self.verdicts.recv().expect(STAGE_ALIVE));
+            for filtered in waited.into_iter().chain(self.verdicts.try_iter()).flatten() {
+                self.session.deliver(filtered.ticket, filtered);
+            }
         }
     }
 }
 
-impl Drop for SynthesisStream<'_> {
-    fn drop(&mut self) {
-        // Closing the batch channel ends the worker's receive loop; the
-        // result channel is unbounded, so pending sends cannot block it.
-        drop(self.batch_tx.take());
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn candidate(text: &str, generated_chars: usize) -> SampledCandidate {
+        SampledCandidate {
+            text: text.to_string(),
+            stop: StopReason::ClosedKernel,
+            generated_chars,
         }
+    }
+
+    fn filtered(ticket: u64, accept: bool) -> Filtered {
+        let kernel = SynthesizedKernel {
+            source: format!("kernel {ticket}"),
+            raw: String::new(),
+            instructions: 3,
+            repaired: false,
+        };
+        Filtered {
+            ticket,
+            generated_chars: 10,
+            verdict: if accept {
+                Ok(kernel)
+            } else {
+                Err(RejectReason::NoKernel)
+            },
+            filter_us: 1,
+        }
+    }
+
+    #[test]
+    fn a_panicking_verdict_rejects_only_its_candidate() {
+        let (tx, rx) = mpsc::channel();
+        let (stage, worker) = spawn_filter_stage(
+            |candidate| {
+                if candidate.text == "poison" {
+                    panic!("poisoned candidate");
+                }
+                Err(RejectReason::NoKernel)
+            },
+            move |batch| tx.send(batch).is_ok(),
+        );
+        let batch = vec![
+            (0, candidate("a", 1)),
+            (1, candidate("poison", 2)),
+            (2, candidate("c", 3)),
+        ];
+        stage.send(batch).expect("stage is alive");
+        let got: Vec<_> = rx
+            .recv()
+            .expect("the batch is delivered")
+            .into_iter()
+            .map(|f| (f.ticket, f.generated_chars, f.verdict))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (0, 1, Err(RejectReason::NoKernel)),
+                (1, 2, Err(RejectReason::FilterPanicked)),
+                (2, 3, Err(RejectReason::NoKernel)),
+            ]
+        );
+        // The stage outlives the panic.
+        stage
+            .send(vec![(3, candidate("d", 4))])
+            .expect("stage is alive");
+        assert_eq!(rx.recv().expect("second batch").len(), 1);
+        drop(stage);
+        worker.join().expect("the stage exits cleanly");
+    }
+
+    #[test]
+    fn session_absorbs_in_candidate_order_up_to_its_target() {
+        let mut session = Session::new(9, 1, 100);
+        for expected in 0..4 {
+            assert_eq!(session.dispatch(), (expected, stream_seed(9, expected)));
+        }
+        session.deliver(3, filtered(3, true));
+        session.deliver(2, filtered(2, true));
+        session.deliver(1, filtered(1, false));
+        assert!(
+            session.next_kernel().is_none(),
+            "candidate 0 is outstanding"
+        );
+        session.deliver(0, filtered(0, false));
+        let found = session.next_kernel().expect("candidate 2 is accepted");
+        assert_eq!(found.kernel.source, "kernel 2");
+        assert_eq!(found.stats.candidate_index, 2);
+        assert_eq!(found.stats.attempts, 3);
+        assert_eq!(found.stats.generated_chars, 30);
+        assert_eq!(found.stats.rejected[&RejectReason::NoKernel], 2);
+        assert!(session.is_complete() && session.target_met());
+        assert!(
+            session.next_kernel().is_none(),
+            "candidate 3 is past the cut"
+        );
+        assert_eq!(session.stats().attempts, 3);
+        assert_eq!(session.filter_us(), 3);
+    }
+
+    #[test]
+    fn session_attempt_cap_completes_it_unmet() {
+        let mut session = Session::new(1, 5, 2);
+        session.dispatch();
+        session.dispatch();
+        assert!(!session.wants_dispatch(8), "the cap allows no third");
+        session.deliver(0, filtered(0, false));
+        session.deliver(1, filtered(1, true));
+        assert!(session.next_kernel().is_some());
+        assert!(session.next_kernel().is_none());
+        assert!(session.is_complete() && !session.target_met());
+    }
+
+    #[test]
+    fn dispatch_bound_is_four_per_wanted_kernel_up_to_two_per_lane() {
+        let outstanding = |target: usize, lanes: usize| {
+            let mut session = Session::new(0, target, usize::MAX);
+            while session.wants_dispatch(lanes) {
+                session.dispatch();
+            }
+            session.next_dispatch
+        };
+        assert_eq!(outstanding(1, 16), 4);
+        assert_eq!(outstanding(8, 16), 32);
+        assert_eq!(outstanding(32, 16), 128);
+        assert_eq!(outstanding(usize::MAX, 16), 128);
+        assert_eq!(outstanding(usize::MAX, 1), 8);
+        assert_eq!(outstanding(0, 4), 0);
     }
 }

@@ -155,21 +155,24 @@ fn train(options: ClgenOptions) -> TrainedModel {
         .expect("training")
 }
 
-/// Batched synthesis end-to-end: deterministic for a fixed run seed and
-/// batch size, with fully-consistent statistics and valid accepted kernels.
+/// The model and session configuration of the seed-404 synthesis tests.
+fn seed_404() -> (TrainedModel, SamplerConfig) {
+    let mut options = ClgenOptions::small(404);
+    options.corpus.miner.repositories = 40;
+    options.corpus.miner.files_per_repo = (1, 4);
+    let config = SamplerConfig::new(404)
+        .with_spec(ArgumentSpec::paper_default())
+        .with_max_attempts(200);
+    (train(options), config)
+}
+
+/// Batched synthesis end-to-end: deterministic for a fixed run seed, with
+/// fully-consistent statistics and valid accepted kernels.
 #[test]
 fn synthesize_batched_is_deterministic_and_consistent() {
     let run = || {
-        let mut options = ClgenOptions::small(404);
-        options.corpus.miner.repositories = 40;
-        options.corpus.miner.files_per_repo = (1, 4);
-        train(options)
-            .sampler(
-                SamplerConfig::new(404)
-                    .with_spec(ArgumentSpec::paper_default())
-                    .with_max_attempts(200),
-            )
-            .synthesize(5)
+        let (model, config) = seed_404();
+        model.sampler(config).synthesize(5)
     };
     let report_a = run();
     let report_b = run();
@@ -205,6 +208,35 @@ fn synthesize_batched_is_deterministic_and_consistent() {
     }
 }
 
+/// What a session reports does not depend on how many lanes sample it:
+/// `synthesize` returns the same kernels and statistics, and a stream the
+/// same per-kernel statistics, at every width.
+#[test]
+fn synthesis_is_independent_of_lanes() {
+    let (model, config) = seed_404();
+    let at = |lanes: usize| model.sampler(config.clone().with_lanes(lanes));
+    let reference = at(1).synthesize(5);
+    let reference_stream: Vec<_> = at(1).stream().take(5).map(|k| k.stats).collect();
+    assert_eq!(reference.kernels.len(), 5, "the seed-404 session finds 5");
+    assert_eq!(reference.stats.accepted, 5);
+    assert_eq!(
+        reference.stats.attempts as u64,
+        reference_stream[4].candidate_index + 1,
+        "the report ends at the fifth acceptance"
+    );
+    for lanes in [3, 8, 16] {
+        let report = at(lanes).synthesize(5);
+        assert_eq!(report.stats, reference.stats, "lanes={lanes}: stats");
+        assert_eq!(report.kernels.len(), reference.kernels.len());
+        for (k, r) in report.kernels.iter().zip(&reference.kernels) {
+            assert_eq!(k.source, r.source, "lanes={lanes}: source");
+            assert_eq!(k.raw, r.raw, "lanes={lanes}: raw");
+        }
+        let stream: Vec<_> = at(lanes).stream().take(5).map(|k| k.stats).collect();
+        assert_eq!(stream, reference_stream, "lanes={lanes}: kernel stats");
+    }
+}
+
 /// The batched LSTM driver end-to-end (tiny model): we only require it runs,
 /// accounts for every candidate, and respects the attempt cap.
 #[test]
@@ -227,18 +259,25 @@ fn synthesize_batched_lstm_backend_runs() {
             batch_size: 1,
         },
     };
-    let report = train(options)
-        .sampler(
-            SamplerConfig::new(3)
-                .with_spec(ArgumentSpec::paper_default())
-                .with_sample(SampleOptions {
-                    max_chars: 150,
-                    temperature: 0.8,
-                })
-                .with_max_attempts(24),
-        )
-        .synthesize(2);
+    let model = train(options);
+    let sampler = model.sampler(
+        SamplerConfig::new(3)
+            .with_spec(ArgumentSpec::paper_default())
+            .with_sample(SampleOptions {
+                max_chars: 150,
+                temperature: 0.8,
+            })
+            .with_max_attempts(24),
+    );
+    let report = sampler.synthesize(2);
     assert!(report.stats.attempts >= 8 && report.stats.attempts <= 24);
+    // The report ends exactly at the second acceptance, or at the cap.
+    let found: Vec<_> = sampler.stream().take(2).collect();
+    let expected = match found.get(1) {
+        Some(second) => second.stats.candidate_index as usize + 1,
+        None => 24,
+    };
+    assert_eq!(report.stats.attempts, expected);
     assert_eq!(
         report.stats.accepted + report.stats.rejected.values().sum::<usize>(),
         report.stats.attempts

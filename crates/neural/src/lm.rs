@@ -123,6 +123,38 @@ pub trait StreamBatch {
     }
 }
 
+/// A borrowed or boxed batch is the batch it points at, `prime` included, so
+/// an owner of `impl StreamBatch` can be handed either.
+macro_rules! forward_stream_batch {
+    ($($batch:ty),*) => {$(
+        impl<S: StreamBatch + ?Sized> StreamBatch for $batch {
+            fn vocab_size(&self) -> usize {
+                (**self).vocab_size()
+            }
+            fn num_streams(&self) -> usize {
+                (**self).num_streams()
+            }
+            fn reset(&mut self) {
+                (**self).reset();
+            }
+            fn reset_stream(&mut self, stream: usize) {
+                (**self).reset_stream(stream);
+            }
+            fn feed_many(&mut self, pairs: &[(usize, u32)]) {
+                (**self).feed_many(pairs);
+            }
+            fn probs_into(&self, stream: usize, out: &mut Vec<f32>) {
+                (**self).probs_into(stream, out);
+            }
+            fn prime(&mut self, stream: usize, ids: &[u32]) {
+                (**self).prime(stream, ids);
+            }
+        }
+    )*};
+}
+
+forward_stream_batch!(&mut S, Box<S>);
+
 /// Multi-stream sampling over a shared [`LstmModel`]: every
 /// [`feed_many`](StreamBatch::feed_many) advances the listed streams as one
 /// batched matrix product per layer, so weights are read once per batch

@@ -15,8 +15,12 @@
 //! free lanes mid-flight. N concurrent clients therefore share one batched
 //! forward pass instead of running N serial ones (the ledger's
 //! `serve-narrow` and `serve-wide` workloads measure what that buys).
-//! Rejection filtering fans out over the rayon pool on its own thread,
-//! overlapping the next sampling round exactly like `SynthesisStream`.
+//! Each request is one [`Session`](clgen::Session) — the tally an offline
+//! [`SynthesisStream`](clgen::SynthesisStream) keeps — and its candidates go
+//! through the same filter stage ([`spawn_filter_stage`](clgen::spawn_filter_stage):
+//! a rayon fan-out on its own thread, overlapping sampling), so a response
+//! reports what [`Sampler::synthesize`](clgen::Sampler::synthesize) reports
+//! for the same checkpoint, seed, options and cap.
 //!
 //! ## Endpoints
 //!

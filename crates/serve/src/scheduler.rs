@@ -6,11 +6,13 @@
 //! (`run_sampler_core`) owns the model and folds the candidates of every
 //! in-flight request into one shared batch, admitting new candidates into
 //! lanes the moment they free up — so N concurrent clients share one batched
-//! forward pass instead of running N serial ones. Completed candidates are
-//! handed (in sampling rounds) to a rejection-filter thread that fans out
-//! over the rayon pool, exactly like `SynthesisStream`'s pipelined filter
-//! stage, and accepted kernels stream back to each request's connection as
-//! they are absorbed.
+//! forward pass instead of running N serial ones. Each request keeps its
+//! books in a [`Session`], the tally an offline
+//! [`SynthesisStream`](clgen::SynthesisStream) keeps for its one run: the
+//! same dispatch bound, the same candidate order, the same cut. Completed
+//! candidates go, one batch per sampling step, to the rejection-filter stage
+//! both drivers share ([`spawn_filter_stage`]), and accepted kernels stream
+//! back to each request's connection as they are absorbed.
 //!
 //! # Fault model
 //!
@@ -38,14 +40,16 @@
 //! doing*:
 //!
 //! * candidate `i` of a request draws from the RNG stream
-//!   [`stream_seed`]`(request.seed, i)` — independent of lane assignment and
-//!   of the other requests sharing the batch (the [`BatchEngine`]
-//!   guarantee);
+//!   [`stream_seed`](clgen::stream_seed)`(request.seed, i)` — independent
+//!   of lane assignment and of the other requests sharing the batch (the
+//!   [`BatchEngine`] guarantee);
 //! * filter verdicts are pure functions of candidate text;
-//! * candidates are absorbed into the response in candidate order, and the
+//! * the request's [`Session`] absorbs candidates in candidate order, and the
 //!   response covers exactly the candidates up to the `count`-th acceptance
 //!   (or all `max_attempts` if the target is never met) — over-dispatched
-//!   candidates beyond that deterministic cut are discarded.
+//!   candidates beyond that deterministic cut are discarded. A
+//!   [`Sampler::synthesize`](clgen::Sampler::synthesize) over the same
+//!   checkpoint, seed, options and cap reports the same kernels and totals.
 //!
 //! The fault model preserves this: supervisor respawns reload the **same**
 //! checkpoint bytes (bit-identical weights), lane aborts cannot influence
@@ -62,25 +66,19 @@ use crate::faults::{FaultPlan, FaultPoint};
 use crate::json;
 use crate::metrics::ServeMetrics;
 use clgen::{
-    absorb_candidate, filter_candidate, stream_seed, BatchEngine, KernelStats, SampleOptions,
-    SampledCandidate, StreamedKernel, SynthesisStats, SynthesizedKernel, TrainedModel,
+    filter_candidate, spawn_filter_stage, BatchEngine, FilterBatch, Filtered, KernelStats,
+    SampleOptions, SampledCandidate, Session, StreamedKernel, SynthesisStats, SynthesizedKernel,
+    TrainedModel,
 };
 use clgen_corpus::filter::FilterConfig;
 use clgen_corpus::RejectReason;
 use clgen_obs::{FlightRecorder, Trace};
-use rayon::prelude::*;
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Candidates a request may keep in flight per still-wanted kernel, beyond
-/// the ones already absorbed. Mirrors the stream pipeline's round
-/// oversubscription: it keeps lanes busy while earlier candidates filter,
-/// bounded so one request cannot monopolise the batch.
-const REQUEST_OVERSUBSCRIPTION: usize = 4;
 
 /// How often the idle (or draining) sampler core wakes to sweep deadlines
 /// and the drain timer when no messages arrive.
@@ -96,7 +94,7 @@ pub struct SynthesisParams {
     /// Per-candidate generated-character budget.
     pub max_chars: usize,
     /// Request seed: candidate `i` samples from
-    /// [`stream_seed`]`(seed, i)`.
+    /// [`stream_seed`](clgen::stream_seed)`(seed, i)`.
     pub seed: u64,
     /// Hard cap on candidates sampled for this request.
     pub max_attempts: usize,
@@ -188,7 +186,7 @@ impl Drop for QueueSlot {
 pub enum SchedMsg {
     /// A new synthesis request.
     Job(Job),
-    /// One round of filter verdicts coming back.
+    /// One batch of filter verdicts coming back.
     Filtered(Vec<Filtered>),
     /// Drain accepted work, then exit — but no later than `drain_deadline`,
     /// after which remaining jobs are failed with `503` and the core exits
@@ -197,16 +195,6 @@ pub enum SchedMsg {
         /// When draining gives up (`None` = unbounded drain).
         drain_deadline: Option<Instant>,
     },
-}
-
-/// One candidate with its filter verdict.
-pub struct Filtered {
-    ticket: u64,
-    candidate: SampledCandidate,
-    verdict: Result<SynthesizedKernel, RejectReason>,
-    /// Wall-clock cost of this candidate's filter verdict (µs), accumulated
-    /// into the owning request's `filter` trace span.
-    filter_us: u64,
 }
 
 /// Service health as reported by `/healthz`.
@@ -307,36 +295,20 @@ impl Supervisor {
     }
 }
 
-/// One request being served by the sampler core.
+/// One request being served by the sampler core: its [`Session`], plus what
+/// only serving has — a key, a reply channel, a trace and a deadline.
 struct ActiveRequest {
     key: u32,
-    params: SynthesisParams,
+    /// Dispatch bound and in-order tally (drives the kernel lines and the
+    /// trailing summary line).
+    session: Session,
+    options: SampleOptions,
     deadline: Option<Instant>,
     reply: mpsc::Sender<ResponseEvent>,
     /// When the request was activated (starts the `sampling` trace span).
     admitted_at: Instant,
-    /// Accumulated filter wall-clock across this request's candidates (µs).
-    filter_us: u64,
     /// Span accumulator shared with the connection thread.
     trace: Arc<Trace>,
-    /// Candidates handed to lanes so far.
-    next_dispatch: u64,
-    /// Next candidate index to fold into the response.
-    next_absorb: u64,
-    /// Filter verdicts that arrived ahead of `next_absorb`, with their
-    /// filter cost in µs.
-    pending: HashMap<
-        u64,
-        (
-            SampledCandidate,
-            Result<SynthesizedKernel, RejectReason>,
-            u64,
-        ),
-    >,
-    /// Accumulation since the last accepted kernel.
-    window: KernelStats,
-    /// Request totals (drives the trailing summary line).
-    summary: SynthesisStats,
     /// A reply send failed (client went away mid-stream); sample no more,
     /// absorb silently.
     failed: bool,
@@ -356,18 +328,6 @@ impl ActiveRequest {
     /// True once the request must stop holding lanes: abandoned or expired.
     fn is_dead(&self) -> bool {
         self.is_abandoned() || self.timed_out
-    }
-
-    fn wants_dispatch(&self) -> bool {
-        if self.is_dead()
-            || self.summary.accepted >= self.params.count
-            || self.next_dispatch >= self.params.max_attempts as u64
-        {
-            return false;
-        }
-        let outstanding = (self.next_dispatch - self.next_absorb) as usize;
-        let wanted = self.params.count - self.summary.accepted;
-        outstanding < wanted.saturating_mul(REQUEST_OVERSUBSCRIPTION)
     }
 }
 
@@ -451,7 +411,7 @@ enum Exit {
 
 struct Scheduler {
     rx: mpsc::Receiver<SchedMsg>,
-    filter_tx: mpsc::Sender<Vec<(u64, SampledCandidate)>>,
+    filter_tx: mpsc::Sender<FilterBatch>,
     backlog: VecDeque<Job>,
     active: Vec<ActiveRequest>,
     metrics: Arc<ServeMetrics>,
@@ -484,10 +444,7 @@ impl Scheduler {
                     // timed out, or its client went away) simply drops late
                     // verdicts.
                     if let Some(req) = self.active.iter_mut().find(|r| r.key == key) {
-                        req.pending.insert(
-                            ticket_index(item.ticket),
-                            (item.candidate, item.verdict, item.filter_us),
-                        );
+                        req.session.deliver(ticket_index(item.ticket), item);
                     }
                 }
             }
@@ -516,7 +473,7 @@ impl Scheduler {
                         engine.abort(lane);
                     }
                 }
-                let stats = &req.summary;
+                let stats = req.session.stats();
                 self.metrics.kernels.add(stats.accepted as u64);
                 self.metrics.attempts.add(stats.attempts as u64);
                 self.metrics
@@ -549,7 +506,7 @@ impl Scheduler {
                 }
                 self.metrics.active_requests.set(self.active.len() as f64);
                 req.trace.record_since("sampling", req.admitted_at);
-                req.trace.record("filter", req.filter_us);
+                req.trace.record("filter", req.session.filter_us());
                 let _ = req.reply.send(ResponseEvent::Done(done_line));
             } else {
                 i += 1;
@@ -560,37 +517,25 @@ impl Scheduler {
     /// Absorb one request's ready verdicts in candidate order. Returns the
     /// rendered summary line once the request is complete.
     fn absorb_request(req: &mut ActiveRequest) -> Option<String> {
-        while let Some((candidate, verdict, filter_us)) = req.pending.remove(&req.next_absorb) {
-            let index = req.next_absorb;
-            req.next_absorb += 1;
-            req.filter_us += filter_us;
-            if let Some(StreamedKernel { kernel, stats }) = absorb_candidate(
-                &mut req.summary,
-                &mut req.window,
-                index,
-                candidate.generated_chars,
-                verdict,
-            ) {
-                let line = render_kernel_line(&kernel, &stats);
-                if !req.is_dead() && req.reply.send(ResponseEvent::Kernel(line)).is_err() {
-                    req.failed = true;
-                }
-                if req.summary.accepted >= req.params.count {
-                    return Some(render_done_line(&req.summary, false, false));
-                }
+        while let Some(StreamedKernel { kernel, stats }) = req.session.next_kernel() {
+            let line = render_kernel_line(&kernel, &stats);
+            if !req.is_dead() && req.reply.send(ResponseEvent::Kernel(line)).is_err() {
+                req.failed = true;
             }
         }
-        if req.is_dead() {
-            // Deadline passed mid-flight, or the client went away: answer
-            // now with what was absorbed. Still-outstanding candidates are
-            // dropped — their lanes are reaped by the step-abort predicate
-            // (so they can never come back), and late filter verdicts are
-            // dropped by the key lookup.
-            return Some(render_done_line(&req.summary, true, req.timed_out));
-        }
-        if req.next_absorb >= req.params.max_attempts as u64 {
-            // Attempt cap reached with the target unmet.
-            return Some(render_done_line(&req.summary, true, false));
+        let met = req.session.target_met();
+        // Besides a met target or an exhausted attempt cap, a dead request
+        // completes too: its deadline passed mid-flight, or the client went
+        // away, so it is answered now with what was absorbed. Its
+        // still-outstanding candidates are dropped — their lanes are reaped
+        // by the step-abort predicate (so they can never come back), and
+        // late filter verdicts are dropped by the key lookup.
+        if met || req.is_dead() || req.session.is_complete() {
+            return Some(render_done_line(
+                req.session.stats(),
+                !met,
+                req.timed_out && !met,
+            ));
         }
         None
     }
@@ -674,20 +619,19 @@ impl Scheduler {
                     job.params.count
                 ),
             );
+            let params = job.params;
             self.active.push(ActiveRequest {
                 key,
-                params: job.params,
+                session: Session::new(params.seed, params.count, params.max_attempts),
+                options: SampleOptions {
+                    max_chars: params.max_chars,
+                    temperature: params.temperature,
+                },
                 deadline: job.deadline,
                 reply: job.reply,
                 cancelled: job.cancelled,
                 admitted_at: Instant::now(),
-                filter_us: 0,
                 trace: job.trace,
-                next_dispatch: 0,
-                next_absorb: 0,
-                pending: HashMap::new(),
-                window: KernelStats::default(),
-                summary: SynthesisStats::default(),
                 failed: false,
                 timed_out: false,
             });
@@ -701,6 +645,7 @@ impl Scheduler {
         if self.active.iter().any(ActiveRequest::is_dead) {
             self.absorb_all(engine);
         }
+        let lanes = engine.num_lanes();
         'lanes: while let Some(lane) = engine.free_lane() {
             let n = self.active.len();
             let mut tried = 0;
@@ -712,20 +657,16 @@ impl Scheduler {
                 self.rr = self.rr.wrapping_add(1);
                 tried += 1;
                 let req = &mut self.active[i];
-                if !req.wants_dispatch() {
+                if req.is_dead() || !req.session.wants_dispatch(lanes) {
                     continue;
                 }
-                let index = req.next_dispatch;
-                req.next_dispatch += 1;
+                let (index, rng_seed) = req.session.dispatch();
                 let ticket = ticket(req.key, index);
-                let options = SampleOptions {
-                    max_chars: req.params.max_chars,
-                    temperature: req.params.temperature,
-                };
-                let rng_seed = stream_seed(req.params.seed, index);
-                if let Some(done) = engine.admit(lane, ticket, &self.seed_text, options, rng_seed) {
+                if let Some(done) =
+                    engine.admit(lane, ticket, &self.seed_text, req.options, rng_seed)
+                {
                     // Zero-budget candidates complete at admission; route
-                    // them through the filter like any other round.
+                    // them through the filter like any other step's.
                     if self.filter_tx.send(vec![(ticket, done)]).is_ok() {
                         self.in_flight_filter += 1;
                     }
@@ -900,41 +841,21 @@ pub(crate) fn run_sampler_core(
     rx: mpsc::Receiver<SchedMsg>,
     sched_tx: mpsc::Sender<SchedMsg>,
 ) {
-    let (filter_tx, filter_rx) = mpsc::channel::<Vec<(u64, SampledCandidate)>>();
     // Served code stands alone, like anything the sampler accepts offline.
+    // Verdicts return to the scheduler inbox as one message per batch; a
+    // panicking verdict (a poisoned candidate, an injected fault) becomes a
+    // typed rejection instead of wedging every in-flight request.
     let filter_config = FilterConfig::without_shim();
     let filter_faults = ctx.faults.clone();
-    let filter_thread = std::thread::spawn(move || {
-        // Filter stage: each round fans out over the rayon pool; verdicts
-        // return to the scheduler inbox as one message per round. Each
-        // candidate's verdict is computed under `catch_unwind`, so one
-        // poisoned candidate panicking the filter becomes a typed rejection
-        // instead of wedging every in-flight request.
-        while let Ok(batch) = filter_rx.recv() {
-            let filtered: Vec<Filtered> = batch
-                .into_par_iter()
-                .map(|(ticket, candidate)| {
-                    let started = Instant::now();
-                    let verdict = catch_unwind(AssertUnwindSafe(|| {
-                        if filter_faults.fire(FaultPoint::FilterPanic).is_some() {
-                            panic!("injected fault: filter_panic");
-                        }
-                        filter_candidate(&filter_config, &candidate)
-                    }))
-                    .unwrap_or(Err(RejectReason::FilterPanicked));
-                    Filtered {
-                        ticket,
-                        candidate,
-                        verdict,
-                        filter_us: started.elapsed().as_micros() as u64,
-                    }
-                })
-                .collect();
-            if sched_tx.send(SchedMsg::Filtered(filtered)).is_err() {
-                break;
+    let (filter_tx, filter_thread) = spawn_filter_stage(
+        move |candidate| {
+            if filter_faults.fire(FaultPoint::FilterPanic).is_some() {
+                panic!("injected fault: filter_panic");
             }
-        }
-    });
+            filter_candidate(&filter_config, candidate)
+        },
+        move |batch| sched_tx.send(SchedMsg::Filtered(batch)).is_ok(),
+    );
 
     let mut sched = Scheduler {
         rx,

@@ -2,8 +2,9 @@
 //! arrival-order-independence determinism guarantee, backpressure and
 //! graceful shutdown.
 
-use clgen::{ClgenBuilder, ClgenOptions, TrainedModel};
+use clgen::{ClgenBuilder, ClgenOptions, SampleOptions, SamplerConfig, TrainedModel};
 use clgen_serve::{client, json, Server, ServerConfig, SynthesisParams};
+use std::collections::HashMap;
 
 /// Train a tiny n-gram model and round-trip it through a checkpoint file,
 /// as the real service boots from one.
@@ -179,6 +180,104 @@ fn responses_are_byte_identical_regardless_of_arrival_order() {
     }
     handle2.shutdown();
     handle.shutdown();
+}
+
+/// A rejection map as the service renders it: sorted by reason.
+fn render_rejected<R: std::fmt::Display>(rejected: &HashMap<R, usize>) -> String {
+    let mut reasons: Vec<(String, usize)> = rejected
+        .iter()
+        .map(|(reason, &count)| (reason.to_string(), count))
+        .collect();
+    reasons.sort();
+    let fields: Vec<String> = reasons
+        .iter()
+        .map(|(reason, count)| format!("{}:{count}", json::escaped(reason)))
+        .collect();
+    format!("{{{}}}", fields.join(","))
+}
+
+/// The `"rejected"` object that closes a kernel or (trace-stripped) done
+/// line.
+fn rejected_field(line: &str) -> &str {
+    let start = line.rfind("\"rejected\":").expect("line has rejections") + "\"rejected\":".len();
+    &line[start..line.len() - 1]
+}
+
+/// A served request is an offline session served: `/synthesize` reports the
+/// same kernels, per-kernel costs and totals as `Sampler::synthesize` over
+/// the same checkpoint, seed, options and cap — at any lane count.
+#[test]
+fn served_synthesis_equals_offline_synthesis() {
+    let model = checkpointed_model(2718);
+    // Seed 27 meets its target (one kernel repaired) before the cap.
+    let p = params(27, 3, 256);
+    let offline: Vec<_> = [1, 16]
+        .into_iter()
+        .map(|lanes| {
+            let sampler = model.sampler(
+                SamplerConfig::new(p.seed)
+                    .with_sample(SampleOptions {
+                        max_chars: p.max_chars,
+                        temperature: p.temperature,
+                    })
+                    .with_max_attempts(p.max_attempts)
+                    .with_lanes(lanes),
+            );
+            let report = sampler.synthesize(p.count);
+            let found: Vec<_> = sampler.stream().take(p.count).collect();
+            (lanes, report, found)
+        })
+        .collect();
+
+    let handle = Server::start(model, test_config()).expect("server starts");
+    let reply = client::synthesize(handle.addr(), &p).expect("synthesize");
+    handle.shutdown();
+    assert_eq!(reply.status, 200);
+    let body = client::strip_traces(&reply.text());
+    let lines: Vec<&str> = body.lines().filter(|l| !l.is_empty()).collect();
+    let (kernel_lines, done) = lines.split_at(lines.len() - 1);
+    let done = done[0];
+    assert!(
+        done.contains("\"exhausted\":false"),
+        "the target is met: {done}"
+    );
+
+    for (lanes, report, found) in &offline {
+        assert_eq!(
+            kernel_lines.len(),
+            found.len(),
+            "lanes={lanes}: kernel lines"
+        );
+        assert_eq!(report.kernels.len(), found.len(), "lanes={lanes}: report");
+        for (line, streamed) in kernel_lines.iter().zip(found) {
+            let stats = &streamed.stats;
+            assert_eq!(
+                json::extract_str(line, "kernel").as_deref(),
+                Some(streamed.kernel.source.as_str()),
+                "lanes={lanes}: source"
+            );
+            let field = |key| json::extract_u64(line, key);
+            assert_eq!(field("candidate_index"), Some(stats.candidate_index));
+            assert_eq!(field("attempts"), Some(stats.attempts as u64));
+            assert_eq!(field("generated_chars"), Some(stats.generated_chars as u64));
+            assert_eq!(rejected_field(line), render_rejected(&stats.rejected));
+        }
+        let stats = &report.stats;
+        let field = |key| json::extract_u64(done, key);
+        assert_eq!(
+            field("kernels"),
+            Some(stats.accepted as u64),
+            "lanes={lanes}"
+        );
+        assert_eq!(
+            field("attempts"),
+            Some(stats.attempts as u64),
+            "lanes={lanes}"
+        );
+        assert_eq!(field("generated_chars"), Some(stats.generated_chars as u64));
+        assert_eq!(field("repaired"), Some(stats.repaired as u64));
+        assert_eq!(rejected_field(done), render_rejected(&stats.rejected));
+    }
 }
 
 #[test]
