@@ -30,8 +30,8 @@
 //!
 //! | name | where it fires | effect |
 //! |---|---|---|
-//! | `sampler_panic` | sampler core, once per batched step round | `panic!` inside the supervised core (exercises panic isolation + respawn) |
-//! | `sampler_stall` | sampler core, once per scheduler loop iteration | sleeps `ARG` ms (drives queue saturation / backpressure) |
+//! | `sampler_panic` | sampler core, once per engine step, before it | `panic!` inside the supervised core (exercises panic isolation + respawn) |
+//! | `sampler_stall` | sampler core, once per stepping turn, after the step | holds every lane still for `ARG` ms; turns taken meanwhile still admit, shed and reap (drives queue saturation / backpressure) |
 //! | `slow_write` | connection handler, before each response chunk | sleeps `ARG` ms (a slow client link) |
 //! | `drop_response` | connection handler, after a chunk is written | hard-closes the socket mid-body |
 //! | `corrupt_reload` | supervisor, on checkpoint reload after a panic | flips one seed-chosen byte of the checkpoint header, failing the reload |
@@ -44,9 +44,10 @@ use std::sync::Arc;
 /// for where each one fires).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPoint {
-    /// Panic in the sampler core, once per batched step round.
+    /// Panic in the sampler core, once per engine step.
     SamplerPanic,
-    /// Sleep in the sampler core loop (saturates the admission queue).
+    /// Hold the sampler core's lanes still after a step (saturates the
+    /// admission queue).
     SamplerStall,
     /// Sleep before each response chunk write (a slow client link).
     SlowWrite,
@@ -227,7 +228,7 @@ impl FaultPlan {
     }
 
     /// Sleep for the fault's argument (milliseconds) if `point` fires on this
-    /// hit. The shape of the `sampler_stall` and `slow_write` points.
+    /// hit. The shape of the `slow_write` point.
     pub fn stall(&self, point: FaultPoint) {
         if let Some(ms) = self.fire(point) {
             std::thread::sleep(std::time::Duration::from_millis(ms));

@@ -57,8 +57,8 @@ pub(crate) struct ServeMetrics {
     pub lane_occupancy: Histogram,
     /// `clgen_queue_wait_us{outcome="admitted"}`.
     pub queue_wait_admitted: Histogram,
-    /// `clgen_queue_wait_us{outcome="shed"}` — recorded on both the
-    /// traffic-driven and the idle `recv_timeout` sweep paths.
+    /// `clgen_queue_wait_us{outcome="shed"}` — recorded by the shed sweep
+    /// every scheduler turn runs, idle turns included.
     pub queue_wait_shed: Histogram,
     /// `clgen_supervisor_restarts_total`.
     pub supervisor_restarts: Counter,

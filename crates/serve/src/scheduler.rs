@@ -33,6 +33,23 @@
 //! lane-abort predicate ([`BatchEngine::step_into_abortable`]), returning the
 //! partial response with a `"timeout"` marker.
 //!
+//! # Time
+//!
+//! The policy — admission, shedding, reaping, absorption, the drain deadline
+//! and the restart budget — never reads the clock. The scheduler is a state
+//! machine: `handle` folds one message into it, and `turn(now, engine)`
+//! takes one turn at the instant `now` it is given — one `now` per turn, for
+//! every deadline test, queue wait and trace span in it — and says what to
+//! do next (a `Turn`). [`Supervisor`] likewise takes `now` as an argument.
+//! The thread shell in `run_sampler_core` is the only code that reads the
+//! clock or waits: it drains the inbox into `handle`, calls
+//! `turn(Instant::now(), ..)`, and blocks on the inbox when the turn says
+//! `Turn::Idle`. An injected `sampler_stall` is state like any other: it
+//! holds the lanes still until an instant, while turns keep admitting,
+//! shedding and reaping. Tests drive the same state machine with made-up
+//! instants and hand-delivered filter verdicts, so deadlines, drain and
+//! restart budgets are checked exactly, with no threads and no sleeps.
+//!
 //! # Determinism
 //!
 //! A request's response body is a pure function of the model checkpoint and
@@ -67,8 +84,7 @@ use crate::json;
 use crate::metrics::ServeMetrics;
 use clgen::{
     filter_candidate, spawn_filter_stage, BatchEngine, FilterBatch, Filtered, KernelStats,
-    SampleOptions, SampledCandidate, Session, StreamedKernel, SynthesisStats, SynthesizedKernel,
-    TrainedModel,
+    SampleOptions, Session, StreamedKernel, SynthesisStats, SynthesizedKernel, TrainedModel,
 };
 use clgen_corpus::filter::FilterConfig;
 use clgen_corpus::RejectReason;
@@ -77,11 +93,11 @@ use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// How often the idle (or draining) sampler core wakes to sweep deadlines
-/// and the drain timer when no messages arrive.
+/// How often the idle (or draining) sampler core wakes to take a turn —
+/// sweeping deadlines and the drain timer — when no messages arrive.
 const IDLE_TICK: Duration = Duration::from_millis(200);
 
 /// Parameters of one `/synthesize` request.
@@ -222,7 +238,8 @@ impl ServiceHealth {
 
 /// Watchdog state for the supervised sampler core: restart accounting over a
 /// sliding window, shared between the core thread and the HTTP front-end
-/// (`/healthz`, `/stats`).
+/// (`/healthz`, `/stats`). It reads no clock: every method takes the
+/// instant it answers for.
 #[derive(Debug)]
 pub struct Supervisor {
     budget: u32,
@@ -243,25 +260,27 @@ impl Supervisor {
         }
     }
 
-    /// Record one restart attempt (a panic respawn or a failed checkpoint
-    /// reload). Returns `true` — and latches [`ServiceHealth::Failed`] — if
-    /// the budget is now exceeded within the window.
-    fn record_restart(&self) -> bool {
-        let now = Instant::now();
+    /// The restarts within the window that ends at `now` (prunes older ones).
+    fn window_at(&self, now: Instant) -> MutexGuard<'_, VecDeque<Instant>> {
         let mut recent = self.recent.lock().expect("supervisor lock");
-        recent.push_back(now);
         while recent
             .front()
-            .is_some_and(|&t| now.duration_since(t) > self.window)
+            .is_some_and(|&t| now.saturating_duration_since(t) > self.window)
         {
             recent.pop_front();
         }
+        recent
+    }
+
+    /// Record one restart attempt (a panic respawn or a failed checkpoint
+    /// reload) at `now`. Returns `true` — and latches
+    /// [`ServiceHealth::Failed`] — the one time the budget is first exceeded
+    /// within the window.
+    fn record_restart(&self, now: Instant) -> bool {
+        let mut recent = self.window_at(now);
+        recent.push_back(now);
         self.restarts_total.fetch_add(1, Ordering::SeqCst);
-        let exceeded = recent.len() as u32 > self.budget;
-        if exceeded {
-            self.failed.store(true, Ordering::SeqCst);
-        }
-        exceeded
+        recent.len() as u32 > self.budget && !self.failed.swap(true, Ordering::SeqCst)
     }
 
     /// Total sampler-core restarts since boot.
@@ -269,25 +288,17 @@ impl Supervisor {
         self.restarts_total.load(Ordering::SeqCst)
     }
 
-    /// Restarts within the trailing window (prunes expired entries).
-    pub fn recent_restarts(&self) -> usize {
-        let now = Instant::now();
-        let mut recent = self.recent.lock().expect("supervisor lock");
-        while recent
-            .front()
-            .is_some_and(|&t| now.duration_since(t) > self.window)
-        {
-            recent.pop_front();
-        }
-        recent.len()
+    /// Restarts within the window that ends at `now`.
+    pub fn recent_restarts(&self, now: Instant) -> usize {
+        self.window_at(now).len()
     }
 
-    /// Current service health: `failed` once the budget is exceeded,
+    /// Service health at `now`: `failed` once the budget is exceeded,
     /// `degraded` while any restart sits within the window, `ok` otherwise.
-    pub fn health(&self) -> ServiceHealth {
+    pub fn health(&self, now: Instant) -> ServiceHealth {
         if self.failed.load(Ordering::SeqCst) {
             ServiceHealth::Failed
-        } else if self.recent_restarts() > 0 {
+        } else if self.recent_restarts(now) > 0 {
             ServiceHealth::Degraded
         } else {
             ServiceHealth::Ok
@@ -401,16 +412,25 @@ fn render_done_line(summary: &SynthesisStats, exhausted: bool, timed_out: bool) 
     line
 }
 
-/// Why one generation of the sampler core returned (as opposed to panicking
-/// out of `catch_unwind`).
-enum Exit {
-    /// Clean shutdown: drained (or drain deadline enforced) after
-    /// [`SchedMsg::Shutdown`], or every sender hung up.
+/// What the shell does after a [`Scheduler::turn`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Turn {
+    /// One engine step was taken: take the next turn straight away.
+    Stepped,
+    /// Nothing can step: wait for a message — or, while an injected
+    /// `sampler_stall` holds the lanes, no later than the instant given.
+    Idle(Option<Instant>),
+    /// The generation is over: drained after [`SchedMsg::Shutdown`], the
+    /// drain deadline enforced, or the filter stage gone.
     Finished,
 }
 
+/// The sampler core's policy: a state machine over messages ([`handle`])
+/// and turns taken at given instants ([`turn`]).
+///
+/// [`handle`]: Scheduler::handle
+/// [`turn`]: Scheduler::turn
 struct Scheduler {
-    rx: mpsc::Receiver<SchedMsg>,
     filter_tx: mpsc::Sender<FilterBatch>,
     backlog: VecDeque<Job>,
     active: Vec<ActiveRequest>,
@@ -420,13 +440,43 @@ struct Scheduler {
     seed_text: String,
     next_key: u32,
     rr: usize,
-    in_flight_filter: usize,
+    /// Candidates sent to the filter stage whose verdicts are not back yet.
+    in_filter: usize,
     max_active: usize,
     shutdown: bool,
     drain_deadline: Option<Instant>,
+    /// An injected `sampler_stall` holds every lane still until then; turns
+    /// still admit, shed and reap meanwhile.
+    stalled_until: Option<Instant>,
 }
 
 impl Scheduler {
+    fn new(
+        filter_tx: mpsc::Sender<FilterBatch>,
+        metrics: Arc<ServeMetrics>,
+        flight: Arc<FlightRecorder>,
+        faults: FaultPlan,
+        seed_text: String,
+        lanes: usize,
+    ) -> Scheduler {
+        Scheduler {
+            filter_tx,
+            backlog: VecDeque::new(),
+            active: Vec::new(),
+            metrics,
+            flight,
+            faults,
+            seed_text,
+            next_key: 0,
+            rr: 0,
+            in_filter: 0,
+            max_active: lanes.max(1),
+            shutdown: false,
+            drain_deadline: None,
+            stalled_until: None,
+        }
+    }
+
     fn handle(&mut self, msg: SchedMsg) {
         match msg {
             SchedMsg::Job(job) => self.backlog.push_back(job),
@@ -435,9 +485,10 @@ impl Scheduler {
                 self.drain_deadline = drain_deadline;
             }
             SchedMsg::Filtered(batch) => {
-                // Saturating: a panic between a filter send and the matching
-                // increment can leave the counter one short after recovery.
-                self.in_flight_filter = self.in_flight_filter.saturating_sub(1);
+                // Counted per candidate, so one batch's verdicts may come
+                // back split over several messages. Saturating, as a guard:
+                // an underflow would keep the core from ever draining.
+                self.in_filter = self.in_filter.saturating_sub(batch.len());
                 for item in batch {
                     let key = ticket_key(item.ticket);
                     // A request that already finished (satisfied early,
@@ -452,7 +503,7 @@ impl Scheduler {
     }
 
     fn is_drained(&self) -> bool {
-        self.active.is_empty() && self.backlog.is_empty() && self.in_flight_filter == 0
+        self.active.is_empty() && self.backlog.is_empty() && self.in_filter == 0
     }
 
     /// Fold every in-order verdict of every request into its response,
@@ -460,7 +511,7 @@ impl Scheduler {
     /// their deadline. The metric counters are bumped *before* the final
     /// `Done` line is sent, so `/stats` (or `/metrics`) read after a
     /// completed response reflects it.
-    fn absorb_all(&mut self, engine: &mut BatchEngine<'_>) {
+    fn absorb_all(&mut self, now: Instant, engine: &mut BatchEngine<'_>) {
         let mut i = 0;
         while i < self.active.len() {
             if let Some(done_line) = Self::absorb_request(&mut self.active[i]) {
@@ -505,7 +556,8 @@ impl Scheduler {
                     self.metrics.requests_timed_out.inc();
                 }
                 self.metrics.active_requests.set(self.active.len() as f64);
-                req.trace.record_since("sampling", req.admitted_at);
+                req.trace
+                    .record("sampling", micros_between(req.admitted_at, now));
                 req.trace.record("filter", req.session.filter_us());
                 let _ = req.reply.send(ResponseEvent::Done(done_line));
             } else {
@@ -543,19 +595,15 @@ impl Scheduler {
     /// Shed queued jobs whose deadline has already passed: fail fast with
     /// `503` + `Retry-After` instead of spending lanes on a request whose
     /// client has stopped waiting.
-    fn shed_expired_backlog(&mut self) {
-        if self.backlog.is_empty() {
-            return;
-        }
-        let now = Instant::now();
+    fn shed_expired_backlog(&mut self, now: Instant) {
         let metrics = &self.metrics;
         let flight = &self.flight;
         self.backlog.retain(|job| {
             if job.deadline.is_some_and(|d| d <= now) {
-                // Recorded here — on the shared sweep reached from both the
-                // busy loop and the idle `recv_timeout` tick — so sheds are
-                // counted even with zero concurrent traffic.
-                let wait_us = job.enqueued_at.elapsed().as_micros() as u64;
+                // Recorded here, on the sweep every turn runs — idle ones
+                // included — so sheds are counted even with zero concurrent
+                // traffic.
+                let wait_us = micros_between(job.enqueued_at, now);
                 metrics.queue_wait_shed.observe(wait_us);
                 metrics.requests_shed.inc();
                 flight.record(
@@ -575,30 +623,21 @@ impl Scheduler {
         });
     }
 
-    /// Mark in-flight requests whose deadline has passed and complete them
-    /// with their partial results.
-    fn reap_expired(&mut self, engine: &mut BatchEngine<'_>) {
-        if self.active.is_empty() {
-            return;
-        }
-        let now = Instant::now();
-        let mut any = false;
+    /// Mark in-flight requests whose deadline has passed: the next
+    /// absorption completes them with their partial results.
+    fn reap_expired(&mut self, now: Instant) {
         for req in &mut self.active {
             if !req.timed_out && req.deadline.is_some_and(|d| d <= now) {
                 req.timed_out = true;
                 self.flight
                     .record("reap", format!("trace={} key={}", req.trace.id(), req.key));
-                any = true;
             }
-        }
-        if any {
-            self.absorb_all(engine);
         }
     }
 
     /// Activate backlog jobs and refill free lanes, round-robin across
     /// active requests so no request monopolises the batch.
-    fn admit(&mut self, engine: &mut BatchEngine<'_>) {
+    fn admit(&mut self, now: Instant, engine: &mut BatchEngine<'_>) {
         while self.active.len() < self.max_active {
             let Some(job) = self.backlog.pop_front() else {
                 break;
@@ -607,7 +646,7 @@ impl Scheduler {
             drop(job.slot);
             let key = self.next_key;
             self.next_key = self.next_key.wrapping_add(1);
-            let wait_us = job.enqueued_at.elapsed().as_micros() as u64;
+            let wait_us = micros_between(job.enqueued_at, now);
             self.metrics.queue_wait_admitted.observe(wait_us);
             job.trace.record("queued", wait_us);
             self.flight.record(
@@ -630,7 +669,7 @@ impl Scheduler {
                 deadline: job.deadline,
                 reply: job.reply,
                 cancelled: job.cancelled,
-                admitted_at: Instant::now(),
+                admitted_at: now,
                 trace: job.trace,
                 failed: false,
                 timed_out: false,
@@ -643,7 +682,7 @@ impl Scheduler {
         // if it were activated after the sweep the scheduler could go to
         // sleep holding it, with no further message ever waking it.
         if self.active.iter().any(ActiveRequest::is_dead) {
-            self.absorb_all(engine);
+            self.absorb_all(now, engine);
         }
         let lanes = engine.num_lanes();
         'lanes: while let Some(lane) = engine.free_lane() {
@@ -668,7 +707,7 @@ impl Scheduler {
                     // Zero-budget candidates complete at admission; route
                     // them through the filter like any other step's.
                     if self.filter_tx.send(vec![(ticket, done)]).is_ok() {
-                        self.in_flight_filter += 1;
+                        self.in_filter += 1;
                     }
                 }
                 continue 'lanes;
@@ -705,14 +744,8 @@ impl Scheduler {
 
     /// The drain deadline passed with work still in the system: answer
     /// everything with `503 server stopping` so the process can still exit.
-    fn enforce_drain_deadline(&mut self) -> bool {
-        if !self.shutdown {
-            return false;
-        }
-        let Some(deadline) = self.drain_deadline else {
-            return false;
-        };
-        if Instant::now() < deadline || self.is_drained() {
+    fn enforce_drain_deadline(&mut self, now: Instant) -> bool {
+        if !self.shutdown || self.drain_deadline.is_none_or(|d| now < d) || self.is_drained() {
             return false;
         }
         let error = ServeError::failed(503, "server stopping: drain timeout expired".to_string());
@@ -721,81 +754,68 @@ impl Scheduler {
         true
     }
 
-    /// One generation of the sampler core: drain requests into `engine`
-    /// until shutdown completes or every sender hangs up. Runs under the
-    /// supervisor's `catch_unwind`; a panic anywhere in here (model compute,
-    /// absorption, an injected fault) aborts only this generation.
-    fn run(&mut self, engine: &mut BatchEngine<'_>) -> Exit {
-        let mut completed: Vec<(u64, SampledCandidate)> = Vec::new();
-        loop {
-            if self.enforce_drain_deadline() {
-                return Exit::Finished;
-            }
-            self.shed_expired_backlog();
-            self.reap_expired(engine);
-            self.admit(engine);
-            if engine.occupied_lanes() == 0 {
-                let drained = self.is_drained();
-                self.publish(engine);
-                if self.shutdown && drained {
-                    return Exit::Finished;
-                }
-                // Fully idle (or blocked on the filter): wait for input
-                // instead of spinning, waking on a tick to sweep deadlines
-                // and the drain timer.
-                match self.rx.recv_timeout(IDLE_TICK) {
-                    Ok(msg) => self.handle(msg),
-                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => return Exit::Finished,
-                }
-                while let Ok(msg) = self.rx.try_recv() {
-                    self.handle(msg);
-                }
-                self.absorb_all(engine);
-                continue;
-            }
-            // Busy: poll the inbox opportunistically so arriving requests
-            // join the batch this round, then advance every lane one
-            // character.
-            self.faults.stall(FaultPoint::SamplerStall);
-            while let Ok(msg) = self.rx.try_recv() {
-                self.handle(msg);
-            }
-            self.absorb_all(engine);
-            self.admit(engine);
-            if self.faults.fire(FaultPoint::SamplerPanic).is_some() {
-                self.flight.record("fault", "sampler_panic".to_string());
-                panic!("injected fault: sampler_panic");
-            }
-            self.metrics
-                .lane_occupancy
-                .observe(engine.occupied_lanes() as u64);
-            completed.clear();
-            {
-                // Lanes whose request is gone (completed, expired, or its
-                // client vanished) are reaped mid-step through the engine's
-                // abort predicate instead of sampling to their budget.
-                let active = &self.active;
-                engine.step_into_abortable(&mut completed, |t| {
-                    let key = ticket_key(t);
-                    match active.iter().find(|r| r.key == key) {
-                        None => true,
-                        Some(req) => req.is_dead(),
-                    }
-                });
-            }
-            if !completed.is_empty() {
-                self.flight
-                    .record("step", format!("completed={}", completed.len()));
-                if self.filter_tx.send(std::mem::take(&mut completed)).is_err() {
-                    // The filter thread died; nothing can complete any more.
-                    return Exit::Finished;
-                }
-                self.in_flight_filter += 1;
-            }
-            self.publish(engine);
+    /// One turn of the sampler core at `now`: enforce the drain deadline,
+    /// shed expired backlog, reap expired requests, absorb, admit — then, if
+    /// a lane is occupied and not stalled, advance every lane one character
+    /// and send what completed to the filter stage. A panic anywhere in here
+    /// (model compute, absorption, an injected fault) aborts only this
+    /// generation of the core.
+    fn turn(&mut self, now: Instant, engine: &mut BatchEngine<'_>) -> Turn {
+        if self.enforce_drain_deadline(now) {
+            return Turn::Finished;
         }
+        self.shed_expired_backlog(now);
+        self.reap_expired(now);
+        self.absorb_all(now, engine);
+        self.admit(now, engine);
+        let stalled = self.stalled_until.filter(|&t| now < t);
+        if engine.occupied_lanes() == 0 || stalled.is_some() {
+            self.publish(engine);
+            if self.shutdown && self.is_drained() {
+                return Turn::Finished;
+            }
+            return Turn::Idle(stalled);
+        }
+        if self.faults.fire(FaultPoint::SamplerPanic).is_some() {
+            self.flight.record("fault", "sampler_panic".to_string());
+            panic!("injected fault: sampler_panic");
+        }
+        self.metrics
+            .lane_occupancy
+            .observe(engine.occupied_lanes() as u64);
+        // Lanes whose request is gone (completed, expired, or its client
+        // vanished) are reaped mid-step through the engine's abort predicate
+        // instead of sampling to their budget.
+        let mut completed = Vec::new();
+        let active = &self.active;
+        engine.step_into_abortable(&mut completed, |t| {
+            let key = ticket_key(t);
+            match active.iter().find(|r| r.key == key) {
+                None => true,
+                Some(req) => req.is_dead(),
+            }
+        });
+        if !completed.is_empty() {
+            self.flight
+                .record("step", format!("completed={}", completed.len()));
+            self.in_filter += completed.len();
+            if self.filter_tx.send(completed).is_err() {
+                // The filter thread died; nothing can complete any more.
+                return Turn::Finished;
+            }
+        }
+        self.stalled_until = self
+            .faults
+            .fire(FaultPoint::SamplerStall)
+            .map(|ms| now + Duration::from_millis(ms));
+        self.publish(engine);
+        Turn::Stepped
     }
+}
+
+/// Microseconds from `from` to `to` (zero if `to` is earlier).
+fn micros_between(from: Instant, to: Instant) -> u64 {
+    to.saturating_duration_since(from).as_micros() as u64
 }
 
 /// Everything the supervised sampler core needs beyond its inbox: the shared
@@ -857,22 +877,14 @@ pub(crate) fn run_sampler_core(
         move |batch| sched_tx.send(SchedMsg::Filtered(batch)).is_ok(),
     );
 
-    let mut sched = Scheduler {
-        rx,
+    let mut sched = Scheduler::new(
         filter_tx,
-        backlog: VecDeque::new(),
-        active: Vec::new(),
-        metrics: ctx.metrics.clone(),
-        flight: ctx.flight.clone(),
-        faults: ctx.faults.clone(),
-        seed_text: ctx.seed_text.clone(),
-        next_key: 0,
-        rr: 0,
-        in_flight_filter: 0,
-        max_active: ctx.lanes.max(1),
-        shutdown: false,
-        drain_deadline: None,
-    };
+        ctx.metrics.clone(),
+        ctx.flight.clone(),
+        ctx.faults.clone(),
+        ctx.seed_text.clone(),
+        ctx.lanes,
+    );
 
     // The model the server booted with serves the first generation; every
     // respawn decodes a fresh model from the pristine checkpoint image.
@@ -897,7 +909,7 @@ pub(crate) fn run_sampler_core(
                         eprint!("{}", ctx.flight.dump("reload_failure"));
                         eprintln!("clgen-serve: checkpoint reload failed: {e}; retrying");
                         ctx.metrics.supervisor_restarts.inc();
-                        if ctx.supervisor.record_restart() {
+                        if ctx.supervisor.record_restart(Instant::now()) {
                             give_up(&mut sched, &ctx);
                             break;
                         }
@@ -909,10 +921,28 @@ pub(crate) fn run_sampler_core(
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut streams = model.streams(ctx.lanes.max(1));
             let mut engine = BatchEngine::new(streams.as_mut(), model.vocabulary());
-            sched.run(&mut engine)
+            // The shell around the scheduler: the only code that reads the
+            // clock or waits. A hung-up inbox ends the generation.
+            loop {
+                while let Ok(msg) = rx.try_recv() {
+                    sched.handle(msg);
+                }
+                let wait = match sched.turn(Instant::now(), &mut engine) {
+                    Turn::Stepped => continue,
+                    Turn::Finished => return,
+                    Turn::Idle(until) => until.map_or(IDLE_TICK, |t| {
+                        IDLE_TICK.min(t.saturating_duration_since(Instant::now()))
+                    }),
+                };
+                match rx.recv_timeout(wait) {
+                    Ok(msg) => sched.handle(msg),
+                    Err(mpsc::RecvTimeoutError::Timeout) => {}
+                    Err(mpsc::RecvTimeoutError::Disconnected) => return,
+                }
+            }
         }));
         match outcome {
-            Ok(Exit::Finished) => break,
+            Ok(()) => break,
             Err(payload) => {
                 let message = panic_message(payload);
                 ctx.flight.record("panic", message.clone());
@@ -929,7 +959,7 @@ pub(crate) fn run_sampler_core(
                     format!("sampler core panicked: {message}"),
                 ));
                 ctx.metrics.supervisor_restarts.inc();
-                if ctx.supervisor.record_restart() {
+                if ctx.supervisor.record_restart(Instant::now()) {
                     give_up(&mut sched, &ctx);
                     break;
                 }
@@ -970,6 +1000,122 @@ fn give_up(sched: &mut Scheduler, ctx: &CoreContext) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clgen_corpus::Vocabulary;
+    use clgen_neural::ngram::{NgramConfig, NgramModel};
+    use clgen_neural::NgramStreams;
+    use proptest::prelude::*;
+
+    const LANES: usize = 4;
+    const SEED_TEXT: &str = "__kernel void A(";
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// An n-gram over a few corpus kernels: it steps in microseconds, and
+    /// some of what it samples passes the filter.
+    fn corpus_model() -> &'static (NgramModel, Vocabulary) {
+        static MODEL: std::sync::OnceLock<(NgramModel, Vocabulary)> = std::sync::OnceLock::new();
+        MODEL.get_or_init(|| {
+            let text = [
+                "__kernel void A(__global int* a) { a[get_global_id(0)] += 2; }\n",
+                "__kernel void A(__global float* a, float b) { a[get_global_id(0)] *= b; }\n",
+                "__kernel void A(__global int* a, __global int* b) { b[get_global_id(0)] = a[1] - 1; }\n",
+            ]
+            .concat();
+            let vocab = Vocabulary::from_text(&text);
+            let encoded = vocab.encode(&text);
+            (NgramModel::train(&encoded, vocab.len(), NgramConfig::default()), vocab)
+        })
+    }
+
+    /// A scheduler over `LANES` lanes whose filter stage is the returned
+    /// receiver: the test computes verdicts and delivers them itself.
+    fn scheduler(
+        faults: FaultPlan,
+    ) -> (
+        Scheduler,
+        mpsc::Receiver<FilterBatch>,
+        Arc<ServeMetrics>,
+        Arc<FlightRecorder>,
+    ) {
+        let (filter_tx, filter_rx) = mpsc::channel();
+        let metrics = Arc::new(ServeMetrics::new(Arc::new(clgen_obs::Registry::new())));
+        let flight = Arc::new(FlightRecorder::new(64));
+        let sched = Scheduler::new(
+            filter_tx,
+            metrics.clone(),
+            flight.clone(),
+            faults,
+            SEED_TEXT.to_string(),
+            LANES,
+        );
+        (sched, filter_rx, metrics, flight)
+    }
+
+    /// What a test keeps of a job it hands to the scheduler.
+    struct Handed {
+        reply: mpsc::Receiver<ResponseEvent>,
+        slot: Arc<AtomicUsize>,
+        cancelled: Arc<AtomicBool>,
+        trace: Arc<Trace>,
+    }
+
+    impl Handed {
+        /// When the job was activated: admission records its queue wait.
+        fn activated_at(&self, enqueued_at: Instant) -> Option<Instant> {
+            let spans = self.trace.spans();
+            let (_, wait_us) = spans.iter().find(|(stage, _)| *stage == "queued")?;
+            Some(enqueued_at + Duration::from_micros(*wait_us))
+        }
+    }
+
+    fn job(
+        seed: u64,
+        count: usize,
+        max_attempts: usize,
+        enqueued_at: Instant,
+        deadline: Option<Instant>,
+    ) -> (Job, Handed) {
+        let (reply, rx) = mpsc::channel();
+        let handed = Handed {
+            reply: rx,
+            slot: Arc::new(AtomicUsize::new(1)),
+            cancelled: Arc::new(AtomicBool::new(false)),
+            trace: Arc::new(Trace::new(format!("job-{seed}"))),
+        };
+        let job = Job {
+            params: SynthesisParams {
+                count,
+                temperature: 0.9,
+                max_chars: 160,
+                seed,
+                max_attempts,
+                deadline_ms: None,
+            },
+            deadline,
+            enqueued_at,
+            trace: handed.trace.clone(),
+            reply,
+            cancelled: handed.cancelled.clone(),
+            slot: QueueSlot(handed.slot.clone()),
+        };
+        (job, handed)
+    }
+
+    /// The verdicts of one filter batch, as the filter stage computes them.
+    fn verdicts(batch: FilterBatch) -> Vec<Filtered> {
+        let config = FilterConfig::without_shim();
+        batch
+            .into_iter()
+            .map(|(ticket, candidate)| Filtered {
+                ticket,
+                generated_chars: candidate.generated_chars,
+                verdict: filter_candidate(&config, &candidate),
+                filter_us: 0,
+            })
+            .collect()
+    }
 
     #[test]
     fn done_line_timeout_marker_is_additive() {
@@ -998,70 +1144,32 @@ mod tests {
         );
     }
 
-    /// With zero concurrent traffic nothing drives the scheduler's busy
-    /// loop, so an expired queued job can only be shed by the idle
-    /// `recv_timeout` tick — and that path must bump the shed metrics too.
+    /// With zero concurrent traffic no turn steps, so an expired queued job
+    /// can only be shed by an idle turn — the one the shell takes on its
+    /// `IDLE_TICK` — and that path must bump the shed metrics too.
     #[test]
     fn idle_tick_sheds_expired_job_and_records_metrics() {
-        use clgen_corpus::Vocabulary;
-        use clgen_neural::lstm::{LstmConfig, LstmModel};
-        use clgen_neural::StatefulLstm;
+        let (model, vocab) = corpus_model();
+        let mut streams = NgramStreams::new(model, LANES);
+        let mut engine = BatchEngine::new(&mut streams, vocab);
+        let (mut sched, _filter_rx, metrics, flight) = scheduler(FaultPlan::inert());
+        // No lane capacity: the job can never activate, exactly like a
+        // server with zero concurrent traffic ahead of admission.
+        sched.max_active = 0;
+        let t0 = Instant::now();
+        let (job, handed) = job(7, 1, 4, t0, Some(t0 + ms(50)));
+        sched.handle(SchedMsg::Job(job));
 
-        let vocab = Vocabulary::from_text("__kernel void A(__global int* a) { a[0] = 1; }\n");
-        let config = LstmConfig::small(vocab.len());
-        let model =
-            TrainedModel::from_parts(vocab, Box::new(StatefulLstm::new(LstmModel::new(config))))
-                .expect("model");
-
-        let (tx, rx) = mpsc::channel::<SchedMsg>();
-        let (filter_tx, _filter_rx) = mpsc::channel();
-        let metrics = Arc::new(ServeMetrics::new(Arc::new(clgen_obs::Registry::new())));
-        let flight = Arc::new(FlightRecorder::new(16));
-        let queued = Arc::new(AtomicUsize::new(1));
-        let mut sched = Scheduler {
-            rx,
-            filter_tx,
-            backlog: VecDeque::new(),
-            active: Vec::new(),
-            metrics: metrics.clone(),
-            flight: flight.clone(),
-            faults: FaultPlan::inert(),
-            seed_text: "__kernel".to_string(),
-            next_key: 0,
-            rr: 0,
-            in_flight_filter: 0,
-            // No lane capacity: the job can never activate, exactly like a
-            // server with zero concurrent traffic ahead of admission.
-            max_active: 0,
-            shutdown: false,
-            drain_deadline: None,
-        };
-        let core = std::thread::spawn(move || {
-            let mut streams = model.streams(1);
-            let mut engine = BatchEngine::new(streams.as_mut(), model.vocabulary());
-            sched.run(&mut engine)
-        });
-
-        let (reply_tx, reply_rx) = mpsc::channel();
-        tx.send(SchedMsg::Job(Job {
-            params: SynthesisParams {
-                count: 1,
-                temperature: 1.0,
-                max_chars: 64,
-                seed: 7,
-                max_attempts: 4,
-                deadline_ms: Some(50),
-            },
-            deadline: Some(Instant::now() + Duration::from_millis(50)),
-            enqueued_at: Instant::now(),
-            trace: Arc::new(Trace::new("idle-shed-test".to_string())),
-            reply: reply_tx,
-            cancelled: Arc::new(AtomicBool::new(false)),
-            slot: QueueSlot(queued.clone()),
-        }))
-        .expect("send job");
-
-        match reply_rx.recv_timeout(Duration::from_secs(10)) {
+        // The shed lands on the first turn at or past the deadline, and not
+        // on the turn before.
+        assert_eq!(sched.turn(t0 + ms(49), &mut engine), Turn::Idle(None));
+        assert!(
+            handed.reply.try_recv().is_err(),
+            "not shed before its deadline"
+        );
+        assert_eq!(handed.slot.load(Ordering::SeqCst), 1);
+        assert_eq!(sched.turn(t0 + ms(50), &mut engine), Turn::Idle(None));
+        match handed.reply.try_recv() {
             Ok(ResponseEvent::Error(e)) => {
                 assert_eq!(e.status, 503);
                 assert_eq!(e.retry_after, Some(1));
@@ -1071,11 +1179,11 @@ mod tests {
             other => panic!("expected shed error, got {other:?}"),
         }
         // The sweep drops the shed job, and with it the job's queue slot.
-        let by = Instant::now() + Duration::from_secs(10);
-        while queued.load(Ordering::SeqCst) != 0 {
-            assert!(Instant::now() < by, "shedding must release the queue slot");
-            std::thread::yield_now();
-        }
+        assert_eq!(
+            handed.slot.load(Ordering::SeqCst),
+            0,
+            "shedding must release the queue slot"
+        );
         assert_eq!(metrics.requests_shed.get(), 1);
         assert_eq!(metrics.queue_wait_shed.count(), 1);
         assert!(
@@ -1083,32 +1191,445 @@ mod tests {
             "flight ring records the shed"
         );
 
-        tx.send(SchedMsg::Shutdown {
+        sched.handle(SchedMsg::Shutdown {
             drain_deadline: None,
-        })
-        .expect("send shutdown");
-        core.join().expect("core thread");
+        });
+        assert_eq!(sched.turn(t0 + ms(50), &mut engine), Turn::Finished);
+    }
+
+    /// A job whose deadline passes before the turn that would activate it is
+    /// shed with a fail-fast `503` — also when it arrives while lanes are
+    /// busy, the path on which it used to be activated and answered `200`
+    /// with a `"timeout"` partial.
+    #[test]
+    fn expired_job_is_shed_never_activated() {
+        let (model, vocab) = corpus_model();
+        let mut streams = NgramStreams::new(model, LANES);
+        let mut engine = BatchEngine::new(&mut streams, vocab);
+        let (mut sched, _filter_rx, metrics, _flight) = scheduler(FaultPlan::inert());
+        let t0 = Instant::now();
+        let (busy, _busy) = job(1, 3, 24, t0, None);
+        sched.handle(SchedMsg::Job(busy));
+        assert_eq!(sched.turn(t0, &mut engine), Turn::Stepped);
+        assert!(engine.occupied_lanes() > 0, "a lane is busy");
+
+        let (late, handed) = job(2, 1, 4, t0, Some(t0 + ms(1)));
+        sched.handle(SchedMsg::Job(late));
+        assert_eq!(sched.turn(t0 + ms(1), &mut engine), Turn::Stepped);
+        match handed.reply.try_recv() {
+            Ok(ResponseEvent::Error(e)) => {
+                assert_eq!(e.status, 503);
+                assert_eq!(e.retry_after, Some(1));
+                assert_eq!(e.outcome, "shed");
+            }
+            other => panic!("expected shed error, got {other:?}"),
+        }
+        assert_eq!(metrics.requests_shed.get(), 1);
+        assert_eq!(metrics.requests_completed.get(), 0);
+        assert_eq!(sched.active.len(), 1, "only the busy job is active");
+        assert_eq!(
+            handed.activated_at(t0),
+            None,
+            "the job never entered active"
+        );
+        assert_eq!(handed.slot.load(Ordering::SeqCst), 0);
+    }
+
+    /// An injected `sampler_stall` holds the lanes still, not the policy:
+    /// turns taken during the stall admit (and would shed and reap), and
+    /// stepping resumes on the first turn at or past its end.
+    #[test]
+    fn stall_holds_lanes_but_not_admission() {
+        let (model, vocab) = corpus_model();
+        let mut streams = NgramStreams::new(model, LANES);
+        let mut engine = BatchEngine::new(&mut streams, vocab);
+        let plan = FaultPlan::parse("sampler_stall@1:100").expect("plan");
+        let (mut sched, _filter_rx, metrics, _flight) = scheduler(plan.clone());
+        let t0 = Instant::now();
+        let (first, _first) = job(1, 3, 24, t0, None);
+        sched.handle(SchedMsg::Job(first));
+        assert_eq!(sched.turn(t0, &mut engine), Turn::Stepped);
+        assert_eq!(plan.hits(FaultPoint::SamplerStall), 1);
+
+        let (second, handed) = job(2, 1, 24, t0 + ms(50), Some(t0 + ms(80)));
+        sched.handle(SchedMsg::Job(second));
+        let stalled = Turn::Idle(Some(t0 + ms(100)));
+        assert_eq!(sched.turn(t0 + ms(50), &mut engine), stalled);
+        assert_eq!(handed.activated_at(t0 + ms(50)), Some(t0 + ms(50)));
+        assert_eq!(metrics.lane_occupancy.count(), 1, "no step while stalled");
+        // Its deadline passes mid-stall: reaped with a partial response.
+        assert_eq!(sched.turn(t0 + ms(80), &mut engine), stalled);
+        match handed.reply.try_recv() {
+            Ok(ResponseEvent::Done(line)) => assert!(line.contains("\"timeout\":true"), "{line}"),
+            other => panic!("expected a timed-out done line, got {other:?}"),
+        }
+        assert_eq!(sched.turn(t0 + ms(100), &mut engine), Turn::Stepped);
+        assert_eq!(metrics.lane_occupancy.count(), 2);
+        assert_eq!(plan.hits(FaultPoint::SamplerStall), 2, "one hit per step");
     }
 
     #[test]
     fn supervisor_window_accounting() {
+        let now = Instant::now();
         let sup = Supervisor::new(2, Duration::from_secs(3600));
-        assert_eq!(sup.health(), ServiceHealth::Ok);
-        assert!(!sup.record_restart());
-        assert_eq!(sup.health(), ServiceHealth::Degraded);
-        assert!(!sup.record_restart());
-        assert!(sup.record_restart(), "third restart exceeds budget 2");
-        assert_eq!(sup.health(), ServiceHealth::Failed);
+        assert_eq!(sup.health(now), ServiceHealth::Ok);
+        assert!(!sup.record_restart(now));
+        assert_eq!(sup.health(now), ServiceHealth::Degraded);
+        assert!(!sup.record_restart(now));
+        assert!(sup.record_restart(now), "third restart exceeds budget 2");
+        assert_eq!(sup.health(now), ServiceHealth::Failed);
         assert_eq!(sup.restarts(), 3);
     }
 
     #[test]
     fn supervisor_window_expires_restarts() {
-        let sup = Supervisor::new(0, Duration::from_millis(30));
-        assert!(sup.record_restart(), "budget 0 fails on the first restart");
-        std::thread::sleep(Duration::from_millis(60));
-        assert_eq!(sup.recent_restarts(), 0, "window pruned");
-        // Failure latches even after the window empties.
-        assert_eq!(sup.health(), ServiceHealth::Failed);
+        let t0 = Instant::now();
+        let sup = Supervisor::new(0, ms(30));
+        assert!(
+            sup.record_restart(t0),
+            "budget 0 fails on the first restart"
+        );
+        assert_eq!(sup.recent_restarts(t0 + ms(60)), 0, "window pruned");
+        // Failure latches even after the window empties — exactly once:
+        // later restarts do not report it again, and it never clears.
+        assert_eq!(sup.health(t0 + ms(60)), ServiceHealth::Failed);
+        assert!(!sup.record_restart(t0 + ms(61)));
+        assert!(!sup.record_restart(t0 + ms(62)));
+        assert_eq!(
+            sup.health(t0 + Duration::from_secs(3600)),
+            ServiceHealth::Failed
+        );
+
+        // Degraded returns to Ok once the window has passed.
+        let sup = Supervisor::new(1, ms(30));
+        assert!(!sup.record_restart(t0));
+        assert_eq!(sup.health(t0 + ms(30)), ServiceHealth::Degraded);
+        assert_eq!(sup.health(t0 + ms(31)), ServiceHealth::Ok);
+        assert!(!sup.record_restart(t0 + ms(40)), "alone in its window");
+        assert!(
+            sup.record_restart(t0 + ms(50)),
+            "second within 30 ms exceeds budget 1"
+        );
+        assert_eq!(sup.health(t0 + ms(100)), ServiceHealth::Failed);
+        assert_eq!(sup.restarts(), 3);
+    }
+
+    /// The lines a job streams when it runs alone and every verdict comes
+    /// back in order, as soon as its batch is sent.
+    fn alone(seed: u64, count: usize, max_attempts: usize) -> Vec<String> {
+        let (model, vocab) = corpus_model();
+        let mut streams = NgramStreams::new(model, LANES);
+        let mut engine = BatchEngine::new(&mut streams, vocab);
+        let (mut sched, filter_rx, _, _) = scheduler(FaultPlan::inert());
+        let now = Instant::now();
+        let (job, handed) = job(seed, count, max_attempts, now, None);
+        sched.handle(SchedMsg::Job(job));
+        let mut lines = Vec::new();
+        loop {
+            sched.turn(now, &mut engine);
+            while let Ok(batch) = filter_rx.try_recv() {
+                sched.handle(SchedMsg::Filtered(verdicts(batch)));
+            }
+            while let Ok(event) = handed.reply.try_recv() {
+                match event {
+                    ResponseEvent::Kernel(line) => lines.push(line),
+                    ResponseEvent::Done(line) => {
+                        lines.push(line);
+                        return lines;
+                    }
+                    ResponseEvent::Error(e) => panic!("a lone job failed: {e:?}"),
+                }
+            }
+        }
+    }
+
+    /// `(kernels, attempts, Σ rejected)` of a done line.
+    fn done_totals(line: &str) -> (usize, usize, usize) {
+        let field = |name: &str| -> usize {
+            let rest = &line[line.find(name).expect(name) + name.len()..];
+            let end = rest
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(rest.len());
+            rest[..end].parse().expect("a count")
+        };
+        let rejected = &line[line.find("\"rejected\":{").expect("rejected") + 12..];
+        let rejected = &rejected[..rejected.find('}').expect("closing brace")];
+        let sum = rejected
+            .split(',')
+            .filter(|entry| !entry.is_empty())
+            .map(|entry| {
+                entry
+                    .rsplit(':')
+                    .next()
+                    .unwrap()
+                    .parse::<usize>()
+                    .expect("a count")
+            })
+            .sum();
+        (field("\"kernels\":"), field("\"attempts\":"), sum)
+    }
+
+    /// One event of a generated sequence.
+    #[derive(Debug, Clone)]
+    enum Event {
+        Enqueue {
+            seed: u64,
+            count: usize,
+            max_attempts: usize,
+            deadline_ms: Option<u64>,
+        },
+        Cancel(usize),
+        Advance(u64),
+        Turn,
+        /// Deliver the first `1 + take % len` verdicts of the `pick`-th
+        /// outstanding batch: batches arrive shuffled and split.
+        Deliver {
+            pick: usize,
+            take: usize,
+        },
+        Shutdown {
+            drain_ms: Option<u64>,
+        },
+    }
+
+    fn event() -> impl Strategy<Value = Event> {
+        (
+            0u8..32,
+            0u64..4,
+            1usize..=3,
+            1usize..=24,
+            0u64..60,
+            0usize..64,
+        )
+            .prop_map(|(kind, seed, count, max_attempts, x, n)| match kind {
+                0..=5 => Event::Enqueue {
+                    seed,
+                    count,
+                    max_attempts,
+                    deadline_ms: (x < 30).then_some(x + 1),
+                },
+                6..=7 => Event::Cancel(n),
+                8..=11 => Event::Advance(1 + x % 20),
+                12..=21 => Event::Turn,
+                22..=30 => Event::Deliver {
+                    pick: n,
+                    take: x as usize,
+                },
+                _ => Event::Shutdown {
+                    drain_ms: (x % 2 == 1).then_some(x / 2),
+                },
+            })
+    }
+
+    /// One job as the property test follows it.
+    struct Tracked {
+        params: (u64, usize, usize),
+        enqueued_at: Instant,
+        deadline: Option<Instant>,
+        handed: Handed,
+        events: Vec<ResponseEvent>,
+    }
+
+    impl Tracked {
+        fn is_terminal(&self) -> bool {
+            self.events
+                .iter()
+                .any(|e| matches!(e, ResponseEvent::Done(_) | ResponseEvent::Error(_)))
+        }
+    }
+
+    /// A scheduler, its engine and its jobs under a virtual clock.
+    struct Rig<'m> {
+        sched: Scheduler,
+        engine: BatchEngine<'m>,
+        filter_rx: mpsc::Receiver<FilterBatch>,
+        metrics: Arc<ServeMetrics>,
+        /// Verdict batches computed but not delivered yet.
+        outstanding: Vec<Vec<Filtered>>,
+        jobs: Vec<Tracked>,
+        now: Instant,
+        shutdown: bool,
+        drain_deadline: Option<Instant>,
+        finished: bool,
+    }
+
+    impl Rig<'_> {
+        fn apply(&mut self, event: Event) {
+            if self.finished {
+                return;
+            }
+            match event {
+                Event::Enqueue {
+                    seed,
+                    count,
+                    max_attempts,
+                    deadline_ms,
+                } => {
+                    let deadline = deadline_ms.map(|d| self.now + ms(d));
+                    let (job, handed) = job(seed, count, max_attempts, self.now, deadline);
+                    self.sched.handle(SchedMsg::Job(job));
+                    self.jobs.push(Tracked {
+                        params: (seed, count, max_attempts),
+                        enqueued_at: self.now,
+                        deadline,
+                        handed,
+                        events: Vec::new(),
+                    });
+                }
+                Event::Cancel(n) => {
+                    if !self.jobs.is_empty() {
+                        let job = &self.jobs[n % self.jobs.len()];
+                        job.handed.cancelled.store(true, Ordering::Relaxed);
+                    }
+                }
+                Event::Advance(d) => self.now += ms(d),
+                Event::Turn => self.turn(),
+                Event::Deliver { pick, take } => {
+                    if !self.outstanding.is_empty() {
+                        let mut batch = self.outstanding.swap_remove(pick % self.outstanding.len());
+                        let rest = batch.split_off(1 + take % batch.len());
+                        if !rest.is_empty() {
+                            self.outstanding.push(rest);
+                        }
+                        self.sched.handle(SchedMsg::Filtered(batch));
+                    }
+                }
+                Event::Shutdown { drain_ms } => {
+                    if !self.shutdown {
+                        self.shutdown = true;
+                        self.drain_deadline = drain_ms.map(|d| self.now + ms(d));
+                        self.sched.handle(SchedMsg::Shutdown {
+                            drain_deadline: self.drain_deadline,
+                        });
+                    }
+                }
+            }
+        }
+
+        fn turn(&mut self) {
+            let now = self.now;
+            let turn = self.sched.turn(now, &mut self.engine);
+            // (7) The first turn at or past the drain deadline ends the run.
+            if self.drain_deadline.is_some_and(|d| now >= d) {
+                assert_eq!(turn, Turn::Finished, "turn at or past the drain deadline");
+            }
+            self.finished = turn == Turn::Finished;
+            while let Ok(batch) = self.filter_rx.try_recv() {
+                self.outstanding.push(verdicts(batch));
+            }
+            for job in &mut self.jobs {
+                while let Ok(event) = job.handed.reply.try_recv() {
+                    if let ResponseEvent::Error(e) = &event {
+                        if e.outcome == "shed" {
+                            assert!(
+                                job.deadline.is_some_and(|d| d <= now),
+                                "shed before its deadline"
+                            );
+                        }
+                    }
+                    job.events.push(event);
+                }
+                // (5) No job is activated at or after its deadline, and a
+                // job still queued at its deadline is shed on this turn.
+                match job.handed.activated_at(job.enqueued_at) {
+                    Some(at) => assert!(job.deadline.is_none_or(|d| at < d), "activated expired"),
+                    None if !job.is_terminal() => {
+                        assert!(
+                            job.deadline.is_none_or(|d| now < d),
+                            "an expired job still queued"
+                        )
+                    }
+                    None => {}
+                }
+            }
+        }
+
+        /// Deliver every outstanding verdict and turn, without moving the
+        /// clock, until the run is over; shut down first if nobody did.
+        fn settle(&mut self) {
+            for _ in 0..200_000 {
+                if self.finished {
+                    return;
+                }
+                while let Some(batch) = self.outstanding.pop() {
+                    self.sched.handle(SchedMsg::Filtered(batch));
+                }
+                self.turn();
+                if !self.shutdown && self.jobs.iter().all(Tracked::is_terminal) {
+                    self.apply(Event::Shutdown { drain_ms: None });
+                }
+            }
+            panic!("the scheduler never settled");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Under any order of arrivals, cancels, clock moves, turns and
+        /// (shuffled, split) verdict deliveries, the scheduler answers every
+        /// job exactly once, streams completed jobs byte for byte as if they
+        /// ran alone, leaks no lane, never activates an expired job, keeps
+        /// its books, and ends by its drain deadline.
+        #[test]
+        fn scheduler_policy_holds_under_any_event_order(
+            events in proptest::collection::vec(event(), 1..40),
+        ) {
+            let (model, vocab) = corpus_model();
+            let mut streams = NgramStreams::new(model, LANES);
+            let (sched, filter_rx, metrics, _) = scheduler(FaultPlan::inert());
+            let mut rig = Rig {
+                sched,
+                engine: BatchEngine::new(&mut streams, vocab),
+                filter_rx,
+                metrics,
+                outstanding: Vec::new(),
+                jobs: Vec::new(),
+                now: Instant::now(),
+                shutdown: false,
+                drain_deadline: None,
+                finished: false,
+            };
+            for event in events {
+                rig.apply(event);
+            }
+            rig.settle();
+
+            let drained = rig.sched.is_drained();
+            if rig.drain_deadline.is_none_or(|d| rig.now < d) {
+                // (4) A run that drained leaks no lane and no filter batch.
+                prop_assert!(drained);
+                prop_assert_eq!(rig.engine.occupied_lanes(), 0);
+                prop_assert!(rig.outstanding.is_empty());
+            }
+            let metrics = &rig.metrics;
+            // (6) Every job is counted under exactly one outcome.
+            prop_assert_eq!(
+                metrics.requests_completed.get() + metrics.requests_shed.get() + metrics.requests_failed.get(),
+                rig.jobs.len() as u64
+            );
+            for job in &rig.jobs {
+                // (1) Exactly one terminal event, the last, and the slot back.
+                let terminals = job.events.iter().filter(|e| !matches!(e, ResponseEvent::Kernel(_))).count();
+                prop_assert_eq!(terminals, 1, "{:?}", job.events);
+                prop_assert!(!matches!(job.events.last(), Some(ResponseEvent::Kernel(_))));
+                prop_assert_eq!(job.handed.slot.load(Ordering::SeqCst), 0);
+                let Some(ResponseEvent::Done(done)) = job.events.last() else {
+                    continue;
+                };
+                // (3) The books balance on every done line.
+                let (kernels, attempts, rejected) = done_totals(done);
+                prop_assert_eq!(attempts, kernels + rejected, "{}", done);
+                // (2) A job that ran to completion streams what it streams alone.
+                if !done.contains("\"timeout\"") && !job.handed.cancelled.load(Ordering::Relaxed) {
+                    let lines: Vec<String> = job.events.iter().map(|e| match e {
+                        ResponseEvent::Kernel(line) | ResponseEvent::Done(line) => line.clone(),
+                        ResponseEvent::Error(e) => panic!("{e:?}"),
+                    }).collect();
+                    let (seed, count, max_attempts) = job.params;
+                    prop_assert_eq!(lines, alone(seed, count, max_attempts));
+                }
+            }
+        }
     }
 }

@@ -252,7 +252,7 @@ impl ServerHandle {
     /// Current service health (the supervisor's view; what `/healthz`
     /// reports).
     pub fn health(&self) -> ServiceHealth {
-        self.supervisor.health()
+        self.supervisor.health(Instant::now())
     }
 
     /// Gracefully stop the server: stop accepting connections, drain
@@ -261,7 +261,7 @@ impl ServerHandle {
     pub fn shutdown(mut self) -> ServiceHealth {
         self.trigger();
         self.join_inner();
-        self.supervisor.health()
+        self.supervisor.health(Instant::now())
     }
 
     /// Block until the server stops (a client sent `POST /shutdown`, or the
@@ -269,7 +269,7 @@ impl ServerHandle {
     /// final service health.
     pub fn join(mut self) -> ServiceHealth {
         self.join_inner();
-        self.supervisor.health()
+        self.supervisor.health(Instant::now())
     }
 
     fn trigger(&self) {
@@ -405,7 +405,8 @@ fn handle_connection(mut stream: TcpStream, tx: mpsc::Sender<SchedMsg>, shared: 
     };
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
-            let health = shared.supervisor.health();
+            let now = Instant::now();
+            let health = shared.supervisor.health(now);
             let (status, reason) = match health {
                 ServiceHealth::Failed => (503, "Service Unavailable"),
                 _ => (200, "OK"),
@@ -416,7 +417,7 @@ fn handle_connection(mut stream: TcpStream, tx: mpsc::Sender<SchedMsg>, shared: 
                 json::escaped(shared.backend_kind),
                 shared.config.lanes,
                 shared.supervisor.restarts(),
-                shared.supervisor.recent_restarts(),
+                shared.supervisor.recent_restarts(now),
             );
             write_json(&stream, status, reason, &body);
         }
@@ -794,7 +795,8 @@ fn render_stats(shared: &Shared) -> String {
     let queue_depth = shared.queued.load(Ordering::SeqCst);
     let metrics = &shared.metrics;
     metrics.queue_depth.set(queue_depth as f64);
-    let elapsed = shared.started.elapsed().as_secs_f64().max(1e-9);
+    let now = Instant::now();
+    let elapsed = now.duration_since(shared.started).as_secs_f64().max(1e-9);
     let kernels = metrics.kernels.get();
     let attempts = metrics.attempts.get();
     let generated_chars = metrics.generated_chars.get();
@@ -845,9 +847,9 @@ fn render_stats(shared: &Shared) -> String {
         ),
         backend = json::escaped(shared.backend_kind),
         uptime = elapsed,
-        health = json::escaped(shared.supervisor.health().as_str()),
+        health = json::escaped(shared.supervisor.health(now).as_str()),
         restarts = shared.supervisor.restarts(),
-        recent = shared.supervisor.recent_restarts(),
+        recent = shared.supervisor.recent_restarts(now),
         lanes = shared.config.lanes,
         lanes_busy = metrics.lanes_busy.get() as u64,
         lane_steps = lane_steps,
