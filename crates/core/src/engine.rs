@@ -10,8 +10,10 @@
 //! and throughput depends on folding them into the already-running batched
 //! forward pass instead of queueing behind it. The engine owns its
 //! [`StreamBatch`] (or a `&mut` borrow of one), so a driver can keep it
-//! alive across pulls, and exposes exactly the hooks that distinction
-//! needs:
+//! alive across pulls — a `SynthesisStream` keeps one per sampling thread,
+//! each over its share of the lanes, and steps them concurrently, which
+//! needs only that the boxed batch be `Send` — and exposes exactly the hooks
+//! that distinction needs:
 //!
 //! * [`admit`](BatchEngine::admit) starts one candidate on one free lane —
 //!   with its *own* seed text, sampling options and RNG stream, so candidates
@@ -76,8 +78,12 @@ struct LaneRun {
 
 /// A continuously-batched sampling engine over the lanes of one
 /// [`StreamBatch`] it owns (see the module docs).
-pub struct BatchEngine<'a> {
-    streams: Box<dyn StreamBatch + 'a>,
+///
+/// `B` is the boxed batch's type. The default, `dyn StreamBatch`, takes any
+/// batch; a [`SynthesisStream`](crate::stream::SynthesisStream) holds
+/// `dyn StreamBatch + Send` engines, so it can step them on other threads.
+pub struct BatchEngine<'a, B: StreamBatch + ?Sized + 'a = dyn StreamBatch + 'a> {
+    streams: Box<B>,
     vocab: &'a Vocabulary,
     lanes: Vec<Option<LaneRun>>,
     occupied: usize,
@@ -89,7 +95,7 @@ pub struct BatchEngine<'a> {
     seed_memo: Option<SeedPrefix>,
 }
 
-impl std::fmt::Debug for BatchEngine<'_> {
+impl<B: StreamBatch + ?Sized> std::fmt::Debug for BatchEngine<'_, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchEngine")
             .field("lanes", &self.lanes.len())
@@ -107,10 +113,23 @@ impl<'a> BatchEngine<'a> {
     ///
     /// Panics if `streams` has no lanes.
     pub fn new(streams: impl StreamBatch + 'a, vocab: &'a Vocabulary) -> BatchEngine<'a> {
+        BatchEngine::boxed(Box::new(streams), vocab)
+    }
+}
+
+impl<'a, B: StreamBatch + ?Sized + 'a> BatchEngine<'a, B> {
+    /// [`new`](BatchEngine::new) over a batch that is boxed already, keeping
+    /// its type: `BatchEngine::boxed(model.streams(n), vocab)` is `Send`
+    /// because [`TrainedModel::streams`](crate::TrainedModel::streams) is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `streams` has no lanes.
+    pub fn boxed(streams: Box<B>, vocab: &'a Vocabulary) -> BatchEngine<'a, B> {
         let n = streams.num_streams();
         assert!(n > 0, "need at least one sample lane");
         BatchEngine {
-            streams: Box::new(streams),
+            streams,
             vocab,
             lanes: (0..n).map(|_| None).collect(),
             occupied: 0,

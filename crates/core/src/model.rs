@@ -89,7 +89,7 @@ impl TrainedModel {
     }
 
     /// `n` independent sample streams sharing the model's weights.
-    pub fn streams(&self, n: usize) -> Box<dyn StreamBatch + '_> {
+    pub fn streams(&self, n: usize) -> Box<dyn StreamBatch + Send + '_> {
         self.backend.streams(n)
     }
 

@@ -2,22 +2,30 @@
 //! lazy, pull-based [`SynthesisStream`] they expose.
 //!
 //! A `SynthesisStream` is an iterator over accepted kernels, and a
-//! single-request instance of the synthesis service's scheduler: it keeps one
-//! [`BatchEngine`] alive across pulls, admits candidates into lanes the
-//! moment they free up (continuous batching keeps the batched GEMM at full
-//! width), hands finished candidates to the rejection-filter stage
-//! ([`spawn_filter_stage`]), which fans them out over the rayon pool on its
-//! own thread so filtering overlaps sampling, and returns as soon as the next
-//! kernel in candidate order is accepted. Nothing is sampled until the
-//! consumer pulls.
+//! single-request instance of the synthesis service's scheduler that samples
+//! on every core. It splits its `lanes` over `K = min(threads, lanes)`
+//! [`BatchEngine`]s — one per rayon thread, 16 lanes on 2 threads as 8 + 8 —
+//! and keeps them alive across pulls. A pull steps engine 0 on the caller's
+//! thread and engines `1..K` on scoped helper threads; every engine admits
+//! candidates into its lanes the moment they free up (continuous batching
+//! keeps each batched GEMM at full width) and hands finished candidates to
+//! the rejection-filter stage ([`spawn_filter_stage`]), whose own thread
+//! filters them while sampling goes on. The caller absorbs the verdicts and
+//! the pull returns as soon as the next kernel in candidate order is
+//! accepted: the helpers finish their step and are joined, so no thread
+//! outlives a pull and nothing is sampled until the consumer pulls. At
+//! `K = 1` no thread is spawned.
 //!
 //! Both drivers keep a run's books in a [`Session`]: which candidate goes out
 //! next, how many may be outstanding, and the in-order tally of filter
 //! verdicts into per-kernel [`KernelStats`] and whole-run
-//! [`SynthesisStats`]. Verdicts are absorbed in candidate order and
-//! absorption stops at the session's target, so what a run reports is a pure
-//! function of the model, the configuration and the seed — never of `lanes`
-//! or of thread timing.
+//! [`SynthesisStats`]. A stream's engines share its one session behind a
+//! lock, taken to dispatch a candidate or deliver verdicts. Verdicts are
+//! absorbed in candidate order and absorption stops at the session's target,
+//! and a candidate's bytes depend only on its index, never on the engine
+//! that ran it, so what a run reports is a pure function of the model, the
+//! configuration and the seed — never of `lanes`, of the thread count or of
+//! thread timing.
 
 use crate::engine::BatchEngine;
 use crate::model::TrainedModel;
@@ -27,10 +35,11 @@ use crate::synthesizer::{SynthesisReport, SynthesisStats, SynthesizedKernel};
 use clgen_corpus::filter::{filter_source, FilterConfig};
 use clgen_corpus::rewriter::rewrite_unit_to_kernels;
 use clgen_corpus::RejectReason;
-use rayon::prelude::*;
+use clgen_neural::StreamBatch;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -82,8 +91,8 @@ fn accept_source(filter: &FilterConfig, text: &str) -> Result<SynthesizedKernel,
 
 /// Run one candidate through the rejection filter, returning the formatted
 /// kernel if accepted. Pure function of the candidate text and filter
-/// configuration, so batches of candidates can be filtered on worker threads
-/// while the synthesizer keeps sampling — the [`SynthesisStream`] and the
+/// configuration, so candidates can be filtered on another thread while the
+/// synthesizer keeps sampling — the [`SynthesisStream`] and the
 /// synthesis service both run it in their [`spawn_filter_stage`].
 ///
 /// Two resilient-frontend policies live here, both pure functions of the
@@ -137,8 +146,10 @@ pub struct SamplerConfig {
     /// Argument specification constraining the kernel signature; `None`
     /// samples in free mode.
     pub spec: Option<ArgumentSpec>,
-    /// Sample-stream lanes advanced together through the model's batched
-    /// path. 1 degrades gracefully to serial sampling.
+    /// Candidates sampled at once: the lanes of the model's batched path,
+    /// split over one engine per rayon thread (at most one per lane), each
+    /// stepping its share as one batch. 1 degrades gracefully to serial
+    /// sampling.
     pub lanes: usize,
     /// Run seed: candidate `i` of the session draws its characters from a
     /// deterministic function of this seed and `i`.
@@ -239,9 +250,11 @@ pub struct Filtered {
 pub type FilterBatch = Vec<(u64, SampledCandidate)>;
 
 /// Spawn the rejection-filter stage of a sampling driver: a thread that takes
-/// batches from the returned sender, fans each batch out over the rayon pool,
-/// and hands its verdicts, in batch order, to `deliver` — until the sender is
-/// dropped or `deliver` returns `false` (nobody listens any more).
+/// batches from the returned sender, runs each batch's verdicts in order, and
+/// hands them, in batch order, to `deliver` — until the sender is dropped or
+/// `deliver` returns `false` (nobody listens any more). A verdict costs tens
+/// of microseconds, less than spawning a thread for it, so the stage keeps
+/// to one thread and leaves the cores to the sampling engines.
 ///
 /// Each call of `verdict` runs under `catch_unwind` and is timed into
 /// [`Filtered::filter_us`]. A candidate whose verdict panics is rejected with
@@ -258,7 +271,7 @@ pub fn spawn_filter_stage(
     let worker = std::thread::spawn(move || {
         while let Ok(batch) = rx.recv() {
             let filtered = batch
-                .into_par_iter()
+                .into_iter()
                 .map(|(ticket, candidate)| {
                     let started = Instant::now();
                     let verdict = catch_unwind(AssertUnwindSafe(|| verdict(&candidate)))
@@ -464,16 +477,32 @@ impl<'m> Sampler<'m> {
 ///
 /// Determinism: for a given model and configuration, the sequence of
 /// accepted kernels, their [`KernelStats`] and the statistics after each
-/// pull are independent of `lanes` and of thread scheduling (verdicts are
-/// absorbed in candidate order, and per-candidate RNG streams are derived,
-/// never shared).
+/// pull are independent of `lanes`, of the number of sampling threads and of
+/// thread scheduling (verdicts are absorbed in candidate order, and
+/// per-candidate RNG streams are derived, never shared).
 pub struct SynthesisStream<'m> {
-    engine: BatchEngine<'m>,
+    /// One engine per sampling thread, the session's lanes split between
+    /// them: engine 0 steps on the puller's thread, the rest on helpers.
+    engines: Vec<BatchEngine<'m, dyn StreamBatch + Send + 'm>>,
+    /// The rayon threads each engine's own kernels may fan out over (a
+    /// paper-scale model's GEMMs cross the parallel threshold): the pool
+    /// shared out between the engines, which already keep every thread busy.
+    engine_threads: usize,
     seed_text: String,
     sample: SampleOptions,
     session: Session,
     to_filter: mpsc::Sender<FilterBatch>,
     verdicts: mpsc::Receiver<Vec<Filtered>>,
+}
+
+/// How a stream of `lanes` lanes splits them between its engines: one per
+/// thread of a pool of `threads`, but never an engine without a lane, and
+/// the lanes as even as they go, the larger shares first.
+fn lane_split(lanes: usize, threads: usize) -> Vec<usize> {
+    let engines = threads.clamp(1, lanes.max(1));
+    (0..engines)
+        .map(|i| lanes / engines + usize::from(i < lanes % engines))
+        .collect()
 }
 
 impl<'m> SynthesisStream<'m> {
@@ -492,8 +521,14 @@ impl<'m> SynthesisStream<'m> {
             move |candidate| filter_candidate(&filter, candidate),
             move |batch| verdicts_tx.send(batch).is_ok(),
         );
+        let threads = rayon::current_num_threads();
+        let engines: Vec<_> = lane_split(config.lanes.max(1), threads)
+            .into_iter()
+            .map(|lanes| BatchEngine::boxed(model.streams(lanes), model.vocabulary()))
+            .collect();
         SynthesisStream {
-            engine: BatchEngine::new(model.streams(config.lanes.max(1)), model.vocabulary()),
+            engine_threads: (threads / engines.len()).max(1),
+            engines,
             seed_text,
             sample: config.sample,
             session: Session::new(
@@ -517,37 +552,191 @@ impl Iterator for SynthesisStream<'_> {
     type Item = StreamedKernel;
 
     fn next(&mut self) -> Option<StreamedKernel> {
-        const STAGE_ALIVE: &str = "the filter stage outlives the stream";
-        loop {
-            if let Some(kernel) = self.session.next_kernel() {
-                return Some(kernel);
+        if let Some(kernel) = self.session.next_kernel() {
+            return Some(kernel);
+        }
+        if self.session.is_complete() {
+            return None;
+        }
+        let pull = Pull {
+            session: Mutex::new(std::mem::take(&mut self.session)),
+            dispatchable: Condvar::new(),
+            stop: AtomicBool::new(false),
+            lanes: self.engines.iter().map(BatchEngine::num_lanes).sum(),
+            seed_text: &self.seed_text,
+            sample: self.sample,
+        };
+        let threads = self.engine_threads;
+        let (lead, helpers) = self
+            .engines
+            .split_first_mut()
+            .expect("a stream has an engine");
+        let (to_filter, verdicts) = (&self.to_filter, &self.verdicts);
+        let found = std::thread::scope(|scope| {
+            let pull = &pull;
+            for engine in helpers {
+                scope.spawn(move || {
+                    rayon::with_num_threads(threads, || pull.help(engine, to_filter))
+                });
             }
-            if self.session.is_complete() {
+            rayon::with_num_threads(threads, || pull.lead(lead, to_filter, verdicts))
+        });
+        self.session = pull
+            .session
+            .into_inner()
+            .expect("the session outlives its pull");
+        found
+    }
+}
+
+const STAGE_ALIVE: &str = "the filter stage outlives the stream";
+
+/// What the sampling threads of one [`SynthesisStream`] pull share: the
+/// session — locked only to dispatch a candidate or deliver verdicts — and
+/// the flag that ends the pull.
+struct Pull<'s> {
+    session: Mutex<Session>,
+    /// Wakes helpers waiting, with every lane idle, for a dispatch.
+    dispatchable: Condvar,
+    /// Raised, under the session lock, when the pull ends.
+    stop: AtomicBool,
+    /// Lanes over all engines: what [`Session::wants_dispatch`] bounds.
+    lanes: usize,
+    seed_text: &'s str,
+    sample: SampleOptions,
+}
+
+impl Pull<'_> {
+    fn session(&self) -> MutexGuard<'_, Session> {
+        self.session
+            .lock()
+            .expect("no sampling thread panics holding the session")
+    }
+
+    /// One round of one engine: fill its free lanes while the session lets
+    /// candidates out, advance every occupied lane by one character, and
+    /// hand the candidates that finished to the filter stage.
+    fn round(
+        &self,
+        engine: &mut BatchEngine<'_, impl StreamBatch + ?Sized>,
+        to_filter: &mpsc::Sender<FilterBatch>,
+    ) {
+        let mut completed = Vec::new();
+        while let Some(lane) = engine.free_lane() {
+            let dispatched = {
+                let mut session = self.session();
+                session
+                    .wants_dispatch(self.lanes)
+                    .then(|| session.dispatch())
+            };
+            let Some((index, rng_seed)) = dispatched else {
+                break;
+            };
+            // Zero-budget candidates complete at admission.
+            let done = engine.admit(lane, index, self.seed_text, self.sample, rng_seed);
+            completed.extend(done.map(|candidate| (index, candidate)));
+        }
+        engine.step_into(&mut completed);
+        if !completed.is_empty() {
+            to_filter.send(completed).expect(STAGE_ALIVE);
+        }
+    }
+
+    /// The puller's part: step engine 0 and absorb verdicts, in candidate
+    /// order, until the next accepted kernel (`Some`) or the end of the
+    /// session (`None`).
+    fn lead(
+        &self,
+        engine: &mut BatchEngine<'_, impl StreamBatch + ?Sized>,
+        to_filter: &mpsc::Sender<FilterBatch>,
+        verdicts: &mpsc::Receiver<Vec<Filtered>>,
+    ) -> Option<StreamedKernel> {
+        let _leave = Leave {
+            pull: self,
+            nudge: None,
+        };
+        let mut received: Vec<Vec<Filtered>> = Vec::new();
+        loop {
+            {
+                let mut session = self.session();
+                let delivered = !received.is_empty();
+                for filtered in received.drain(..).flatten() {
+                    session.deliver(filtered.ticket, filtered);
+                }
+                if let Some(kernel) = session.next_kernel() {
+                    return Some(kernel);
+                }
+                if session.is_complete() {
+                    return None;
+                }
+                if delivered && session.wants_dispatch(self.lanes) {
+                    self.dispatchable.notify_all();
+                }
+            }
+            self.round(engine, to_filter);
+            // With every lane of this engine idle, each outstanding
+            // candidate is on a helper or in the filter stage: wait for it.
+            if engine.occupied_lanes() == 0 {
+                received.push(verdicts.recv().expect(STAGE_ALIVE));
+            }
+            received.extend(verdicts.try_iter());
+            if self.stop.load(Ordering::Acquire) {
+                // A helper unwound; the scope re-raises its panic.
                 return None;
             }
-            let lanes = self.engine.num_lanes();
-            let mut completed = Vec::new();
-            while self.session.wants_dispatch(lanes) {
-                let Some(lane) = self.engine.free_lane() else {
-                    break;
-                };
-                let (index, rng_seed) = self.session.dispatch();
-                // Zero-budget candidates complete at admission.
-                let done = self
-                    .engine
-                    .admit(lane, index, &self.seed_text, self.sample, rng_seed);
-                completed.extend(done.map(|candidate| (index, candidate)));
+        }
+    }
+
+    /// A helper's part: step its engine until the pull stops, sleeping
+    /// while it has no lane to step and the session lets nothing out.
+    fn help(
+        &self,
+        engine: &mut BatchEngine<'_, impl StreamBatch + ?Sized>,
+        to_filter: &mpsc::Sender<FilterBatch>,
+    ) {
+        let _leave = Leave {
+            pull: self,
+            nudge: Some(to_filter),
+        };
+        while !self.stop.load(Ordering::Acquire) {
+            self.round(engine, to_filter);
+            if engine.occupied_lanes() == 0 {
+                let idle = self.session();
+                let _idle = self
+                    .dispatchable
+                    .wait_while(idle, |session| {
+                        !self.stop.load(Ordering::Acquire) && !session.wants_dispatch(self.lanes)
+                    })
+                    .expect("no sampling thread panics holding the session");
             }
-            self.engine.step_into(&mut completed);
-            if !completed.is_empty() {
-                self.to_filter.send(completed).expect(STAGE_ALIVE);
-            }
-            // With every lane idle, each outstanding candidate is in the
-            // filter stage: wait for it.
-            let wait = self.engine.occupied_lanes() == 0;
-            let waited = wait.then(|| self.verdicts.recv().expect(STAGE_ALIVE));
-            for filtered in waited.into_iter().chain(self.verdicts.try_iter()).flatten() {
-                self.session.deliver(filtered.ticket, filtered);
+        }
+    }
+}
+
+/// Ends its thread's part of a pull, however it ends: raises `stop` and
+/// wakes the helpers, so none outlives the pull. A helper that unwinds also
+/// nudges the filter stage, whose (empty) delivery wakes a puller waiting
+/// for verdicts the helper's lanes will never produce.
+struct Leave<'p, 's> {
+    pull: &'p Pull<'s>,
+    nudge: Option<&'p mpsc::Sender<FilterBatch>>,
+}
+
+impl Drop for Leave<'_, '_> {
+    fn drop(&mut self) {
+        // Raised under the lock, so a helper cannot miss it between testing
+        // the flag and going to sleep; a poisoned lock is still a lock.
+        let session = self
+            .pull
+            .session
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.pull.stop.store(true, Ordering::Release);
+        drop(session);
+        self.pull.dispatchable.notify_all();
+        if std::thread::panicking() {
+            if let Some(to_filter) = self.nudge {
+                let _ = to_filter.send(Vec::new());
             }
         }
     }
@@ -665,6 +854,81 @@ mod tests {
         assert!(session.next_kernel().is_some());
         assert!(session.next_kernel().is_none());
         assert!(session.is_complete() && !session.target_met());
+    }
+
+    /// A batch whose every step panics.
+    struct Panicking<S>(S);
+
+    impl<S: StreamBatch> StreamBatch for Panicking<S> {
+        fn vocab_size(&self) -> usize {
+            self.0.vocab_size()
+        }
+        fn num_streams(&self) -> usize {
+            self.0.num_streams()
+        }
+        fn reset(&mut self) {
+            self.0.reset();
+        }
+        fn reset_stream(&mut self, stream: usize) {
+            self.0.reset_stream(stream);
+        }
+        fn feed_many(&mut self, _: &[(usize, u32)]) {
+            panic!("a poisoned step");
+        }
+        fn probs_into(&self, stream: usize, out: &mut Vec<f32>) {
+            self.0.probs_into(stream, out);
+        }
+    }
+
+    /// A helper that panics ends the pull in its panic: the puller, left
+    /// waiting for candidates that will never finish, is woken, and no
+    /// thread is left behind.
+    #[test]
+    fn a_helper_that_panics_ends_the_pull_in_its_panic() {
+        use clgen_corpus::Vocabulary;
+        use clgen_neural::ngram::{NgramConfig, NgramModel};
+        use clgen_neural::NgramStreams;
+
+        let text = "__kernel void A() { int a = 0; a = a + 1; }\n".repeat(4);
+        let vocab = Vocabulary::from_text(&text);
+        let model = NgramModel::train(&vocab.encode(&text), vocab.len(), NgramConfig::default());
+        let (verdicts_tx, verdicts) = mpsc::channel();
+        let (to_filter, _) = spawn_filter_stage(
+            |_| Err(RejectReason::NoKernel),
+            move |batch| verdicts_tx.send(batch).is_ok(),
+        );
+        let pull = Pull {
+            session: Mutex::new(Session::new(1, 1, usize::MAX)),
+            dispatchable: Condvar::new(),
+            stop: AtomicBool::new(false),
+            lanes: 2,
+            seed_text: "__kernel void A() {",
+            sample: SampleOptions {
+                max_chars: 64,
+                temperature: 0.9,
+            },
+        };
+        let mut lead = BatchEngine::boxed(Box::new(NgramStreams::new(&model, 1)), &vocab);
+        let mut helper =
+            BatchEngine::boxed(Box::new(Panicking(NgramStreams::new(&model, 1))), &vocab);
+        let ended = catch_unwind(AssertUnwindSafe(|| {
+            std::thread::scope(|scope| {
+                let (pull, to_filter) = (&pull, &to_filter);
+                scope.spawn(move || pull.help(&mut helper, to_filter));
+                pull.lead(&mut lead, to_filter, &verdicts)
+            })
+        }));
+        assert!(ended.is_err(), "the helper's panic ends the pull");
+        assert!(pull.stop.load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn lanes_split_evenly_over_at_most_one_engine_per_thread() {
+        assert_eq!(lane_split(16, 2), [8, 8]);
+        assert_eq!(lane_split(3, 2), [2, 1]);
+        assert_eq!(lane_split(1, 2), [1]);
+        assert_eq!(lane_split(16, 1), [16]);
+        assert_eq!(lane_split(7, 3), [3, 2, 2]);
     }
 
     #[test]

@@ -237,6 +237,55 @@ fn synthesis_is_independent_of_lanes() {
     }
 }
 
+/// What a session reports does not depend on how many threads sample it
+/// either: a stream steps one engine per rayon thread (at most one per
+/// lane), and `synthesize` and the stream's per-kernel statistics are the
+/// same at every thread count and lane count.
+#[test]
+fn synthesis_is_independent_of_sampling_threads() {
+    let (model, config) = seed_404();
+    let run = |threads: usize, lanes: usize| {
+        rayon::with_num_threads(threads, || {
+            let sampler = model.sampler(config.clone().with_lanes(lanes));
+            let report = sampler.synthesize(5);
+            let stream: Vec<_> = sampler.stream().take(5).map(|k| k.stats).collect();
+            (report, stream)
+        })
+    };
+    let (reference, reference_stream) = run(1, 1);
+    assert_eq!(reference.kernels.len(), 5, "the seed-404 session finds 5");
+    for threads in [1, 2, 3] {
+        for lanes in [1, 3, 16] {
+            let (report, stream) = run(threads, lanes);
+            let at = format!("threads={threads} lanes={lanes}");
+            assert_eq!(report.stats, reference.stats, "{at}: stats");
+            assert_eq!(report.kernels.len(), reference.kernels.len(), "{at}");
+            for (k, r) in report.kernels.iter().zip(&reference.kernels) {
+                assert_eq!(k.source, r.source, "{at}: source");
+                assert_eq!(k.raw, r.raw, "{at}: raw");
+            }
+            assert_eq!(stream, reference_stream, "{at}: kernel stats");
+        }
+    }
+}
+
+/// A pull leaves no sampling thread behind: a stream on two engines returns
+/// its first kernel, then drops with candidates still in its lanes.
+#[test]
+fn a_stream_dropped_after_one_pull_returns_and_drops() {
+    let (model, config) = seed_404();
+    rayon::with_num_threads(2, || {
+        let mut stream = model.sampler(config.with_lanes(16)).stream();
+        let first = stream.next().expect("the seed-404 session finds a kernel");
+        assert_eq!(stream.stats().accepted, 1);
+        assert_eq!(
+            stream.stats().attempts as u64,
+            first.stats.candidate_index + 1
+        );
+        drop(stream);
+    });
+}
+
 /// The batched LSTM driver end-to-end (tiny model): we only require it runs,
 /// accounts for every candidate, and respects the attempt cap.
 #[test]

@@ -15,9 +15,9 @@ pub enum RejectReason {
     /// static instructions.
     TooFewInstructions,
     /// The rejection filter itself panicked on this candidate. Produced only
-    /// by supervised filter stages (the synthesis service) that isolate a
+    /// by the sampling drivers' filter stage, which isolates a
     /// per-candidate panic into a typed verdict instead of letting one
-    /// poisoned candidate take down the whole filter fan-out.
+    /// poisoned candidate take down the whole stage.
     FilterPanicked,
     /// Sampling of this candidate was aborted mid-kernel because the
     /// incremental prefix validator proved the emitted prefix unrecoverable

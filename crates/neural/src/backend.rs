@@ -40,8 +40,9 @@ pub trait LanguageModelBackend: Send + Sync {
     /// `n` independent sample streams sharing this model's weights. Model
     /// classes with a batched kernel (the LSTM's GEMM path) return it here;
     /// classes whose per-character work is a table lookup return lightweight
-    /// per-stream histories.
-    fn streams(&self, n: usize) -> Box<dyn StreamBatch + '_>;
+    /// per-stream histories. The batch is `Send`, so a sampler can step it
+    /// on a thread of its own.
+    fn streams(&self, n: usize) -> Box<dyn StreamBatch + Send + '_>;
 
     /// Append this model's weights to a checkpoint. The encoding must be
     /// self-delimiting and versioned;
@@ -63,7 +64,7 @@ impl LanguageModelBackend for StatefulLstm {
         self
     }
 
-    fn streams(&self, n: usize) -> Box<dyn StreamBatch + '_> {
+    fn streams(&self, n: usize) -> Box<dyn StreamBatch + Send + '_> {
         Box::new(LstmStreams::new(self.model(), n))
     }
 
@@ -85,7 +86,7 @@ impl LanguageModelBackend for NgramModel {
         self
     }
 
-    fn streams(&self, n: usize) -> Box<dyn StreamBatch + '_> {
+    fn streams(&self, n: usize) -> Box<dyn StreamBatch + Send + '_> {
         Box::new(NgramStreams::new(self, n))
     }
 

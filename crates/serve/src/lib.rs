@@ -18,7 +18,7 @@
 //! Each request is one [`Session`](clgen::Session) — the tally an offline
 //! [`SynthesisStream`](clgen::SynthesisStream) keeps — and its candidates go
 //! through the same filter stage ([`spawn_filter_stage`](clgen::spawn_filter_stage):
-//! a rayon fan-out on its own thread, overlapping sampling), so a response
+//! one thread of its own, overlapping sampling), so a response
 //! reports what [`Sampler::synthesize`](clgen::Sampler::synthesize) reports
 //! for the same checkpoint, seed, options and cap.
 //!
