@@ -62,8 +62,8 @@ pub use sampler::{
 };
 pub use spec::{ArgSpec, ArgumentSpec};
 pub use stream::{
-    filter_candidate, spawn_filter_stage, stream_seed, FilterBatch, Filtered, KernelStats, Sampler,
-    SamplerConfig, Session, StreamedKernel, SynthesisStream,
+    filter_candidate, lane_split, spawn_filter_stage, stream_seed, FilterBatch, Filtered,
+    KernelStats, LaneSplit, Sampler, SamplerConfig, Session, StreamedKernel, SynthesisStream,
 };
 pub use synthesizer::{
     ClgenOptions, ModelBackend, SynthesisReport, SynthesisStats, SynthesizedKernel,

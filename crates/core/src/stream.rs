@@ -4,9 +4,10 @@
 //! A `SynthesisStream` is an iterator over accepted kernels, and a
 //! single-request instance of the synthesis service's scheduler that samples
 //! on every core. It splits its `lanes` over `K = min(threads, lanes)`
-//! [`BatchEngine`]s — one per rayon thread, 16 lanes on 2 threads as 8 + 8 —
-//! and keeps them alive across pulls. A pull steps engine 0 on the caller's
-//! thread and engines `1..K` on scoped helper threads; every engine admits
+//! [`BatchEngine`]s by [`lane_split`], the service's rule too — one per rayon
+//! thread, 16 lanes on 2 threads as 8 + 8 — and keeps them alive across
+//! pulls. A pull steps engine 0 on the caller's thread and engines `1..K`
+//! on scoped helper threads; every engine admits
 //! candidates into its lanes the moment they free up (continuous batching
 //! keeps each batched GEMM at full width) and hands finished candidates to
 //! the rejection-filter stage ([`spawn_filter_stage`]), whose own thread
@@ -484,9 +485,8 @@ pub struct SynthesisStream<'m> {
     /// One engine per sampling thread, the session's lanes split between
     /// them: engine 0 steps on the puller's thread, the rest on helpers.
     engines: Vec<BatchEngine<'m, dyn StreamBatch + Send + 'm>>,
-    /// The rayon threads each engine's own kernels may fan out over (a
-    /// paper-scale model's GEMMs cross the parallel threshold): the pool
-    /// shared out between the engines, which already keep every thread busy.
+    /// The rayon threads each engine's own kernels may fan out over
+    /// ([`LaneSplit::threads`]).
     engine_threads: usize,
     seed_text: String,
     sample: SampleOptions,
@@ -495,14 +495,33 @@ pub struct SynthesisStream<'m> {
     verdicts: mpsc::Receiver<Vec<Filtered>>,
 }
 
-/// How a stream of `lanes` lanes splits them between its engines: one per
-/// thread of a pool of `threads`, but never an engine without a lane, and
-/// the lanes as even as they go, the larger shares first.
-fn lane_split(lanes: usize, threads: usize) -> Vec<usize> {
-    let engines = threads.clamp(1, lanes.max(1));
-    (0..engines)
-        .map(|i| lanes / engines + usize::from(i < lanes % engines))
-        .collect()
+/// How a sampling run spreads its lanes over a rayon pool: one
+/// [`BatchEngine`] per thread, each stepping its share of the lanes as one
+/// batch on a thread of its own. [`SynthesisStream`] and the synthesis
+/// service's sampler core both split by [`lane_split`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LaneSplit {
+    /// The lanes of each engine: as even as they go, the larger shares
+    /// first, and never an engine without a lane.
+    pub lanes: Vec<usize>,
+    /// The rayon threads each engine's own kernels may fan out over (a
+    /// paper-scale model's GEMMs cross the parallel threshold): the pool
+    /// shared out between the engines, which already keep every thread busy.
+    pub threads: usize,
+}
+
+/// Split `lanes` lanes (at least 1) over a pool of `threads` rayon threads:
+/// `K = min(threads, lanes)` engines, 16 lanes on 2 threads as 8 + 8, each
+/// fanning out over `threads / K` of them.
+pub fn lane_split(lanes: usize, threads: usize) -> LaneSplit {
+    let lanes = lanes.max(1);
+    let engines = threads.clamp(1, lanes);
+    LaneSplit {
+        lanes: (0..engines)
+            .map(|i| lanes / engines + usize::from(i < lanes % engines))
+            .collect(),
+        threads: (threads / engines).max(1),
+    }
 }
 
 impl<'m> SynthesisStream<'m> {
@@ -521,14 +540,14 @@ impl<'m> SynthesisStream<'m> {
             move |candidate| filter_candidate(&filter, candidate),
             move |batch| verdicts_tx.send(batch).is_ok(),
         );
-        let threads = rayon::current_num_threads();
-        let engines: Vec<_> = lane_split(config.lanes.max(1), threads)
-            .into_iter()
-            .map(|lanes| BatchEngine::boxed(model.streams(lanes), model.vocabulary()))
-            .collect();
+        let split = lane_split(config.lanes, rayon::current_num_threads());
         SynthesisStream {
-            engine_threads: (threads / engines.len()).max(1),
-            engines,
+            engines: split
+                .lanes
+                .iter()
+                .map(|&lanes| BatchEngine::boxed(model.streams(lanes), model.vocabulary()))
+                .collect(),
+            engine_threads: split.threads,
             seed_text,
             sample: config.sample,
             session: Session::new(
@@ -924,11 +943,17 @@ mod tests {
 
     #[test]
     fn lanes_split_evenly_over_at_most_one_engine_per_thread() {
-        assert_eq!(lane_split(16, 2), [8, 8]);
-        assert_eq!(lane_split(3, 2), [2, 1]);
-        assert_eq!(lane_split(1, 2), [1]);
-        assert_eq!(lane_split(16, 1), [16]);
-        assert_eq!(lane_split(7, 3), [3, 2, 2]);
+        let split = |lanes, threads| {
+            let split = lane_split(lanes, threads);
+            (split.lanes, split.threads)
+        };
+        assert_eq!(split(16, 2), (vec![8, 8], 1));
+        assert_eq!(split(3, 2), (vec![2, 1], 1));
+        assert_eq!(split(1, 2), (vec![1], 2));
+        assert_eq!(split(16, 1), (vec![16], 1));
+        assert_eq!(split(7, 3), (vec![3, 2, 2], 1));
+        assert_eq!(split(2, 5), (vec![1, 1], 2));
+        assert_eq!(split(0, 2), (vec![1], 2));
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //!
 //! | name | where it fires | effect |
 //! |---|---|---|
-//! | `sampler_panic` | sampler core, once per engine step, before it | `panic!` inside the supervised core (exercises panic isolation + respawn) |
-//! | `sampler_stall` | sampler core, once per stepping turn, after the step | holds every lane still for `ARG` ms; turns taken meanwhile still admit, shed and reap (drives queue saturation / backpressure) |
+//! | `sampler_panic` | sampler core, once per step of any of its engines, before it | `panic!` on that engine's thread, inside the supervised core (exercises panic isolation + respawn) |
+//! | `sampler_stall` | sampler core, once per step of any of its engines, after it | holds every engine's lanes still for `ARG` ms; turns taken meanwhile still admit, shed and reap (drives queue saturation / backpressure) |
 //! | `slow_write` | connection handler, before each response chunk | sleeps `ARG` ms (a slow client link) |
 //! | `drop_response` | connection handler, after a chunk is written | hard-closes the socket mid-body |
 //! | `corrupt_reload` | supervisor, on checkpoint reload after a panic | flips one seed-chosen byte of the checkpoint header, failing the reload |
@@ -44,10 +44,10 @@ use std::sync::Arc;
 /// for where each one fires).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPoint {
-    /// Panic in the sampler core, once per engine step.
+    /// Panic in the sampler core, once per step of any of its engines.
     SamplerPanic,
-    /// Hold the sampler core's lanes still after a step (saturates the
-    /// admission queue).
+    /// Hold every engine's lanes still after a step of any engine
+    /// (saturates the admission queue).
     SamplerStall,
     /// Sleep before each response chunk write (a slow client link).
     SlowWrite,

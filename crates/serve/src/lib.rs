@@ -9,11 +9,11 @@
 //! layer over `std::net::TcpListener` ([`http`]) in the same spirit as
 //! `clgen-wire`'s hand-rolled serialization — and its heart is the batching
 //! [`scheduler`]: connection-handler threads enqueue sampling requests onto
-//! a bounded queue, and a single sampler-core thread drains them into the
-//! lanes of one continuously-batched
-//! [`BatchEngine`](clgen::BatchEngine) run, admitting new requests into
-//! free lanes mid-flight. N concurrent clients therefore share one batched
-//! forward pass instead of running N serial ones (the ledger's
+//! a bounded queue, and the sampler core drains them into the lanes of
+//! continuously-batched [`BatchEngine`](clgen::BatchEngine)s — one per
+//! rayon thread, each stepping on a thread of its own — admitting new
+//! requests into free lanes mid-flight. N concurrent clients therefore share
+//! batched forward passes instead of running N serial ones (the ledger's
 //! `serve-narrow` and `serve-wide` workloads measure what that buys).
 //! Each request is one [`Session`](clgen::Session) — the tally an offline
 //! [`SynthesisStream`](clgen::SynthesisStream) keeps — and its candidates go

@@ -49,12 +49,18 @@ pub(crate) struct ServeMetrics {
     pub filter_accepted: Counter,
     /// `clgen_queue_depth` gauge (refreshed on scrape).
     pub queue_depth: Gauge,
-    /// `clgen_lanes_busy` gauge.
+    /// `clgen_lanes_busy` gauge: occupied lanes over all engines.
     pub lanes_busy: Gauge,
     /// `clgen_active_requests` gauge.
     pub active_requests: Gauge,
-    /// `clgen_lane_occupancy` histogram: occupied lanes per sampling round.
+    /// `clgen_lane_occupancy` histogram: occupied lanes per engine step. It
+    /// observes once per step of *each* engine, so with one engine per
+    /// rayon thread its mean is one engine's occupancy, not the server's;
+    /// its sum over `lanes_stepped` is the lane utilisation.
     pub lane_occupancy: Histogram,
+    /// `clgen_lanes_stepped_total`: the lanes of every engine step, occupied
+    /// or not — the utilisation's denominator.
+    pub lanes_stepped: Counter,
     /// `clgen_queue_wait_us{outcome="admitted"}`.
     pub queue_wait_admitted: Histogram,
     /// `clgen_queue_wait_us{outcome="shed"}` — recorded by the shed sweep
@@ -166,7 +172,7 @@ impl ServeMetrics {
             ),
             lanes_busy: g(
                 "clgen_lanes_busy",
-                "Lanes running a candidate after the last round",
+                "Lanes running a candidate, over all engines",
             ),
             active_requests: g(
                 "clgen_active_requests",
@@ -175,7 +181,11 @@ impl ServeMetrics {
             lane_occupancy: registry.histogram(
                 "clgen_lane_occupancy",
                 &[],
-                "Occupied batch lanes per sampling round",
+                "Occupied batch lanes per engine step",
+            ),
+            lanes_stepped: c(
+                "clgen_lanes_stepped_total",
+                "Batch lanes of every engine step, occupied or not",
             ),
             queue_wait_admitted: registry.histogram(
                 "clgen_queue_wait_us",

@@ -1,31 +1,62 @@
 //! The batching scheduler: one **supervised** sampler core draining every
-//! request into the lanes of a single continuously-batched [`BatchEngine`]
-//! run.
+//! request into the lanes of `K` continuously-batched [`BatchEngine`]s, one
+//! per rayon thread.
 //!
-//! Connection-handler threads enqueue [`Job`]s; the sampler-core thread
-//! (`run_sampler_core`) owns the model and folds the candidates of every
-//! in-flight request into one shared batch, admitting new candidates into
-//! lanes the moment they free up — so N concurrent clients share one batched
-//! forward pass instead of running N serial ones. Each request keeps its
-//! books in a [`Session`], the tally an offline
-//! [`SynthesisStream`](clgen::SynthesisStream) keeps for its one run: the
-//! same dispatch bound, the same candidate order, the same cut. Completed
-//! candidates go, one batch per sampling step, to the rejection-filter stage
+//! Connection-handler threads enqueue [`Job`]s; the sampler core owns the
+//! model and folds the candidates of every in-flight request into shared
+//! batches, admitting new candidates into lanes the moment they free up — so
+//! N concurrent clients share batched forward passes instead of running N
+//! serial ones. The server's lanes are split by
+//! [`lane_split`](clgen::lane_split), the rule an offline
+//! [`SynthesisStream`](clgen::SynthesisStream) splits by: `K = min(threads,
+//! lanes)` engines, 16 lanes on 2 threads as 8 + 8, with the
+//! thread count read on the thread that starts the server. Engine 0 steps on
+//! the sampler-core thread, which alone reads the inbox; engines `1..K` step
+//! on scoped helper threads of the same generation.
+//!
+//! Each request keeps its books in a [`Session`], the tally an offline
+//! stream keeps for its one run: the same dispatch bound (over all `K`
+//! engines' lanes), the same candidate order, the same cut. Completed
+//! candidates go, one batch per engine step, to the rejection-filter stage
 //! both drivers share ([`spawn_filter_stage`]), and accepted kernels stream
 //! back to each request's connection as they are absorbed.
+//!
+//! # Engines and the lock
+//!
+//! The policy lives in one `Scheduler` behind one `Mutex`, and each sampler
+//! thread owns one engine. A thread's turn holds the lock once:
+//!
+//! 1. *under the lock*, it hands the candidates its previous step completed
+//!    to the filter stage (`hand_over`), folds the inbox into the scheduler
+//!    (engine 0's thread only), and takes the policy half (`plan`): shed,
+//!    reap, absorb, admit into *its own* engine's free lanes, and snapshot
+//!    the keys of the requests still live;
+//! 2. *outside the lock*, it steps its engine: every occupied lane advances
+//!    one character, and lanes whose request is not in the snapshot are
+//!    reaped by the step's abort predicate.
+//!
+//! Admission **fills engines in order**: engine `i` admits only while every
+//! lower engine was left with no free lane by its own last admission. Traffic
+//! that fits engine 0 therefore stays on it, exactly as on one engine, and
+//! only saturated traffic spills onto more cores — a rule over observed lane
+//! occupancy, never over a workload. A helper with no occupied lane and
+//! nothing it may admit sleeps on a `Condvar`; an engine that fills wakes the
+//! next.
 //!
 //! # Fault model
 //!
 //! The sampler core runs under a **supervisor** ([`Supervisor`]): each
 //! generation of the core executes inside `catch_unwind`, and a panic —
-//! whether a real bug or an injected [`FaultPoint::SamplerPanic`] — is
-//! contained to that generation. In-flight requests are answered with typed
-//! `500` errors and **quarantined** (their jobs are dropped, never retried
-//! into a fresh batch; still-queued jobs are innocent and survive), then the
-//! watchdog respawns the core from the shared checkpoint image. Restarts are
-//! budgeted over a sliding window; exceeding the budget marks the service
-//! [`ServiceHealth::Failed`] and triggers shutdown, so a hard-crash loop
-//! cannot spin forever.
+//! whether a real bug or an injected [`FaultPoint::SamplerPanic`], on any
+//! engine's thread — is contained to that generation. A helper that unwinds
+//! ends the generation: the other threads stop after their step, and the
+//! helper's panic is re-raised on the sampler-core thread. In-flight requests
+//! are answered with typed `500` errors and **quarantined** (their jobs are
+//! dropped, never retried into a fresh batch; still-queued jobs are innocent
+//! and survive), then the watchdog respawns the core from the shared
+//! checkpoint image. Restarts are budgeted over a sliding window; exceeding
+//! the budget marks the service [`ServiceHealth::Failed`] and triggers
+//! shutdown, so a hard-crash loop cannot spin forever.
 //!
 //! Per-request **deadlines** bound how long a request may hold lanes: the
 //! scheduler sheds queued jobs whose deadline already passed (fail-fast 503)
@@ -37,18 +68,19 @@
 //!
 //! The policy — admission, shedding, reaping, absorption, the drain deadline
 //! and the restart budget — never reads the clock. The scheduler is a state
-//! machine: `handle` folds one message into it, and `turn(now, engine)`
-//! takes one turn at the instant `now` it is given — one `now` per turn, for
-//! every deadline test, queue wait and trace span in it — and says what to
-//! do next (a `Turn`). [`Supervisor`] likewise takes `now` as an argument.
-//! The thread shell in `run_sampler_core` is the only code that reads the
-//! clock or waits: it drains the inbox into `handle`, calls
-//! `turn(Instant::now(), ..)`, and blocks on the inbox when the turn says
-//! `Turn::Idle`. An injected `sampler_stall` is state like any other: it
-//! holds the lanes still until an instant, while turns keep admitting,
-//! shedding and reaping. Tests drive the same state machine with made-up
-//! instants and hand-delivered filter verdicts, so deadlines, drain and
-//! restart budgets are checked exactly, with no threads and no sleeps.
+//! machine: `handle` folds one message into it, `plan(now, ..)` takes the
+//! policy half of an engine's turn at the instant `now` it is given — one
+//! `now` per turn, for every deadline test, queue wait and trace span in it —
+//! and says what the engine does next (a `Plan`), and `hand_over` takes back
+//! what its step completed. [`Supervisor`] likewise takes `now` as an
+//! argument. The thread shell (`run_generation`) is the only code that reads
+//! the clock or waits: engine 0's thread blocks on the inbox when its plan
+//! says `Plan::Idle`, a helper on the `Condvar`. An injected `sampler_stall`
+//! is state like any other: it holds every engine still until an instant,
+//! while turns keep admitting, shedding and reaping. Tests drive the same
+//! state machine — one engine, or several interleaved in any order — with
+//! made-up instants and hand-delivered filter verdicts, so deadlines, drain
+//! and restart budgets are checked exactly, with no threads and no sleeps.
 //!
 //! # Determinism
 //!
@@ -58,15 +90,16 @@
 //!
 //! * candidate `i` of a request draws from the RNG stream
 //!   [`stream_seed`](clgen::stream_seed)`(request.seed, i)` — independent
-//!   of lane assignment and of the other requests sharing the batch (the
-//!   [`BatchEngine`] guarantee);
+//!   of lane assignment, of the engine that runs it and of the other
+//!   requests sharing a batch (the [`BatchEngine`] guarantee);
 //! * filter verdicts are pure functions of candidate text;
 //! * the request's [`Session`] absorbs candidates in candidate order, and the
 //!   response covers exactly the candidates up to the `count`-th acceptance
 //!   (or all `max_attempts` if the target is never met) — over-dispatched
 //!   candidates beyond that deterministic cut are discarded. A
 //!   [`Sampler::synthesize`](clgen::Sampler::synthesize) over the same
-//!   checkpoint, seed, options and cap reports the same kernels and totals.
+//!   checkpoint, seed, options and cap reports the same kernels and totals,
+//!   at any number of engines.
 //!
 //! The fault model preserves this: supervisor respawns reload the **same**
 //! checkpoint bytes (bit-identical weights), lane aborts cannot influence
@@ -84,20 +117,22 @@ use crate::json;
 use crate::metrics::ServeMetrics;
 use clgen::{
     filter_candidate, spawn_filter_stage, BatchEngine, FilterBatch, Filtered, KernelStats,
-    SampleOptions, Session, StreamedKernel, SynthesisStats, SynthesizedKernel, TrainedModel,
+    LaneSplit, SampleOptions, Session, StreamedKernel, SynthesisStats, SynthesizedKernel,
+    TrainedModel,
 };
 use clgen_corpus::filter::FilterConfig;
 use clgen_corpus::RejectReason;
+use clgen_neural::StreamBatch;
 use clgen_obs::{FlightRecorder, Trace};
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How often the idle (or draining) sampler core wakes to take a turn —
-/// sweeping deadlines and the drain timer — when no messages arrive.
+/// How often an idle (or draining) sampler thread wakes to take a turn —
+/// sweeping deadlines and the drain timer — when nothing wakes it sooner.
 const IDLE_TICK: Duration = Duration::from_millis(200);
 
 /// Parameters of one `/synthesize` request.
@@ -412,24 +447,51 @@ fn render_done_line(summary: &SynthesisStats, exhausted: bool, timed_out: bool) 
     line
 }
 
-/// What the shell does after a [`Scheduler::turn`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Turn {
-    /// One engine step was taken: take the next turn straight away.
-    Stepped,
-    /// Nothing can step: wait for a message — or, while an injected
-    /// `sampler_stall` holds the lanes, no later than the instant given.
+/// What an engine does after the policy half of its turn
+/// ([`Scheduler::plan`]).
+#[derive(Debug, PartialEq, Eq)]
+enum Plan {
+    /// Step the engine, outside the lock, reaping every lane whose request
+    /// key is not in this snapshot of the live requests; then hand what
+    /// completed over ([`Scheduler::hand_over`]).
+    Step(Vec<u32>),
+    /// Nothing to step: wait for a message (engine 0) or a wake-up (a
+    /// helper) — or, while an injected `sampler_stall` holds the lanes, no
+    /// later than the instant given.
     Idle(Option<Instant>),
     /// The generation is over: drained after [`SchedMsg::Shutdown`], the
     /// drain deadline enforced, or the filter stage gone.
     Finished,
 }
 
+/// What the scheduler knows of one engine's lanes.
+#[derive(Debug, Clone, Copy)]
+struct Seat {
+    lanes: usize,
+    /// Free lanes the engine's own last admission left (all of them before
+    /// its first): what engines above it wait on ([`Scheduler::plan`]).
+    free: usize,
+    /// Occupied lanes after its last admission or step (`clgen_lanes_busy`).
+    occupied: usize,
+}
+
+impl Seat {
+    fn empty(lanes: usize) -> Seat {
+        Seat {
+            lanes,
+            free: lanes,
+            occupied: 0,
+        }
+    }
+}
+
 /// The sampler core's policy: a state machine over messages ([`handle`])
-/// and turns taken at given instants ([`turn`]).
+/// and the halves of engine turns taken at given instants ([`plan`],
+/// [`hand_over`]).
 ///
 /// [`handle`]: Scheduler::handle
-/// [`turn`]: Scheduler::turn
+/// [`plan`]: Scheduler::plan
+/// [`hand_over`]: Scheduler::hand_over
 struct Scheduler {
     filter_tx: mpsc::Sender<FilterBatch>,
     backlog: VecDeque<Job>,
@@ -442,12 +504,49 @@ struct Scheduler {
     rr: usize,
     /// Candidates sent to the filter stage whose verdicts are not back yet.
     in_filter: usize,
+    /// One per engine, in fill order.
+    seats: Vec<Seat>,
+    /// Lanes over all engines: what [`Session::wants_dispatch`] bounds.
+    lanes: usize,
     max_active: usize,
     shutdown: bool,
     drain_deadline: Option<Instant>,
-    /// An injected `sampler_stall` holds every lane still until then; turns
-    /// still admit, shed and reap meanwhile.
+    /// An injected `sampler_stall` holds every engine's lanes still until
+    /// then; turns still admit, shed and reap meanwhile.
     stalled_until: Option<Instant>,
+}
+
+/// The lane metrics and fault hooks an engine step reports to, held by each
+/// sampler thread so that a step needs no lock.
+#[derive(Clone)]
+struct StepProbes {
+    faults: FaultPlan,
+    flight: Arc<FlightRecorder>,
+    metrics: Arc<ServeMetrics>,
+}
+
+impl StepProbes {
+    /// Advance every occupied lane of `engine` by one character, reaping
+    /// lanes whose request key is not in `live` (completed, expired, or its
+    /// client vanished) instead of sampling them to their budget. Returns
+    /// the candidates that completed.
+    fn step(
+        &self,
+        engine: &mut BatchEngine<'_, impl StreamBatch + ?Sized>,
+        live: &[u32],
+    ) -> FilterBatch {
+        if self.faults.fire(FaultPoint::SamplerPanic).is_some() {
+            self.flight.record("fault", "sampler_panic".to_string());
+            panic!("injected fault: sampler_panic");
+        }
+        self.metrics
+            .lane_occupancy
+            .observe(engine.occupied_lanes() as u64);
+        self.metrics.lanes_stepped.add(engine.num_lanes() as u64);
+        let mut completed = Vec::new();
+        engine.step_into_abortable(&mut completed, |t| !live.contains(&ticket_key(t)));
+        completed
+    }
 }
 
 impl Scheduler {
@@ -457,8 +556,9 @@ impl Scheduler {
         flight: Arc<FlightRecorder>,
         faults: FaultPlan,
         seed_text: String,
-        lanes: usize,
+        lanes: &[usize],
     ) -> Scheduler {
+        let total = lanes.iter().sum::<usize>();
         Scheduler {
             filter_tx,
             backlog: VecDeque::new(),
@@ -470,7 +570,9 @@ impl Scheduler {
             next_key: 0,
             rr: 0,
             in_filter: 0,
-            max_active: lanes.max(1),
+            seats: lanes.iter().map(|&n| Seat::empty(n)).collect(),
+            lanes: total,
+            max_active: total.max(1),
             shutdown: false,
             drain_deadline: None,
             stalled_until: None,
@@ -511,7 +613,11 @@ impl Scheduler {
     /// their deadline. The metric counters are bumped *before* the final
     /// `Done` line is sent, so `/stats` (or `/metrics`) read after a
     /// completed response reflects it.
-    fn absorb_all(&mut self, now: Instant, engine: &mut BatchEngine<'_>) {
+    fn absorb_all(
+        &mut self,
+        now: Instant,
+        engine: &mut BatchEngine<'_, impl StreamBatch + ?Sized>,
+    ) {
         let mut i = 0;
         while i < self.active.len() {
             if let Some(done_line) = Self::absorb_request(&mut self.active[i]) {
@@ -635,9 +741,16 @@ impl Scheduler {
         }
     }
 
-    /// Activate backlog jobs and refill free lanes, round-robin across
-    /// active requests so no request monopolises the batch.
-    fn admit(&mut self, now: Instant, engine: &mut BatchEngine<'_>) {
+    /// Activate backlog jobs and refill the free lanes of engine `seat`,
+    /// round-robin across active requests so no request monopolises the
+    /// batch — but only while every lower engine was left full by its own
+    /// last admission (engines fill in order).
+    fn admit(
+        &mut self,
+        now: Instant,
+        seat: usize,
+        engine: &mut BatchEngine<'_, impl StreamBatch + ?Sized>,
+    ) {
         while self.active.len() < self.max_active {
             let Some(job) = self.backlog.pop_front() else {
                 break;
@@ -684,8 +797,9 @@ impl Scheduler {
         if self.active.iter().any(ActiveRequest::is_dead) {
             self.absorb_all(now, engine);
         }
-        let lanes = engine.num_lanes();
-        'lanes: while let Some(lane) = engine.free_lane() {
+        let lanes = self.lanes;
+        let lower_full = self.seats[..seat].iter().all(|lower| lower.free == 0);
+        'lanes: while let Some(lane) = engine.free_lane().filter(|_| lower_full) {
             let n = self.active.len();
             let mut tried = 0;
             loop {
@@ -715,18 +829,23 @@ impl Scheduler {
         }
     }
 
-    fn publish(&self, engine: &BatchEngine<'_>) {
-        self.metrics.lanes_busy.set(engine.occupied_lanes() as f64);
+    fn publish(&self) {
+        let busy = self.seats.iter().map(|seat| seat.occupied).sum::<usize>();
+        self.metrics.lanes_busy.set(busy as f64);
         self.metrics.active_requests.set(self.active.len() as f64);
     }
 
     /// Fail every in-flight request with `error`, dropping the requests (the
     /// panic quarantine: an in-flight job is never retried into a fresh
-    /// batch). The engine of the failed generation is already gone.
+    /// batch). The engines of the failed generation are already gone; the
+    /// next generation's start with every lane free.
     fn fail_in_flight(&mut self, error: &ServeError) {
         let n = self.active.len() as u64;
         for req in self.active.drain(..) {
             let _ = req.reply.send(ResponseEvent::Error(error.clone()));
+        }
+        for seat in &mut self.seats {
+            *seat = Seat::empty(seat.lanes);
         }
         self.metrics.requests_failed.add(n);
         self.metrics.active_requests.set(0.0);
@@ -754,62 +873,86 @@ impl Scheduler {
         true
     }
 
-    /// One turn of the sampler core at `now`: enforce the drain deadline,
-    /// shed expired backlog, reap expired requests, absorb, admit — then, if
-    /// a lane is occupied and not stalled, advance every lane one character
-    /// and send what completed to the filter stage. A panic anywhere in here
-    /// (model compute, absorption, an injected fault) aborts only this
-    /// generation of the core.
-    fn turn(&mut self, now: Instant, engine: &mut BatchEngine<'_>) -> Turn {
+    /// The policy half of engine `seat`'s turn at `now`, taken under the
+    /// lock: enforce the drain deadline, shed expired backlog, reap expired
+    /// requests, absorb, admit — and, if a lane of this engine is occupied
+    /// and not stalled, say so with the keys of the requests still live. A
+    /// panic anywhere in a turn (absorption, model compute, an injected
+    /// fault) aborts only this generation of the core.
+    fn plan(
+        &mut self,
+        now: Instant,
+        seat: usize,
+        engine: &mut BatchEngine<'_, impl StreamBatch + ?Sized>,
+    ) -> Plan {
         if self.enforce_drain_deadline(now) {
-            return Turn::Finished;
+            return Plan::Finished;
         }
         self.shed_expired_backlog(now);
         self.reap_expired(now);
         self.absorb_all(now, engine);
-        self.admit(now, engine);
+        self.admit(now, seat, engine);
+        let occupied = engine.occupied_lanes();
+        self.seats[seat] = Seat {
+            free: engine.num_lanes() - occupied,
+            occupied,
+            ..self.seats[seat]
+        };
         let stalled = self.stalled_until.filter(|&t| now < t);
-        if engine.occupied_lanes() == 0 || stalled.is_some() {
-            self.publish(engine);
+        if occupied == 0 || stalled.is_some() {
+            self.publish();
             if self.shutdown && self.is_drained() {
-                return Turn::Finished;
+                return Plan::Finished;
             }
-            return Turn::Idle(stalled);
+            return Plan::Idle(stalled);
         }
-        if self.faults.fire(FaultPoint::SamplerPanic).is_some() {
-            self.flight.record("fault", "sampler_panic".to_string());
-            panic!("injected fault: sampler_panic");
-        }
-        self.metrics
-            .lane_occupancy
-            .observe(engine.occupied_lanes() as u64);
-        // Lanes whose request is gone (completed, expired, or its client
-        // vanished) are reaped mid-step through the engine's abort predicate
-        // instead of sampling to their budget.
-        let mut completed = Vec::new();
-        let active = &self.active;
-        engine.step_into_abortable(&mut completed, |t| {
-            let key = ticket_key(t);
-            match active.iter().find(|r| r.key == key) {
-                None => true,
-                Some(req) => req.is_dead(),
-            }
-        });
+        Plan::Step(
+            self.active
+                .iter()
+                .filter(|req| !req.is_dead())
+                .map(|req| req.key)
+                .collect(),
+        )
+    }
+
+    /// Whether engine `seat` and every engine below it are full after their
+    /// last admission: the next engine may admit.
+    fn fills_through(&self, seat: usize) -> bool {
+        self.seats[..=seat].iter().all(|s| s.free == 0)
+    }
+
+    /// Take back what engine `seat`'s step at `now` completed: send it to the
+    /// filter stage and arm an injected `sampler_stall`. `false` once the
+    /// filter stage is gone (nothing can complete any more).
+    fn hand_over(
+        &mut self,
+        now: Instant,
+        seat: usize,
+        engine: &BatchEngine<'_, impl StreamBatch + ?Sized>,
+        completed: FilterBatch,
+    ) -> bool {
+        self.seats[seat].occupied = engine.occupied_lanes();
         if !completed.is_empty() {
             self.flight
                 .record("step", format!("completed={}", completed.len()));
             self.in_filter += completed.len();
             if self.filter_tx.send(completed).is_err() {
-                // The filter thread died; nothing can complete any more.
-                return Turn::Finished;
+                return false;
             }
         }
-        self.stalled_until = self
-            .faults
-            .fire(FaultPoint::SamplerStall)
-            .map(|ms| now + Duration::from_millis(ms));
-        self.publish(engine);
-        Turn::Stepped
+        if let Some(ms) = self.faults.fire(FaultPoint::SamplerStall) {
+            self.stalled_until = Some(now + Duration::from_millis(ms));
+        }
+        self.publish();
+        true
+    }
+
+    fn probes(&self) -> StepProbes {
+        StepProbes {
+            faults: self.faults.clone(),
+            flight: self.flight.clone(),
+            metrics: self.metrics.clone(),
+        }
     }
 }
 
@@ -822,7 +965,10 @@ fn micros_between(from: Instant, to: Instant) -> u64 {
 /// checkpoint image it respawns from, the shared statistics, the fault plan,
 /// and the server's shutdown trigger for budget exhaustion.
 pub(crate) struct CoreContext {
-    pub lanes: usize,
+    /// The server's lanes over one engine per rayon thread of the thread
+    /// that started the server (the sampler core's own thread does not
+    /// inherit a `rayon::with_num_threads` scope).
+    pub split: LaneSplit,
     pub seed_text: String,
     /// Pristine checkpoint image (the bytes of the model the server booted
     /// with); every respawn decodes a fresh model from it.
@@ -847,6 +993,159 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// The scheduler lock. A thread that panicked holding it ended its
+/// generation, and the supervisor still needs the scheduler to answer that
+/// generation's requests, so a poisoned lock is still a lock.
+fn lock(sched: &Mutex<Scheduler>) -> MutexGuard<'_, Scheduler> {
+    sched.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What the sampler threads of one generation share besides the scheduler:
+/// the wake-up of idle helpers and the flag that ends the generation.
+struct Shell<'g> {
+    sched: &'g Mutex<Scheduler>,
+    /// Wakes helpers asleep with no lane to step and nothing to admit.
+    wake: Condvar,
+    /// Helpers asleep on `wake` (changed and read under the lock).
+    asleep: AtomicUsize,
+    /// Raised, under the lock, when any thread of the generation leaves.
+    stop: AtomicBool,
+    /// The sampler-core inbox: a helper that leaves sends an empty message,
+    /// so engine 0's thread, maybe blocked on the inbox, sees `stop`.
+    nudge: mpsc::Sender<SchedMsg>,
+    probes: StepProbes,
+}
+
+impl Shell<'_> {
+    /// Take turns on engine `seat` until the generation ends. Engine 0's
+    /// thread passes the inbox: it alone folds messages into the scheduler,
+    /// and blocks on the inbox while idle; a helper sleeps on `wake`.
+    fn run(
+        &self,
+        seat: usize,
+        engine: &mut BatchEngine<'_, impl StreamBatch + ?Sized>,
+        inbox: Option<&mpsc::Receiver<SchedMsg>>,
+    ) {
+        let _leave = Leave {
+            shell: self,
+            helper: inbox.is_none(),
+        };
+        let mut completed = None;
+        let mut sched = lock(self.sched);
+        while !self.stop.load(Ordering::Relaxed) {
+            let now = Instant::now();
+            if let Some(completed) = completed.take() {
+                if !sched.hand_over(now, seat, engine, completed) {
+                    return;
+                }
+            }
+            for msg in inbox.into_iter().flat_map(mpsc::Receiver::try_iter) {
+                sched.handle(msg);
+            }
+            let plan = sched.plan(now, seat, engine);
+            if self.asleep.load(Ordering::Relaxed) > 0 && sched.fills_through(seat) {
+                self.wake.notify_all();
+            }
+            match plan {
+                Plan::Step(live) => {
+                    drop(sched);
+                    completed = Some(self.probes.step(engine, &live));
+                    sched = lock(self.sched);
+                }
+                Plan::Idle(until) => {
+                    let wait = until.map_or(IDLE_TICK, |t| {
+                        IDLE_TICK.min(t.saturating_duration_since(now))
+                    });
+                    if let Some(inbox) = inbox {
+                        drop(sched);
+                        let received = inbox.recv_timeout(wait);
+                        sched = lock(self.sched);
+                        match received {
+                            Ok(msg) => sched.handle(msg),
+                            Err(mpsc::RecvTimeoutError::Timeout) => {}
+                            Err(mpsc::RecvTimeoutError::Disconnected) => return,
+                        }
+                    } else {
+                        self.asleep.fetch_add(1, Ordering::Relaxed);
+                        sched = self
+                            .wake
+                            .wait_timeout(sched, wait)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0;
+                        self.asleep.fetch_sub(1, Ordering::Relaxed);
+                    }
+                }
+                Plan::Finished => return,
+            }
+        }
+    }
+}
+
+/// Ends its thread's part of a generation, however it ends: raises `stop`
+/// and wakes the helpers, so none outlives the generation. A helper also
+/// nudges the inbox, waking engine 0's thread.
+struct Leave<'s, 'g> {
+    shell: &'s Shell<'g>,
+    helper: bool,
+}
+
+impl Drop for Leave<'_, '_> {
+    fn drop(&mut self) {
+        // Raised under the lock, so no thread can miss it between testing
+        // the flag and going to sleep.
+        let sched = lock(self.shell.sched);
+        self.shell.stop.store(true, Ordering::Relaxed);
+        drop(sched);
+        self.shell.wake.notify_all();
+        if self.helper {
+            let _ = self.shell.nudge.send(SchedMsg::Filtered(Vec::new()));
+        }
+    }
+}
+
+/// One generation of the sampler core over `engines`: engine 0 steps on this
+/// thread, which alone reads the inbox, and engines `1..` on scoped helper
+/// threads, each thread's kernels fanning out over `threads` rayon threads.
+/// Returns when the scheduler finishes or the inbox hangs up; a panic on any
+/// of the threads ends the generation and unwinds here in its own payload.
+fn run_generation<B: StreamBatch + Send + ?Sized>(
+    sched: &Mutex<Scheduler>,
+    engines: &mut [BatchEngine<'_, B>],
+    threads: usize,
+    inbox: &mpsc::Receiver<SchedMsg>,
+    nudge: mpsc::Sender<SchedMsg>,
+) {
+    let shell = Shell {
+        sched,
+        wake: Condvar::new(),
+        asleep: AtomicUsize::new(0),
+        stop: AtomicBool::new(false),
+        nudge,
+        probes: lock(sched).probes(),
+    };
+    let (lead, helpers) = engines
+        .split_first_mut()
+        .expect("a sampler core has an engine");
+    std::thread::scope(|scope| {
+        let shell = &shell;
+        let helpers: Vec<_> = helpers
+            .iter_mut()
+            .enumerate()
+            .map(|(i, engine)| {
+                scope.spawn(move || {
+                    rayon::with_num_threads(threads, || shell.run(i + 1, engine, None))
+                })
+            })
+            .collect();
+        rayon::with_num_threads(threads, || shell.run(0, lead, Some(inbox)));
+        for helper in helpers {
+            if let Err(panic) = helper.join() {
+                resume_unwind(panic);
+            }
+        }
+    });
+}
+
 /// Run the supervised sampler core until shutdown: the body of the
 /// sampler-core thread spawned by the server.
 ///
@@ -867,6 +1166,7 @@ pub(crate) fn run_sampler_core(
     // typed rejection instead of wedging every in-flight request.
     let filter_config = FilterConfig::without_shim();
     let filter_faults = ctx.faults.clone();
+    let nudge = sched_tx.clone();
     let (filter_tx, filter_thread) = spawn_filter_stage(
         move |candidate| {
             if filter_faults.fire(FaultPoint::FilterPanic).is_some() {
@@ -877,14 +1177,14 @@ pub(crate) fn run_sampler_core(
         move |batch| sched_tx.send(SchedMsg::Filtered(batch)).is_ok(),
     );
 
-    let mut sched = Scheduler::new(
+    let sched = Mutex::new(Scheduler::new(
         filter_tx,
         ctx.metrics.clone(),
         ctx.flight.clone(),
         ctx.faults.clone(),
         ctx.seed_text.clone(),
-        ctx.lanes,
-    );
+        &ctx.split.lanes,
+    ));
 
     // The model the server booted with serves the first generation; every
     // respawn decodes a fresh model from the pristine checkpoint image.
@@ -910,7 +1210,7 @@ pub(crate) fn run_sampler_core(
                         eprintln!("clgen-serve: checkpoint reload failed: {e}; retrying");
                         ctx.metrics.supervisor_restarts.inc();
                         if ctx.supervisor.record_restart(Instant::now()) {
-                            give_up(&mut sched, &ctx);
+                            give_up(&mut lock(&sched), &ctx);
                             break;
                         }
                         continue;
@@ -919,27 +1219,13 @@ pub(crate) fn run_sampler_core(
             }
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut streams = model.streams(ctx.lanes.max(1));
-            let mut engine = BatchEngine::new(streams.as_mut(), model.vocabulary());
-            // The shell around the scheduler: the only code that reads the
-            // clock or waits. A hung-up inbox ends the generation.
-            loop {
-                while let Ok(msg) = rx.try_recv() {
-                    sched.handle(msg);
-                }
-                let wait = match sched.turn(Instant::now(), &mut engine) {
-                    Turn::Stepped => continue,
-                    Turn::Finished => return,
-                    Turn::Idle(until) => until.map_or(IDLE_TICK, |t| {
-                        IDLE_TICK.min(t.saturating_duration_since(Instant::now()))
-                    }),
-                };
-                match rx.recv_timeout(wait) {
-                    Ok(msg) => sched.handle(msg),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => return,
-                }
-            }
+            let mut engines: Vec<_> = ctx
+                .split
+                .lanes
+                .iter()
+                .map(|&lanes| BatchEngine::boxed(model.streams(lanes), model.vocabulary()))
+                .collect();
+            run_generation(&sched, &mut engines, ctx.split.threads, &rx, nudge.clone());
         }));
         match outcome {
             Ok(()) => break,
@@ -954,13 +1240,13 @@ pub(crate) fn run_sampler_core(
                     "clgen-serve: sampler core panicked ({message}); failing in-flight \
                      requests and respawning from the checkpoint image"
                 );
-                sched.fail_in_flight(&ServeError::failed(
+                lock(&sched).fail_in_flight(&ServeError::failed(
                     500,
                     format!("sampler core panicked: {message}"),
                 ));
                 ctx.metrics.supervisor_restarts.inc();
                 if ctx.supervisor.record_restart(Instant::now()) {
-                    give_up(&mut sched, &ctx);
+                    give_up(&mut lock(&sched), &ctx);
                     break;
                 }
             }
@@ -968,7 +1254,7 @@ pub(crate) fn run_sampler_core(
     }
 
     // Closing the filter channel ends the filter thread's receive loop.
-    drop(sched.filter_tx);
+    drop(sched.into_inner().unwrap_or_else(PoisonError::into_inner));
     let _ = filter_thread.join();
 }
 
@@ -1012,6 +1298,36 @@ mod tests {
         Duration::from_millis(n)
     }
 
+    /// What a whole turn did, as the synchronous tests see it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Turn {
+        /// The engine stepped.
+        Stepped,
+        /// Nothing stepped (see [`Plan::Idle`]).
+        Idle(Option<Instant>),
+        /// The generation is over.
+        Finished,
+    }
+
+    impl Scheduler {
+        /// One whole turn of a one-engine core at `now`: the policy half,
+        /// the step and the hand-over, with no lock and no thread.
+        fn turn(&mut self, now: Instant, engine: &mut BatchEngine<'_>) -> Turn {
+            match self.plan(now, 0, engine) {
+                Plan::Step(live) => {
+                    let completed = self.probes().step(engine, &live);
+                    if self.hand_over(now, 0, engine, completed) {
+                        Turn::Stepped
+                    } else {
+                        Turn::Finished
+                    }
+                }
+                Plan::Idle(until) => Turn::Idle(until),
+                Plan::Finished => Turn::Finished,
+            }
+        }
+    }
+
     /// An n-gram over a few corpus kernels: it steps in microseconds, and
     /// some of what it samples passes the filter.
     fn corpus_model() -> &'static (NgramModel, Vocabulary) {
@@ -1029,10 +1345,24 @@ mod tests {
         })
     }
 
-    /// A scheduler over `LANES` lanes whose filter stage is the returned
-    /// receiver: the test computes verdicts and delivers them itself.
+    /// A scheduler over one engine of `LANES` lanes whose filter stage is
+    /// the returned receiver: the test computes verdicts and delivers them
+    /// itself.
     fn scheduler(
         faults: FaultPlan,
+    ) -> (
+        Scheduler,
+        mpsc::Receiver<FilterBatch>,
+        Arc<ServeMetrics>,
+        Arc<FlightRecorder>,
+    ) {
+        scheduler_over(faults, &[LANES])
+    }
+
+    /// [`scheduler`] over one engine per entry of `lanes`.
+    fn scheduler_over(
+        faults: FaultPlan,
+        lanes: &[usize],
     ) -> (
         Scheduler,
         mpsc::Receiver<FilterBatch>,
@@ -1048,7 +1378,7 @@ mod tests {
             flight.clone(),
             faults,
             SEED_TEXT.to_string(),
-            LANES,
+            lanes,
         );
         (sched, filter_rx, metrics, flight)
     }
@@ -1266,6 +1596,161 @@ mod tests {
         assert_eq!(sched.turn(t0 + ms(100), &mut engine), Turn::Stepped);
         assert_eq!(metrics.lane_occupancy.count(), 2);
         assert_eq!(plan.hits(FaultPoint::SamplerStall), 2, "one hit per step");
+    }
+
+    /// Engines fill in order: traffic that fits engine 0 never reaches
+    /// engine 1, and only traffic that leaves engine 0 full spills over.
+    #[test]
+    fn engines_fill_in_order() {
+        let (model, vocab) = corpus_model();
+        let (mut a, mut b) = (NgramStreams::new(model, 4), NgramStreams::new(model, 4));
+        let mut engines = [
+            BatchEngine::new(&mut a, vocab),
+            BatchEngine::new(&mut b, vocab),
+        ];
+        let (mut sched, _filter_rx, metrics, _) = scheduler_over(FaultPlan::inert(), &[4, 4]);
+        let t0 = Instant::now();
+        // count = 1: at most four candidates out, so engine 0 takes them all.
+        let (narrow, _narrow) = job(1, 1, 24, t0, None);
+        sched.handle(SchedMsg::Job(narrow));
+        assert_eq!(sched.plan(t0, 1, &mut engines[1]), Plan::Idle(None));
+        assert!(matches!(sched.plan(t0, 0, &mut engines[0]), Plan::Step(_)));
+        assert_eq!(engines[0].occupied_lanes(), 4);
+        assert_eq!(
+            sched.plan(t0, 1, &mut engines[1]),
+            Plan::Idle(None),
+            "engine 0 is full, but the job may send no more"
+        );
+        // count = 3: twelve may go out, and engine 1 takes the spill.
+        let (wide, _wide) = job(2, 3, 24, t0, None);
+        sched.handle(SchedMsg::Job(wide));
+        let Plan::Step(live) = sched.plan(t0, 1, &mut engines[1]) else {
+            panic!("engine 1 steps the spill");
+        };
+        assert_eq!(live, [0, 1]);
+        assert_eq!(engines[1].occupied_lanes(), 4);
+        let completed = sched.probes().step(&mut engines[1], &live);
+        assert!(sched.hand_over(t0, 1, &engines[1], completed));
+        assert_eq!(
+            metrics.lanes_busy.get() as usize,
+            4 + engines[1].occupied_lanes(),
+            "lanes_busy sums the engines"
+        );
+        assert_eq!(metrics.lane_occupancy.count(), 1, "one engine step");
+        assert_eq!(metrics.lanes_stepped.get(), 4);
+    }
+
+    /// A batch whose steps panic — in the step, outside the scheduler lock,
+    /// or, with `in_prime`, already when a candidate is admitted under it.
+    struct Panicking {
+        streams: NgramStreams<'static>,
+        in_prime: bool,
+    }
+
+    impl StreamBatch for Panicking {
+        fn vocab_size(&self) -> usize {
+            self.streams.vocab_size()
+        }
+        fn num_streams(&self) -> usize {
+            self.streams.num_streams()
+        }
+        fn reset(&mut self) {
+            self.streams.reset();
+        }
+        fn reset_stream(&mut self, stream: usize) {
+            self.streams.reset_stream(stream);
+        }
+        fn feed_many(&mut self, _: &[(usize, u32)]) {
+            panic!("a poisoned step");
+        }
+        fn probs_into(&self, stream: usize, out: &mut Vec<f32>) {
+            self.streams.probs_into(stream, out);
+        }
+        fn prime(&mut self, stream: usize, ids: &[u32]) {
+            if self.in_prime {
+                panic!("a poisoned step");
+            }
+            self.streams.prime(stream, ids);
+        }
+    }
+
+    /// A helper engine that panics ends its generation in its own panic, as
+    /// a panic on the sampler-core thread does: engine 0's thread, blocked
+    /// on the inbox, is woken, no thread outlives the generation, and the
+    /// supervisor's quarantine then fails the in-flight request with a 500
+    /// while the queued job survives — also when the helper panicked
+    /// holding the scheduler lock.
+    #[test]
+    fn a_helper_that_panics_ends_the_generation_in_its_panic() {
+        let (model, vocab) = corpus_model();
+        for in_prime in [false, true] {
+            let mut engines: Vec<BatchEngine<'_, dyn StreamBatch + Send>> = vec![
+                BatchEngine::boxed(Box::new(NgramStreams::new(model, 1)), vocab),
+                BatchEngine::boxed(
+                    Box::new(Panicking {
+                        streams: NgramStreams::new(model, 1),
+                        in_prime,
+                    }),
+                    vocab,
+                ),
+            ];
+            // A real filter stage: verdicts keep coming back, so the
+            // in-flight job keeps dispatching until engine 1 takes a share.
+            let (inbox_tx, inbox) = mpsc::channel();
+            let verdicts_tx = inbox_tx.clone();
+            let (filter_tx, filter_thread) = spawn_filter_stage(
+                |candidate| filter_candidate(&FilterConfig::without_shim(), candidate),
+                move |batch| verdicts_tx.send(SchedMsg::Filtered(batch)).is_ok(),
+            );
+            let metrics = Arc::new(ServeMetrics::new(Arc::new(clgen_obs::Registry::new())));
+            let flight = Arc::new(FlightRecorder::new(64));
+            let mut sched = Scheduler::new(
+                filter_tx,
+                metrics,
+                flight,
+                FaultPlan::inert(),
+                SEED_TEXT.to_string(),
+                &[1, 1],
+            );
+            // One request at a time, so the second job stays queued.
+            sched.max_active = 1;
+            let core = Mutex::new(sched);
+            let t0 = Instant::now();
+            // A target the job never meets: it wants more lanes than engine
+            // 0 has for as long as the generation runs.
+            let (in_flight, in_flight_handed) = job(1, 1 << 20, 1 << 20, t0, None);
+            let (queued, queued_handed) = job(2, 1, 64, t0, None);
+            inbox_tx.send(SchedMsg::Job(in_flight)).expect("inbox");
+            inbox_tx.send(SchedMsg::Job(queued)).expect("inbox");
+
+            let ended = catch_unwind(AssertUnwindSafe(|| {
+                run_generation(&core, &mut engines, 1, &inbox, inbox_tx.clone())
+            }));
+            let payload = ended.expect_err("the helper's panic ends the generation");
+            assert_eq!(
+                panic_message(payload),
+                "a poisoned step",
+                "in_prime={in_prime}"
+            );
+
+            let mut sched = lock(&core);
+            sched.fail_in_flight(&ServeError::failed(500, "sampler core panicked".into()));
+            // Kernel lines may have streamed; the request ends in a 500.
+            match in_flight_handed.reply.try_iter().last() {
+                Some(ResponseEvent::Error(e)) => assert_eq!(e.status, 500),
+                other => panic!("expected a 500, got {other:?}"),
+            }
+            assert!(
+                queued_handed.reply.try_recv().is_err(),
+                "the queued job waits"
+            );
+            assert_eq!(queued_handed.slot.load(Ordering::SeqCst), 1);
+            assert_eq!(sched.backlog.len(), 1, "and survives the quarantine");
+            // Dropping the scheduler closes the filter stage's input.
+            drop(sched);
+            drop(core);
+            filter_thread.join().expect("the filter stage ends");
+        }
     }
 
     #[test]
@@ -1563,6 +2048,45 @@ mod tests {
         }
     }
 
+    /// Where one engine of an interleaved set is in its turn.
+    enum Phase {
+        Ready,
+        Planned(Vec<u32>),
+        Stepped(FilterBatch),
+    }
+
+    /// One move of an interleaving: an engine takes the next part of its
+    /// turn, or verdicts come back (as in [`Event::Deliver`]).
+    #[derive(Debug, Clone)]
+    enum Move {
+        Part(usize),
+        Deliver { pick: usize, take: usize },
+    }
+
+    fn moves() -> impl Strategy<Value = Move> {
+        (0u8..4, 0usize..64, 0usize..64).prop_map(|(kind, a, b)| match kind {
+            0..=2 => Move::Part(a % 2),
+            _ => Move::Deliver { pick: a, take: b },
+        })
+    }
+
+    /// Take the next part of engine `seat`'s turn: the policy half under
+    /// the lock, the step outside it, or the hand-over back under it.
+    fn part(sched: &mut Scheduler, seat: usize, engine: &mut BatchEngine<'_>, phase: &mut Phase) {
+        let now = Instant::now();
+        *phase = match std::mem::replace(phase, Phase::Ready) {
+            Phase::Ready => match sched.plan(now, seat, engine) {
+                Plan::Step(live) => Phase::Planned(live),
+                _ => Phase::Ready,
+            },
+            Phase::Planned(live) => Phase::Stepped(sched.probes().step(engine, &live)),
+            Phase::Stepped(completed) => {
+                assert!(sched.hand_over(now, seat, engine, completed));
+                Phase::Ready
+            }
+        };
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1629,6 +2153,70 @@ mod tests {
                     let (seed, count, max_attempts) = job.params;
                     prop_assert_eq!(lines, alone(seed, count, max_attempts));
                 }
+            }
+        }
+
+        /// Two engines' turns interleaved in any order — a step outside the
+        /// lock racing the other engine's policy half and hand-over, verdicts
+        /// delivered shuffled and split — stream every job byte for byte as
+        /// it streams alone on one engine.
+        #[test]
+        fn interleaved_engines_stream_what_a_job_streams_alone(
+            jobs in proptest::collection::vec((0u64..4, 1usize..=3, 1usize..=24), 1..4),
+            moves in proptest::collection::vec(moves(), 0..300),
+        ) {
+            let (model, vocab) = corpus_model();
+            let (mut a, mut b) = (NgramStreams::new(model, 2), NgramStreams::new(model, 2));
+            let mut engines = [BatchEngine::new(&mut a, vocab), BatchEngine::new(&mut b, vocab)];
+            let mut phases = [Phase::Ready, Phase::Ready];
+            let (mut sched, filter_rx, _, _) = scheduler_over(FaultPlan::inert(), &[2, 2]);
+            let now = Instant::now();
+            let handed: Vec<Handed> = jobs
+                .iter()
+                .map(|&(seed, count, max_attempts)| {
+                    let (job, handed) = job(seed, count, max_attempts, now, None);
+                    sched.handle(SchedMsg::Job(job));
+                    handed
+                })
+                .collect();
+            let mut outstanding: Vec<Vec<Filtered>> = Vec::new();
+            let mut lines: Vec<Vec<String>> = vec![Vec::new(); jobs.len()];
+            let mut done = 0;
+            let settle = (0..200_000).map(|i| if i % 2 == 0 { Move::Deliver { pick: 0, take: 63 } } else { Move::Part(i / 2 % 2) });
+            for next in moves.into_iter().chain(settle) {
+                if done == jobs.len() {
+                    break;
+                }
+                match next {
+                    Move::Part(seat) => part(&mut sched, seat, &mut engines[seat], &mut phases[seat]),
+                    Move::Deliver { pick, take } => {
+                        if !outstanding.is_empty() {
+                            let mut batch = outstanding.swap_remove(pick % outstanding.len());
+                            let rest = batch.split_off(1 + take % batch.len());
+                            if !rest.is_empty() {
+                                outstanding.push(rest);
+                            }
+                            sched.handle(SchedMsg::Filtered(batch));
+                        }
+                    }
+                }
+                outstanding.extend(filter_rx.try_iter().map(verdicts));
+                for (lines, handed) in lines.iter_mut().zip(&handed) {
+                    for event in handed.reply.try_iter() {
+                        match event {
+                            ResponseEvent::Kernel(line) => lines.push(line),
+                            ResponseEvent::Done(line) => {
+                                lines.push(line);
+                                done += 1;
+                            }
+                            ResponseEvent::Error(e) => panic!("{e:?}"),
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(done, jobs.len(), "every job is answered");
+            for (&(seed, count, max_attempts), lines) in jobs.iter().zip(lines) {
+                prop_assert_eq!(lines, alone(seed, count, max_attempts));
             }
         }
     }

@@ -43,7 +43,13 @@ const FLIGHT_CAPACITY: usize = 256;
 pub struct ServerConfig {
     /// Bind address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// Sample-stream lanes of the shared continuously-batched run.
+    /// Sample-stream lanes of the shared continuously-batched run: candidates
+    /// in flight over all requests. They are split over one
+    /// [`BatchEngine`](clgen::BatchEngine) per rayon thread of the thread
+    /// that calls [`Server::start`] ([`clgen::lane_split`]: 16 lanes on 2
+    /// threads as 8 + 8), and every engine steps on a thread of its own.
+    /// Admission fills the engines in order, so traffic that fits the first
+    /// engine's share runs on one core.
     pub lanes: usize,
     /// Maximum requests holding a place in the admission queue: synthesis
     /// jobs waiting for the sampler core, and `/drive` / `/features`
@@ -173,7 +179,7 @@ impl Server {
         });
 
         let ctx = CoreContext {
-            lanes: config.lanes,
+            split: clgen::lane_split(config.lanes, rayon::current_num_threads()),
             seed_text: FREE_SEED.to_string(),
             checkpoint,
             metrics,
@@ -802,9 +808,11 @@ fn render_stats(shared: &Shared) -> String {
     let generated_chars = metrics.generated_chars.get();
     // Lane utilisation over the server's life, not the instantaneous
     // `lanes_busy`: the occupancy histogram observes the occupied lanes once
-    // per sampling round, so its sum is lane-steps and its count is rounds.
+    // per engine step, so its sum is occupied lane-steps and its count is
+    // engine steps; over the lanes those steps stepped it lies in [0, 1].
     let lane_steps = metrics.lane_occupancy.sum();
     let rounds = metrics.lane_occupancy.count();
+    let stepped = metrics.lanes_stepped.get();
     // `/stats` and `/metrics` render from the same atomics (see
     // `ServeMetrics`): they are two views of one state and cannot disagree.
     let mut rejected_json = String::from("{");
@@ -833,6 +841,7 @@ fn render_stats(shared: &Shared) -> String {
             "\"health\":{{\"status\":{health},\"restarts\":{restarts},\"recent_restarts\":{recent}}},",
             "\"lanes\":{lanes},\"lanes_busy\":{lanes_busy},",
             "\"lane_utilisation\":{{\"occupied_lane_steps\":{lane_steps},\"rounds\":{rounds},",
+            "\"stepped_lanes\":{stepped},",
             "\"ratio\":{utilisation:.4}}},",
             "\"queue_depth\":{queue_depth},\"queue_cap\":{queue_cap},",
             "\"active_requests\":{active},",
@@ -854,7 +863,8 @@ fn render_stats(shared: &Shared) -> String {
         lanes_busy = metrics.lanes_busy.get() as u64,
         lane_steps = lane_steps,
         rounds = rounds,
-        utilisation = lane_steps as f64 / (rounds * shared.config.lanes as u64).max(1) as f64,
+        stepped = stepped,
+        utilisation = lane_steps as f64 / stepped.max(1) as f64,
         queue_depth = queue_depth,
         queue_cap = shared.config.queue_cap,
         active = metrics.active_requests.get() as u64,

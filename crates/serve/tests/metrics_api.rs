@@ -136,6 +136,7 @@ fn metrics_exposition_parses_and_agrees_with_stats() {
         "clgen_queue_depth",
         "clgen_lanes_busy",
         "clgen_lane_occupancy_count",
+        "clgen_lanes_stepped_total",
         "clgen_queue_wait_us_bucket",
         "clgen_sampling_kernels_total",
         "clgen_generated_chars_total",
@@ -219,21 +220,31 @@ fn metrics_exposition_parses_and_agrees_with_stats() {
         "{stats}"
     );
 
-    // Lane utilisation is the occupancy histogram's sum over its count times
-    // the lane count — the same atomics `/metrics` renders.
+    // Lane utilisation is the occupancy histogram's sum (occupied
+    // lane-steps) over the lanes of every engine step — the same atomics
+    // `/metrics` renders. Each step of each engine is one observation.
     let utilisation = stats
         .split("\"lane_utilisation\":")
         .nth(1)
         .expect("stats has a lane_utilisation object");
     let lane_steps = sample_value(&body, "clgen_lane_occupancy_sum ").expect("sum") as u64;
     let rounds = sample_value(&body, "clgen_lane_occupancy_count ").expect("count") as u64;
+    let stepped = sample_value(&body, "clgen_lanes_stepped_total ").expect("stepped") as u64;
     assert!(rounds > 0 && lane_steps >= rounds, "sampling rounds ran");
+    assert!(
+        stepped >= lane_steps && stepped <= rounds * test_config().lanes as u64,
+        "every step steps at most the server's lanes: {stats}"
+    );
     assert_eq!(
         json::extract_u64(utilisation, "occupied_lane_steps"),
         Some(lane_steps)
     );
     assert_eq!(json::extract_u64(utilisation, "rounds"), Some(rounds));
-    let ratio = lane_steps as f64 / (rounds * test_config().lanes as u64) as f64;
+    assert_eq!(
+        json::extract_u64(utilisation, "stepped_lanes"),
+        Some(stepped)
+    );
+    let ratio = lane_steps as f64 / stepped as f64;
     assert!(
         utilisation.contains(&format!("\"ratio\":{ratio:.4}}}")),
         "{stats}"

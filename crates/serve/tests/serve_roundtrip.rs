@@ -205,7 +205,9 @@ fn rejected_field(line: &str) -> &str {
 
 /// A served request is an offline session served: `/synthesize` reports the
 /// same kernels, per-kernel costs and totals as `Sampler::synthesize` over
-/// the same checkpoint, seed, options and cap — at any lane count.
+/// the same checkpoint, seed, options and cap — at any lane count, and with
+/// the server's lanes split over any number of engines (the server started
+/// under 1, 2 and 3 rayon threads: 4 lanes as 4, 2 + 2 and 2 + 1 + 1).
 #[test]
 fn served_synthesis_equals_offline_synthesis() {
     let model = checkpointed_model(2718);
@@ -229,54 +231,78 @@ fn served_synthesis_equals_offline_synthesis() {
         })
         .collect();
 
-    let handle = Server::start(model, test_config()).expect("server starts");
-    let reply = client::synthesize(handle.addr(), &p).expect("synthesize");
-    handle.shutdown();
-    assert_eq!(reply.status, 200);
-    let body = client::strip_traces(&reply.text());
-    let lines: Vec<&str> = body.lines().filter(|l| !l.is_empty()).collect();
-    let (kernel_lines, done) = lines.split_at(lines.len() - 1);
-    let done = done[0];
-    assert!(
-        done.contains("\"exhausted\":false"),
-        "the target is met: {done}"
-    );
-
-    for (lanes, report, found) in &offline {
-        assert_eq!(
-            kernel_lines.len(),
-            found.len(),
-            "lanes={lanes}: kernel lines"
-        );
-        assert_eq!(report.kernels.len(), found.len(), "lanes={lanes}: report");
-        for (line, streamed) in kernel_lines.iter().zip(found) {
-            let stats = &streamed.stats;
-            assert_eq!(
-                json::extract_str(line, "kernel").as_deref(),
-                Some(streamed.kernel.source.as_str()),
-                "lanes={lanes}: source"
-            );
-            let field = |key| json::extract_u64(line, key);
-            assert_eq!(field("candidate_index"), Some(stats.candidate_index));
-            assert_eq!(field("attempts"), Some(stats.attempts as u64));
-            assert_eq!(field("generated_chars"), Some(stats.generated_chars as u64));
-            assert_eq!(rejected_field(line), render_rejected(&stats.rejected));
+    let image = model.to_bytes();
+    for threads in [1, 2, 3] {
+        let model = TrainedModel::from_bytes(&image).expect("checkpoint decodes");
+        let handle = rayon::with_num_threads(threads, || Server::start(model, test_config()))
+            .expect("server starts");
+        let reply = client::synthesize(handle.addr(), &p).expect("synthesize");
+        let stats = client::get(handle.addr(), "/stats").expect("stats").text();
+        handle.shutdown();
+        assert_eq!(reply.status, 200);
+        // Every engine step steps one engine's share of the lanes: all 4 on
+        // one engine, fewer on each of several.
+        let field = |key| json::extract_u64(&stats, key).expect(key);
+        let (rounds, stepped) = (field("rounds"), field("stepped_lanes"));
+        if threads == 1 {
+            assert_eq!(stepped, 4 * rounds, "one engine: {stats}");
+        } else {
+            assert!(stepped < 4 * rounds, "{threads} engines: {stats}");
         }
-        let stats = &report.stats;
-        let field = |key| json::extract_u64(done, key);
-        assert_eq!(
-            field("kernels"),
-            Some(stats.accepted as u64),
-            "lanes={lanes}"
+        let body = client::strip_traces(&reply.text());
+        let lines: Vec<&str> = body.lines().filter(|l| !l.is_empty()).collect();
+        let (kernel_lines, done) = lines.split_at(lines.len() - 1);
+        let done = done[0];
+        assert!(
+            done.contains("\"exhausted\":false"),
+            "the target is met: {done}"
         );
-        assert_eq!(
-            field("attempts"),
-            Some(stats.attempts as u64),
-            "lanes={lanes}"
-        );
-        assert_eq!(field("generated_chars"), Some(stats.generated_chars as u64));
-        assert_eq!(field("repaired"), Some(stats.repaired as u64));
-        assert_eq!(rejected_field(done), render_rejected(&stats.rejected));
+
+        for (lanes, report, found) in &offline {
+            let at = format!("threads={threads}, offline lanes={lanes}");
+            assert_eq!(kernel_lines.len(), found.len(), "{at}: kernel lines");
+            assert_eq!(report.kernels.len(), found.len(), "{at}: report");
+            for (line, streamed) in kernel_lines.iter().zip(found) {
+                let stats = &streamed.stats;
+                assert_eq!(
+                    json::extract_str(line, "kernel").as_deref(),
+                    Some(streamed.kernel.source.as_str()),
+                    "{at}: source"
+                );
+                let field = |key| json::extract_u64(line, key);
+                assert_eq!(
+                    field("candidate_index"),
+                    Some(stats.candidate_index),
+                    "{at}"
+                );
+                assert_eq!(field("attempts"), Some(stats.attempts as u64), "{at}");
+                assert_eq!(
+                    field("generated_chars"),
+                    Some(stats.generated_chars as u64),
+                    "{at}"
+                );
+                assert_eq!(
+                    rejected_field(line),
+                    render_rejected(&stats.rejected),
+                    "{at}"
+                );
+            }
+            let stats = &report.stats;
+            let field = |key| json::extract_u64(done, key);
+            assert_eq!(field("kernels"), Some(stats.accepted as u64), "{at}");
+            assert_eq!(field("attempts"), Some(stats.attempts as u64), "{at}");
+            assert_eq!(
+                field("generated_chars"),
+                Some(stats.generated_chars as u64),
+                "{at}"
+            );
+            assert_eq!(field("repaired"), Some(stats.repaired as u64), "{at}");
+            assert_eq!(
+                rejected_field(done),
+                render_rejected(&stats.rejected),
+                "{at}"
+            );
+        }
     }
 }
 
