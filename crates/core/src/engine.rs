@@ -11,9 +11,11 @@
 //! forward pass instead of queueing behind it. The engine owns its
 //! [`StreamBatch`] (or a `&mut` borrow of one), so a driver can keep it
 //! alive across pulls — a `SynthesisStream` keeps one per sampling thread,
-//! each over its share of the lanes, and steps them concurrently, which
-//! needs only that the boxed batch be `Send` — and exposes exactly the hooks
-//! that distinction needs:
+//! each over its share of the lanes
+//! ([`LaneSplit::engines`](crate::LaneSplit::engines)), and it and the
+//! synthesis service step theirs concurrently through one engine shell
+//! ([`crew`](crate::crew)), which needs only that the boxed batch be `Send`
+//! — and exposes exactly the hooks that distinction needs:
 //!
 //! * [`admit`](BatchEngine::admit) starts one candidate on one free lane —
 //!   with its *own* seed text, sampling options and RNG stream, so candidates

@@ -22,7 +22,7 @@
 //!    rejection-filters them on a concurrent [`spawn_filter_stage`], and
 //!    yields accepted kernels in candidate order with per-kernel
 //!    statistics, kept by the same [`Session`] tally the synthesis service
-//!    runs per request.
+//!    runs per request, its engines stepped by the same shell ([`crew`]).
 //!
 //! ```
 //! use clgen::{ArgumentSpec, ClgenBuilder, ClgenOptions, SamplerConfig};
@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod builder;
+pub mod crew;
 pub mod engine;
 pub mod error;
 pub mod model;

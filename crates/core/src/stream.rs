@@ -6,28 +6,32 @@
 //! on every core. It splits its `lanes` over `K = min(threads, lanes)`
 //! [`BatchEngine`]s by [`lane_split`], the service's rule too — one per rayon
 //! thread, 16 lanes on 2 threads as 8 + 8 — and keeps them alive across
-//! pulls. A pull steps engine 0 on the caller's thread and engines `1..K`
-//! on scoped helper threads; every engine admits
-//! candidates into its lanes the moment they free up (continuous batching
-//! keeps each batched GEMM at full width) and hands finished candidates to
-//! the rejection-filter stage ([`spawn_filter_stage`]), whose own thread
-//! filters them while sampling goes on. The caller absorbs the verdicts and
-//! the pull returns as soon as the next kernel in candidate order is
-//! accepted: the helpers finish their step and are joined, so no thread
-//! outlives a pull and nothing is sampled until the consumer pulls. At
-//! `K = 1` no thread is spawned.
+//! pulls. A pull is one run of the engine shell ([`crew`]) the service's
+//! sampler core runs too, with the stream's own policy: engine 0 steps on
+//! the caller's thread and engines `1..K` on scoped helper threads; every
+//! engine admits candidates into its lanes the moment they free up
+//! (continuous batching keeps each batched GEMM at full width) and hands
+//! finished candidates to the rejection-filter stage
+//! ([`spawn_filter_stage`]), whose own thread filters them while sampling
+//! goes on. The caller's thread absorbs the verdicts and the pull returns as
+//! soon as the next kernel in candidate order is accepted: the helpers
+//! finish their step and are joined, so no thread outlives a pull and
+//! nothing is sampled until the consumer pulls. At `K = 1` no thread is
+//! spawned.
 //!
 //! Both drivers keep a run's books in a [`Session`]: which candidate goes out
 //! next, how many may be outstanding, and the in-order tally of filter
 //! verdicts into per-kernel [`KernelStats`] and whole-run
-//! [`SynthesisStats`]. A stream's engines share its one session behind a
-//! lock, taken to dispatch a candidate or deliver verdicts. Verdicts are
-//! absorbed in candidate order and absorption stops at the session's target,
-//! and a candidate's bytes depend only on its index, never on the engine
-//! that ran it, so what a run reports is a pure function of the model, the
-//! configuration and the seed — never of `lanes`, of the thread count or of
-//! thread timing.
+//! [`SynthesisStats`]. A stream's engines share its one session under the
+//! shell's lock, which each engine's turn takes once: to hand its finished
+//! candidates over, to absorb verdicts (engine 0) and to fill its free
+//! lanes. Verdicts are absorbed in candidate order and absorption stops at
+//! the session's target, and a candidate's bytes depend only on its index,
+//! never on the engine that ran it, so what a run reports is a pure function
+//! of the model, the configuration and the seed — never of `lanes`, of the
+//! thread count or of thread timing.
 
+use crate::crew::{self, Plan, Policy};
 use crate::engine::BatchEngine;
 use crate::model::TrainedModel;
 use crate::sampler::{SampleOptions, SampledCandidate, StopReason};
@@ -39,8 +43,7 @@ use clgen_corpus::RejectReason;
 use clgen_neural::StreamBatch;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -488,10 +491,7 @@ pub struct SynthesisStream<'m> {
     /// The rayon threads each engine's own kernels may fan out over
     /// ([`LaneSplit::threads`]).
     engine_threads: usize,
-    seed_text: String,
-    sample: SampleOptions,
-    session: Session,
-    to_filter: mpsc::Sender<FilterBatch>,
+    policy: Offline,
     verdicts: mpsc::Receiver<Vec<Filtered>>,
 }
 
@@ -524,6 +524,20 @@ pub fn lane_split(lanes: usize, threads: usize) -> LaneSplit {
     }
 }
 
+impl LaneSplit {
+    /// One engine over `model`'s batched path per share of the lanes, each
+    /// `Send`, so a thread of its own can step it.
+    pub fn engines<'m>(
+        &self,
+        model: &'m TrainedModel,
+    ) -> Vec<BatchEngine<'m, dyn StreamBatch + Send + 'm>> {
+        self.lanes
+            .iter()
+            .map(|&lanes| BatchEngine::boxed(model.streams(lanes), model.vocabulary()))
+            .collect()
+    }
+}
+
 impl<'m> SynthesisStream<'m> {
     fn new(model: &'m TrainedModel, config: SamplerConfig, target: usize) -> Self {
         let seed_text = match &config.spec {
@@ -542,20 +556,19 @@ impl<'m> SynthesisStream<'m> {
         );
         let split = lane_split(config.lanes, rayon::current_num_threads());
         SynthesisStream {
-            engines: split
-                .lanes
-                .iter()
-                .map(|&lanes| BatchEngine::boxed(model.streams(lanes), model.vocabulary()))
-                .collect(),
+            engines: split.engines(model),
             engine_threads: split.threads,
-            seed_text,
-            sample: config.sample,
-            session: Session::new(
-                config.seed,
-                target,
-                config.max_attempts.unwrap_or(usize::MAX),
-            ),
-            to_filter,
+            policy: Offline {
+                session: Session::new(
+                    config.seed,
+                    target,
+                    config.max_attempts.unwrap_or(usize::MAX),
+                ),
+                lanes: split.lanes.iter().sum(),
+                seed_text,
+                sample: config.sample,
+                to_filter,
+            },
             verdicts,
         }
     }
@@ -563,7 +576,7 @@ impl<'m> SynthesisStream<'m> {
     /// Whole-run statistics over every candidate absorbed so far: after a
     /// pull, exactly the candidates up to the kernel it returned.
     pub fn stats(&self) -> &SynthesisStats {
-        self.session.stats()
+        self.policy.session.stats()
     }
 }
 
@@ -571,193 +584,121 @@ impl Iterator for SynthesisStream<'_> {
     type Item = StreamedKernel;
 
     fn next(&mut self) -> Option<StreamedKernel> {
-        if let Some(kernel) = self.session.next_kernel() {
-            return Some(kernel);
+        if let Some(answer) = self.policy.answer() {
+            return answer;
         }
-        if self.session.is_complete() {
-            return None;
-        }
-        let pull = Pull {
-            session: Mutex::new(std::mem::take(&mut self.session)),
-            dispatchable: Condvar::new(),
-            stop: AtomicBool::new(false),
-            lanes: self.engines.iter().map(BatchEngine::num_lanes).sum(),
-            seed_text: &self.seed_text,
-            sample: self.sample,
-        };
-        let threads = self.engine_threads;
-        let (lead, helpers) = self
-            .engines
-            .split_first_mut()
-            .expect("a stream has an engine");
-        let (to_filter, verdicts) = (&self.to_filter, &self.verdicts);
-        let found = std::thread::scope(|scope| {
-            let pull = &pull;
-            for engine in helpers {
-                scope.spawn(move || {
-                    rayon::with_num_threads(threads, || pull.help(engine, to_filter))
-                });
-            }
-            rayon::with_num_threads(threads, || pull.lead(lead, to_filter, verdicts))
-        });
-        self.session = pull
-            .session
-            .into_inner()
-            .expect("the session outlives its pull");
-        found
+        crew::run(
+            &mut self.policy,
+            &mut self.engines,
+            self.engine_threads,
+            &self.verdicts,
+            |engine, ()| {
+                let mut completed = Vec::new();
+                engine.step_into(&mut completed);
+                completed
+            },
+        )
+        .expect(STAGE_ALIVE)
     }
 }
 
 const STAGE_ALIVE: &str = "the filter stage outlives the stream";
 
-/// What the sampling threads of one [`SynthesisStream`] pull share: the
-/// session — locked only to dispatch a candidate or deliver verdicts — and
-/// the flag that ends the pull.
-struct Pull<'s> {
-    session: Mutex<Session>,
-    /// Wakes helpers waiting, with every lane idle, for a dispatch.
-    dispatchable: Condvar,
-    /// Raised, under the session lock, when the pull ends.
-    stop: AtomicBool,
+/// The policy a [`SynthesisStream`]'s engines share ([`crew`]): its one
+/// session, dispatched into whichever engine has a free lane, and the
+/// verdicts that come back, absorbed by engine 0's thread.
+struct Offline {
+    session: Session,
     /// Lanes over all engines: what [`Session::wants_dispatch`] bounds.
     lanes: usize,
-    seed_text: &'s str,
+    seed_text: String,
     sample: SampleOptions,
+    to_filter: mpsc::Sender<FilterBatch>,
 }
 
-impl Pull<'_> {
-    fn session(&self) -> MutexGuard<'_, Session> {
-        self.session
-            .lock()
-            .expect("no sampling thread panics holding the session")
+impl Offline {
+    /// The pull's answer, once the verdicts in hand decide it: the next
+    /// kernel in candidate order, or `None` at the end of the session.
+    fn answer(&mut self) -> Option<Option<StreamedKernel>> {
+        match self.session.next_kernel() {
+            Some(kernel) => Some(Some(kernel)),
+            None => self.session.is_complete().then_some(None),
+        }
     }
 
-    /// One round of one engine: fill its free lanes while the session lets
-    /// candidates out, advance every occupied lane by one character, and
-    /// hand the candidates that finished to the filter stage.
-    fn round(
-        &self,
-        engine: &mut BatchEngine<'_, impl StreamBatch + ?Sized>,
-        to_filter: &mpsc::Sender<FilterBatch>,
-    ) {
-        let mut completed = Vec::new();
-        while let Some(lane) = engine.free_lane() {
-            let dispatched = {
-                let mut session = self.session();
-                session
-                    .wants_dispatch(self.lanes)
-                    .then(|| session.dispatch())
-            };
-            let Some((index, rng_seed)) = dispatched else {
-                break;
-            };
-            // Zero-budget candidates complete at admission.
-            let done = engine.admit(lane, index, self.seed_text, self.sample, rng_seed);
-            completed.extend(done.map(|candidate| (index, candidate)));
-        }
-        engine.step_into(&mut completed);
+    /// Hand finished candidates to the filter stage.
+    fn send(&self, completed: FilterBatch) {
         if !completed.is_empty() {
-            to_filter.send(completed).expect(STAGE_ALIVE);
-        }
-    }
-
-    /// The puller's part: step engine 0 and absorb verdicts, in candidate
-    /// order, until the next accepted kernel (`Some`) or the end of the
-    /// session (`None`).
-    fn lead(
-        &self,
-        engine: &mut BatchEngine<'_, impl StreamBatch + ?Sized>,
-        to_filter: &mpsc::Sender<FilterBatch>,
-        verdicts: &mpsc::Receiver<Vec<Filtered>>,
-    ) -> Option<StreamedKernel> {
-        let _leave = Leave {
-            pull: self,
-            nudge: None,
-        };
-        let mut received: Vec<Vec<Filtered>> = Vec::new();
-        loop {
-            {
-                let mut session = self.session();
-                let delivered = !received.is_empty();
-                for filtered in received.drain(..).flatten() {
-                    session.deliver(filtered.ticket, filtered);
-                }
-                if let Some(kernel) = session.next_kernel() {
-                    return Some(kernel);
-                }
-                if session.is_complete() {
-                    return None;
-                }
-                if delivered && session.wants_dispatch(self.lanes) {
-                    self.dispatchable.notify_all();
-                }
-            }
-            self.round(engine, to_filter);
-            // With every lane of this engine idle, each outstanding
-            // candidate is on a helper or in the filter stage: wait for it.
-            if engine.occupied_lanes() == 0 {
-                received.push(verdicts.recv().expect(STAGE_ALIVE));
-            }
-            received.extend(verdicts.try_iter());
-            if self.stop.load(Ordering::Acquire) {
-                // A helper unwound; the scope re-raises its panic.
-                return None;
-            }
-        }
-    }
-
-    /// A helper's part: step its engine until the pull stops, sleeping
-    /// while it has no lane to step and the session lets nothing out.
-    fn help(
-        &self,
-        engine: &mut BatchEngine<'_, impl StreamBatch + ?Sized>,
-        to_filter: &mpsc::Sender<FilterBatch>,
-    ) {
-        let _leave = Leave {
-            pull: self,
-            nudge: Some(to_filter),
-        };
-        while !self.stop.load(Ordering::Acquire) {
-            self.round(engine, to_filter);
-            if engine.occupied_lanes() == 0 {
-                let idle = self.session();
-                let _idle = self
-                    .dispatchable
-                    .wait_while(idle, |session| {
-                        !self.stop.load(Ordering::Acquire) && !session.wants_dispatch(self.lanes)
-                    })
-                    .expect("no sampling thread panics holding the session");
-            }
+            self.to_filter.send(completed).expect(STAGE_ALIVE);
         }
     }
 }
 
-/// Ends its thread's part of a pull, however it ends: raises `stop` and
-/// wakes the helpers, so none outlives the pull. A helper that unwinds also
-/// nudges the filter stage, whose (empty) delivery wakes a puller waiting
-/// for verdicts the helper's lanes will never produce.
-struct Leave<'p, 's> {
-    pull: &'p Pull<'s>,
-    nudge: Option<&'p mpsc::Sender<FilterBatch>>,
-}
+impl<B: StreamBatch + ?Sized> Policy<BatchEngine<'_, B>> for Offline {
+    type Msg = Vec<Filtered>;
+    type Step = ();
+    type Done = FilterBatch;
+    type Output = Option<StreamedKernel>;
 
-impl Drop for Leave<'_, '_> {
-    fn drop(&mut self) {
-        // Raised under the lock, so a helper cannot miss it between testing
-        // the flag and going to sleep; a poisoned lock is still a lock.
-        let session = self
-            .pull
-            .session
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        self.pull.stop.store(true, Ordering::Release);
-        drop(session);
-        self.pull.dispatchable.notify_all();
-        if std::thread::panicking() {
-            if let Some(to_filter) = self.nudge {
-                let _ = to_filter.send(Vec::new());
+    fn handle(&mut self, verdicts: Vec<Filtered>) {
+        for filtered in verdicts {
+            self.session.deliver(filtered.ticket, filtered);
+        }
+    }
+
+    /// Engine 0 ends the pull once the verdicts in hand decide it. Every
+    /// engine fills its free lanes while the session lets candidates out,
+    /// and steps while a lane is occupied.
+    fn plan(
+        &mut self,
+        _: Instant,
+        seat: usize,
+        engine: &mut BatchEngine<'_, B>,
+    ) -> Plan<(), Option<StreamedKernel>> {
+        if seat == 0 {
+            if let Some(answer) = self.answer() {
+                return Plan::Finished(answer);
             }
         }
+        let mut admitted = Vec::new();
+        while let Some(lane) = engine
+            .free_lane()
+            .filter(|_| self.session.wants_dispatch(self.lanes))
+        {
+            let (index, rng_seed) = self.session.dispatch();
+            // Zero-budget candidates complete at admission.
+            let done = engine.admit(lane, index, &self.seed_text, self.sample, rng_seed);
+            admitted.extend(done.map(|candidate| (index, candidate)));
+        }
+        self.send(admitted);
+        if engine.occupied_lanes() == 0 {
+            // Every outstanding candidate is on another engine or in the
+            // filter stage: wait for its verdict, or for a dispatch.
+            Plan::Idle(None)
+        } else {
+            Plan::Step(())
+        }
+    }
+
+    fn hand_over(
+        &mut self,
+        _: Instant,
+        _: usize,
+        _: &BatchEngine<'_, B>,
+        completed: FilterBatch,
+    ) -> bool {
+        self.send(completed);
+        true
+    }
+
+    fn wakes(&self, _: usize) -> bool {
+        self.session.wants_dispatch(self.lanes)
+    }
+
+    /// The filter stage delivers the empty batch as an empty verdict
+    /// message.
+    fn nudge(&self) {
+        let _ = self.to_filter.send(Vec::new());
     }
 }
 
@@ -875,33 +816,44 @@ mod tests {
         assert!(session.is_complete() && !session.target_met());
     }
 
-    /// A batch whose every step panics.
-    struct Panicking<S>(S);
+    /// A batch whose steps panic — in the step, outside the shell's lock,
+    /// or, with `in_prime`, already when a candidate is admitted under it.
+    struct Panicking<S> {
+        streams: S,
+        in_prime: bool,
+    }
 
     impl<S: StreamBatch> StreamBatch for Panicking<S> {
         fn vocab_size(&self) -> usize {
-            self.0.vocab_size()
+            self.streams.vocab_size()
         }
         fn num_streams(&self) -> usize {
-            self.0.num_streams()
+            self.streams.num_streams()
         }
         fn reset(&mut self) {
-            self.0.reset();
+            self.streams.reset();
         }
         fn reset_stream(&mut self, stream: usize) {
-            self.0.reset_stream(stream);
+            self.streams.reset_stream(stream);
         }
         fn feed_many(&mut self, _: &[(usize, u32)]) {
             panic!("a poisoned step");
         }
         fn probs_into(&self, stream: usize, out: &mut Vec<f32>) {
-            self.0.probs_into(stream, out);
+            self.streams.probs_into(stream, out);
+        }
+        fn prime(&mut self, stream: usize, ids: &[u32]) {
+            if self.in_prime {
+                panic!("a poisoned step");
+            }
+            self.streams.prime(stream, ids);
         }
     }
 
-    /// A helper that panics ends the pull in its panic: the puller, left
+    /// A helper that panics ends the pull in its own panic: the puller, left
     /// waiting for candidates that will never finish, is woken, and no
-    /// thread is left behind.
+    /// thread is left behind — also when the helper panicked holding the
+    /// lock, admitting a candidate.
     #[test]
     fn a_helper_that_panics_ends_the_pull_in_its_panic() {
         use clgen_corpus::Vocabulary;
@@ -911,34 +863,42 @@ mod tests {
         let text = "__kernel void A() { int a = 0; a = a + 1; }\n".repeat(4);
         let vocab = Vocabulary::from_text(&text);
         let model = NgramModel::train(&vocab.encode(&text), vocab.len(), NgramConfig::default());
-        let (verdicts_tx, verdicts) = mpsc::channel();
-        let (to_filter, _) = spawn_filter_stage(
-            |_| Err(RejectReason::NoKernel),
-            move |batch| verdicts_tx.send(batch).is_ok(),
-        );
-        let pull = Pull {
-            session: Mutex::new(Session::new(1, 1, usize::MAX)),
-            dispatchable: Condvar::new(),
-            stop: AtomicBool::new(false),
-            lanes: 2,
-            seed_text: "__kernel void A() {",
-            sample: SampleOptions {
-                max_chars: 64,
-                temperature: 0.9,
-            },
-        };
-        let mut lead = BatchEngine::boxed(Box::new(NgramStreams::new(&model, 1)), &vocab);
-        let mut helper =
-            BatchEngine::boxed(Box::new(Panicking(NgramStreams::new(&model, 1))), &vocab);
-        let ended = catch_unwind(AssertUnwindSafe(|| {
-            std::thread::scope(|scope| {
-                let (pull, to_filter) = (&pull, &to_filter);
-                scope.spawn(move || pull.help(&mut helper, to_filter));
-                pull.lead(&mut lead, to_filter, &verdicts)
-            })
-        }));
-        assert!(ended.is_err(), "the helper's panic ends the pull");
-        assert!(pull.stop.load(Ordering::Acquire));
+        for in_prime in [false, true] {
+            let (verdicts_tx, verdicts) = mpsc::channel();
+            let (to_filter, _) = spawn_filter_stage(
+                |_| Err(RejectReason::NoKernel),
+                move |batch| verdicts_tx.send(batch).is_ok(),
+            );
+            let helper = Panicking {
+                streams: NgramStreams::new(&model, 1),
+                in_prime,
+            };
+            let mut stream = SynthesisStream {
+                engines: vec![
+                    BatchEngine::boxed(Box::new(NgramStreams::new(&model, 1)), &vocab),
+                    BatchEngine::boxed(Box::new(helper), &vocab),
+                ],
+                engine_threads: 1,
+                policy: Offline {
+                    session: Session::new(1, 1, usize::MAX),
+                    lanes: 2,
+                    seed_text: "__kernel void A() {".to_string(),
+                    sample: SampleOptions {
+                        max_chars: 64,
+                        temperature: 0.9,
+                    },
+                    to_filter,
+                },
+                verdicts,
+            };
+            let payload = catch_unwind(AssertUnwindSafe(|| stream.next()))
+                .expect_err("the helper's panic ends the pull");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"a poisoned step"),
+                "in_prime={in_prime}"
+            );
+        }
     }
 
     #[test]

@@ -23,14 +23,17 @@
 //!
 //! # Engines and the lock
 //!
-//! The policy lives in one `Scheduler` behind one `Mutex`, and each sampler
-//! thread owns one engine. A thread's turn holds the lock once:
+//! A generation of the core is one run of the engine shell
+//! [`clgen::crew`] — the one an offline `SynthesisStream` pull runs too —
+//! with the `Scheduler` as its policy: the shell keeps the scheduler behind
+//! its one lock, and each sampler thread owns one engine. A thread's turn
+//! holds the lock once:
 //!
 //! 1. *under the lock*, it hands the candidates its previous step completed
 //!    to the filter stage (`hand_over`), folds the inbox into the scheduler
-//!    (engine 0's thread only), and takes the policy half (`plan`): shed,
-//!    reap, absorb, admit into *its own* engine's free lanes, and snapshot
-//!    the keys of the requests still live;
+//!    (engine 0's thread only, `handle`), and takes the policy half
+//!    (`plan`): shed, reap, absorb, admit into *its own* engine's free
+//!    lanes, and snapshot the keys of the requests still live;
 //! 2. *outside the lock*, it steps its engine: every occupied lane advances
 //!    one character, and lanes whose request is not in the snapshot are
 //!    reaped by the step's abort predicate.
@@ -40,8 +43,8 @@
 //! that fits engine 0 therefore stays on it, exactly as on one engine, and
 //! only saturated traffic spills onto more cores — a rule over observed lane
 //! occupancy, never over a workload. A helper with no occupied lane and
-//! nothing it may admit sleeps on a `Condvar`; an engine that fills wakes the
-//! next.
+//! nothing it may admit sleeps in the shell; an engine that fills wakes the
+//! next (`wakes`).
 //!
 //! # Fault model
 //!
@@ -73,9 +76,11 @@
 //! `now` per turn, for every deadline test, queue wait and trace span in it —
 //! and says what the engine does next (a `Plan`), and `hand_over` takes back
 //! what its step completed. [`Supervisor`] likewise takes `now` as an
-//! argument. The thread shell (`run_generation`) is the only code that reads
-//! the clock or waits: engine 0's thread blocks on the inbox when its plan
-//! says `Plan::Idle`, a helper on the `Condvar`. An injected `sampler_stall`
+//! argument. Besides the supervisor's restart stamps, the engine shell is
+//! the only code of the core that reads the clock or waits: engine 0's
+//! thread blocks on the inbox when its plan says `Plan::Idle`, a helper in
+//! the shell — each no later than the instant the plan gives, `IDLE_TICK`
+//! from its turn or the end of a stall. An injected `sampler_stall`
 //! is state like any other: it holds every engine still until an instant,
 //! while turns keep admitting, shedding and reaping. Tests drive the same
 //! state machine — one engine, or several interleaved in any order — with
@@ -115,6 +120,7 @@
 use crate::faults::{FaultPlan, FaultPoint};
 use crate::json;
 use crate::metrics::ServeMetrics;
+use clgen::crew::{self, Plan, Policy};
 use clgen::{
     filter_candidate, spawn_filter_stage, BatchEngine, FilterBatch, Filtered, KernelStats,
     LaneSplit, SampleOptions, Session, StreamedKernel, SynthesisStats, SynthesizedKernel,
@@ -126,9 +132,9 @@ use clgen_neural::StreamBatch;
 use clgen_obs::{FlightRecorder, Trace};
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How often an idle (or draining) sampler thread wakes to take a turn —
@@ -445,23 +451,6 @@ fn render_done_line(summary: &SynthesisStats, exhausted: bool, timed_out: bool) 
     render_rejections(&mut line, &summary.rejected);
     line.push('}');
     line
-}
-
-/// What an engine does after the policy half of its turn
-/// ([`Scheduler::plan`]).
-#[derive(Debug, PartialEq, Eq)]
-enum Plan {
-    /// Step the engine, outside the lock, reaping every lane whose request
-    /// key is not in this snapshot of the live requests; then hand what
-    /// completed over ([`Scheduler::hand_over`]).
-    Step(Vec<u32>),
-    /// Nothing to step: wait for a message (engine 0) or a wake-up (a
-    /// helper) — or, while an injected `sampler_stall` holds the lanes, no
-    /// later than the instant given.
-    Idle(Option<Instant>),
-    /// The generation is over: drained after [`SchedMsg::Shutdown`], the
-    /// drain deadline enforced, or the filter stage gone.
-    Finished,
 }
 
 /// What the scheduler knows of one engine's lanes.
@@ -873,20 +862,42 @@ impl Scheduler {
         true
     }
 
-    /// The policy half of engine `seat`'s turn at `now`, taken under the
-    /// lock: enforce the drain deadline, shed expired backlog, reap expired
+    fn probes(&self) -> StepProbes {
+        StepProbes {
+            faults: self.faults.clone(),
+            flight: self.flight.clone(),
+            metrics: self.metrics.clone(),
+        }
+    }
+}
+
+/// The sampler core's side of the engine shell ([`crew`]): a turn's policy
+/// half, the hand-over of its step, and when idle helpers wake.
+impl<'a, B: StreamBatch + ?Sized + 'a> Policy<BatchEngine<'a, B>> for Scheduler {
+    type Msg = SchedMsg;
+    type Step = Vec<u32>;
+    type Done = FilterBatch;
+    type Output = ();
+
+    fn handle(&mut self, msg: SchedMsg) {
+        Scheduler::handle(self, msg);
+    }
+
+    /// Enforce the drain deadline, shed expired backlog, reap expired
     /// requests, absorb, admit — and, if a lane of this engine is occupied
-    /// and not stalled, say so with the keys of the requests still live. A
-    /// panic anywhere in a turn (absorption, model compute, an injected
-    /// fault) aborts only this generation of the core.
+    /// and not stalled, step it with the keys of the requests still live.
+    /// An idle engine takes its next turn no later than `IDLE_TICK` from
+    /// now, or the end of a stall. A panic anywhere in a turn (absorption,
+    /// model compute, an injected fault) aborts only this generation of the
+    /// core.
     fn plan(
         &mut self,
         now: Instant,
         seat: usize,
-        engine: &mut BatchEngine<'_, impl StreamBatch + ?Sized>,
-    ) -> Plan {
+        engine: &mut BatchEngine<'a, B>,
+    ) -> Plan<Vec<u32>, ()> {
         if self.enforce_drain_deadline(now) {
-            return Plan::Finished;
+            return Plan::Finished(());
         }
         self.shed_expired_backlog(now);
         self.reap_expired(now);
@@ -902,9 +913,10 @@ impl Scheduler {
         if occupied == 0 || stalled.is_some() {
             self.publish();
             if self.shutdown && self.is_drained() {
-                return Plan::Finished;
+                return Plan::Finished(());
             }
-            return Plan::Idle(stalled);
+            let tick = now + IDLE_TICK;
+            return Plan::Idle(Some(stalled.map_or(tick, |t| t.min(tick))));
         }
         Plan::Step(
             self.active
@@ -915,20 +927,14 @@ impl Scheduler {
         )
     }
 
-    /// Whether engine `seat` and every engine below it are full after their
-    /// last admission: the next engine may admit.
-    fn fills_through(&self, seat: usize) -> bool {
-        self.seats[..=seat].iter().all(|s| s.free == 0)
-    }
-
-    /// Take back what engine `seat`'s step at `now` completed: send it to the
-    /// filter stage and arm an injected `sampler_stall`. `false` once the
-    /// filter stage is gone (nothing can complete any more).
+    /// Send what engine `seat`'s step at `now` completed to the filter
+    /// stage and arm an injected `sampler_stall`. `false` once the filter
+    /// stage is gone (nothing can complete any more).
     fn hand_over(
         &mut self,
         now: Instant,
         seat: usize,
-        engine: &BatchEngine<'_, impl StreamBatch + ?Sized>,
+        engine: &BatchEngine<'a, B>,
         completed: FilterBatch,
     ) -> bool {
         self.seats[seat].occupied = engine.occupied_lanes();
@@ -947,12 +953,16 @@ impl Scheduler {
         true
     }
 
-    fn probes(&self) -> StepProbes {
-        StepProbes {
-            faults: self.faults.clone(),
-            flight: self.flight.clone(),
-            metrics: self.metrics.clone(),
-        }
+    /// Engine `seat` and every engine below it are full after their last
+    /// admission: the next engine may admit.
+    fn wakes(&self, seat: usize) -> bool {
+        self.seats[..=seat].iter().all(|s| s.free == 0)
+    }
+
+    /// The filter stage delivers the empty batch to the inbox as an empty
+    /// [`SchedMsg::Filtered`].
+    fn nudge(&self) {
+        let _ = self.filter_tx.send(Vec::new());
     }
 }
 
@@ -993,159 +1003,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The scheduler lock. A thread that panicked holding it ended its
-/// generation, and the supervisor still needs the scheduler to answer that
-/// generation's requests, so a poisoned lock is still a lock.
-fn lock(sched: &Mutex<Scheduler>) -> MutexGuard<'_, Scheduler> {
-    sched.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// What the sampler threads of one generation share besides the scheduler:
-/// the wake-up of idle helpers and the flag that ends the generation.
-struct Shell<'g> {
-    sched: &'g Mutex<Scheduler>,
-    /// Wakes helpers asleep with no lane to step and nothing to admit.
-    wake: Condvar,
-    /// Helpers asleep on `wake` (changed and read under the lock).
-    asleep: AtomicUsize,
-    /// Raised, under the lock, when any thread of the generation leaves.
-    stop: AtomicBool,
-    /// The sampler-core inbox: a helper that leaves sends an empty message,
-    /// so engine 0's thread, maybe blocked on the inbox, sees `stop`.
-    nudge: mpsc::Sender<SchedMsg>,
-    probes: StepProbes,
-}
-
-impl Shell<'_> {
-    /// Take turns on engine `seat` until the generation ends. Engine 0's
-    /// thread passes the inbox: it alone folds messages into the scheduler,
-    /// and blocks on the inbox while idle; a helper sleeps on `wake`.
-    fn run(
-        &self,
-        seat: usize,
-        engine: &mut BatchEngine<'_, impl StreamBatch + ?Sized>,
-        inbox: Option<&mpsc::Receiver<SchedMsg>>,
-    ) {
-        let _leave = Leave {
-            shell: self,
-            helper: inbox.is_none(),
-        };
-        let mut completed = None;
-        let mut sched = lock(self.sched);
-        while !self.stop.load(Ordering::Relaxed) {
-            let now = Instant::now();
-            if let Some(completed) = completed.take() {
-                if !sched.hand_over(now, seat, engine, completed) {
-                    return;
-                }
-            }
-            for msg in inbox.into_iter().flat_map(mpsc::Receiver::try_iter) {
-                sched.handle(msg);
-            }
-            let plan = sched.plan(now, seat, engine);
-            if self.asleep.load(Ordering::Relaxed) > 0 && sched.fills_through(seat) {
-                self.wake.notify_all();
-            }
-            match plan {
-                Plan::Step(live) => {
-                    drop(sched);
-                    completed = Some(self.probes.step(engine, &live));
-                    sched = lock(self.sched);
-                }
-                Plan::Idle(until) => {
-                    let wait = until.map_or(IDLE_TICK, |t| {
-                        IDLE_TICK.min(t.saturating_duration_since(now))
-                    });
-                    if let Some(inbox) = inbox {
-                        drop(sched);
-                        let received = inbox.recv_timeout(wait);
-                        sched = lock(self.sched);
-                        match received {
-                            Ok(msg) => sched.handle(msg),
-                            Err(mpsc::RecvTimeoutError::Timeout) => {}
-                            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-                        }
-                    } else {
-                        self.asleep.fetch_add(1, Ordering::Relaxed);
-                        sched = self
-                            .wake
-                            .wait_timeout(sched, wait)
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .0;
-                        self.asleep.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-                Plan::Finished => return,
-            }
-        }
-    }
-}
-
-/// Ends its thread's part of a generation, however it ends: raises `stop`
-/// and wakes the helpers, so none outlives the generation. A helper also
-/// nudges the inbox, waking engine 0's thread.
-struct Leave<'s, 'g> {
-    shell: &'s Shell<'g>,
-    helper: bool,
-}
-
-impl Drop for Leave<'_, '_> {
-    fn drop(&mut self) {
-        // Raised under the lock, so no thread can miss it between testing
-        // the flag and going to sleep.
-        let sched = lock(self.shell.sched);
-        self.shell.stop.store(true, Ordering::Relaxed);
-        drop(sched);
-        self.shell.wake.notify_all();
-        if self.helper {
-            let _ = self.shell.nudge.send(SchedMsg::Filtered(Vec::new()));
-        }
-    }
-}
-
-/// One generation of the sampler core over `engines`: engine 0 steps on this
-/// thread, which alone reads the inbox, and engines `1..` on scoped helper
-/// threads, each thread's kernels fanning out over `threads` rayon threads.
-/// Returns when the scheduler finishes or the inbox hangs up; a panic on any
-/// of the threads ends the generation and unwinds here in its own payload.
-fn run_generation<B: StreamBatch + Send + ?Sized>(
-    sched: &Mutex<Scheduler>,
-    engines: &mut [BatchEngine<'_, B>],
-    threads: usize,
-    inbox: &mpsc::Receiver<SchedMsg>,
-    nudge: mpsc::Sender<SchedMsg>,
-) {
-    let shell = Shell {
-        sched,
-        wake: Condvar::new(),
-        asleep: AtomicUsize::new(0),
-        stop: AtomicBool::new(false),
-        nudge,
-        probes: lock(sched).probes(),
-    };
-    let (lead, helpers) = engines
-        .split_first_mut()
-        .expect("a sampler core has an engine");
-    std::thread::scope(|scope| {
-        let shell = &shell;
-        let helpers: Vec<_> = helpers
-            .iter_mut()
-            .enumerate()
-            .map(|(i, engine)| {
-                scope.spawn(move || {
-                    rayon::with_num_threads(threads, || shell.run(i + 1, engine, None))
-                })
-            })
-            .collect();
-        rayon::with_num_threads(threads, || shell.run(0, lead, Some(inbox)));
-        for helper in helpers {
-            if let Err(panic) = helper.join() {
-                resume_unwind(panic);
-            }
-        }
-    });
-}
-
 /// Run the supervised sampler core until shutdown: the body of the
 /// sampler-core thread spawned by the server.
 ///
@@ -1166,7 +1023,6 @@ pub(crate) fn run_sampler_core(
     // typed rejection instead of wedging every in-flight request.
     let filter_config = FilterConfig::without_shim();
     let filter_faults = ctx.faults.clone();
-    let nudge = sched_tx.clone();
     let (filter_tx, filter_thread) = spawn_filter_stage(
         move |candidate| {
             if filter_faults.fire(FaultPoint::FilterPanic).is_some() {
@@ -1177,14 +1033,14 @@ pub(crate) fn run_sampler_core(
         move |batch| sched_tx.send(SchedMsg::Filtered(batch)).is_ok(),
     );
 
-    let sched = Mutex::new(Scheduler::new(
+    let mut sched = Scheduler::new(
         filter_tx,
         ctx.metrics.clone(),
         ctx.flight.clone(),
         ctx.faults.clone(),
         ctx.seed_text.clone(),
         &ctx.split.lanes,
-    ));
+    );
 
     // The model the server booted with serves the first generation; every
     // respawn decodes a fresh model from the pristine checkpoint image.
@@ -1210,7 +1066,7 @@ pub(crate) fn run_sampler_core(
                         eprintln!("clgen-serve: checkpoint reload failed: {e}; retrying");
                         ctx.metrics.supervisor_restarts.inc();
                         if ctx.supervisor.record_restart(Instant::now()) {
-                            give_up(&mut lock(&sched), &ctx);
+                            give_up(&mut sched, &ctx);
                             break;
                         }
                         continue;
@@ -1219,13 +1075,15 @@ pub(crate) fn run_sampler_core(
             }
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut engines: Vec<_> = ctx
-                .split
-                .lanes
-                .iter()
-                .map(|&lanes| BatchEngine::boxed(model.streams(lanes), model.vocabulary()))
-                .collect();
-            run_generation(&sched, &mut engines, ctx.split.threads, &rx, nudge.clone());
+            let probes = sched.probes();
+            let mut engines = ctx.split.engines(&model);
+            crew::run(
+                &mut sched,
+                &mut engines,
+                ctx.split.threads,
+                &rx,
+                |engine, live| probes.step(engine, &live),
+            );
         }));
         match outcome {
             Ok(()) => break,
@@ -1240,13 +1098,13 @@ pub(crate) fn run_sampler_core(
                     "clgen-serve: sampler core panicked ({message}); failing in-flight \
                      requests and respawning from the checkpoint image"
                 );
-                lock(&sched).fail_in_flight(&ServeError::failed(
+                sched.fail_in_flight(&ServeError::failed(
                     500,
                     format!("sampler core panicked: {message}"),
                 ));
                 ctx.metrics.supervisor_restarts.inc();
                 if ctx.supervisor.record_restart(Instant::now()) {
-                    give_up(&mut lock(&sched), &ctx);
+                    give_up(&mut sched, &ctx);
                     break;
                 }
             }
@@ -1254,7 +1112,7 @@ pub(crate) fn run_sampler_core(
     }
 
     // Closing the filter channel ends the filter thread's receive loop.
-    drop(sched.into_inner().unwrap_or_else(PoisonError::into_inner));
+    drop(sched);
     let _ = filter_thread.join();
 }
 
@@ -1323,7 +1181,7 @@ mod tests {
                     }
                 }
                 Plan::Idle(until) => Turn::Idle(until),
-                Plan::Finished => Turn::Finished,
+                Plan::Finished(()) => Turn::Finished,
             }
         }
     }
@@ -1475,8 +1333,9 @@ mod tests {
     }
 
     /// With zero concurrent traffic no turn steps, so an expired queued job
-    /// can only be shed by an idle turn — the one the shell takes on its
-    /// `IDLE_TICK` — and that path must bump the shed metrics too.
+    /// can only be shed by an idle turn — the one the shell takes at the
+    /// `IDLE_TICK` bound an idle plan gives — and that path must bump the
+    /// shed metrics too.
     #[test]
     fn idle_tick_sheds_expired_job_and_records_metrics() {
         let (model, vocab) = corpus_model();
@@ -1492,13 +1351,19 @@ mod tests {
 
         // The shed lands on the first turn at or past the deadline, and not
         // on the turn before.
-        assert_eq!(sched.turn(t0 + ms(49), &mut engine), Turn::Idle(None));
+        assert_eq!(
+            sched.turn(t0 + ms(49), &mut engine),
+            Turn::Idle(Some(t0 + ms(49) + IDLE_TICK))
+        );
         assert!(
             handed.reply.try_recv().is_err(),
             "not shed before its deadline"
         );
         assert_eq!(handed.slot.load(Ordering::SeqCst), 1);
-        assert_eq!(sched.turn(t0 + ms(50), &mut engine), Turn::Idle(None));
+        assert_eq!(
+            sched.turn(t0 + ms(50), &mut engine),
+            Turn::Idle(Some(t0 + ms(50) + IDLE_TICK))
+        );
         match handed.reply.try_recv() {
             Ok(ResponseEvent::Error(e)) => {
                 assert_eq!(e.status, 503);
@@ -1613,12 +1478,13 @@ mod tests {
         // count = 1: at most four candidates out, so engine 0 takes them all.
         let (narrow, _narrow) = job(1, 1, 24, t0, None);
         sched.handle(SchedMsg::Job(narrow));
-        assert_eq!(sched.plan(t0, 1, &mut engines[1]), Plan::Idle(None));
+        let idle = Plan::Idle(Some(t0 + IDLE_TICK));
+        assert_eq!(sched.plan(t0, 1, &mut engines[1]), idle);
         assert!(matches!(sched.plan(t0, 0, &mut engines[0]), Plan::Step(_)));
         assert_eq!(engines[0].occupied_lanes(), 4);
         assert_eq!(
             sched.plan(t0, 1, &mut engines[1]),
-            Plan::Idle(None),
+            idle,
             "engine 0 is full, but the job may send no more"
         );
         // count = 3: twelve may go out, and engine 1 takes the spill.
@@ -1714,7 +1580,6 @@ mod tests {
             );
             // One request at a time, so the second job stays queued.
             sched.max_active = 1;
-            let core = Mutex::new(sched);
             let t0 = Instant::now();
             // A target the job never meets: it wants more lanes than engine
             // 0 has for as long as the generation runs.
@@ -1723,8 +1588,11 @@ mod tests {
             inbox_tx.send(SchedMsg::Job(in_flight)).expect("inbox");
             inbox_tx.send(SchedMsg::Job(queued)).expect("inbox");
 
+            let probes = sched.probes();
             let ended = catch_unwind(AssertUnwindSafe(|| {
-                run_generation(&core, &mut engines, 1, &inbox, inbox_tx.clone())
+                crew::run(&mut sched, &mut engines, 1, &inbox, |engine, live| {
+                    probes.step(engine, &live)
+                })
             }));
             let payload = ended.expect_err("the helper's panic ends the generation");
             assert_eq!(
@@ -1733,7 +1601,6 @@ mod tests {
                 "in_prime={in_prime}"
             );
 
-            let mut sched = lock(&core);
             sched.fail_in_flight(&ServeError::failed(500, "sampler core panicked".into()));
             // Kernel lines may have streamed; the request ends in a 500.
             match in_flight_handed.reply.try_iter().last() {
@@ -1748,7 +1615,6 @@ mod tests {
             assert_eq!(sched.backlog.len(), 1, "and survives the quarantine");
             // Dropping the scheduler closes the filter stage's input.
             drop(sched);
-            drop(core);
             filter_thread.join().expect("the filter stage ends");
         }
     }
