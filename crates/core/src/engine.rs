@@ -24,11 +24,13 @@
 //!   [`prime`](clgen_neural::StreamBatch::prime)d with the seed text — an
 //!   LSTM batch runs it through the model once and reloads the result for
 //!   every later candidate — so it generates from its first round;
-//! * [`step_into`](BatchEngine::step_into) advances every occupied lane by
-//!   one generated character through a single batched
-//!   [`feed_many`](clgen_neural::StreamBatch::feed_many) over exactly those
-//!   lanes — an LSTM batch steps at the width they fill, not the width it
-//!   has — returning finished candidates as their lanes free up;
+//! * [`step_into`](BatchEngine::step_into) draws each occupied lane's next
+//!   character from its [`logits`](clgen_neural::StreamBatch::logits_into)
+//!   by [`sample_logits`] at the candidate's temperature, then advances the
+//!   lanes through a single batched
+//!   [`feed_many`](clgen_neural::StreamBatch::feed_many) over exactly them —
+//!   an LSTM batch steps at the width they fill, not the width it has —
+//!   returning finished candidates as their lanes free up;
 //! * [`abort`](BatchEngine::abort) abandons a lane mid-candidate (a request
 //!   was satisfied early or its client went away).
 //!
@@ -44,12 +46,17 @@
 //! its kernels reduce every output element in one unified fold, so neither
 //! the packed weight layout nor the rayon worker count can change a byte of
 //! a response — paper-scale models batch across requests with the same
-//! guarantee the small ones have.
+//! guarantee the small ones have. The draw is the serial sampler's
+//! [`sample_logits`]: f32 softmax and f64 walk, this code's own arithmetic.
+//! An LSTM's logits are too, so no libm routine chosen by the host's CPU
+//! moves one of its bytes; the n-gram's logits are still libm `ln` of its
+//! probabilities, as is the default
+//! [`logits_into`](clgen_neural::StreamBatch::logits_into).
 
 use crate::sampler::{SampleOptions, SampledCandidate, StopReason};
 use cl_frontend::PrefixValidator;
 use clgen_corpus::Vocabulary;
-use clgen_neural::{sample_distribution_with, StreamBatch};
+use clgen_neural::{sample_logits, StreamBatch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -90,8 +97,9 @@ pub struct BatchEngine<'a, B: StreamBatch + ?Sized + 'a = dyn StreamBatch + 'a> 
     lanes: Vec<Option<LaneRun>>,
     occupied: usize,
     pairs: Vec<(usize, u32)>,
-    probs: Vec<f32>,
-    weights: Vec<f64>,
+    logits: Vec<f32>,
+    /// [`sample_logits`]'s scaled distribution.
+    scratch: Vec<f32>,
     /// Most recently admitted seed text, reused across admissions so the
     /// steady state (every candidate sharing one seed text) prepares it once.
     seed_memo: Option<SeedPrefix>,
@@ -136,8 +144,8 @@ impl<'a, B: StreamBatch + ?Sized + 'a> BatchEngine<'a, B> {
             lanes: (0..n).map(|_| None).collect(),
             occupied: 0,
             pairs: Vec::with_capacity(n),
-            probs: Vec::new(),
-            weights: Vec::new(),
+            logits: Vec::new(),
+            scratch: Vec::new(),
             seed_memo: None,
         }
     }
@@ -235,9 +243,10 @@ impl<'a, B: StreamBatch + ?Sized + 'a> BatchEngine<'a, B> {
     }
 
     /// Advance every occupied lane by one character, drawn from the lane's
-    /// current distribution, through a single batched feed. Candidates that
-    /// reach their closing brace or length budget this round are appended to
-    /// `completed` as `(ticket, candidate)` and their lanes freed.
+    /// current logits by [`sample_logits`] (the serial sampler's draw),
+    /// through a single batched feed. Candidates that reach their closing
+    /// brace or length budget this round are appended to `completed` as
+    /// `(ticket, candidate)` and their lanes freed.
     ///
     /// As in serial sampling, a candidate's final character is never fed back
     /// into the model (serial sampling feeds it and immediately stops, so it
@@ -274,12 +283,12 @@ impl<'a, B: StreamBatch + ?Sized + 'a> BatchEngine<'a, B> {
             let Some(run) = self.lanes[lane].as_mut() else {
                 continue;
             };
-            self.streams.probs_into(lane, &mut self.probs);
-            let id = sample_distribution_with(
-                &self.probs,
+            self.streams.logits_into(lane, &mut self.logits);
+            let id = sample_logits(
+                &self.logits,
                 run.options.temperature,
                 &mut run.rng,
-                &mut self.weights,
+                &mut self.scratch,
             );
             let c = self.vocab.decode_char(id);
             run.text.push(c);

@@ -8,7 +8,7 @@
 use crate::engine::BatchEngine;
 use cl_frontend::PrefixValidator;
 use clgen_corpus::Vocabulary;
-use clgen_neural::{sample_distribution_with, LanguageModel, StreamBatch};
+use clgen_neural::{sample_logits, LanguageModel, StreamBatch};
 use rand::rngs::StdRng;
 
 /// Sampling parameters ("synthesis parameters" in Figure 4).
@@ -58,7 +58,9 @@ pub struct SampledCandidate {
 /// Sample one candidate kernel from `model`, seeded with `seed`
 /// (Algorithm 1).
 ///
-/// The model is reset, fed the seed, and then sampled one character at a time.
+/// The model is reset, fed the seed, and then sampled one character at a time,
+/// each drawn from the model's logits by [`sample_logits`] — the draw the
+/// batched engine makes, so the two agree byte for byte.
 /// Brace depth starts at the depth implied by the seed (normally 1, because
 /// the seed ends with the kernel's opening `{`) and sampling stops when it
 /// returns to zero.
@@ -89,10 +91,10 @@ pub fn sample_kernel(
     }
     let mut generated = 0usize;
     let mut stop = StopReason::MaxLength;
-    let mut weights = Vec::new();
+    let (mut logits, mut scratch) = (Vec::new(), Vec::new());
     while generated < options.max_chars {
-        let probs = model.predict();
-        let id = sample_distribution_with(&probs, options.temperature, rng, &mut weights);
+        model.logits_into(&mut logits);
+        let id = sample_logits(&logits, options.temperature, rng, &mut scratch);
         let c = vocab.decode_char(id);
         model.feed(id);
         text.push(c);
@@ -227,15 +229,15 @@ mod tests {
             self.pos = 0;
         }
         fn feed(&mut self, _id: u32) {}
-        fn predict(&self) -> Vec<f32> {
-            let mut dist = vec![0.0f32; self.vocab.len()];
+        fn logits_into(&self, out: &mut Vec<f32>) {
+            out.clear();
+            out.resize(self.vocab.len(), f32::NEG_INFINITY);
             let c = self
                 .script
                 .get(self.pos.min(self.script.len() - 1))
                 .copied()
                 .unwrap_or('}');
-            dist[self.vocab.encode_char(c) as usize] = 1.0;
-            dist
+            out[self.vocab.encode_char(c) as usize] = 0.0;
         }
     }
 
@@ -262,8 +264,8 @@ mod tests {
             }
             self.inner.feed(id);
         }
-        fn predict(&self) -> Vec<f32> {
-            self.inner.predict()
+        fn logits_into(&self, out: &mut Vec<f32>) {
+            self.inner.logits_into(out);
         }
     }
 

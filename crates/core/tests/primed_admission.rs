@@ -30,8 +30,9 @@ fn corpus_text() -> String {
     )
 }
 
-/// Forwards the six methods `StreamBatch` had before `prime`, and nothing
-/// else.
+/// Forwards the six methods `StreamBatch` had before `prime`, and
+/// `logits_into`, the draw's input (its default, the log of `probs_into`,
+/// matches the LSTM's logits only up to rounding), and nothing else.
 struct SixMethods<'a>(Box<dyn StreamBatch + 'a>);
 
 impl StreamBatch for SixMethods<'_> {
@@ -52,6 +53,9 @@ impl StreamBatch for SixMethods<'_> {
     }
     fn probs_into(&self, stream: usize, out: &mut Vec<f32>) {
         self.0.probs_into(stream, out);
+    }
+    fn logits_into(&self, stream: usize, out: &mut Vec<f32>) {
+        self.0.logits_into(stream, out);
     }
 }
 

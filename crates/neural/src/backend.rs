@@ -100,6 +100,7 @@ mod tests {
     use super::*;
     use crate::lstm::{LstmConfig, LstmModel};
     use crate::ngram::NgramConfig;
+    use crate::tensor::softmax_in_place;
 
     #[test]
     fn boxed_backends_expose_serial_and_streams() {
@@ -118,7 +119,9 @@ mod tests {
             let lm = backend.serial();
             lm.reset();
             lm.feed(3);
-            let probs = lm.predict();
+            let mut probs = Vec::new();
+            lm.logits_into(&mut probs);
+            softmax_in_place(&mut probs);
             assert_eq!(probs.len(), 7);
             let sum: f32 = probs.iter().sum();
             assert!((sum - 1.0).abs() < 1e-3);

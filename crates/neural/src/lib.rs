@@ -35,10 +35,7 @@ pub mod tensor;
 pub mod train;
 
 pub use backend::LanguageModelBackend;
-pub use lm::{
-    argmax, sample_distribution, sample_distribution_with, LanguageModel, LstmStreams,
-    NgramStreams, StatefulLstm, StreamBatch,
-};
+pub use lm::{sample_logits, LanguageModel, LstmStreams, NgramStreams, StatefulLstm, StreamBatch};
 pub use lstm::{BatchState, BatchStepCache, LstmConfig, LstmModel, TrainBatch, Workspace};
 pub use ngram::{NgramConfig, NgramModel};
 pub use train::{

@@ -1,12 +1,21 @@
 //! The language-model abstraction used by the synthesizer.
 //!
 //! CLgen's sampling loop (Algorithm 1) only needs a model that, given the
-//! characters emitted so far, yields a distribution over the next character.
+//! characters emitted so far, yields logits over the next character.
 //! Both the LSTM (the paper's model) and the n-gram ablation baseline
 //! implement this trait, so the synthesizer is generic over the model class.
+//!
+//! A character is drawn by [`sample_logits`], the one draw of the batched
+//! engine and the serial sampler alike: the temperature divides the logits,
+//! one [`softmax_in_place`] normalises them and one uniform walks the
+//! cumulative distribution. Every step of it is this crate's own f32 and f64
+//! arithmetic, and so are the LSTM's logits, so the bytes an LSTM draws do
+//! not depend on the host's libm. The n-gram's logits (and those of the
+//! default [`StreamBatch::logits_into`]) are still libm `ln` of a
+//! distribution.
 
 use crate::lstm::{BatchState, LstmModel, LstmState, Workspace};
-use crate::tensor::tile_width;
+use crate::tensor::{softmax_in_place, tile_width};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -21,19 +30,22 @@ pub trait LanguageModel {
     /// Feed one character id, advancing the internal state.
     fn feed(&mut self, id: u32);
 
-    /// Distribution over the next character given everything fed so far.
-    fn predict(&self) -> Vec<f32>;
+    /// Write the logits over the next character given everything fed so far
+    /// into `out` (replacing its contents): a distribution up to
+    /// [`softmax_in_place`].
+    fn logits_into(&self, out: &mut Vec<f32>);
 }
 
 /// Adapter making [`LstmModel`] usable through the [`LanguageModel`] trait by
 /// carrying its recurrent state, a scratch [`Workspace`] and the last
-/// prediction. Feeding a character performs no heap allocation.
+/// logits. Feeding a character performs no heap allocation.
 #[derive(Debug, Clone)]
 pub struct StatefulLstm {
     model: LstmModel,
     state: LstmState,
     ws: Workspace,
-    last_probs: Vec<f32>,
+    /// All zeros (the uniform distribution) until the first feed.
+    last_logits: Vec<f32>,
 }
 
 impl StatefulLstm {
@@ -46,7 +58,7 @@ impl StatefulLstm {
             model,
             state,
             ws,
-            last_probs: vec![1.0 / vocab as f32; vocab],
+            last_logits: vec![0.0; vocab],
         }
     }
 
@@ -63,18 +75,17 @@ impl LanguageModel for StatefulLstm {
 
     fn reset(&mut self) {
         self.state = self.model.initial_state();
-        let vocab = self.vocab_size();
-        self.last_probs.clear();
-        self.last_probs.resize(vocab, 1.0 / vocab as f32);
+        self.last_logits.fill(0.0);
     }
 
     fn feed(&mut self, id: u32) {
-        let probs = self.model.predict_into(&mut self.state, id, &mut self.ws);
-        self.last_probs.copy_from_slice(probs);
+        let logits = self.model.predict_into(&mut self.state, id, &mut self.ws);
+        self.last_logits.copy_from_slice(logits);
     }
 
-    fn predict(&self) -> Vec<f32> {
-        self.last_probs.clone()
+    fn logits_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.extend_from_slice(&self.last_logits);
     }
 }
 
@@ -83,8 +94,9 @@ impl LanguageModel for StatefulLstm {
 ///
 /// Streams are identified by their index `0..num_streams()`. The caller
 /// drives them with [`feed_many`](StreamBatch::feed_many) (one character per
-/// listed stream) and reads each stream's current next-character distribution
-/// with [`probs_into`](StreamBatch::probs_into). A stream that has not been
+/// listed stream) and reads each stream's current next-character logits
+/// with [`logits_into`](StreamBatch::logits_into) or its distribution with
+/// [`probs_into`](StreamBatch::probs_into). A stream that has not been
 /// fed since the last [`reset`](StreamBatch::reset) predicts the uniform
 /// distribution, mirroring [`StatefulLstm`].
 pub trait StreamBatch {
@@ -110,6 +122,23 @@ pub trait StreamBatch {
     /// Write stream `stream`'s distribution over the next character into
     /// `out` (replacing its contents).
     fn probs_into(&self, stream: usize, out: &mut Vec<f32>);
+
+    /// Write stream `stream`'s logits over the next character into `out`
+    /// (replacing its contents): what [`sample_logits`] draws from. The
+    /// default is the log of [`probs_into`](StreamBatch::probs_into), so it
+    /// is complete for every implementor, and exact for a batch whose
+    /// distribution is its own (the n-gram's). A batch that has logits (the
+    /// LSTM's output layer) overrides it, and the default then matches those
+    /// logits only up to rounding: `ln(softmax(z))` is `z` minus a constant
+    /// to within an ulp or so, and a uniform on a rounding boundary draws
+    /// another character. A wrapper of such a batch must forward this
+    /// method to keep its draws byte-identical to the batch's own.
+    fn logits_into(&self, stream: usize, out: &mut Vec<f32>) {
+        self.probs_into(stream, out);
+        for v in out.iter_mut() {
+            *v = v.ln();
+        }
+    }
 
     /// Put `stream` in the state a fresh stream reaches after being fed
     /// `ids` in order, leaving the others untouched. The default does just
@@ -146,6 +175,9 @@ macro_rules! forward_stream_batch {
             fn probs_into(&self, stream: usize, out: &mut Vec<f32>) {
                 (**self).probs_into(stream, out);
             }
+            fn logits_into(&self, stream: usize, out: &mut Vec<f32>) {
+                (**self).logits_into(stream, out);
+            }
             fn prime(&mut self, stream: usize, ids: &[u32]) {
                 (**self).prime(stream, ids);
             }
@@ -170,9 +202,9 @@ pub struct LstmStreams<'a> {
     /// the stream count are tile padding.
     bs: BatchState,
     ws: Workspace,
-    /// For each stream, its position in the most recent softmax set
+    /// For each stream, its lane in the workspace's most recent logits
     /// (`None` if not part of the last feed).
-    probs_pos: Vec<Option<usize>>,
+    logits_pos: Vec<Option<usize>>,
     /// Whether each stream has been fed since its last reset.
     fed: Vec<bool>,
     sel: Vec<usize>,
@@ -192,7 +224,7 @@ impl<'a> LstmStreams<'a> {
             model,
             bs: BatchState::new(&model.config, tile_width(n)),
             ws: model.workspace(tile_width(n)),
-            probs_pos: vec![None; n],
+            logits_pos: vec![None; n],
             fed: vec![false; n],
             sel: Vec::with_capacity(n),
             ids: Vec::with_capacity(n),
@@ -218,7 +250,7 @@ impl StreamBatch for LstmStreams<'_> {
 
     fn reset_stream(&mut self, stream: usize) {
         self.bs.reset_lane(stream);
-        self.probs_pos[stream] = None;
+        self.logits_pos[stream] = None;
         self.fed[stream] = false;
     }
 
@@ -227,18 +259,18 @@ impl StreamBatch for LstmStreams<'_> {
         if pairs.is_empty() {
             return;
         }
-        // The probs buffer is about to be rewritten: streams not in this
+        // The logits buffer is about to be rewritten: streams not in this
         // batch fall back to recomputing from their untouched hidden state.
-        self.probs_pos.fill(None);
+        self.logits_pos.fill(None);
         self.sel.clear();
         self.ids.clear();
         for (pos, &(stream, id)) in pairs.iter().enumerate() {
             assert!(stream < self.fed.len(), "stream {stream} out of range");
             assert!(
-                self.probs_pos[stream].is_none(),
+                self.logits_pos[stream].is_none(),
                 "stream {stream} fed twice in one call"
             );
-            self.probs_pos[stream] = Some(pos);
+            self.logits_pos[stream] = Some(pos);
             self.fed[stream] = true;
             self.sel.push(stream);
             self.ids.push(id);
@@ -253,12 +285,20 @@ impl StreamBatch for LstmStreams<'_> {
         }
     }
 
+    /// The softmax of [`logits_into`](StreamBatch::logits_into), computed
+    /// on demand: bitwise what `softmax_lanes` makes of the lane.
     fn probs_into(&self, stream: usize, out: &mut Vec<f32>) {
+        self.logits_into(stream, out);
+        softmax_in_place(out);
+    }
+
+    /// An unfed stream's logits are zeros, i.e. uniform.
+    fn logits_into(&self, stream: usize, out: &mut Vec<f32>) {
         out.clear();
-        match self.probs_pos[stream] {
-            Some(pos) => out.extend_from_slice(self.ws.probs_lane(pos)),
-            None if self.fed[stream] => self.model.lane_distribution(&self.bs, stream, out),
-            None => out.resize(self.vocab_size(), 1.0 / self.vocab_size() as f32),
+        match self.logits_pos[stream] {
+            Some(pos) => out.extend(self.ws.logits_lane(pos)),
+            None if self.fed[stream] => self.model.lane_logits(&self.bs, stream, out),
+            None => out.resize(self.vocab_size(), 0.0),
         }
     }
 
@@ -270,13 +310,13 @@ impl StreamBatch for LstmStreams<'_> {
             for &id in ids {
                 self.model.predict_into(&mut state, id, &mut self.ws);
             }
-            // The pass went through the shared probs buffer.
-            self.probs_pos.fill(None);
+            // The pass went through the shared logits buffer.
+            self.logits_pos.fill(None);
             self.primed = Some((ids.to_vec(), state));
         }
         let (_, state) = self.primed.as_ref().expect("set above");
         self.bs.load_lane(stream, state);
-        self.probs_pos[stream] = None;
+        self.logits_pos[stream] = None;
         self.fed[stream] = !ids.is_empty();
     }
 }
@@ -284,10 +324,12 @@ impl StreamBatch for LstmStreams<'_> {
 /// Multi-stream sampling over a shared [`NgramModel`]: every stream carries
 /// only its rolling character history while the (potentially large) count
 /// tables are borrowed, so spawning a batch costs nothing. Prediction per
-/// stream is exactly [`NgramModel::predict`] over that history.
+/// stream is exactly [`NgramModel::distribution_for`] over that history,
+/// and its logits (the default [`logits_into`](StreamBatch::logits_into),
+/// `ln p`) are exactly the model's.
 ///
 /// [`NgramModel`]: crate::ngram::NgramModel
-/// [`NgramModel::predict`]: crate::lm::LanguageModel::predict
+/// [`NgramModel::distribution_for`]: crate::ngram::NgramModel::distribution_for
 #[derive(Debug)]
 pub struct NgramStreams<'a> {
     model: &'a crate::ngram::NgramModel,
@@ -341,57 +383,41 @@ impl StreamBatch for NgramStreams<'_> {
     }
 }
 
-/// Sample an index from a probability distribution with a temperature
-/// adjustment. Temperature 1.0 samples the distribution as-is; lower values
-/// sharpen it (more deterministic), higher values flatten it.
-pub fn sample_distribution(probs: &[f32], temperature: f32, rng: &mut StdRng) -> u32 {
-    let mut weights = Vec::new();
-    sample_distribution_with(probs, temperature, rng, &mut weights)
-}
-
-/// [`sample_distribution`] over a caller-provided weight buffer, so hot
-/// sampling loops perform no per-character allocation. The draw (and RNG
-/// consumption) is identical to [`sample_distribution`].
-pub fn sample_distribution_with(
-    probs: &[f32],
+/// Draw the next character from `logits` at `temperature`: the softmax of
+/// `logits / temperature` (temperature clamped to at least `1e-3`), which
+/// is `p^(1/T)` renormalised, walked by one uniform `rng.gen::<f64>()`.
+/// Temperature 1.0 samples the model's distribution as-is; lower values
+/// sharpen it (more deterministic), higher values flatten it. `scratch`
+/// holds the scaled distribution, so hot sampling loops perform no
+/// per-character allocation.
+///
+/// # Panics
+///
+/// Panics if `logits` is empty.
+pub fn sample_logits(
+    logits: &[f32],
     temperature: f32,
     rng: &mut StdRng,
-    weights: &mut Vec<f64>,
+    scratch: &mut Vec<f32>,
 ) -> u32 {
-    assert!(!probs.is_empty());
-    let temperature = temperature.max(1e-3);
-    // Re-weight: p^(1/T), renormalise.
-    weights.clear();
-    weights.extend(
-        probs
-            .iter()
-            .map(|&p| f64::from(p.max(1e-12)).powf(1.0 / f64::from(temperature))),
-    );
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        return rng.gen_range(0..probs.len()) as u32;
-    }
-    for w in weights.iter_mut() {
-        *w /= total;
-    }
-    let mut draw: f64 = rng.gen();
-    for (i, w) in weights.iter().enumerate() {
-        if draw < *w {
+    assert!(!logits.is_empty(), "no logits to sample from");
+    let inv_t = 1.0 / temperature.max(1e-3);
+    scratch.clear();
+    scratch.extend(logits.iter().map(|&z| z * inv_t));
+    softmax_in_place(scratch);
+    // Walk the cumulative distribution subtractively in f64. The f32
+    // probabilities may sum to a little less than 1; a uniform past the sum
+    // draws the last character, whose probability `softmax_in_place` keeps
+    // positive (its exponential never underflows to 0).
+    let mut draw = rng.gen::<f64>();
+    for (i, &p) in scratch.iter().enumerate() {
+        let p = f64::from(p);
+        if draw < p {
             return i as u32;
         }
-        draw -= w;
+        draw -= p;
     }
-    (probs.len() - 1) as u32
-}
-
-/// Greedy argmax over a distribution.
-pub fn argmax(probs: &[f32]) -> u32 {
-    probs
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i as u32)
-        .unwrap_or(0)
+    (scratch.len() - 1) as u32
 }
 
 #[cfg(test)]
@@ -401,29 +427,47 @@ mod tests {
     use proptest::prelude::*;
     use rand::SeedableRng;
 
+    /// The softmax of a model's logits: its next-character distribution.
+    fn distribution(model: &impl LanguageModel) -> Vec<f32> {
+        let mut probs = Vec::new();
+        model.logits_into(&mut probs);
+        softmax_in_place(&mut probs);
+        probs
+    }
+
     #[test]
     fn stateful_lstm_roundtrip() {
         let lstm = LstmModel::new(LstmConfig::small(12));
         let mut wrapped = StatefulLstm::new(lstm);
         assert_eq!(wrapped.vocab_size(), 12);
-        let uniform = wrapped.predict();
+        let uniform = distribution(&wrapped);
         assert!((uniform[0] - 1.0 / 12.0).abs() < 1e-6);
         wrapped.feed(3);
-        let after = wrapped.predict();
+        let after = distribution(&wrapped);
         let sum: f32 = after.iter().sum();
         assert!((sum - 1.0).abs() < 1e-4);
         wrapped.reset();
-        assert!((wrapped.predict()[0] - 1.0 / 12.0).abs() < 1e-6);
+        assert!((distribution(&wrapped)[0] - 1.0 / 12.0).abs() < 1e-6);
+    }
+
+    /// `ln p`, the logits of a given distribution.
+    fn logits_of(probs: &[f32]) -> Vec<f32> {
+        probs.iter().map(|p| p.ln()).collect()
+    }
+
+    /// Draw `n` characters from `logits` at `temperature` and count them.
+    fn counts(logits: &[f32], temperature: f32, n: usize, seed: u64) -> Vec<usize> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut scratch, mut counts) = (Vec::new(), vec![0; logits.len()]);
+        for _ in 0..n {
+            counts[sample_logits(logits, temperature, &mut rng, &mut scratch) as usize] += 1;
+        }
+        counts
     }
 
     #[test]
     fn sampling_respects_distribution() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let probs = vec![0.0, 0.9, 0.1, 0.0];
-        let mut counts = [0usize; 4];
-        for _ in 0..1000 {
-            counts[sample_distribution(&probs, 1.0, &mut rng) as usize] += 1;
-        }
+        let counts = counts(&logits_of(&[0.0, 0.9, 0.1, 0.0]), 1.0, 1000, 1);
         assert_eq!(counts[0], 0);
         assert!(counts[1] > 800);
         assert!(counts[2] > 20);
@@ -431,30 +475,36 @@ mod tests {
 
     #[test]
     fn low_temperature_is_nearly_greedy() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let probs = vec![0.3, 0.4, 0.3];
-        let mut counts = [0usize; 3];
-        for _ in 0..500 {
-            counts[sample_distribution(&probs, 0.05, &mut rng) as usize] += 1;
-        }
+        let counts = counts(&logits_of(&[0.3, 0.4, 0.3]), 0.05, 500, 2);
         assert!(
             counts[1] > 480,
             "low temperature should pick the mode almost always: {counts:?}"
         );
-        assert_eq!(argmax(&probs), 1);
     }
 
     #[test]
     fn high_temperature_flattens() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let probs = vec![0.05, 0.9, 0.05];
-        let mut counts = [0usize; 3];
-        for _ in 0..2000 {
-            counts[sample_distribution(&probs, 3.0, &mut rng) as usize] += 1;
-        }
+        let counts = counts(&logits_of(&[0.05, 0.9, 0.05]), 3.0, 2000, 3);
         // With a hot temperature the minority classes appear far more often
         // than their base probability would suggest.
         assert!(counts[0] + counts[2] > 400, "{counts:?}");
+    }
+
+    /// A logit of `-1e4` — the benchmark's wide fixture sets its first
+    /// output bias to that so no candidate stops early — is not drawn, at
+    /// any temperature: its probability is at most ~1e-38 (the floor of
+    /// `softmax_in_place`'s exponential over the vocabulary), so only a
+    /// uniform of exactly 0 (one in 2^53) would pick it, and a uniform past
+    /// the cumulative sum draws the last character, not the first.
+    #[test]
+    fn a_logit_of_minus_1e4_is_never_drawn() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut logits: Vec<f32> = (0..72).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
+        logits[0] = -1e4;
+        for (i, temperature) in [0.05f32, 0.8, 1.0, 3.0].into_iter().enumerate() {
+            let counts = counts(&logits, temperature, 50_000, i as u64);
+            assert_eq!(counts[0], 0, "T = {temperature}");
+        }
     }
 
     /// Drive a `width`-stream [`LstmStreams`] through `rounds` random
@@ -510,7 +560,7 @@ mod tests {
             }
             for (stream, reference) in serial.iter().enumerate() {
                 streams.probs_into(stream, &mut probs);
-                let expect = reference.predict();
+                let expect = distribution(reference);
                 assert_eq!(probs.len(), expect.len());
                 for (a, b) in probs.iter().zip(expect.iter()) {
                     assert_eq!(

@@ -675,8 +675,8 @@ fn copy_lanes(
 /// Preallocated per-model scratch buffers for the sampling forward pass.
 ///
 /// A `Workspace` owns everything the forward step would otherwise allocate
-/// per character — the gate pre-activation block and the logits/softmax
-/// buffers — plus the weight-derived caches it reads: the transposed
+/// per character — the gate pre-activation block and the logit buffers —
+/// plus the weight-derived caches it reads: the transposed
 /// embedding and the packed forward weights. Create one with
 /// [`LstmModel::workspace`] and reuse it across calls; the batched entry
 /// points grow it on demand, so a workspace sized for batch 1 can later
@@ -694,9 +694,8 @@ pub struct Workspace {
     z: Vec<f32>,
     /// Output logits, `V x capacity` (lane-interleaved).
     logits: Vec<f32>,
-    /// Per-stream softmax outputs, batch-major: lane `b` occupies
-    /// `probs[b*V..(b+1)*V]`.
-    probs: Vec<f32>,
+    /// Lane count of the most recent step: the stride of its `logits`.
+    logits_width: usize,
     /// Transposed layer-0 input weights (`V x 4H`).
     embed_t: Vec<f32>,
     /// Packed forward weights (row-panel layout; see [`PackedMatrix`]).
@@ -715,7 +714,6 @@ impl Workspace {
         }
         self.z.resize(4 * self.config.hidden_size * width, 0.0);
         self.logits.resize(self.config.vocab_size * width, 0.0);
-        self.probs.resize(self.config.vocab_size * width, 0.0);
         self.capacity = width;
     }
 
@@ -731,11 +729,15 @@ impl Workspace {
         scratch
     }
 
-    /// The softmax output of lane `lane` from the most recent batched
-    /// prediction.
-    pub fn probs_lane(&self, lane: usize) -> &[f32] {
-        let v = self.config.vocab_size;
-        &self.probs[lane * v..(lane + 1) * v]
+    /// The logits of lane `lane` from the most recent batched prediction,
+    /// in vocabulary order: a column of the lane-interleaved block.
+    pub fn logits_lane(&self, lane: usize) -> impl Iterator<Item = f32> + '_ {
+        let width = self.logits_width;
+        assert!(lane < width, "lane out of range");
+        self.logits[lane..self.config.vocab_size * width]
+            .iter()
+            .step_by(width)
+            .copied()
     }
 }
 
@@ -902,7 +904,7 @@ impl LstmModel {
             capacity: 0,
             z: Vec::new(),
             logits: Vec::new(),
-            probs: Vec::new(),
+            logits_width: 0,
             embed_t: Vec::new(),
             packs: ForwardPacks::default(),
             batch_scratch: None,
@@ -914,9 +916,9 @@ impl LstmModel {
     }
 
     /// Allocation-free forward step for serial sampling: advances `state` by
-    /// one character and returns the softmax distribution from the
-    /// workspace. This is [`predict_batch_resident`] at one lane — bitwise
-    /// identical to [`LstmModel::predict`].
+    /// one character and returns the logits from the workspace. This is
+    /// [`predict_batch_resident`] at one lane — their softmax is bitwise
+    /// [`LstmModel::predict`].
     ///
     /// [`predict_batch_resident`]: LstmModel::predict_batch_resident
     pub fn predict_into<'w>(
@@ -930,11 +932,12 @@ impl LstmModel {
         self.predict_batch_resident(&mut scratch, &[input_id], ws);
         scratch.store_lane(0, state);
         ws.batch_scratch = Some(scratch);
-        ws.probs_lane(0)
+        // One lane: the interleaved block is the lane's logits.
+        &ws.logits[..self.config.vocab_size]
     }
 
     /// Advance only lanes `sel` of the resident state `bs` — lane `sel[i]`
-    /// with `inputs[i]`, its distribution landing in `ws.probs_lane(i)` —
+    /// with `inputs[i]`, its logits landing in `ws.logits_lane(i)` —
     /// leaving every other lane untouched: the selected lanes are gathered
     /// into a scratch state of [`tile_width`]`(sel.len())` lanes, stepped
     /// there and scattered back, so the step costs what the live lanes cost
@@ -959,26 +962,28 @@ impl LstmModel {
 
     /// The batched sampling forward step: advance lane `i` of `bs` by the
     /// character `inputs[i]` as one GEMM per weight matrix, with no gather
-    /// or scatter of the recurrent state; lane `i`'s softmax distribution
-    /// lands in `ws.probs_lane(i)`. `bs` may be wider than `inputs`: the
+    /// or scatter of the recurrent state; lane `i`'s logits land in
+    /// `ws.logits_lane(i)`. `bs` may be wider than `inputs`: the
     /// lanes past `inputs.len()` are padding up to a [`tile_width`] — they
     /// advance on the bias alone and their contents mean nothing.
     ///
     /// The packed GEMM accumulates every output element in the order of the
     /// reference [`Matrix::matvec_add`] and the fused cell update is
-    /// element-wise, so every lane's new state and distribution are bitwise
-    /// identical to [`LstmModel::predict`] on that stream — the foundation
-    /// of the batched sampler's determinism guarantee.
+    /// element-wise, so every lane's new state and logits are bitwise
+    /// identical to the reference [`LstmModel::step`]'s on that stream — the
+    /// foundation of the batched sampler's determinism guarantee. The step
+    /// stops at the logits: the draw applies its temperature to them before
+    /// its softmax.
     pub fn predict_batch_resident(&self, bs: &mut BatchState, inputs: &[u32], ws: &mut Workspace) {
         let hs = self.config.hidden_size;
         let nv = self.config.vocab_size;
         let width = bs.width();
         assert!(inputs.len() <= width, "more inputs than lanes");
         ws.ensure_lanes(width);
+        ws.logits_width = width;
         let Workspace {
             z,
             logits,
-            probs,
             embed_t,
             packs,
             ..
@@ -1011,24 +1016,22 @@ impl LstmModel {
             lstm_cell_fused_batch(z, width, &mut bs.c[l], &mut bs.h[l]);
         }
 
-        // Output projection over the resident top hidden state, then softmax
-        // for the fed lanes.
+        // Output projection over the resident top hidden state.
         let logits = &mut logits[..nv * width];
         for (r, &bias) in self.b_out.iter().enumerate() {
             logits[r * width..(r + 1) * width].fill(bias);
         }
         let top = &bs.h[self.config.num_layers - 1];
         packs.w_out.matmul_add_into(top, width, logits);
-        softmax_lanes(logits, width, inputs.len(), &mut probs[..inputs.len() * nv]);
     }
 
-    /// Recompute one lane's next-character distribution from its resident
-    /// hidden state, without advancing anything. Bitwise identical to the
-    /// softmax [`predict_batch_resident`](LstmModel::predict_batch_resident)
-    /// produced for that lane at its last step: the logits reduce in the
-    /// unified left-fold order (seed the bias, add terms in ascending `k`),
-    /// exactly as the packed GEMM does.
-    pub fn lane_distribution(&self, bs: &BatchState, lane: usize, out: &mut Vec<f32>) {
+    /// Recompute one lane's next-character logits from its resident hidden
+    /// state, without advancing anything. Bitwise identical to the logits
+    /// [`predict_batch_resident`](LstmModel::predict_batch_resident)
+    /// produced for that lane at its last step: they reduce in the unified
+    /// left-fold order (seed the bias, add terms in ascending `k`), exactly
+    /// as the packed GEMM does.
+    pub fn lane_logits(&self, bs: &BatchState, lane: usize, out: &mut Vec<f32>) {
         let width = bs.width();
         assert!(lane < width, "lane out of range");
         let top = &bs.h[self.config.num_layers - 1];
@@ -1044,7 +1047,6 @@ impl LstmModel {
             }
             *dst = acc;
         }
-        softmax_in_place(out);
     }
 
     /// A minibatch training scratch sized for `width` parallel streams.
@@ -1593,7 +1595,8 @@ mod tests {
         let mut ws = model.workspace(1);
         for id in [3u32, 0, 16, 7, 7, 1, 12] {
             let (probs_ref, _) = model.step(&mut state_ref, id);
-            let probs_new = model.predict_into(&mut state_new, id, &mut ws).to_vec();
+            let mut probs_new = model.predict_into(&mut state_new, id, &mut ws).to_vec();
+            softmax_in_place(&mut probs_new);
             for (a, b) in probs_ref.iter().zip(probs_new.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "probs diverge");
             }
@@ -1629,7 +1632,9 @@ mod tests {
             model.predict_batch_gathered(&mut bs, &sel, &ids, &mut ws);
             for (lane, &(stream, id)) in pairs.iter().enumerate() {
                 let (probs, _) = model.step(&mut reference[stream], id);
-                for (a, b) in probs.iter().zip(ws.probs_lane(lane).iter()) {
+                let mut got: Vec<f32> = ws.logits_lane(lane).collect();
+                softmax_in_place(&mut got);
+                for (a, b) in probs.iter().zip(got.iter()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "stream {stream} probs diverge");
                 }
             }
@@ -1654,7 +1659,9 @@ mod tests {
         let mut bs = BatchState::new(&model.config, 6);
         let inputs: Vec<u32> = (0..6).collect();
         model.predict_batch_resident(&mut bs, &inputs, &mut ws);
-        let sum: f32 = ws.probs_lane(5).iter().sum();
+        let mut probs: Vec<f32> = ws.logits_lane(5).collect();
+        softmax_in_place(&mut probs);
+        let sum: f32 = probs.iter().sum();
         assert!((sum - 1.0).abs() < 1e-4);
     }
 

@@ -179,8 +179,12 @@ impl LanguageModel for NgramModel {
         }
     }
 
-    fn predict(&self) -> Vec<f32> {
-        self.distribution_for(&self.history)
+    /// `ln p`: the n-gram has counts, not logits.
+    fn logits_into(&self, out: &mut Vec<f32>) {
+        self.distribution_into(&self.history, out);
+        for v in out.iter_mut() {
+            *v = v.ln();
+        }
     }
 }
 
@@ -239,8 +243,10 @@ mod tests {
         );
         model.reset();
         model.feed(u32::from(b'x'));
-        let dist = model.predict();
-        let argmax = dist
+        // The argmax of the logits (`ln p`) is the distribution's.
+        let mut logits = Vec::new();
+        model.logits_into(&mut logits);
+        let argmax = logits
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))

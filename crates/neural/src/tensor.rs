@@ -33,8 +33,10 @@
 //!
 //! Between and after the GEMMs, a batched step is element-wise: the gate
 //! activations and cell update ([`lstm_cell_fused_batch`],
-//! [`lstm_cell_cached_batch`], one flat loop over `hidden x width`) and the
-//! output softmax ([`softmax_lanes`], lanes in the vector dimension). These
+//! [`lstm_cell_cached_batch`], one flat loop over `hidden x width`) and, in
+//! training, the output softmax ([`softmax_lanes`], lanes in the vector
+//! dimension; sampling takes each lane's [`softmax_in_place`] in its draw,
+//! after the temperature). These
 //! loops run at vector width, and stay bitwise equal to the scalar
 //! reference, for three reasons:
 //!
@@ -1020,11 +1022,13 @@ pub fn softmax_in_place(x: &mut [f32]) {
         return;
     }
     let max = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
+    // Exponentials first: with no loop-carried sum this loop vectorises.
+    // The sum then folds them in ascending order: the per-lane fold
+    // `softmax_lanes` keeps, so the two stay bitwise equal.
     for v in x.iter_mut() {
         *v = fast_exp(*v - max);
-        sum += *v;
     }
+    let sum = x.iter().fold(0.0f32, |sum, &v| sum + v);
     if sum > 0.0 && sum.is_finite() {
         for v in x.iter_mut() {
             *v /= sum;

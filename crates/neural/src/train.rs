@@ -18,6 +18,7 @@
 
 use crate::checkpoint::{decode_train_snapshot, encode_train_snapshot};
 use crate::lstm::{BatchState, LstmGradients, LstmModel, LstmState, TrainBatch};
+use crate::tensor::softmax_in_place;
 use clgen_wire::{Decoder, Encoder, WireError};
 use std::time::Instant;
 
@@ -419,9 +420,12 @@ pub fn evaluate(model: &LstmModel, data: &[u32]) -> f32 {
     }
     let mut state = model.initial_state();
     let mut ws = model.workspace(1);
+    let mut probs = Vec::new();
     let mut loss = 0.0f64;
     for w in data.windows(2) {
-        let probs = model.predict_into(&mut state, w[0], &mut ws);
+        probs.clear();
+        probs.extend_from_slice(model.predict_into(&mut state, w[0], &mut ws));
+        softmax_in_place(&mut probs);
         loss -= f64::from(probs[w[1] as usize % probs.len()].max(1e-12).ln());
     }
     (loss / (data.len() - 1) as f64) as f32

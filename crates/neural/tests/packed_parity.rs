@@ -17,6 +17,7 @@
 //!    and weights (disjoint output rows + the unified per-element fold).
 
 use clgen_neural::lstm::{BatchState, LstmConfig, LstmModel};
+use clgen_neural::tensor::softmax_in_place;
 use clgen_neural::train::{train, train_chunk, train_chunk_batch, TrainConfig};
 use clgen_neural::{LanguageModel, LstmStreams, StatefulLstm, StreamBatch};
 
@@ -87,7 +88,9 @@ fn packed_batched_sampling_bitwise_matches_serial_across_hidden_sweep() {
             streams.feed_many(&pairs);
             for (stream, reference) in serial.iter().enumerate() {
                 streams.probs_into(stream, &mut probs);
-                let expect = reference.predict();
+                let mut expect = Vec::new();
+                reference.logits_into(&mut expect);
+                softmax_in_place(&mut expect);
                 assert_eq!(probs.len(), expect.len());
                 for (a, b) in probs.iter().zip(expect.iter()) {
                     assert_eq!(
@@ -151,7 +154,7 @@ fn packed_minibatch_width1_bitwise_matches_serial_across_hidden_sweep() {
 
 /// The row-parallel forward kernels are bitwise independent of the rayon
 /// thread count: the hidden-512 operands cross the parallel threshold, and
-/// 1, 2 and 6 workers must produce identical probabilities and states.
+/// 1, 2 and 6 workers must produce identical logits and states.
 #[test]
 fn packed_sampling_is_thread_count_invariant() {
     let vocab = 13;
@@ -166,12 +169,12 @@ fn packed_sampling_is_thread_count_invariant() {
         rayon::with_num_threads(threads, || {
             let mut bs = BatchState::new(&model.config, 4);
             let mut ws = model.workspace(4);
-            let mut all_probs = Vec::new();
+            let mut all_logits = Vec::new();
             for step in 0..3 {
                 let ids: Vec<u32> = inputs.iter().map(|&i| (i + step) % vocab as u32).collect();
                 model.predict_batch_resident(&mut bs, &ids, &mut ws);
                 for lane in 0..4 {
-                    all_probs.extend_from_slice(ws.probs_lane(lane));
+                    all_logits.extend(ws.logits_lane(lane));
                 }
             }
             let states: Vec<_> = (0..4)
@@ -181,18 +184,18 @@ fn packed_sampling_is_thread_count_invariant() {
                     state
                 })
                 .collect();
-            (states, all_probs)
+            (states, all_logits)
         })
     };
-    let (states_1, probs_1) = run(1);
+    let (states_1, logits_1) = run(1);
     for threads in [2usize, 6] {
-        let (states_n, probs_n) = run(threads);
+        let (states_n, logits_n) = run(threads);
         assert_eq!(states_1, states_n, "states differ at {threads} threads");
-        for (a, b) in probs_1.iter().zip(probs_n.iter()) {
+        for (a, b) in logits_1.iter().zip(logits_n.iter()) {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "probs differ at {threads} threads"
+                "logits differ at {threads} threads"
             );
         }
     }

@@ -4,7 +4,7 @@
 use clgen_neural::lstm::{LstmConfig, LstmModel};
 use clgen_neural::ngram::{NgramConfig, NgramModel};
 use clgen_neural::tensor::{softmax_in_place, Matrix};
-use clgen_neural::{sample_distribution, LanguageModel};
+use clgen_neural::{sample_logits, LanguageModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,13 +25,13 @@ proptest! {
     /// Temperature sampling always returns an index inside the distribution.
     #[test]
     fn sampling_in_range(
-        probs in proptest::collection::vec(0.0f32..1.0, 1..64),
+        logits in proptest::collection::vec(-8.0f32..8.0, 1..64),
         temperature in 0.05f32..3.0,
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let idx = sample_distribution(&probs, temperature, &mut rng);
-        prop_assert!((idx as usize) < probs.len());
+        let idx = sample_logits(&logits, temperature, &mut rng, &mut Vec::new());
+        prop_assert!((idx as usize) < logits.len());
     }
 
     /// Matrix-vector multiplication is linear: A(x + y) = Ax + Ay.
@@ -82,9 +82,11 @@ proptest! {
         for &c in &history {
             model.feed(c);
         }
-        let dist = model.predict();
-        prop_assert_eq!(dist.len(), 30);
-        let sum: f32 = dist.iter().sum();
+        // The logits are `ln p`: their exponentials are the distribution.
+        let mut logits = Vec::new();
+        model.logits_into(&mut logits);
+        prop_assert_eq!(logits.len(), 30);
+        let sum: f32 = logits.iter().map(|z| z.exp()).sum();
         prop_assert!((sum - 1.0).abs() < 1e-3, "sum = {sum}");
     }
 }
