@@ -103,10 +103,10 @@ proptest! {
 /// The sampler-level determinism contract at paper-adjacent scale: batched
 /// sampling through the packed, k-blocked (and, at hidden 512, row-parallel)
 /// kernels stays byte-identical to serial sampling at hidden ∈ {64, 192,
-/// 512} — the sizes straddling where the `BlockPlan` starts cutting k-blocks
-/// and fanning rows out. Budgets are tiny so the debug-mode tier-1 run stays
-/// fast; the kernels' bitwise parity itself is exercised exhaustively in
-/// `clgen-neural`'s `packed_parity` suite.
+/// 512} — the sizes straddling where the packed layout starts cutting
+/// k-blocks and the kernels fan rows out. Budgets are tiny so the debug-mode
+/// tier-1 run stays fast; the kernels' bitwise parity itself is exercised
+/// exhaustively in `clgen-neural`'s `packed_parity` suite.
 #[test]
 fn lstm_batched_sampling_matches_serial_across_hidden_sweep() {
     let short_seed = "__kernel void A() {";

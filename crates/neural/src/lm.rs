@@ -286,7 +286,7 @@ impl StreamBatch for LstmStreams<'_> {
     }
 
     /// The softmax of [`logits_into`](StreamBatch::logits_into), computed
-    /// on demand: bitwise what `softmax_lanes` makes of the lane.
+    /// on demand: bitwise what training's forward makes of the lane.
     fn probs_into(&self, stream: usize, out: &mut Vec<f32>) {
         self.logits_into(stream, out);
         softmax_in_place(out);

@@ -8,7 +8,7 @@
 
 use crate::tensor::{
     fast_tanh, lstm_cell_cached_batch, lstm_cell_fused_batch, sigmoid, softmax_in_place,
-    softmax_lanes, tile_width, Matrix, PackedMatrix,
+    tile_width, Matrix, PackedMatrix,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -1144,7 +1144,8 @@ impl LstmModel {
         }
         packs.w_out.matmul_add_into(top, width, logits);
         probs.resize(nv * width, 0.0);
-        softmax_lanes(logits, width, width, probs);
+        interleaved_to_lanes(logits, width, probs);
+        probs.chunks_exact_mut(nv).for_each(softmax_in_place);
     }
 
     /// Backpropagate through a sequence of minibatched cached steps,

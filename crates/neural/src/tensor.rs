@@ -22,23 +22,19 @@
 //! in a fixed canonical sequence (ascending `k`, ascending lane). A left fold
 //! is invariant to where block boundaries fall — `((y + a) + b) + c` is the
 //! same floating-point computation whether the partial lives in a register or
-//! was spilled to memory between blocks — so cache blocking ([`BlockPlan`]),
-//! row-panel packing, lane tiling and row-parallel splits over disjoint
-//! output rows all preserve bitwise results *by construction*. This is what
-//! keeps every lane of a batched step bitwise identical to the reference
-//! loops, and batched sampling bitwise identical to serial sampling, at any
-//! model scale, block shape or rayon thread count.
+//! was spilled to memory between blocks — so k-blocking, row-panel packing,
+//! lane tiling and row-parallel splits over disjoint output rows all preserve
+//! bitwise results *by construction*. This is what keeps every lane of a
+//! batched step bitwise identical to the reference loops, and batched
+//! sampling bitwise identical to serial sampling, at any model scale, block
+//! shape or rayon thread count.
 //!
 //! # The lane-parallel element-wise stage
 //!
-//! Between and after the GEMMs, a batched step is element-wise: the gate
-//! activations and cell update ([`lstm_cell_fused_batch`],
-//! [`lstm_cell_cached_batch`], one flat loop over `hidden x width`) and, in
-//! training, the output softmax ([`softmax_lanes`], lanes in the vector
-//! dimension; sampling takes each lane's [`softmax_in_place`] in its draw,
-//! after the temperature). These
-//! loops run at vector width, and stay bitwise equal to the scalar
-//! reference, for three reasons:
+//! Between the GEMMs, a batched step is element-wise: the gate activations
+//! and cell update ([`lstm_cell_fused_batch`], [`lstm_cell_cached_batch`],
+//! one flat loop over `hidden x width`). These loops run at vector width, and
+//! stay bitwise equal to the scalar reference, for two reasons:
 //!
 //! * [`fast_exp`] is branch-free integer and float arithmetic. It reads its
 //!   2^n scale off the bits of the rounding sum `x·log2(e) + 1.5·2^23`,
@@ -49,11 +45,9 @@
 //! * Each element's operations, and their order, are the reference's: a
 //!   vector lane computes what the scalar code computes, nothing is
 //!   reassociated, and rustc does not contract `a * b + c` into FMA.
-//! * [`softmax_lanes`] keeps [`softmax_in_place`]'s fold per lane: max over
-//!   ascending rows, `exp(v - max)` and the running sum over ascending rows,
-//!   the divide or the uniform fallback. Turning the loops so one row is
-//!   processed for many lanes at once changes which lane a register holds,
-//!   never the order of one lane's operations.
+//!
+//! The output softmax is one [`softmax_in_place`] per lane, in training's
+//! forward as in sampling's draw (after the temperature).
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -211,24 +205,10 @@ impl Matrix {
             return;
         }
         let cols = self.cols.max(1);
-        let plan = BlockPlan::for_kernel(self.rows, cols, width * spans.len());
-        let threads = if plan.parallel {
-            rayon::current_num_threads()
-        } else {
-            1
-        };
-        if plan.parallel && threads > 1 && self.rows > 4 {
-            let quads = self.rows.div_ceil(4);
-            let chunk_rows = quads.div_ceil(threads) * 4;
-            self.data
-                .par_chunks_mut(chunk_rows * cols)
-                .enumerate()
-                .for_each(|(ci, rows_chunk)| {
-                    outer_rows_spans(rows_chunk, ci * chunk_rows, spans, width, cols);
-                });
-        } else {
-            outer_rows_spans(&mut self.data, 0, spans, width, cols);
-        }
+        let parallel = is_parallel(self.rows, cols, width * spans.len());
+        for_row_runs(&mut self.data, 4 * cols, parallel, |quad0, rows| {
+            outer_rows_spans(rows, 4 * quad0, spans, width, cols);
+        });
     }
 
     /// `self += alpha * other` (AXPY over all entries).
@@ -266,78 +246,52 @@ impl Matrix {
     }
 }
 
-/// Cache-blocking plan for the packed kernels, derived deterministically
-/// from the operand dimensions alone (never from the machine's thread count
-/// or load), so the same operand always uses the same blocks.
-///
-/// The plan only decides *where work is cut*, never *what is summed in which
-/// order*: every kernel reduces each output element as a left fold over the
-/// same canonical term sequence, so any `kc`, lane width or row split yields
-/// bitwise-identical results (see the module docs). That frees the plan to
-/// chase the cache. Its two halves are consumed at different times: `kc` is
-/// the **pack-time layout unit** — [`PackedMatrix`] bakes it in (at the
-/// canonical [`GEMM_LANES`] width) so the kernels' traversal stays exactly
-/// sequential, sized so a k-block's slice of the batched input stays
-/// L1-resident even at the widest 32-lane batches (`256 * 32 * 4 B = 32 KiB`
-/// against the 48 KiB L1) — while `lane_block` and `parallel` are read at
-/// kernel invocation for the register tiling and the row-parallel decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockPlan {
-    /// Columns per k-block of the packed layout (consumed at pack time):
-    /// the fold for each output element is cut into runs of at most `kc`
-    /// terms, with the running value spilled to `y` between runs.
-    pub kc: usize,
-    /// Batch lanes per register tile of the GEMM kernels.
-    pub lane_block: usize,
-    /// Whether the operand is large enough for deterministic row-parallelism
-    /// (output rows split across workers; disjoint rows keep the result
-    /// bitwise identical to the serial schedule at any thread count).
-    pub parallel: bool,
-}
-
-/// The k-block budget in f32 elements: a k-block's slice of the batched
-/// input (`kc * width` values) is re-streamed once per row panel, so the
-/// pack-time `kc` (computed at the canonical [`GEMM_LANES`] width) comes out
-/// at 256 for wide operands — small enough that even a 32-lane batch's
-/// k-slice (32 KiB) still fits the 48 KiB L1 alongside the 8 KiB weight
-/// panel.
-const KBLOCK_BUDGET_F32: usize = 2048;
-
-/// Lower bound on `kc`: below this the per-block bookkeeping (spilling the
-/// running fold to `y` and reloading it) outweighs the locality win.
-const KBLOCK_MIN: usize = 128;
+/// Columns per k-block of the packed layout: the fold for each output
+/// element is cut into runs of at most `KC` terms, with the running value
+/// spilled to `y` between runs. A k-block's slice of the batched input
+/// (`KC * width` values) is re-streamed once per row panel, so even a
+/// 32-lane batch's k-slice (32 KiB) stays in the 48 KiB L1 alongside the
+/// 8 KiB weight panel. Where the cut falls never changes a bit (see the
+/// module docs).
+const KC: usize = 256;
 
 /// Minimum `rows * cols * width` products before a kernel fans its output
 /// rows out across rayon workers; smaller operands run serially because the
 /// fork/join costs more than it saves.
 pub const PAR_MIN_WORK: usize = 1 << 21;
 
-impl BlockPlan {
-    /// The plan for a `rows x cols` operand consumed at `width` batch lanes.
-    ///
-    /// `kc` shrinks as the width grows (`kc * width` is held near the L1
-    /// budget; packing evaluates this at the canonical [`GEMM_LANES`]
-    /// width) and `lane_block` is the widest register tile the batch fills
-    /// — together the heuristic that replaces the old fixed eight-lane
-    /// constant and repairs the wide-batch throughput curve.
-    pub fn for_kernel(rows: usize, cols: usize, width: usize) -> BlockPlan {
-        let width = width.max(1);
-        let kc = (KBLOCK_BUDGET_F32 / width).max(KBLOCK_MIN).min(cols.max(1));
-        let lane_block = if width >= GEMM_LANES {
-            GEMM_LANES
-        } else if width >= 4 {
-            4
-        } else if width >= 2 {
-            2
-        } else {
-            1
-        };
-        let parallel = rows.saturating_mul(cols).saturating_mul(width) >= PAR_MIN_WORK;
-        BlockPlan {
-            kc,
-            lane_block,
-            parallel,
-        }
+/// Whether a `rows x cols` operand consumed at `width` lanes is large enough
+/// to split its output rows across rayon workers. A pure function of the
+/// dims, never of the machine's thread count or load.
+fn is_parallel(rows: usize, cols: usize, width: usize) -> bool {
+    rows.saturating_mul(cols).saturating_mul(width) >= PAR_MIN_WORK
+}
+
+/// The one row split of the kernels: `y` is a run of whole row units of
+/// `unit` values each (a row panel's or a row quad's worth; the last may be
+/// short), cut into one run of units per rayon worker when the operand is
+/// `parallel`, and otherwise left as one run. `kernel(first, run)` computes
+/// a run whose first unit is unit `first`. Each output row belongs to one
+/// run and keeps its one fold, so the bits are the same at any thread count.
+fn for_row_runs(
+    y: &mut [f32],
+    unit: usize,
+    parallel: bool,
+    kernel: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    let units = y.len().div_ceil(unit);
+    let threads = if parallel {
+        rayon::current_num_threads()
+    } else {
+        1
+    };
+    if threads > 1 && units > 1 {
+        let per_run = units.div_ceil(threads);
+        y.par_chunks_mut(per_run * unit)
+            .enumerate()
+            .for_each(|(i, run)| kernel(i * per_run, run));
+    } else {
+        kernel(0, y);
     }
 }
 
@@ -346,9 +300,8 @@ impl BlockPlan {
 /// this crate's hand-rolled core).
 ///
 /// Rows are grouped into panels of [`ROW_PANEL`]; columns into k-blocks of
-/// `kc` (chosen from the dims by [`BlockPlan`] at pack time). Storage is
-/// k-block-major, then panel-major, then k-major with the panel's
-/// [`ROW_PANEL`] rows contiguous per `k` — short final panels are
+/// 256. Storage is k-block-major, then panel-major, then k-major with the
+/// panel's [`ROW_PANEL`] rows contiguous per `k` — short final panels are
 /// zero-padded, and only the final k-block may be short. Three properties
 /// follow:
 ///
@@ -357,8 +310,8 @@ impl BlockPlan {
 ///   matrix streams through the prefetcher once per product with none of
 ///   the strided hops a 2048-wide row-major matrix suffers;
 /// * within a k-block, the k-slice of the batched input `x` it re-streams
-///   per panel is at most `kc * width` values — L1-resident at the widths
-///   the plan budgets for — instead of the whole `cols * width` operand;
+///   per panel is at most `256 * width` values — L1-resident through 32
+///   lanes — instead of the whole `cols * width` operand;
 /// * the eight rows of a panel sit contiguously per `k`, so the serial
 ///   matvec becomes one 8-wide vector FMA per `k` instead of eight scalar
 ///   dependency chains.
@@ -374,8 +327,6 @@ impl BlockPlan {
 pub struct PackedMatrix {
     rows: usize,
     cols: usize,
-    /// Baked k-block length (layout unit), derived from the dims alone.
-    kc: usize,
     data: Vec<f32>,
 }
 
@@ -406,10 +357,6 @@ impl PackedMatrix {
     fn reshape(&mut self, rows: usize, cols: usize) -> usize {
         self.rows = rows;
         self.cols = cols;
-        // The layout's k-block length is derived from the dims alone (the
-        // canonical GEMM width): deterministic, and never affects bits —
-        // only where the sequential stream is cut.
-        self.kc = BlockPlan::for_kernel(rows, cols, GEMM_LANES).kc;
         let panels = rows.div_ceil(ROW_PANEL).max(1);
         self.data.clear();
         self.data.resize(panels * cols * ROW_PANEL, 0.0);
@@ -424,13 +371,13 @@ impl PackedMatrix {
         if self.cols == 0 {
             return;
         }
-        let (kc, cols) = (self.kc, self.cols);
+        let cols = self.cols;
         for (r, row) in m.data().chunks_exact(cols).enumerate() {
             let (p, i) = (r / ROW_PANEL, r % ROW_PANEL);
             let mut kstart = 0;
             let mut boff = 0;
             while kstart < cols {
-                let blen = kc.min(cols - kstart);
+                let blen = KC.min(cols - kstart);
                 let base = boff + p * blen * ROW_PANEL + i;
                 for (k_in, &w) in row[kstart..kstart + blen].iter().enumerate() {
                     self.data[base + k_in * ROW_PANEL] = w;
@@ -449,11 +396,11 @@ impl PackedMatrix {
         if self.cols == 0 || self.rows == 0 {
             return;
         }
-        let (kc, cols) = (self.kc, self.cols);
+        let cols = self.cols;
         for (k, row) in m.data().chunks_exact(m.cols()).enumerate() {
-            let b = k / kc;
-            let blen = kc.min(cols - b * kc);
-            let kbase = b * kc * ROW_PANEL * panels + (k - b * kc) * ROW_PANEL;
+            let b = k / KC;
+            let blen = KC.min(cols - b * KC);
+            let kbase = b * KC * ROW_PANEL * panels + (k - b * KC) * ROW_PANEL;
             for (c, &w) in row.iter().enumerate() {
                 let (p, i) = (c / ROW_PANEL, c % ROW_PANEL);
                 self.data[kbase + p * blen * ROW_PANEL + i] = w;
@@ -480,11 +427,11 @@ impl PackedMatrix {
             return out;
         }
         let panels = self.rows.div_ceil(ROW_PANEL).max(1);
-        let (kc, cols) = (self.kc, self.cols);
+        let cols = self.cols;
         let mut kstart = 0;
         let mut boff = 0;
         while kstart < cols {
-            let blen = kc.min(cols - kstart);
+            let blen = KC.min(cols - kstart);
             for p in 0..panels {
                 let base = boff + p * blen * ROW_PANEL;
                 for k_in in 0..blen {
@@ -513,48 +460,19 @@ impl PackedMatrix {
         if self.rows == 0 || self.cols == 0 {
             return;
         }
-        let panels = self.rows.div_ceil(ROW_PANEL).max(1);
-        let (kc, cols) = (self.kc, self.cols);
-        // A contiguous panel range's worth of the matvec: walks the packed
-        // data in layout order (k-blocks outer, the range's panels inner).
-        // The running fold per row spills to `y` between k-blocks — the
-        // left fold makes the cut invisible.
-        let run = |p0: usize, yslice: &mut [f32]| {
-            let mut kstart = 0;
-            let mut boff = 0;
-            while kstart < cols {
-                let blen = kc.min(cols - kstart);
-                let xk = &x[kstart..kstart + blen];
-                for (pi, yp) in yslice.chunks_mut(ROW_PANEL).enumerate() {
-                    let base = boff + (p0 + pi) * blen * ROW_PANEL;
-                    let panel = &self.data[base..base + blen * ROW_PANEL];
-                    let mut acc = [0.0f32; ROW_PANEL];
-                    acc[..yp.len()].copy_from_slice(yp);
-                    for (w8, &xv) in panel.chunks_exact(ROW_PANEL).zip(xk.iter()) {
-                        for i in 0..ROW_PANEL {
-                            acc[i] += w8[i] * xv;
-                        }
+        let parallel = is_parallel(self.rows, self.cols, 1);
+        for_row_runs(y, ROW_PANEL, parallel, |p0, run| {
+            self.fold_blocks(p0, x, 1, run, |panel, xk, yp| {
+                let mut acc = [0.0f32; ROW_PANEL];
+                acc[..yp.len()].copy_from_slice(yp);
+                for (w8, &xv) in panel.chunks_exact(ROW_PANEL).zip(xk.iter()) {
+                    for i in 0..ROW_PANEL {
+                        acc[i] += w8[i] * xv;
                     }
-                    yp.copy_from_slice(&acc[..yp.len()]);
                 }
-                kstart += blen;
-                boff += blen * ROW_PANEL * panels;
-            }
-        };
-        let plan = BlockPlan::for_kernel(self.rows, cols, 1);
-        let threads = if plan.parallel {
-            rayon::current_num_threads()
-        } else {
-            1
-        };
-        if plan.parallel && threads > 1 && self.rows > ROW_PANEL {
-            let chunk_panels = panels.div_ceil(threads);
-            y.par_chunks_mut(chunk_panels * ROW_PANEL)
-                .enumerate()
-                .for_each(|(ci, ychunk)| run(ci * chunk_panels, ychunk));
-        } else {
-            run(0, y);
-        }
+                yp.copy_from_slice(&acc[..yp.len()]);
+            });
+        });
     }
 
     /// `y += A x` over `width` interleaved batch lanes: the packed,
@@ -569,13 +487,19 @@ impl PackedMatrix {
     /// The kernel walks the baked k-blocks outermost — reading the packed
     /// weights exactly sequentially — so the k-slice of `x` it re-streams
     /// per row panel stays L1-resident at any batch width; inside a k-block
-    /// each panel is an 8-row x `lane_block`-lane register tile
-    /// ([`BlockPlan`] picks the lane width). Above the parallel threshold,
+    /// each panel runs 8-row x [`GEMM_LANES`]-lane register tiles, then one
+    /// 8-row x 1-lane tile per lane left over. Above the parallel threshold,
     /// whole row panels are split across rayon workers. Every variation —
-    /// k-block cut, lane width, row split, thread count — preserves the
+    /// k-block cut, lane tile, row split, thread count — preserves the
     /// unified per-element left fold, so each lane is bitwise identical to
     /// [`Matrix::matvec_add`] on the source matrix and that lane's column
     /// (kernel-parity-tested).
+    ///
+    /// Width 1 runs [`PackedMatrix::matvec_add`], not the 1-lane tile. On
+    /// the recurrent and output weights of the 2×64 and 2×512 models (a
+    /// 2-core AVX-512 Xeon, best of 7, nine runs per shape) the tile took
+    /// 0.90–1.54× the matvec's time: never clearly less, and 1.25–1.54× on
+    /// the 72×64 output layer.
     ///
     /// # Panics
     ///
@@ -589,86 +513,48 @@ impl PackedMatrix {
         if width == 1 {
             return self.matvec_add(x, y);
         }
-        let panels = self.rows.div_ceil(ROW_PANEL).max(1);
-        let plan = BlockPlan::for_kernel(self.rows, self.cols, width);
-        let threads = if plan.parallel {
-            rayon::current_num_threads()
-        } else {
-            1
-        };
-        if plan.parallel && threads > 1 && self.rows > ROW_PANEL {
-            let chunk_panels = panels.div_ceil(threads);
-            y.par_chunks_mut(chunk_panels * ROW_PANEL * width)
-                .enumerate()
-                .for_each(|(ci, ychunk)| {
-                    gemm_packed_blocks(
-                        &self.data,
-                        panels,
-                        ci * chunk_panels,
-                        self.kc,
-                        self.cols,
-                        x,
-                        width,
-                        ychunk,
-                        plan,
-                    );
-                });
-        } else {
-            gemm_packed_blocks(&self.data, panels, 0, self.kc, self.cols, x, width, y, plan);
-        }
-    }
-}
-
-/// The k-blocked packed GEMM over a contiguous range of row panels
-/// (starting at `p0` of `total_panels`): for every baked k-block, every
-/// panel folds its 8 x `lane_block` register tile seeded from `y`, adds the
-/// block's terms in ascending `k`, and spills back — the unified left fold,
-/// cut at the layout's `kc`. The serial case (`p0 == 0`, all panels) reads
-/// the packed data exactly sequentially.
-#[allow(clippy::too_many_arguments)]
-fn gemm_packed_blocks(
-    data: &[f32],
-    total_panels: usize,
-    p0: usize,
-    kc: usize,
-    cols: usize,
-    x: &[f32],
-    width: usize,
-    y: &mut [f32],
-    plan: BlockPlan,
-) {
-    let mut kstart = 0;
-    let mut boff = 0;
-    while kstart < cols {
-        let blen = kc.min(cols - kstart);
-        let xk = &x[kstart * width..(kstart + blen) * width];
-        for (pi, yp) in y.chunks_mut(ROW_PANEL * width).enumerate() {
-            let base = boff + (p0 + pi) * blen * ROW_PANEL;
-            let panel = &data[base..base + blen * ROW_PANEL];
-            let mut b0 = 0;
-            if plan.lane_block >= GEMM_LANES {
-                while b0 + GEMM_LANES <= width {
+        let tiled = width - width % GEMM_LANES;
+        let parallel = is_parallel(self.rows, self.cols, width);
+        for_row_runs(y, ROW_PANEL * width, parallel, |p0, run| {
+            self.fold_blocks(p0, x, width, run, |panel, xk, yp| {
+                for b0 in (0..tiled).step_by(GEMM_LANES) {
                     gemm_packed_tile::<GEMM_LANES>(panel, xk, width, b0, yp);
-                    b0 += GEMM_LANES;
                 }
-            }
-            if plan.lane_block >= 4 {
-                while b0 + 4 <= width {
-                    gemm_packed_tile::<4>(panel, xk, width, b0, yp);
-                    b0 += 4;
+                for b0 in tiled..width {
+                    gemm_packed_tile::<1>(panel, xk, width, b0, yp);
                 }
+            });
+        });
+    }
+
+    /// The walk both products share, over the row panels from `p0` on that
+    /// `y` holds (`ROW_PANEL * width` values each, the last possibly short):
+    /// k-blocks outermost, panels inside, `tile(panel, xk, yp)` folding one
+    /// panel's k-block of weights and the block's slice of `x` into the
+    /// panel's rows of `y`. The running fold per row spills to `y` between
+    /// k-blocks — the left fold makes the cut invisible. From panel 0 over
+    /// every panel, the walk reads the packed data exactly sequentially.
+    fn fold_blocks(
+        &self,
+        p0: usize,
+        x: &[f32],
+        width: usize,
+        y: &mut [f32],
+        mut tile: impl FnMut(&[f32], &[f32], &mut [f32]),
+    ) {
+        let panels = self.rows.div_ceil(ROW_PANEL).max(1);
+        let mut kstart = 0;
+        let mut boff = 0;
+        while kstart < self.cols {
+            let blen = KC.min(self.cols - kstart);
+            let xk = &x[kstart * width..(kstart + blen) * width];
+            for (pi, yp) in y.chunks_mut(ROW_PANEL * width).enumerate() {
+                let base = boff + (p0 + pi) * blen * ROW_PANEL;
+                tile(&self.data[base..base + blen * ROW_PANEL], xk, yp);
             }
-            while b0 + 2 <= width {
-                gemm_packed_tile::<2>(panel, xk, width, b0, yp);
-                b0 += 2;
-            }
-            while b0 < width {
-                gemm_packed_tile::<1>(panel, xk, width, b0, yp);
-                b0 += 1;
-            }
+            kstart += blen;
+            boff += blen * ROW_PANEL * panels;
         }
-        kstart += blen;
-        boff += blen * ROW_PANEL * total_panels;
     }
 }
 
@@ -857,16 +743,21 @@ pub fn lstm_cell_cached_batch(
     }
 }
 
-/// Widest lane tile of [`PackedMatrix::matmul_add_into`]: eight independent
-/// f32 accumulators fill a 256-bit vector register.
+/// Lane tile of [`PackedMatrix::matmul_add_into`]: eight independent f32
+/// accumulators fill a 256-bit vector register. Lanes past the last whole
+/// tile run one 1-lane tile each.
 pub const GEMM_LANES: usize = 8;
 
 /// The batch width at which stepping `lanes` live lanes is cheapest. The
-/// GEMM kernels cut a width into `GEMM_LANES`, 4, 2 and 1-lane tiles and
-/// every tile is a full pass over the weight panel, so cost follows the
-/// number of tiles, not the width: seven lanes (4+2+1) cost twice what eight
-/// do. One lane is the matvec path and two are one tile; anything wider
-/// rounds up to whole `GEMM_LANES` tiles, the extra columns being padding.
+/// GEMM runs a width as whole `GEMM_LANES` tiles plus one 1-lane tile per
+/// lane left over, and every tile is a full pass over the weight panel. One
+/// lane is the matvec and two are two 1-lane passes, cheaper than one padded
+/// 8-lane tile; anything wider rounds up to whole `GEMM_LANES` tiles, the
+/// extra columns being padding. The threshold is measured, not derived: on
+/// a 2-core AVX-512 Xeon an unpadded 3-lane step was ≈ 24 % faster than the
+/// padded one on a 2×64 model but ≈ 6 % slower on a 2×512 model (slower in
+/// 20 of 20 paired runs), so three lanes still pad. Lane count never
+/// changes a bit.
 pub fn tile_width(lanes: usize) -> usize {
     if lanes <= 2 {
         lanes
@@ -1015,16 +906,14 @@ fn outer_span_col_tile<const T: usize>(
 ///
 /// Degenerate inputs whose exponential mass underflows to zero (e.g. a
 /// slice of `-inf` logits) fall back to the uniform distribution, so the
-/// result is always a valid probability distribution. [`softmax_lanes`]
-/// computes exactly this, bit for bit, for every lane of a batch at once.
+/// result is always a valid probability distribution.
 pub fn softmax_in_place(x: &mut [f32]) {
     if x.is_empty() {
         return;
     }
     let max = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
     // Exponentials first: with no loop-carried sum this loop vectorises.
-    // The sum then folds them in ascending order: the per-lane fold
-    // `softmax_lanes` keeps, so the two stay bitwise equal.
+    // The sum then folds them in ascending order.
     for v in x.iter_mut() {
         *v = fast_exp(*v - max);
     }
@@ -1039,90 +928,6 @@ pub fn softmax_in_place(x: &mut [f32]) {
             *v = uniform;
         }
     }
-}
-
-/// [`softmax_in_place`] for the first `lanes` lanes of a lane-interleaved
-/// `rows x width` logit block, the lanes in the vector dimension: lane `b`'s
-/// distribution lands in `out[b*rows..(b+1)*rows]` (batch-major), bitwise
-/// what `softmax_in_place` makes of that lane's column.
-///
-/// Each lane keeps the reference's fold exactly — max over ascending rows,
-/// then `exp(v - max)` and the running sum over ascending rows, then the
-/// divide or the uniform fallback — only the loops are turned so that one
-/// row's step runs for a tile of 16, 8 or 2 lanes side by side; a lane left
-/// over on its own is copied out and handed to `softmax_in_place` itself.
-/// `logits` is scratch: the normalised values overwrite it before they are
-/// copied out.
-///
-/// # Panics
-///
-/// Panics if `lanes > width` or the buffer lengths disagree with `width`
-/// and `lanes`.
-pub fn softmax_lanes(logits: &mut [f32], width: usize, lanes: usize, out: &mut [f32]) {
-    assert!(lanes <= width, "more lanes than the logit block holds");
-    let rows = logits.len() / width.max(1);
-    assert_eq!(logits.len(), rows * width, "logits must be a lane multiple");
-    assert_eq!(out.len(), lanes * rows, "output size mismatch");
-    let mut l0 = 0;
-    while l0 < lanes {
-        // A tile may run on into the padding lanes past `lanes` (their
-        // logits are scratch too); only the live lanes are copied out.
-        let live = lanes - l0;
-        l0 += if live > 8 && l0 + 16 <= width {
-            softmax_tile::<16>(logits, width, l0, live.min(16), out)
-        } else if live > 2 && l0 + 8 <= width {
-            softmax_tile::<8>(logits, width, l0, live.min(8), out)
-        } else if live > 1 {
-            softmax_tile::<2>(logits, width, l0, 2, out)
-        } else {
-            let dst = &mut out[l0 * rows..(l0 + 1) * rows];
-            for (p, row) in dst.iter_mut().zip(logits.chunks_exact(width)) {
-                *p = row[l0];
-            }
-            softmax_in_place(dst);
-            1
-        };
-    }
-}
-
-/// One `L`-lane tile of [`softmax_lanes`], lanes `l0..l0 + L`, of which the
-/// first `live` are copied out; returns `live`. The lane loops have a fixed
-/// length, so each pass over the rows is straight vector code.
-#[inline(always)]
-fn softmax_tile<const L: usize>(
-    logits: &mut [f32],
-    width: usize,
-    l0: usize,
-    live: usize,
-    out: &mut [f32],
-) -> usize {
-    let rows = logits.len() / width;
-    let mut max = [f32::NEG_INFINITY; L];
-    for row in logits.chunks_exact(width) {
-        for (m, &v) in max.iter_mut().zip(&row[l0..][..L]) {
-            *m = m.max(v);
-        }
-    }
-    let mut sum = [0.0f32; L];
-    for row in logits.chunks_exact_mut(width) {
-        for ((s, &m), v) in sum.iter_mut().zip(&max).zip(&mut row[l0..][..L]) {
-            *v = fast_exp(*v - m);
-            *s += *v;
-        }
-    }
-    for row in logits.chunks_exact_mut(width) {
-        for (v, &s) in row[l0..][..L].iter_mut().zip(&sum) {
-            *v /= s;
-        }
-    }
-    for (lane, &s) in (l0..).zip(&sum[..live]) {
-        let ok = s > 0.0 && s.is_finite();
-        let dst = &mut out[lane * rows..(lane + 1) * rows];
-        for (p, row) in dst.iter_mut().zip(logits.chunks_exact(width)) {
-            *p = if ok { row[lane] } else { 1.0 / rows as f32 };
-        }
-    }
-    live
 }
 
 #[cfg(test)]
@@ -1295,8 +1100,8 @@ mod tests {
         let (rows, cols) = (520, 640);
         let m = Matrix::uniform(rows, cols, 0.5, &mut rng);
         let packed = PackedMatrix::pack(&m);
-        for width in [2usize, 8] {
-            assert_eq!(rows * cols * width >= PAR_MIN_WORK, width == 8);
+        for width in [2usize, 8, 9, 15] {
+            assert_eq!(rows * cols * width >= PAR_MIN_WORK, width >= 8);
             rayon::with_num_threads(3, || {
                 assert_lanes_match_reference(
                     &packed,
@@ -1628,25 +1433,16 @@ mod tests {
         }
     }
 
-    /// The block plan is a pure function of the dims and never produces
-    /// degenerate blocks.
+    /// The row split is decided by the dims alone: paper-scale operands
+    /// split their rows, test-scale ones do not, the threshold is inclusive
+    /// and absurd dims saturate instead of overflowing.
     #[test]
-    fn block_plan_is_deterministic_and_sane() {
-        for (rows, cols, width) in [(1, 1, 1), (256, 64, 32), (2048, 512, 8), (8192, 2048, 16)] {
-            let a = BlockPlan::for_kernel(rows, cols, width);
-            let b = BlockPlan::for_kernel(rows, cols, width);
-            assert_eq!(a, b);
-            assert!(a.kc >= 1 && a.kc <= cols.max(1));
-            assert!(a.lane_block >= 1 && a.lane_block <= GEMM_LANES);
-            assert!(a.lane_block <= width.max(1) || a.lane_block == 1);
-        }
-        // Wider batches get shorter k-blocks (the L1 budget is shared).
-        let narrow = BlockPlan::for_kernel(2048, 2048, 1);
-        let wide = BlockPlan::for_kernel(2048, 2048, 16);
-        assert!(wide.kc <= narrow.kc);
-        // Paper-scale operands parallelise, test-scale ones do not.
-        assert!(BlockPlan::for_kernel(8192, 2048, 8).parallel);
-        assert!(!BlockPlan::for_kernel(256, 64, 8).parallel);
+    fn parallel_predicate_follows_the_dims() {
+        assert!(is_parallel(8192, 2048, 8));
+        assert!(!is_parallel(256, 64, 8));
+        assert!(is_parallel(PAR_MIN_WORK, 1, 1));
+        assert!(!is_parallel(PAR_MIN_WORK - 1, 1, 1));
+        assert!(is_parallel(usize::MAX, usize::MAX, 2));
     }
 
     /// The former `fast_exp`, which took its 2^n scale from a float-to-int
@@ -1740,53 +1536,6 @@ mod tests {
         }
     }
 
-    /// `softmax_lanes` is, lane by lane, bitwise `softmax_in_place` of the
-    /// lane's column: at widths through two 8-lane and one 16-lane tile and
-    /// beyond, at every live-lane count, with degenerate lanes (all -inf, a
-    /// NaN, a +inf, a ±1e30 spread) beside ordinary ones and garbage in the
-    /// padding lanes.
-    #[test]
-    fn softmax_lanes_bitwise_matches_per_lane_softmax() {
-        let mut rng = StdRng::seed_from_u64(41);
-        for rows in [1usize, 5, 72] {
-            for width in (1..=17).chain([24, 32]) {
-                let mut block = random_vec(&mut rng, rows * width, 6.0);
-                for b in 0..width {
-                    let mut col: Vec<&mut f32> = block.iter_mut().skip(b).step_by(width).collect();
-                    let r = b % rows;
-                    match b % 7 {
-                        1 => col.iter_mut().for_each(|v| **v = f32::NEG_INFINITY),
-                        2 => *col[r] = f32::NAN,
-                        3 => *col[r] = f32::INFINITY,
-                        4 => col
-                            .iter_mut()
-                            .enumerate()
-                            .for_each(|(i, v)| **v = if i % 2 == 0 { 1e30 } else { -1e30 }),
-                        _ => {}
-                    }
-                }
-                for lanes in 0..=width {
-                    let mut logits = block.clone();
-                    let mut out = vec![0.0f32; lanes * rows];
-                    softmax_lanes(&mut logits, width, lanes, &mut out);
-                    for b in 0..lanes {
-                        let mut want = lane(&block, width, b);
-                        softmax_in_place(&mut want);
-                        for (r, (got, want)) in
-                            out[b * rows..(b + 1) * rows].iter().zip(&want).enumerate()
-                        {
-                            assert_eq!(
-                                got.to_bits(),
-                                want.to_bits(),
-                                "{rows} rows, width {width}, {lanes} lanes: lane {b} row {r}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn softmax_degenerate_inputs_fall_back_to_uniform() {
         // All -inf: exponential mass is zero; the old behaviour left raw
@@ -1799,6 +1548,19 @@ mod tests {
         softmax_in_place(&mut y);
         let sum: f32 = y.iter().sum();
         assert!((sum - 1.0).abs() < 1e-5, "{y:?}");
+        // A +inf entry makes `inf - inf` a NaN: uniform again.
+        let mut z = vec![0.5, f32::INFINITY, -3.0, 2.0, 0.0];
+        softmax_in_place(&mut z);
+        assert!(z.iter().all(|v| *v == 0.2), "{z:?}");
+        // A ±1e30 alternation: `exp` clamps each -1e30 entry's term to the
+        // bottom of its range, and the four +1e30 entries share the mass.
+        let mut w: Vec<f32> = (0..7)
+            .map(|i| if i % 2 == 0 { 1e30 } else { -1e30 })
+            .collect();
+        softmax_in_place(&mut w);
+        for (i, v) in w.iter().enumerate() {
+            assert!(if i % 2 == 0 { *v == 0.25 } else { *v < 1e-37 }, "{w:?}");
+        }
         // Empty slice is a no-op.
         let mut empty: Vec<f32> = vec![];
         softmax_in_place(&mut empty);

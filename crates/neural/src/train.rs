@@ -558,13 +558,14 @@ mod tests {
     /// per-step softmax and final state bitwise equal to the reference
     /// `step` on that lane's sequence, and a loss and gradients equal to the
     /// sums of the per-lane reference `backward`s up to rounding (the
-    /// batched fold is lane-inner, so not bitwise). The last shape crosses
-    /// the GEMM kernels' row-parallel threshold.
+    /// batched fold is lane-inner, so not bitwise). The widths put 1-lane
+    /// leftovers beside 8-lane GEMM tiles; the last shape crosses the GEMM
+    /// kernels' row-parallel threshold.
     #[test]
     fn batched_chunk_matches_per_lane_reference() {
         const { assert!(4 * 512 * 512 * 2 >= crate::tensor::PAR_MIN_WORK) };
         let cases: [(usize, usize, usize, &[usize]); 2] =
-            [(12, 2, 6, &[2, 3, 8]), (512, 1, 3, &[2])];
+            [(12, 2, 6, &[1, 2, 3, 5, 8, 9, 16]), (512, 1, 3, &[2, 9])];
         for (hidden_size, num_layers, steps, widths) in cases {
             let nv = 7;
             let model = LstmModel::new(LstmConfig {

@@ -7,8 +7,8 @@
 //! 1. **Sampling parity across scale** — multi-stream batched prediction
 //!    (which consumes the packed, k-blocked, possibly row-parallel kernels)
 //!    is bitwise identical to serial prediction at hidden ∈ {64, 192, 512},
-//!    straddling the sizes where the `BlockPlan` starts k-blocking (kc < H)
-//!    and row-parallelising.
+//!    straddling the sizes where the packed layout starts k-blocking
+//!    (H > 256) and the kernels start row-parallelising.
 //! 2. **Training parity across scale** — `train()` at one stream takes
 //!    bitwise-identical SGD steps to the naive `train_chunk` reference at
 //!    the same hidden sizes.
