@@ -28,7 +28,7 @@ pub struct FlightEvent {
     pub seq: u64,
     /// Microseconds since the recorder was created (monotonic clock).
     pub at_us: u64,
-    /// Static event kind (`"admit"`, `"panic"`, `"fault"`, …).
+    /// Static event kind (`"admit"`, `"panic"`, `"shed"`, …).
     pub kind: &'static str,
     /// Free-form detail, JSON-escaped at render time.
     pub detail: String,

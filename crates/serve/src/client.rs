@@ -2,18 +2,10 @@
 //! integration tests, the `serve_roundtrip` example and the serving-bench
 //! load generator. It speaks exactly the slice of HTTP the server emits:
 //! fixed-length and chunked responses, one request per connection.
-//!
-//! [`RetryPolicy`] adds capped exponential backoff with deterministic
-//! jitter on top: transport errors, truncated bodies, `503` (honoring
-//! `Retry-After`), `500` panic replies and `aborted` NDJSON terminators are
-//! all retried, which is how the chaos suite rides out injected faults and
-//! still asserts byte-identical final responses.
 
 use crate::scheduler::SynthesisParams;
-use rand::prelude::*;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
 
 /// A complete HTTP response.
 #[derive(Debug, Clone)]
@@ -61,114 +53,6 @@ impl Response {
                 .last()
                 .is_some_and(|l| l.starts_with("{\"done\":true,"))
     }
-}
-
-/// Capped exponential backoff with deterministic jitter.
-///
-/// Attempt `i` (0-based) backs off `base_delay * 2^i`, scaled by a jitter
-/// factor in `[0.5, 1.0)` drawn from a generator seeded with `jitter_seed`
-/// (deterministic, so tests reproduce their exact retry schedule), raised to
-/// the server's `Retry-After` when one is given, and finally capped at
-/// `max_delay`.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (0 behaves as 1).
-    pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub base_delay: Duration,
-    /// Upper bound on any single backoff, `Retry-After` included.
-    pub max_delay: Duration,
-    /// Seed for the jitter generator.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            base_delay: Duration::from_millis(50),
-            max_delay: Duration::from_secs(2),
-            jitter_seed: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The delay before retry number `retry` (0-based), given the server's
-    /// `Retry-After` advice from the failed attempt, if any.
-    fn delay(&self, retry: u32, rng: &mut StdRng, retry_after: Option<u64>) -> Duration {
-        let backoff = self.base_delay.saturating_mul(1u32 << retry.min(16));
-        let jitter: f64 = 0.5 + rng.gen::<f64>() * 0.5;
-        let mut delay = backoff.mul_f64(jitter);
-        if let Some(secs) = retry_after {
-            delay = delay.max(Duration::from_secs(secs));
-        }
-        delay.min(self.max_delay)
-    }
-
-    /// Run `op` until `accept` passes, retrying transport errors and
-    /// rejected responses with backoff. Returns the last outcome once
-    /// attempts are exhausted.
-    fn run(
-        &self,
-        mut op: impl FnMut() -> io::Result<Response>,
-        accept: impl Fn(&Response) -> bool,
-    ) -> io::Result<Response> {
-        let mut rng = StdRng::seed_from_u64(self.jitter_seed);
-        let attempts = self.max_attempts.max(1);
-        let mut outcome = op();
-        for retry in 0..attempts - 1 {
-            let retry_after = match &outcome {
-                Ok(response) if accept(response) => return outcome,
-                Ok(response) => response.retry_after(),
-                Err(_) => None,
-            };
-            std::thread::sleep(self.delay(retry, &mut rng, retry_after));
-            outcome = op();
-        }
-        outcome
-    }
-}
-
-/// True for responses worth retrying as a plain HTTP request: `503` (server
-/// saturated or stopping) and `500` (a request aborted by a sampler-core
-/// panic; the supervisor respawns the core, so a retry hits a fresh one).
-fn transient_status(status: u16) -> bool {
-    status == 503 || status == 500
-}
-
-/// Send one request with retries under `policy`: transport errors (including
-/// truncated chunked bodies) and transient statuses are retried.
-pub fn request_with_retry(
-    addr: SocketAddr,
-    method: &str,
-    target: &str,
-    policy: &RetryPolicy,
-) -> io::Result<Response> {
-    policy.run(
-        || request(addr, method, target),
-        |response| !transient_status(response.status),
-    )
-}
-
-/// Run `/synthesize` with retries under `policy`. On top of the transport
-/// and status retries of [`request_with_retry`], a `200` whose body ends in
-/// an `aborted` terminator (a failure after the response head was written)
-/// is also retried — the response body is deterministic, so the retry
-/// reproduces the lost bytes.
-pub fn synthesize_with_retry(
-    addr: SocketAddr,
-    params: &SynthesisParams,
-    policy: &RetryPolicy,
-) -> io::Result<Response> {
-    let target = synthesize_target(params);
-    policy.run(
-        || post(addr, &target),
-        |response| {
-            response.is_complete_synthesis()
-                || (!transient_status(response.status) && response.status != 200)
-        },
-    )
 }
 
 fn read_line(reader: &mut impl BufRead) -> io::Result<String> {
@@ -321,33 +205,6 @@ mod tests {
                 .collect(),
             body: body.as_bytes().to_vec(),
         }
-    }
-
-    #[test]
-    fn backoff_is_deterministic_capped_and_honors_retry_after() {
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            base_delay: Duration::from_millis(100),
-            max_delay: Duration::from_millis(800),
-            jitter_seed: 42,
-        };
-        let mut a = StdRng::seed_from_u64(policy.jitter_seed);
-        let mut b = StdRng::seed_from_u64(policy.jitter_seed);
-        for retry in 0..3 {
-            let da = policy.delay(retry, &mut a, None);
-            let db = policy.delay(retry, &mut b, None);
-            assert_eq!(da, db, "same seed, same schedule");
-            // Jitter stays within [0.5, 1.0) of the exponential backoff,
-            // before the cap.
-            let backoff = Duration::from_millis(100 * (1 << retry));
-            assert!(da >= backoff.mul_f64(0.5).min(policy.max_delay));
-            assert!(da <= policy.max_delay);
-        }
-        // Retry-After raises the delay but never beyond the cap.
-        let mut rng = StdRng::seed_from_u64(7);
-        let raised = policy.delay(0, &mut rng, Some(600));
-        assert!(raised <= policy.max_delay);
-        assert!(raised >= Duration::from_millis(550).min(policy.max_delay));
     }
 
     #[test]

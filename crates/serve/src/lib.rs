@@ -33,7 +33,7 @@
 //! | `GET /healthz` | Liveness + supervisor health: `ok`/`degraded`/`failed` with restart counts (`503` once failed). |
 //! | `GET /stats` | Aggregate throughput ([`SynthesisStats`](clgen::SynthesisStats) totals), lane occupancy, queue depth, request counters, harness counters, health. |
 //! | `GET /metrics` | The full metric catalog in the Prometheus text exposition format — request-latency histograms by endpoint and outcome, queue depth/wait, lane occupancy, filter accept/reject, harness unit outcomes, supervisor restarts. Rendered from the same atomics as `/stats`. |
-//! | `GET /debug/flight` | The flight recorder's recent-event ring as NDJSON (admissions, sheds, reaps, sampling steps, faults). Gated behind `--debug-flight`; `404` otherwise. |
+//! | `GET /debug/flight` | The flight recorder's recent-event ring as NDJSON (admissions, sheds, reaps, sampling steps, panics). Gated behind `--debug-flight`; `404` otherwise. |
 //! | `POST /shutdown` | Graceful shutdown with a bounded drain: in-flight requests finish, or get `503` once the drain timeout passes. |
 //!
 //! `prediction` events carry the CPU/GPU class from the `CLGENPRD` mapping
@@ -62,15 +62,12 @@
 //! image, within a restart budget per sliding window ([`Supervisor`]).
 //! Per-request **deadlines** (`deadline_ms` parameter, or a server default)
 //! shed expired queued jobs with `503` and reap expired in-flight requests
-//! mid-step, returning the partial response with a `"timeout"` marker. The
-//! whole stack is testable under **deterministic fault injection**
-//! ([`faults::FaultPlan`], inert unless `--faults` arms it):
-//! seeded, named fault points cover sampler panics, stalls, slow and
-//! dropped client writes, and checkpoint corruption on reload, and the
-//! chaos suite (`tests/chaos.rs`) asserts that concurrent *unaffected*
-//! requests still produce byte-identical responses while faults fire.
-//! [`client`] provides the matching retry policy (capped exponential
-//! backoff with deterministic jitter, honoring `Retry-After`).
+//! mid-step, returning the partial response with a `"timeout"` marker.
+//! The supervised core is tested in-crate over its inbox (a panic on engine
+//! 0's thread or a helper's, a corrupt checkpoint image, an exhausted
+//! restart budget), the policy on a virtual clock (the [`scheduler`]
+//! tests), and deadlines, shedding, backpressure and the drain bound over
+//! real sockets (`tests/chaos.rs`).
 //!
 //! ## Determinism
 //!
@@ -102,7 +99,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod faults;
 pub mod harness_api;
 pub mod http;
 pub mod json;
@@ -110,7 +106,6 @@ mod metrics;
 pub mod scheduler;
 pub mod server;
 
-pub use faults::{FaultPlan, FaultPoint};
 pub use scheduler::{ResponseEvent, ServeError, ServiceHealth, Supervisor, SynthesisParams};
 pub use server::{Server, ServerConfig, ServerHandle, MAX_DEADLINE_MS};
 

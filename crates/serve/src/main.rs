@@ -5,8 +5,7 @@
 //!             [--addr 127.0.0.1:8090] [--lanes 8]
 //!             [--queue-cap 64] [--read-timeout-ms N] [--write-timeout-ms N]
 //!             [--drain-timeout-ms N] [--deadline-ms N]
-//!             [--restart-budget N] [--restart-window-ms N] [--faults PLAN]
-//!             [--debug-flight]
+//!             [--restart-budget N] [--restart-window-ms N] [--debug-flight]
 //! ```
 //!
 //! `--mapping-model` loads a `CLGENPRD` decision-tree checkpoint so the
@@ -28,7 +27,7 @@
 //! core restart budget (`/healthz` reported `failed`).
 
 use clgen::TrainedModel;
-use clgen_serve::{FaultPlan, Server, ServerConfig, ServiceHealth};
+use clgen_serve::{Server, ServerConfig, ServiceHealth};
 use predictive::MappingModel;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -40,7 +39,7 @@ const USAGE: &str = "usage: clgen-serve --checkpoint PATH \
                      [--read-timeout-ms N] [--write-timeout-ms N] \
                      [--drain-timeout-ms N] [--deadline-ms N] \
                      [--restart-budget N] [--restart-window-ms N] \
-                     [--faults PLAN] [--debug-flight]";
+                     [--debug-flight]";
 
 /// Parse a millisecond count where `0` means "disabled".
 fn parse_ms_option(raw: &str, flag: &str) -> Result<Option<Duration>, String> {
@@ -104,7 +103,6 @@ fn main() -> ExitCode {
                         .map_err(|e| format!("cannot load mapping model {path:?}: {e}"))?;
                     config.mapping_model = Some(Arc::new(model));
                 }
-                "--faults" => config.faults = FaultPlan::parse(&value("--faults")?)?,
                 "--debug-flight" => config.debug_flight = true,
                 "--help" | "-h" => {
                     println!("{USAGE}");
@@ -134,9 +132,6 @@ fn main() -> ExitCode {
     let backend = model.backend_kind();
     let lanes = config.lanes;
     config.metrics = Some(clgen_obs::global());
-    if config.faults.is_active() {
-        eprintln!("clgen-serve: fault injection ACTIVE (not a production configuration)");
-    }
     let handle = match Server::start(model, config) {
         Ok(handle) => handle,
         Err(e) => {

@@ -49,17 +49,16 @@
 //! # Fault model
 //!
 //! The sampler core runs under a **supervisor** ([`Supervisor`]): each
-//! generation of the core executes inside `catch_unwind`, and a panic —
-//! whether a real bug or an injected [`FaultPoint::SamplerPanic`], on any
-//! engine's thread — is contained to that generation. A helper that unwinds
-//! ends the generation: the other threads stop after their step, and the
-//! helper's panic is re-raised on the sampler-core thread. In-flight requests
-//! are answered with typed `500` errors and **quarantined** (their jobs are
-//! dropped, never retried into a fresh batch; still-queued jobs are innocent
-//! and survive), then the watchdog respawns the core from the shared
-//! checkpoint image. Restarts are budgeted over a sliding window; exceeding
-//! the budget marks the service [`ServiceHealth::Failed`] and triggers
-//! shutdown, so a hard-crash loop cannot spin forever.
+//! generation of the core executes inside `catch_unwind`, and a panic on
+//! any engine's thread is contained to that generation. A helper that
+//! unwinds ends the generation: the other threads stop after their step,
+//! and the helper's panic is re-raised on the sampler-core thread. In-flight
+//! requests are answered with typed `500` errors and **quarantined** (their
+//! jobs are dropped, never retried into a fresh batch; still-queued jobs are
+//! innocent and survive), then the watchdog respawns the core from the
+//! shared checkpoint image. Restarts are budgeted over a sliding window;
+//! exceeding the budget marks the service [`ServiceHealth::Failed`] and
+//! triggers shutdown, so a hard-crash loop cannot spin forever.
 //!
 //! Per-request **deadlines** bound how long a request may hold lanes: the
 //! scheduler sheds queued jobs whose deadline already passed (fail-fast 503)
@@ -80,12 +79,10 @@
 //! the only code of the core that reads the clock or waits: engine 0's
 //! thread blocks on the inbox when its plan says `Plan::Idle`, a helper in
 //! the shell — each no later than the instant the plan gives, `IDLE_TICK`
-//! from its turn or the end of a stall. An injected `sampler_stall`
-//! is state like any other: it holds every engine still until an instant,
-//! while turns keep admitting, shedding and reaping. Tests drive the same
-//! state machine — one engine, or several interleaved in any order — with
-//! made-up instants and hand-delivered filter verdicts, so deadlines, drain
-//! and restart budgets are checked exactly, with no threads and no sleeps.
+//! from its turn. Tests drive the same state machine — one engine, or
+//! several interleaved in any order — with made-up instants and
+//! hand-delivered filter verdicts, so deadlines, drain and restart budgets
+//! are checked exactly, with no threads and no sleeps.
 //!
 //! # Determinism
 //!
@@ -110,14 +107,13 @@
 //! checkpoint bytes (bit-identical weights), lane aborts cannot influence
 //! surviving lanes, and a request that is retried after a `500` therefore
 //! reproduces the byte-identical body it would have had without the fault.
-//! The chaos suite (`tests/chaos.rs`) asserts exactly that invariant while
-//! faults fire.
+//! The supervised-core tests assert exactly that, with a panic on engine 0's
+//! thread and on a helper's.
 //!
 //! The scheduler may *sample* more candidates than a request's response ends
 //! up covering (lanes run ahead while earlier candidates are still in the
 //! filter); that overshoot costs throughput only, never determinism.
 
-use crate::faults::{FaultPlan, FaultPoint};
 use crate::json;
 use crate::metrics::ServeMetrics;
 use clgen::crew::{self, Plan, Policy};
@@ -487,7 +483,6 @@ struct Scheduler {
     active: Vec<ActiveRequest>,
     metrics: Arc<ServeMetrics>,
     flight: Arc<FlightRecorder>,
-    faults: FaultPlan,
     seed_text: String,
     next_key: u32,
     rr: usize,
@@ -500,42 +495,25 @@ struct Scheduler {
     max_active: usize,
     shutdown: bool,
     drain_deadline: Option<Instant>,
-    /// An injected `sampler_stall` holds every engine's lanes still until
-    /// then; turns still admit, shed and reap meanwhile.
-    stalled_until: Option<Instant>,
 }
 
-/// The lane metrics and fault hooks an engine step reports to, held by each
-/// sampler thread so that a step needs no lock.
-#[derive(Clone)]
-struct StepProbes {
-    faults: FaultPlan,
-    flight: Arc<FlightRecorder>,
-    metrics: Arc<ServeMetrics>,
-}
-
-impl StepProbes {
-    /// Advance every occupied lane of `engine` by one character, reaping
-    /// lanes whose request key is not in `live` (completed, expired, or its
-    /// client vanished) instead of sampling them to their budget. Returns
-    /// the candidates that completed.
-    fn step(
-        &self,
-        engine: &mut BatchEngine<'_, impl StreamBatch + ?Sized>,
-        live: &[u32],
-    ) -> FilterBatch {
-        if self.faults.fire(FaultPoint::SamplerPanic).is_some() {
-            self.flight.record("fault", "sampler_panic".to_string());
-            panic!("injected fault: sampler_panic");
-        }
-        self.metrics
-            .lane_occupancy
-            .observe(engine.occupied_lanes() as u64);
-        self.metrics.lanes_stepped.add(engine.num_lanes() as u64);
-        let mut completed = Vec::new();
-        engine.step_into_abortable(&mut completed, |t| !live.contains(&ticket_key(t)));
-        completed
-    }
+/// Advance every occupied lane of `engine` by one character, reaping lanes
+/// whose request key is not in `live` (completed, expired, or its client
+/// vanished) instead of sampling them to their budget, and report the lanes
+/// to `metrics`. Runs outside the scheduler lock. Returns the candidates
+/// that completed.
+fn step(
+    metrics: &ServeMetrics,
+    engine: &mut BatchEngine<'_, impl StreamBatch + ?Sized>,
+    live: &[u32],
+) -> FilterBatch {
+    metrics
+        .lane_occupancy
+        .observe(engine.occupied_lanes() as u64);
+    metrics.lanes_stepped.add(engine.num_lanes() as u64);
+    let mut completed = Vec::new();
+    engine.step_into_abortable(&mut completed, |t| !live.contains(&ticket_key(t)));
+    completed
 }
 
 impl Scheduler {
@@ -543,7 +521,6 @@ impl Scheduler {
         filter_tx: mpsc::Sender<FilterBatch>,
         metrics: Arc<ServeMetrics>,
         flight: Arc<FlightRecorder>,
-        faults: FaultPlan,
         seed_text: String,
         lanes: &[usize],
     ) -> Scheduler {
@@ -554,7 +531,6 @@ impl Scheduler {
             active: Vec::new(),
             metrics,
             flight,
-            faults,
             seed_text,
             next_key: 0,
             rr: 0,
@@ -564,7 +540,6 @@ impl Scheduler {
             max_active: total.max(1),
             shutdown: false,
             drain_deadline: None,
-            stalled_until: None,
         }
     }
 
@@ -861,14 +836,6 @@ impl Scheduler {
         self.fail_backlog(&error);
         true
     }
-
-    fn probes(&self) -> StepProbes {
-        StepProbes {
-            faults: self.faults.clone(),
-            flight: self.flight.clone(),
-            metrics: self.metrics.clone(),
-        }
-    }
 }
 
 /// The sampler core's side of the engine shell ([`crew`]): a turn's policy
@@ -884,12 +851,11 @@ impl<'a, B: StreamBatch + ?Sized + 'a> Policy<BatchEngine<'a, B>> for Scheduler 
     }
 
     /// Enforce the drain deadline, shed expired backlog, reap expired
-    /// requests, absorb, admit — and, if a lane of this engine is occupied
-    /// and not stalled, step it with the keys of the requests still live.
-    /// An idle engine takes its next turn no later than `IDLE_TICK` from
-    /// now, or the end of a stall. A panic anywhere in a turn (absorption,
-    /// model compute, an injected fault) aborts only this generation of the
-    /// core.
+    /// requests, absorb, admit — and, if a lane of this engine is occupied,
+    /// step it with the keys of the requests still live. An idle engine
+    /// takes its next turn no later than `IDLE_TICK` from now. A panic
+    /// anywhere in a turn (absorption, model compute) aborts only this
+    /// generation of the core.
     fn plan(
         &mut self,
         now: Instant,
@@ -909,14 +875,12 @@ impl<'a, B: StreamBatch + ?Sized + 'a> Policy<BatchEngine<'a, B>> for Scheduler 
             occupied,
             ..self.seats[seat]
         };
-        let stalled = self.stalled_until.filter(|&t| now < t);
-        if occupied == 0 || stalled.is_some() {
+        if occupied == 0 {
             self.publish();
             if self.shutdown && self.is_drained() {
                 return Plan::Finished(());
             }
-            let tick = now + IDLE_TICK;
-            return Plan::Idle(Some(stalled.map_or(tick, |t| t.min(tick))));
+            return Plan::Idle(Some(now + IDLE_TICK));
         }
         Plan::Step(
             self.active
@@ -927,12 +891,11 @@ impl<'a, B: StreamBatch + ?Sized + 'a> Policy<BatchEngine<'a, B>> for Scheduler 
         )
     }
 
-    /// Send what engine `seat`'s step at `now` completed to the filter
-    /// stage and arm an injected `sampler_stall`. `false` once the filter
-    /// stage is gone (nothing can complete any more).
+    /// Send what engine `seat`'s step completed to the filter stage. `false`
+    /// once the filter stage is gone (nothing can complete any more).
     fn hand_over(
         &mut self,
-        now: Instant,
+        _: Instant,
         seat: usize,
         engine: &BatchEngine<'a, B>,
         completed: FilterBatch,
@@ -945,9 +908,6 @@ impl<'a, B: StreamBatch + ?Sized + 'a> Policy<BatchEngine<'a, B>> for Scheduler 
             if self.filter_tx.send(completed).is_err() {
                 return false;
             }
-        }
-        if let Some(ms) = self.faults.fire(FaultPoint::SamplerStall) {
-            self.stalled_until = Some(now + Duration::from_millis(ms));
         }
         self.publish();
         true
@@ -972,8 +932,8 @@ fn micros_between(from: Instant, to: Instant) -> u64 {
 }
 
 /// Everything the supervised sampler core needs beyond its inbox: the shared
-/// checkpoint image it respawns from, the shared statistics, the fault plan,
-/// and the server's shutdown trigger for budget exhaustion.
+/// checkpoint image it respawns from, the shared statistics, and the
+/// server's shutdown trigger for budget exhaustion.
 pub(crate) struct CoreContext {
     /// The server's lanes over one engine per rayon thread of the thread
     /// that started the server (the sampler core's own thread does not
@@ -986,11 +946,14 @@ pub(crate) struct CoreContext {
     pub metrics: Arc<ServeMetrics>,
     pub flight: Arc<FlightRecorder>,
     pub supervisor: Arc<Supervisor>,
-    pub faults: FaultPlan,
     /// Server shutdown flag + bound address: budget exhaustion triggers the
     /// same graceful-shutdown path as `POST /shutdown`.
     pub shutdown: Arc<AtomicBool>,
     pub addr: SocketAddr,
+    /// Runs before each engine step, on the thread that takes it. The server
+    /// sets a no-op; the supervised-core tests panic in it, the seam where a
+    /// poisoned step fails.
+    pub before_step: Box<dyn Fn() + Send + Sync>,
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -1019,17 +982,11 @@ pub(crate) fn run_sampler_core(
 ) {
     // Served code stands alone, like anything the sampler accepts offline.
     // Verdicts return to the scheduler inbox as one message per batch; a
-    // panicking verdict (a poisoned candidate, an injected fault) becomes a
-    // typed rejection instead of wedging every in-flight request.
+    // panicking verdict (a poisoned candidate) becomes a typed rejection
+    // instead of wedging every in-flight request.
     let filter_config = FilterConfig::without_shim();
-    let filter_faults = ctx.faults.clone();
     let (filter_tx, filter_thread) = spawn_filter_stage(
-        move |candidate| {
-            if filter_faults.fire(FaultPoint::FilterPanic).is_some() {
-                panic!("injected fault: filter_panic");
-            }
-            filter_candidate(&filter_config, candidate)
-        },
+        move |candidate| filter_candidate(&filter_config, candidate),
         move |batch| sched_tx.send(SchedMsg::Filtered(batch)).is_ok(),
     );
 
@@ -1037,7 +994,6 @@ pub(crate) fn run_sampler_core(
         filter_tx,
         ctx.metrics.clone(),
         ctx.flight.clone(),
-        ctx.faults.clone(),
         ctx.seed_text.clone(),
         &ctx.split.lanes,
     );
@@ -1048,41 +1004,32 @@ pub(crate) fn run_sampler_core(
     loop {
         let model = match boot_model.take() {
             Some(model) => model,
-            None => {
-                let mut image = ctx.checkpoint.as_ref().clone();
-                if let Some(index) = ctx.faults.corrupt_reload(&mut image) {
-                    ctx.flight
-                        .record("fault", format!("corrupt_reload byte={index}"));
-                    eprintln!(
-                        "clgen-serve: injected fault: corrupt_reload (byte {index} of the \
-                         checkpoint image)"
-                    );
-                }
-                match TrainedModel::from_bytes(&image) {
-                    Ok(model) => model,
-                    Err(e) => {
-                        ctx.flight.record("reload_failure", format!("{e}"));
-                        eprint!("{}", ctx.flight.dump("reload_failure"));
-                        eprintln!("clgen-serve: checkpoint reload failed: {e}; retrying");
-                        ctx.metrics.supervisor_restarts.inc();
-                        if ctx.supervisor.record_restart(Instant::now()) {
-                            give_up(&mut sched, &ctx);
-                            break;
-                        }
-                        continue;
+            None => match TrainedModel::from_bytes(&ctx.checkpoint) {
+                Ok(model) => model,
+                Err(e) => {
+                    ctx.flight.record("reload_failure", format!("{e}"));
+                    eprint!("{}", ctx.flight.dump("reload_failure"));
+                    eprintln!("clgen-serve: checkpoint reload failed: {e}; retrying");
+                    ctx.metrics.supervisor_restarts.inc();
+                    if ctx.supervisor.record_restart(Instant::now()) {
+                        give_up(&mut sched, &ctx);
+                        break;
                     }
+                    continue;
                 }
-            }
+            },
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let probes = sched.probes();
             let mut engines = ctx.split.engines(&model);
             crew::run(
                 &mut sched,
                 &mut engines,
                 ctx.split.threads,
                 &rx,
-                |engine, live| probes.step(engine, &live),
+                |engine, live| {
+                    (ctx.before_step)();
+                    step(&ctx.metrics, engine, &live)
+                },
             );
         }));
         match outcome {
@@ -1091,7 +1038,7 @@ pub(crate) fn run_sampler_core(
                 let message = panic_message(payload);
                 ctx.flight.record("panic", message.clone());
                 // Dump the flight ring before anything else: the recent
-                // admissions/steps/faults leading up to the panic are the
+                // admissions and steps leading up to the panic are the
                 // post-mortem record.
                 eprint!("{}", ctx.flight.dump("sampler_panic"));
                 eprintln!(
@@ -1173,7 +1120,7 @@ mod tests {
         fn turn(&mut self, now: Instant, engine: &mut BatchEngine<'_>) -> Turn {
             match self.plan(now, 0, engine) {
                 Plan::Step(live) => {
-                    let completed = self.probes().step(engine, &live);
+                    let completed = step(&self.metrics, engine, &live);
                     if self.hand_over(now, 0, engine, completed) {
                         Turn::Stepped
                     } else {
@@ -1206,20 +1153,17 @@ mod tests {
     /// A scheduler over one engine of `LANES` lanes whose filter stage is
     /// the returned receiver: the test computes verdicts and delivers them
     /// itself.
-    fn scheduler(
-        faults: FaultPlan,
-    ) -> (
+    fn scheduler() -> (
         Scheduler,
         mpsc::Receiver<FilterBatch>,
         Arc<ServeMetrics>,
         Arc<FlightRecorder>,
     ) {
-        scheduler_over(faults, &[LANES])
+        scheduler_over(&[LANES])
     }
 
     /// [`scheduler`] over one engine per entry of `lanes`.
     fn scheduler_over(
-        faults: FaultPlan,
         lanes: &[usize],
     ) -> (
         Scheduler,
@@ -1234,7 +1178,6 @@ mod tests {
             filter_tx,
             metrics.clone(),
             flight.clone(),
-            faults,
             SEED_TEXT.to_string(),
             lanes,
         );
@@ -1341,7 +1284,7 @@ mod tests {
         let (model, vocab) = corpus_model();
         let mut streams = NgramStreams::new(model, LANES);
         let mut engine = BatchEngine::new(&mut streams, vocab);
-        let (mut sched, _filter_rx, metrics, flight) = scheduler(FaultPlan::inert());
+        let (mut sched, _filter_rx, metrics, flight) = scheduler();
         // No lane capacity: the job can never activate, exactly like a
         // server with zero concurrent traffic ahead of admission.
         sched.max_active = 0;
@@ -1401,7 +1344,7 @@ mod tests {
         let (model, vocab) = corpus_model();
         let mut streams = NgramStreams::new(model, LANES);
         let mut engine = BatchEngine::new(&mut streams, vocab);
-        let (mut sched, _filter_rx, metrics, _flight) = scheduler(FaultPlan::inert());
+        let (mut sched, _filter_rx, metrics, _flight) = scheduler();
         let t0 = Instant::now();
         let (busy, _busy) = job(1, 3, 24, t0, None);
         sched.handle(SchedMsg::Job(busy));
@@ -1430,39 +1373,6 @@ mod tests {
         assert_eq!(handed.slot.load(Ordering::SeqCst), 0);
     }
 
-    /// An injected `sampler_stall` holds the lanes still, not the policy:
-    /// turns taken during the stall admit (and would shed and reap), and
-    /// stepping resumes on the first turn at or past its end.
-    #[test]
-    fn stall_holds_lanes_but_not_admission() {
-        let (model, vocab) = corpus_model();
-        let mut streams = NgramStreams::new(model, LANES);
-        let mut engine = BatchEngine::new(&mut streams, vocab);
-        let plan = FaultPlan::parse("sampler_stall@1:100").expect("plan");
-        let (mut sched, _filter_rx, metrics, _flight) = scheduler(plan.clone());
-        let t0 = Instant::now();
-        let (first, _first) = job(1, 3, 24, t0, None);
-        sched.handle(SchedMsg::Job(first));
-        assert_eq!(sched.turn(t0, &mut engine), Turn::Stepped);
-        assert_eq!(plan.hits(FaultPoint::SamplerStall), 1);
-
-        let (second, handed) = job(2, 1, 24, t0 + ms(50), Some(t0 + ms(80)));
-        sched.handle(SchedMsg::Job(second));
-        let stalled = Turn::Idle(Some(t0 + ms(100)));
-        assert_eq!(sched.turn(t0 + ms(50), &mut engine), stalled);
-        assert_eq!(handed.activated_at(t0 + ms(50)), Some(t0 + ms(50)));
-        assert_eq!(metrics.lane_occupancy.count(), 1, "no step while stalled");
-        // Its deadline passes mid-stall: reaped with a partial response.
-        assert_eq!(sched.turn(t0 + ms(80), &mut engine), stalled);
-        match handed.reply.try_recv() {
-            Ok(ResponseEvent::Done(line)) => assert!(line.contains("\"timeout\":true"), "{line}"),
-            other => panic!("expected a timed-out done line, got {other:?}"),
-        }
-        assert_eq!(sched.turn(t0 + ms(100), &mut engine), Turn::Stepped);
-        assert_eq!(metrics.lane_occupancy.count(), 2);
-        assert_eq!(plan.hits(FaultPoint::SamplerStall), 2, "one hit per step");
-    }
-
     /// Engines fill in order: traffic that fits engine 0 never reaches
     /// engine 1, and only traffic that leaves engine 0 full spills over.
     #[test]
@@ -1473,7 +1383,7 @@ mod tests {
             BatchEngine::new(&mut a, vocab),
             BatchEngine::new(&mut b, vocab),
         ];
-        let (mut sched, _filter_rx, metrics, _) = scheduler_over(FaultPlan::inert(), &[4, 4]);
+        let (mut sched, _filter_rx, metrics, _) = scheduler_over(&[4, 4]);
         let t0 = Instant::now();
         // count = 1: at most four candidates out, so engine 0 takes them all.
         let (narrow, _narrow) = job(1, 1, 24, t0, None);
@@ -1495,7 +1405,7 @@ mod tests {
         };
         assert_eq!(live, [0, 1]);
         assert_eq!(engines[1].occupied_lanes(), 4);
-        let completed = sched.probes().step(&mut engines[1], &live);
+        let completed = step(&sched.metrics, &mut engines[1], &live);
         assert!(sched.hand_over(t0, 1, &engines[1], completed));
         assert_eq!(
             metrics.lanes_busy.get() as usize,
@@ -1570,14 +1480,8 @@ mod tests {
             );
             let metrics = Arc::new(ServeMetrics::new(Arc::new(clgen_obs::Registry::new())));
             let flight = Arc::new(FlightRecorder::new(64));
-            let mut sched = Scheduler::new(
-                filter_tx,
-                metrics,
-                flight,
-                FaultPlan::inert(),
-                SEED_TEXT.to_string(),
-                &[1, 1],
-            );
+            let mut sched =
+                Scheduler::new(filter_tx, metrics, flight, SEED_TEXT.to_string(), &[1, 1]);
             // One request at a time, so the second job stays queued.
             sched.max_active = 1;
             let t0 = Instant::now();
@@ -1588,10 +1492,10 @@ mod tests {
             inbox_tx.send(SchedMsg::Job(in_flight)).expect("inbox");
             inbox_tx.send(SchedMsg::Job(queued)).expect("inbox");
 
-            let probes = sched.probes();
+            let metrics = sched.metrics.clone();
             let ended = catch_unwind(AssertUnwindSafe(|| {
                 crew::run(&mut sched, &mut engines, 1, &inbox, |engine, live| {
-                    probes.step(engine, &live)
+                    step(&metrics, engine, &live)
                 })
             }));
             let payload = ended.expect_err("the helper's panic ends the generation");
@@ -1671,7 +1575,7 @@ mod tests {
         let (model, vocab) = corpus_model();
         let mut streams = NgramStreams::new(model, LANES);
         let mut engine = BatchEngine::new(&mut streams, vocab);
-        let (mut sched, filter_rx, _, _) = scheduler(FaultPlan::inert());
+        let (mut sched, filter_rx, _, _) = scheduler();
         let now = Instant::now();
         let (job, handed) = job(seed, count, max_attempts, now, None);
         sched.handle(SchedMsg::Job(job));
@@ -1945,7 +1849,7 @@ mod tests {
                 Plan::Step(live) => Phase::Planned(live),
                 _ => Phase::Ready,
             },
-            Phase::Planned(live) => Phase::Stepped(sched.probes().step(engine, &live)),
+            Phase::Planned(live) => Phase::Stepped(step(&sched.metrics, engine, &live)),
             Phase::Stepped(completed) => {
                 assert!(sched.hand_over(now, seat, engine, completed));
                 Phase::Ready
@@ -1967,7 +1871,7 @@ mod tests {
         ) {
             let (model, vocab) = corpus_model();
             let mut streams = NgramStreams::new(model, LANES);
-            let (sched, filter_rx, metrics, _) = scheduler(FaultPlan::inert());
+            let (sched, filter_rx, metrics, _) = scheduler();
             let mut rig = Rig {
                 sched,
                 engine: BatchEngine::new(&mut streams, vocab),
@@ -2035,7 +1939,7 @@ mod tests {
             let (mut a, mut b) = (NgramStreams::new(model, 2), NgramStreams::new(model, 2));
             let mut engines = [BatchEngine::new(&mut a, vocab), BatchEngine::new(&mut b, vocab)];
             let mut phases = [Phase::Ready, Phase::Ready];
-            let (mut sched, filter_rx, _, _) = scheduler_over(FaultPlan::inert(), &[2, 2]);
+            let (mut sched, filter_rx, _, _) = scheduler_over(&[2, 2]);
             let now = Instant::now();
             let handed: Vec<Handed> = jobs
                 .iter()
@@ -2083,6 +1987,306 @@ mod tests {
             prop_assert_eq!(done, jobs.len(), "every job is answered");
             for (&(seed, count, max_attempts), lines) in jobs.iter().zip(lines) {
                 prop_assert_eq!(lines, alone(seed, count, max_attempts));
+            }
+        }
+    }
+
+    /// The supervised sampler core, run over its inbox as `Server::start`
+    /// runs it — a real filter stage and real respawns — with no socket and
+    /// no sleep. A test poisons a step through `CoreContext::before_step`,
+    /// on the thread that takes it.
+    mod supervised {
+        use super::*;
+        use std::sync::Condvar;
+        use std::thread;
+
+        const CORE_THREAD: &str = "sampler-core";
+
+        /// The splits the tests run at: one engine, and two (engine 0 on the
+        /// core thread, engine 1 on a helper).
+        fn splits() -> [LaneSplit; 2] {
+            [clgen::lane_split(4, 1), clgen::lane_split(4, 2)]
+        }
+
+        fn on_core_thread() -> bool {
+            thread::current().name() == Some(CORE_THREAD)
+        }
+
+        /// A `before_step` hook that panics on the first step taken on a
+        /// helper's thread (`on_helper`) or on the core thread. With
+        /// `on_helper`, engine 0's first step waits until a helper is at its
+        /// own, so that the panic strikes before any candidate completes.
+        fn poison_first_step(on_helper: bool) -> Box<dyn Fn() + Send + Sync> {
+            let fired = AtomicBool::new(false);
+            let core_waited = AtomicBool::new(false);
+            let helper_arrived = (Mutex::new(false), Condvar::new());
+            Box::new(move || {
+                let (arrived, signal) = &helper_arrived;
+                if on_core_thread() != on_helper {
+                    if !fired.swap(true, Ordering::SeqCst) {
+                        *arrived.lock().expect("arrival flag") = true;
+                        signal.notify_all();
+                        panic!("a poisoned step");
+                    }
+                } else if on_helper && !core_waited.swap(true, Ordering::SeqCst) {
+                    let arrived = arrived.lock().expect("arrival flag");
+                    drop(signal.wait_while(arrived, |arrived| !*arrived));
+                }
+            })
+        }
+
+        fn poison_every_step() -> Box<dyn Fn() + Send + Sync> {
+            Box::new(|| panic!("a poisoned step"))
+        }
+
+        /// The corpus n-gram as a model the core boots with.
+        fn boot_model() -> TrainedModel {
+            let (model, vocab) = corpus_model();
+            TrainedModel::from_parts(vocab.clone(), Box::new(model.clone())).expect("a model")
+        }
+
+        /// What a test keeps of a sampler core it started.
+        struct Core {
+            inbox: mpsc::Sender<SchedMsg>,
+            metrics: Arc<ServeMetrics>,
+            flight: Arc<FlightRecorder>,
+            supervisor: Arc<Supervisor>,
+            shutdown: Arc<AtomicBool>,
+            thread: thread::JoinHandle<()>,
+        }
+
+        impl Core {
+            /// Start a core on `split` that respawns from `image`, with
+            /// `jobs` already in its inbox (so its first turn activates them
+            /// together).
+            fn start(
+                split: LaneSplit,
+                image: Vec<u8>,
+                budget: u32,
+                before_step: Box<dyn Fn() + Send + Sync>,
+                jobs: Vec<Job>,
+            ) -> Core {
+                let (inbox, rx) = mpsc::channel();
+                for job in jobs {
+                    inbox.send(SchedMsg::Job(job)).expect("inbox");
+                }
+                let metrics = Arc::new(ServeMetrics::new(Arc::new(clgen_obs::Registry::new())));
+                let flight = Arc::new(FlightRecorder::new(256));
+                let supervisor = Arc::new(Supervisor::new(budget, Duration::from_secs(3600)));
+                let shutdown = Arc::new(AtomicBool::new(false));
+                let ctx = CoreContext {
+                    split,
+                    seed_text: SEED_TEXT.to_string(),
+                    checkpoint: Arc::new(image),
+                    metrics: metrics.clone(),
+                    flight: flight.clone(),
+                    supervisor: supervisor.clone(),
+                    shutdown: shutdown.clone(),
+                    // Nothing listens on port 0: the wake-up a given-up core
+                    // sends the accept loop fails at once.
+                    addr: SocketAddr::from(([127, 0, 0, 1], 0)),
+                    before_step,
+                };
+                let core_tx = inbox.clone();
+                let thread = thread::Builder::new()
+                    .name(CORE_THREAD.to_string())
+                    .spawn(move || run_sampler_core(boot_model(), ctx, rx, core_tx))
+                    .expect("spawn the core");
+                Core {
+                    inbox,
+                    metrics,
+                    flight,
+                    supervisor,
+                    shutdown,
+                    thread,
+                }
+            }
+
+            /// Shut the core down and wait for its thread.
+            fn stop(self) {
+                let _ = self.inbox.send(SchedMsg::Shutdown {
+                    drain_deadline: None,
+                });
+                self.thread.join().expect("the core thread returns");
+            }
+        }
+
+        /// Every event of a job up to and including its terminal one.
+        fn answer(handed: &Handed) -> Vec<ResponseEvent> {
+            let mut events = Vec::new();
+            loop {
+                let event = handed
+                    .reply
+                    .recv_timeout(Duration::from_secs(120))
+                    .expect("the job is answered");
+                let terminal = !matches!(event, ResponseEvent::Kernel(_));
+                events.push(event);
+                if terminal {
+                    return events;
+                }
+            }
+        }
+
+        fn status(events: &[ResponseEvent]) -> u16 {
+            match events.last() {
+                Some(ResponseEvent::Error(e)) => e.status,
+                Some(ResponseEvent::Done(_)) => 200,
+                other => panic!("not a terminal event: {other:?}"),
+            }
+        }
+
+        fn lines(events: Vec<ResponseEvent>) -> Vec<String> {
+            events
+                .into_iter()
+                .map(|e| match e {
+                    ResponseEvent::Kernel(line) | ResponseEvent::Done(line) => line,
+                    ResponseEvent::Error(e) => panic!("{e:?}"),
+                })
+                .collect()
+        }
+
+        /// The job every test submits: two kernels wanted, so it spills
+        /// onto engine 1 at two engines.
+        fn probe_job() -> (Job, Handed) {
+            job(5, 2, 24, Instant::now(), None)
+        }
+
+        /// A panic on engine 0's thread or on a helper's fails the jobs in
+        /// flight with a 500 and costs exactly one restart; the respawned
+        /// core streams a resubmitted job byte for byte as a fault-free core
+        /// does, and the flight ring holds the panic.
+        #[test]
+        fn a_panic_fails_in_flight_and_the_respawn_streams_fault_free_bytes() {
+            let image = boot_model().to_bytes();
+            for split in splits() {
+                let engines = split.lanes.len();
+                let (reference, handed) = probe_job();
+                let core = Core::start(
+                    split.clone(),
+                    image.clone(),
+                    3,
+                    Box::new(|| {}),
+                    vec![reference],
+                );
+                let fault_free = lines(answer(&handed));
+                assert!(fault_free.len() > 1, "the probe job streams kernels");
+                core.stop();
+
+                for on_helper in [false, true].into_iter().take(engines) {
+                    let case = format!("{engines} engine(s), poisoned on a helper: {on_helper}");
+                    let (first, first_handed) = probe_job();
+                    let (second, second_handed) = job(6, 1, 24, Instant::now(), None);
+                    let core = Core::start(
+                        split.clone(),
+                        image.clone(),
+                        3,
+                        poison_first_step(on_helper),
+                        vec![first, second],
+                    );
+                    for handed in [&first_handed, &second_handed] {
+                        let events = answer(handed);
+                        assert_eq!(status(&events), 500, "{case}");
+                        let Some(ResponseEvent::Error(e)) = events.last() else {
+                            unreachable!()
+                        };
+                        assert_eq!(e.message, "sampler core panicked: a poisoned step");
+                    }
+                    let dump = core.flight.dump("sampler_panic");
+                    assert!(
+                        dump.starts_with("{\"event\":\"flight_dump\",\"reason\":\"sampler_panic\""),
+                        "{dump}"
+                    );
+                    assert!(dump.contains("\"kind\":\"panic\""), "{case}: {dump}");
+
+                    let (again, again_handed) = probe_job();
+                    core.inbox.send(SchedMsg::Job(again)).expect("inbox");
+                    assert_eq!(lines(answer(&again_handed)), fault_free, "{case}");
+                    assert_eq!(core.metrics.supervisor_restarts.get(), 1, "{case}");
+                    let metrics = core.metrics.registry.render_prometheus();
+                    assert!(
+                        metrics
+                            .lines()
+                            .any(|l| l == "clgen_supervisor_restarts_total 1"),
+                        "{case}: {metrics}"
+                    );
+                    assert_eq!(core.metrics.requests_failed.get(), 2, "{case}");
+                    assert_eq!(
+                        core.supervisor.health(Instant::now()),
+                        ServiceHealth::Degraded
+                    );
+                    core.stop();
+                }
+            }
+        }
+
+        /// A checkpoint image that no longer decodes: the panic's respawn
+        /// fails to reload, every retry fails too and costs a restart, and
+        /// the core gives up once the budget is spent.
+        #[test]
+        fn reload_failures_spend_the_budget_and_fail_the_service() {
+            let mut image = boot_model().to_bytes();
+            image[0] ^= 0xFF;
+            for split in splits() {
+                let (job, handed) = probe_job();
+                let core =
+                    Core::start(split, image.clone(), 2, poison_first_step(false), vec![job]);
+                assert_eq!(status(&answer(&handed)), 500);
+                let Core {
+                    metrics,
+                    flight,
+                    supervisor,
+                    shutdown,
+                    thread,
+                    ..
+                } = core;
+                thread.join().expect("the core gives up and returns");
+                // The panic, then two failed reloads: the third restart
+                // exceeds the budget of 2.
+                assert_eq!(metrics.supervisor_restarts.get(), 3);
+                let kinds: Vec<&str> = flight.snapshot().iter().map(|e| e.kind).collect();
+                assert_eq!(
+                    kinds.iter().filter(|&&k| k == "reload_failure").count(),
+                    2,
+                    "{kinds:?}"
+                );
+                assert!(kinds.contains(&"budget_exhausted"), "{kinds:?}");
+                assert_eq!(supervisor.health(Instant::now()), ServiceHealth::Failed);
+                assert!(shutdown.load(Ordering::SeqCst));
+            }
+        }
+
+        /// A step that always panics spends the restart budget: each
+        /// generation fails the jobs it activated with a 500, the job still
+        /// queued when the budget runs out gets a 503, every job is answered
+        /// exactly once, and the core sets the server's shutdown flag.
+        #[test]
+        fn budget_exhaustion_answers_every_job_and_shuts_down() {
+            let image = boot_model().to_bytes();
+            for split in splits() {
+                // Four lanes activate four jobs a generation: two
+                // generations fail eight, and the ninth is still queued.
+                let (jobs, handed): (Vec<Job>, Vec<Handed>) = (0..9)
+                    .map(|seed| job(seed, 1, 24, Instant::now(), None))
+                    .unzip();
+                let core = Core::start(split, image.clone(), 1, poison_every_step(), jobs);
+                let statuses: Vec<u16> = handed.iter().map(|h| status(&answer(h))).collect();
+                assert_eq!(statuses, [500, 500, 500, 500, 500, 500, 500, 500, 503]);
+                let Core {
+                    metrics,
+                    supervisor,
+                    shutdown,
+                    thread,
+                    ..
+                } = core;
+                thread.join().expect("the core gives up and returns");
+                assert_eq!(metrics.supervisor_restarts.get(), 2);
+                assert_eq!(metrics.requests_failed.get(), 9);
+                assert_eq!(supervisor.health(Instant::now()), ServiceHealth::Failed);
+                assert!(shutdown.load(Ordering::SeqCst));
+                for h in &handed {
+                    assert!(h.reply.try_recv().is_err(), "one terminal event per job");
+                    assert_eq!(h.slot.load(Ordering::SeqCst), 0, "the slot is back");
+                }
             }
         }
     }

@@ -1,7 +1,6 @@
 //! The HTTP front-end: accept loop, request routing, backpressure, deadlines
 //! and bounded graceful shutdown over the supervised batching scheduler.
 
-use crate::faults::{FaultPlan, FaultPoint};
 use crate::harness_api::{self, DriveStage};
 use crate::http::{self, HttpError, Request};
 use crate::metrics::ServeMetrics;
@@ -83,8 +82,6 @@ pub struct ServerConfig {
     ///
     /// [`restart_budget`]: ServerConfig::restart_budget
     pub restart_window: Duration,
-    /// Deterministic fault-injection plan (`--faults`; inert by default).
-    pub faults: FaultPlan,
     /// Default drive-and-predict harness configuration used by `/drive`,
     /// `/features` and `/pipeline` (per-request `sizes`, `drive_seed` and
     /// `feature_set` parameters override it).
@@ -116,7 +113,6 @@ impl Default for ServerConfig {
             default_deadline_ms: None,
             restart_budget: 3,
             restart_window: Duration::from_secs(60),
-            faults: FaultPlan::inert(),
             harness: HarnessConfig::default(),
             mapping_model: None,
             metrics: None,
@@ -185,9 +181,9 @@ impl Server {
             metrics,
             flight,
             supervisor: supervisor.clone(),
-            faults: config.faults.clone(),
             shutdown: shutdown.clone(),
             addr,
+            before_step: Box::new(|| {}),
         };
         let core_tx = sched_tx.clone();
         let sampler_core = thread::Builder::new()
@@ -645,7 +641,7 @@ fn serve_post<'s>(
                 cancelled: Arc::default(),
                 slot,
             };
-            stream_synthesis(stream, tx, shared, job, reply_rx, harness)
+            stream_synthesis(stream, tx, job, reply_rx, harness)
         }
         Work::Drive(stage, harness, source) => {
             // The slot is held until the drive has been answered.
@@ -665,7 +661,6 @@ fn serve_post<'s>(
 fn stream_synthesis<'s>(
     stream: &'s TcpStream,
     tx: mpsc::Sender<SchedMsg>,
-    shared: &Shared,
     job: Job,
     reply_rx: mpsc::Receiver<ResponseEvent>,
     harness: Option<Harness>,
@@ -728,20 +723,6 @@ fn stream_synthesis<'s>(
         };
         match event {
             ResponseEvent::Kernel(line) => {
-                if shared
-                    .config
-                    .faults
-                    .fire(FaultPoint::DropResponse)
-                    .is_some()
-                {
-                    // Injected mid-body disconnect: abandon the socket with
-                    // the chunked body unterminated; the client sees a
-                    // truncated response. The request itself keeps running
-                    // and is absorbed silently once sends start failing.
-                    shared.flight.record("fault", "drop_response".to_string());
-                    return ("disconnect", None);
-                }
-                shared.config.faults.stall(FaultPoint::SlowWrite);
                 if chunks.chunk(format!("{line}\n").as_bytes()).is_err() {
                     return hang_up();
                 }
@@ -753,7 +734,6 @@ fn stream_synthesis<'s>(
                 }
             }
             ResponseEvent::Done(line) => {
-                shared.config.faults.stall(FaultPoint::SlowWrite);
                 trace.record_since("respond", respond_started);
                 // The trace object is additive: strip it (`json::strip_trace`)
                 // to recover the deterministic done-line bytes.
