@@ -2154,7 +2154,7 @@ mod tests {
         /// A panic on engine 0's thread or on a helper's fails the jobs in
         /// flight with a 500 and costs exactly one restart; the respawned
         /// core streams a resubmitted job byte for byte as a fault-free core
-        /// does, and the flight ring holds the panic.
+        /// does.
         #[test]
         fn a_panic_fails_in_flight_and_the_respawn_streams_fault_free_bytes() {
             let image = boot_model().to_bytes();
@@ -2191,13 +2191,6 @@ mod tests {
                         };
                         assert_eq!(e.message, "sampler core panicked: a poisoned step");
                     }
-                    let dump = core.flight.dump("sampler_panic");
-                    assert!(
-                        dump.starts_with("{\"event\":\"flight_dump\",\"reason\":\"sampler_panic\""),
-                        "{dump}"
-                    );
-                    assert!(dump.contains("\"kind\":\"panic\""), "{case}: {dump}");
-
                     let (again, again_handed) = probe_job();
                     core.inbox.send(SchedMsg::Job(again)).expect("inbox");
                     assert_eq!(lines(answer(&again_handed)), fault_free, "{case}");
@@ -2214,6 +2207,42 @@ mod tests {
                         core.supervisor.health(Instant::now()),
                         ServiceHealth::Degraded
                     );
+                    core.stop();
+                }
+            }
+        }
+
+        /// A panic on engine 0's thread or on a helper's leaves its event in
+        /// the flight ring, and the ring's dump leads with the
+        /// `sampler_panic` header the core writes to stderr.
+        #[test]
+        fn a_panic_leaves_its_trail_in_the_flight_ring() {
+            let image = boot_model().to_bytes();
+            for split in splits() {
+                let engines = split.lanes.len();
+                for on_helper in [false, true].into_iter().take(engines) {
+                    let case = format!("{engines} engine(s), poisoned on a helper: {on_helper}");
+                    let (job, handed) = probe_job();
+                    let core = Core::start(
+                        split.clone(),
+                        image.clone(),
+                        3,
+                        poison_first_step(on_helper),
+                        vec![job],
+                    );
+                    assert_eq!(status(&answer(&handed)), 500, "{case}");
+                    let kinds: Vec<&str> = core.flight.snapshot().iter().map(|e| e.kind).collect();
+                    assert_eq!(
+                        kinds.iter().filter(|&&k| k == "panic").count(),
+                        1,
+                        "{case}: {kinds:?}"
+                    );
+                    let dump = core.flight.dump("sampler_panic");
+                    assert!(
+                        dump.starts_with("{\"event\":\"flight_dump\",\"reason\":\"sampler_panic\""),
+                        "{case}: {dump}"
+                    );
+                    assert!(dump.contains("\"kind\":\"panic\""), "{case}: {dump}");
                     core.stop();
                 }
             }
